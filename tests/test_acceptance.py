@@ -54,6 +54,11 @@ def free_run():
 
 
 @pytest.fixture(scope="module")
+def smooth_run():
+    return _timed(lambda: run(load_preset("smooth-novac")))
+
+
+@pytest.fixture(scope="module")
 def mms_rows():
     return _timed(lambda: convergence_study(load_preset("mms"),
                                             [128, 256, 512]))
@@ -143,8 +148,8 @@ def test_criterion_2_flux_conservation(disk_run):
             f"vacuum={s['residuals']['vacuum']:.2e} wall={elapsed:.1f}s")
 
 
-def test_criterion_3_energy_ledger(free_run):
-    smooth, elapsed = _timed(lambda: run(load_preset("smooth-novac")))
+def test_criterion_3_energy_ledger(smooth_run, free_run):
+    smooth, elapsed = smooth_run
     s = smooth.outcome.summary
     diss = smooth.records[-1].dissipation_cum
     one_sided_ok = (smooth.status is RunStatus.COMPLETED
@@ -269,6 +274,67 @@ def test_criterion_9_picard_cross_validation(mms_rows):
     _report(9, "linearized sweeps contract and match the nonlinear solver", ok,
             f"iters={rep.iterations} ratio={rep.contraction_ratio:.2e} "
             f"gap={gap:.2e} budget={10.0 * mms_err_256:.2e}")
+
+
+# Outputs of the shipped presets and the MMS ladder, recorded with the NumPy
+# backend. A refactor that claims to be neutral must leave them unchanged;
+# round-off-sized residuals (the vacuum residual is about 1e-10) are left out.
+GOLDEN_RUNS = {
+    "disk-blowup": dict(
+        status="BlowupDetected", records=24, t_final=0.4153439710386842,
+        T_detected=0.4153439710386842, E0=0.07149999999543627,
+        C0=0.3500000043736863, alpha_star=1.1107999999999878,
+        T_bound=86.92644188620457, energy=0.021312817650065194),
+    "cylinder-blowup": dict(
+        status="BlowupDetected", records=24, t_final=0.4160458289126938,
+        T_detected=0.4160458289126938, E0=0.07663858700867708,
+        C0=0.3500000043736863, alpha_star=1.1666666666666667,
+        T_bound=200.41052715521099, energy=0.02143666462940029),
+    "free-blowup": dict(
+        status="BlowupDetected", records=24, t_final=0.4153439058603491,
+        T_detected=0.4153439058603491, E0=0.07149999999543627,
+        C0=0.3500000043736863, alpha_star=1.1107999999999878,
+        T_bound=2.467934787117422e+96, energy=0.02131281981389896),
+    "smooth-novac": dict(
+        status="Completed", records=140, t_final=0.5, T_detected=None,
+        E0=0.6287142857143837, C0=None, alpha_star=None, T_bound=None,
+        energy=0.6270250537174039),
+}
+
+GOLDEN_MMS = {
+    128: dict(rho=4.940067998435858e-06, u=1.4472195902013952e-06,
+              P=5.0207119201653155e-06, B=1.20524943940846e-06),
+    256: dict(rho=1.3207667826899512e-06, u=3.648820871813729e-07,
+              P=1.2548149822027204e-06, B=2.9773423856060524e-07),
+    512: dict(rho=3.508448482149469e-07, u=9.164668752946034e-08,
+              P=3.1366306866536553e-07, B=7.399542098712022e-08),
+}
+
+
+def _approx(value):
+    return None if value is None else pytest.approx(value, rel=1e-9)
+
+
+def test_golden_outputs(disk_run, cylinder_run, free_run, smooth_run, mms_rows):
+    runs = {"disk-blowup": disk_run, "cylinder-blowup": cylinder_run,
+            "free-blowup": free_run, "smooth-novac": smooth_run}
+    for name, (res, _) in runs.items():
+        s = res.outcome.summary
+        got = dict(status=res.status.value, records=len(res.records),
+                   t_final=res.outcome.t_final, T_detected=res.outcome.T_detected,
+                   E0=s["E0"], C0=s["C0"], alpha_star=s["alpha_star"],
+                   T_bound=s["T_bound"], energy=res.records[-1].energy)
+        want = GOLDEN_RUNS[name]
+        assert got["status"] == want["status"], name
+        assert got["records"] == want["records"], name
+        for key in ("t_final", "T_detected", "E0", "C0", "alpha_star",
+                    "T_bound", "energy"):
+            assert got[key] == _approx(want[key]), f"{name}: {key}"
+    rows, _ = mms_rows
+    assert [row.n for row in rows] == list(GOLDEN_MMS)
+    for row in rows:
+        for f, err in GOLDEN_MMS[row.n].items():
+            assert row.errors[f] == _approx(err), f"MMS N={row.n}: {f}"
 
 
 def test_bounds_subcommand_consistency(capsys):
