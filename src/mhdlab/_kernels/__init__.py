@@ -1,8 +1,11 @@
-"""Kernel backend selection.
+"""Kernel backend selection and the shared radial operators.
 
-The compiled extension is preferred when present; the NumPy fallback is used
-otherwise. MHDLAB_KERNELS=pure|cython forces a backend (forcing "cython"
-raises if the extension was not built).
+The compiled extension is preferred for the per-step kernels when present;
+the NumPy fallback is used otherwise. MHDLAB_KERNELS=pure|cython forces a
+backend (forcing "cython" raises if the extension was not built). The radial
+operators every module builds its derivatives from (the axis-pinned
+(f_r, f/r) pair, the vector and axial Laplacians, the face-flux mass and
+induction tendencies) have one home, `pure.py`, under either backend.
 """
 
 import os
@@ -30,10 +33,16 @@ else:
 BACKEND = _impl.BACKEND_NAME
 
 gradient = _impl.gradient
-over_r = _impl.over_r
 disk_tendency = _impl.disk_tendency
 cylinder_tendency = _impl.cylinder_tendency
 thomas = _impl.thomas
+
+axis_gradient = _pure.axis_gradient
+radial_parts = _pure.radial_parts
+vector_laplacian = _pure.vector_laplacian
+axial_laplacian = _pure.axial_laplacian
+mass_tendency = _pure.mass_tendency
+induction_tendency = _pure.induction_tendency
 
 
 def get_backend(name):

@@ -39,6 +39,73 @@ def over_r(f, r, f_r0):
     return out
 
 
+def axis_gradient(f, dr):
+    """f_r of a field pinned to zero at the axis: (4 f[1] - f[2]) / (2 dr) there."""
+    out = gradient(f, dr)
+    out[0] = (4.0 * f[1] - f[2]) / (2.0 * dr)
+    return out
+
+
+def radial_parts(f, r, dr):
+    """(f_r, f/r) of a field pinned to zero at the axis, f/r(0) = f_r(0)."""
+    f_r = axis_gradient(f, dr)
+    return f_r, over_r(f, r, f_r[0])
+
+
+def vector_laplacian(f, r, dr):
+    """(f_r + f/r)_r on interior nodes, zero at both ends."""
+    out = np.zeros_like(f)
+    out[1:-1] = ((f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dr * dr)
+                 + (f[2:] - f[:-2]) / (2.0 * dr * r[1:-1])
+                 - f[1:-1] / (r[1:-1] * r[1:-1]))
+    return out
+
+
+def axial_laplacian(f, r, dr):
+    """(r f_r)_r / r on interior nodes and at the axis (2 f_rr(0)), zero at r=R."""
+    out = np.zeros_like(f)
+    out[1:-1] = ((f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dr * dr)
+                 + (f[2:] - f[:-2]) / (2.0 * dr * r[1:-1]))
+    out[0] = 4.0 * (f[1] - f[0]) / (dr * dr)
+    return out
+
+
+def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
+    """-(rho vel)_r - rho vel / r as face-flux differences in the interior.
+
+    The ends use point-value one-sided forms: node 0 has zero quadrature
+    weight and node N contributes O(dr^3) to the mass ledger, so the
+    interior telescoping is what conserves mass.
+    """
+    mom = rho * vel
+    fv = 0.5 * (mom[:-1] + mom[1:])
+    up = up_fc != 0
+    if np.any(up):
+        vbar = 0.5 * (vel[:-1] + vel[1:])
+        donor = np.where(vbar >= 0.0, rho[:-1], rho[1:]) * vbar
+        fv = np.where(up, donor, fv)
+    r_face = 0.5 * (r[:-1] + r[1:])
+    G = r_face * fv - lf_fc * r_face * (rho[1:] - rho[:-1])
+    drho = np.empty_like(rho)
+    drho[1:-1] = -(G[1:] - G[:-1]) / (r[1:-1] * dr)
+    mom_r0 = (-3.0 * mom[0] + 4.0 * mom[1] - mom[2]) / (2.0 * dr)
+    drho[0] = -2.0 * mom_r0
+    mom_rn = (3.0 * mom[-1] - 4.0 * mom[-2] + mom[-3]) / (2.0 * dr)
+    drho[-1] = -(mom_rn + mom[-1] / r[-1])
+    return drho
+
+
+def induction_tendency(dr, vel, B, lf_fc):
+    """-(vel B)_r as face-flux differences, one-sided at r=R; B(0) = 0 is exact."""
+    vb = vel * B
+    H = 0.5 * (vb[:-1] + vb[1:]) - lf_fc * (B[1:] - B[:-1])
+    dB = np.empty_like(B)
+    dB[1:-1] = -(H[1:] - H[:-1]) / dr
+    dB[0] = 0.0
+    dB[-1] = -(3.0 * vb[-1] - 4.0 * vb[-2] + vb[-3]) / (2.0 * dr)
+    return dB
+
+
 def _face_flux_diff(flux, flux_in, flux_out, widths):
     """-(F_{i+1/2} - F_{i-1/2}) / width_i for node-centered control volumes."""
     n1 = len(widths)
@@ -59,67 +126,24 @@ def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
         P_t   = -u P_r - gamma P (u_r + u/r)
         B_t   = -(u B)_r                                   (face-flux form)
     """
-    n = len(r) - 1
-    ur = gradient(u, dr)
-    ur[0] = (4.0 * u[1] - u[2]) / (2.0 * dr)      # u[0] = 0 pinned
-    u_over_r = over_r(u, r, ur[0])
-    div = ur + u_over_r
-
-    Br = gradient(B, dr)
-    Br[0] = (4.0 * B[1] - B[2]) / (2.0 * dr)
-    B_over_r = over_r(B, r, Br[0])
-
+    ur, u_over_r = radial_parts(u, r, dr)
+    Br, B_over_r = radial_parts(B, r, dr)
     Pr = gradient(P, dr)
-
-    # mass: faces between nodes j and j+1
-    r_face = 0.5 * (r[:-1] + r[1:])
-    mom = rho * u
-    fv = 0.5 * (mom[:-1] + mom[1:])
-    up = up_fc != 0
-    if np.any(up):
-        ubar = 0.5 * (u[:-1] + u[1:])
-        donor = np.where(ubar >= 0.0, rho[:-1], rho[1:]) * ubar
-        fv = np.where(up, donor, fv)
-    G = r_face * fv - lf_fc * r_face * (rho[1:] - rho[:-1])
-    vol = r * dr
-    drho = np.empty(n + 1)
-    drho[1:-1] = -(G[1:] - G[:-1]) / vol[1:-1]
-    # point-value one-sided forms at both ends: node 0 has zero quadrature
-    # weight and node N contributes O(dr^3) to the mass ledger, so the
-    # interior telescoping is what conserves mass
-    mom_r0 = (-3.0 * mom[0] + 4.0 * mom[1] - mom[2]) / (2.0 * dr)
-    drho[0] = -2.0 * mom_r0
-    mom_rn = (3.0 * mom[-1] - 4.0 * mom[-2] + mom[-3]) / (2.0 * dr)
-    drho[-1] = -(mom_rn + mom[-1] / r[-1])
-
-    # momentum
-    visc = np.zeros_like(u)
-    if include_visc:
-        visc[1:-1] = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dr * dr)
-                      + (u[2:] - u[:-2]) / (2.0 * dr * r[1:-1])
-                      - u[1:-1] / (r[1:-1] * r[1:-1]))
-    lorentz = B * (Br + B_over_r)
-    du = (-rho * u * ur - Pr + two_mu_lam * visc - lorentz) / rho_star
+    visc = vector_laplacian(u, r, dr) if include_visc else np.zeros_like(u)
+    du = (-rho * u * ur - Pr + two_mu_lam * visc - B * (Br + B_over_r)) / rho_star
     du[0] = 0.0
     du[-1] = 0.0
 
     # pressure (with band diffusion where lf_fc is active)
-    dP = -u * Pr - gamma * P * div
+    dP = -u * Pr - gamma * P * (ur + u_over_r)
     if np.any(lf_fc != 0.0):
         D = lf_fc * (P[1:] - P[:-1])
-        widths = np.full(n + 1, dr)
+        widths = np.full(len(r), dr)
         widths[0] = widths[-1] = 0.5 * dr
         dP += _face_flux_diff(-D, 0.0, 0.0, widths)
 
-    # induction: faces in the interior, one-sided point form at the far end
-    ub = u * B
-    H = 0.5 * (ub[:-1] + ub[1:]) - lf_fc * (B[1:] - B[:-1])
-    dB = np.empty(n + 1)
-    dB[1:-1] = -(H[1:] - H[:-1]) / dr
-    dB[0] = 0.0                                    # B(0) = 0 is exact
-    dB[-1] = -(3.0 * ub[-1] - 4.0 * ub[-2] + ub[-3]) / (2.0 * dr)
-
-    return drho, du, dP, dB
+    return (mass_tendency(r, dr, rho, u, lf_fc, up_fc), du, dP,
+            induction_tendency(dr, u, B, lf_fc))
 
 
 def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
@@ -139,25 +163,14 @@ def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
     du[0] = 0.0
     du[-1] = 0.0
 
-    vr = gradient(v, dr)
-    vr[0] = (4.0 * v[1] - v[2]) / (2.0 * dr)
-    v_over_r = over_r(v, r, vr[0])
-    visc_v = np.zeros_like(v)
-    if include_visc:
-        visc_v[1:-1] = ((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dr * dr)
-                        + (v[2:] - v[:-2]) / (2.0 * dr * r[1:-1])
-                        - v[1:-1] / (r[1:-1] * r[1:-1]))
+    vr, v_over_r = radial_parts(v, r, dr)
+    visc_v = vector_laplacian(v, r, dr) if include_visc else np.zeros_like(v)
     dv = (-rho * (u * vr + u * v_over_r) + mu * visc_v) / rho_star
     dv[0] = 0.0
     dv[-1] = 0.0
 
-    wr = gradient(w, dr)
-    visc_w = np.zeros_like(w)
-    if include_visc:
-        visc_w[1:-1] = ((w[2:] - 2.0 * w[1:-1] + w[:-2]) / (dr * dr)
-                        + (w[2:] - w[:-2]) / (2.0 * dr * r[1:-1]))
-        visc_w[0] = 4.0 * (w[1] - w[0]) / (dr * dr)   # 2 w_rr(0)
-    dw = (-rho * u * wr + mu * visc_w) / rho_star
+    visc_w = axial_laplacian(w, r, dr) if include_visc else np.zeros_like(w)
+    dw = (-rho * u * gradient(w, dr) + mu * visc_w) / rho_star
     dw[-1] = 0.0
 
     return drho, du, dv, dw, dP, dB

@@ -11,17 +11,17 @@ Exit codes: 0 Completed, 1 Error, 2 BlowupDetected, 3 Invalidated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 from .config import (apply_overrides, build_config, load_preset_text,
                      parse_pairs)
 from .core import init_scenario
-from .diagnostics import BoundInputs, lifespan_bound, optimize_alpha, total_energy
+from .diagnostics import lifespan_bound, optimize_alpha, total_energy
 from .errors import MHDLabError
-from .harness import EXIT_CODES, RunStatus, convergence_study, \
-    format_convergence_table, run
+from .harness import (EXIT_CODES, bound_template, convergence_study,
+                      format_convergence_table, run)
 
 
 def _load_config(args) -> "ScenarioConfig":
@@ -56,12 +56,7 @@ def _cmd_bounds(args) -> int:
     e0 = total_energy(state, grid, cfg.phys)
     if front is None:
         raise MHDLabError("bounds needs a scenario with a vacuum region (vacuum.r0)")
-    if cfg.geometry.is_free:
-        r_ref = cfg.r_outer + math.sqrt(e0 / cfg.phys.two_mu_lam)
-    else:
-        r_ref = cfg.r_outer
-    template = BoundInputs(mu=cfg.phys.mu, lam=cfg.phys.lam, R_ref=r_ref,
-                           C0=front.C0, E0=e0, alpha=1.5, geometry=cfg.geometry)
+    template = bound_template(cfg, front.C0, e0)
     alpha_star, t_star = optimize_alpha(template)
     doc = {
         "C0": front.C0,
@@ -70,13 +65,11 @@ def _cmd_bounds(args) -> int:
         "T_bound": t_star,
     }
     if cfg.geometry.is_free:
-        doc["C_envelope"] = r_ref
+        doc["C_envelope"] = template.R_ref
     if cfg.alpha is not None:
-        b = BoundInputs(mu=cfg.phys.mu, lam=cfg.phys.lam, R_ref=r_ref,
-                        C0=front.C0, E0=e0, alpha=cfg.alpha,
-                        geometry=cfg.geometry)
         doc["alpha"] = cfg.alpha
-        doc["T_bound_at_alpha"] = lifespan_bound(b)
+        doc["T_bound_at_alpha"] = lifespan_bound(
+            dataclasses.replace(template, alpha=cfg.alpha))
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .core import Geometry, PhysParams, Profile, ScenarioConfig
+from .core import MIN_CELLS, Geometry, PhysParams, Profile, ScenarioConfig
 from .errors import ConfigError
 
 _PROFILE_KEYS = {"init.rho": "rho", "init.u": "u", "init.v": "v", "init.w": "w",
@@ -21,9 +21,9 @@ _KNOWN_KEYS = set(_PROFILE_KEYS) | {
     "grid.n", "grid.r_outer",
     "physics.mu", "physics.lam", "physics.gamma",
     "vacuum.r0",
-    "time.t_end", "time.cfl", "time.scheme", "time.dt_max",
+    "time.t_end", "time.cfl", "time.scheme",
     "solver.vacuum_strategy", "solver.eps_vac", "solver.blowup_gradu_max",
-    "solver.dt_min", "solver.lf_band",
+    "solver.dt_min",
     "diag.alpha",
     "output.stride", "output.dir",
     "mms.enabled",
@@ -141,7 +141,6 @@ def build_config(pairs: dict) -> ScenarioConfig:
         raise ConfigError(f"unknown vacuum strategy {strategy!r}")
 
     alpha = pairs.get("diag.alpha")
-    dt_max = pairs.get("time.dt_max")
     cfg = ScenarioConfig(
         geometry=geometry,
         n=int(_expect(_need(pairs, "grid.n"), int, "grid.n")),
@@ -157,15 +156,13 @@ def build_config(pairs: dict) -> ScenarioConfig:
         eps_vac=float(pairs.get("solver.eps_vac", 1e-6)),
         blowup_gradu_max=float(pairs.get("solver.blowup_gradu_max", 1e4)),
         dt_min=float(pairs.get("solver.dt_min", 1e-12)),
-        dt_max=None if dt_max is None else float(dt_max),
-        lf_band=int(pairs.get("solver.lf_band", 16)),
         alpha=None if alpha is None else float(alpha),
         output_stride=int(pairs.get("output.stride", 10)),
         output_dir=pairs.get("output.dir"),
         mms=mms,
     )
-    if cfg.n <= 0:
-        raise ConfigError(f"grid.n must be positive, got {cfg.n}")
+    if cfg.n < MIN_CELLS:
+        raise ConfigError(f"grid.n must be at least {MIN_CELLS}, got {cfg.n}")
     if cfg.t_end <= 0.0:
         raise ConfigError(f"time.t_end must be positive, got {cfg.t_end}")
     if not (0.0 < cfg.cfl < 1.0):

@@ -63,10 +63,13 @@ class RadialGrid:
         return float(self.spacing[0])
 
 
+MIN_CELLS = 2     # width of the one-sided end stencils
+
+
 def make_grid(n: int, r_outer: float) -> RadialGrid:
     """Uniform grid with n cells on [0, r_outer]; weights are composite trapezoid."""
-    if n <= 0:
-        raise ConfigError(f"grid needs a positive cell count, got {n}")
+    if n < MIN_CELLS:
+        raise ConfigError(f"grid needs at least {MIN_CELLS} cells, got {n}")
     if not (r_outer > 0.0) or not math.isfinite(r_outer):
         raise ConfigError(f"outer radius must be positive and finite, got {r_outer}")
     nodes = np.linspace(0.0, r_outer, n + 1)
@@ -163,12 +166,23 @@ class FluidState:
     w: Optional[np.ndarray] = None
 
     def copy(self) -> "FluidState":
-        return FluidState(
-            rho=self.rho.copy(), u=self.u.copy(), P=self.P.copy(), B=self.B.copy(),
-            t=self.t,
-            v=None if self.v is None else self.v.copy(),
-            w=None if self.w is None else self.w.copy(),
-        )
+        return self.map(lambda _, f: f.copy(), self.t)
+
+    def map(self, fn, t: float) -> "FluidState":
+        """State at time t holding fn(name, array) for every present field."""
+        return FluidState(t=t, **{name: fn(name, arr) for name, arr in self.fields()})
+
+    def pin(self, wall: bool) -> None:
+        """Zero u, B (and v) at the axis; with a wall also u (and v, w) at r=R."""
+        self.u[0] = 0.0
+        self.B[0] = 0.0
+        if self.v is not None:
+            self.v[0] = 0.0
+        if wall:
+            self.u[-1] = 0.0
+            if self.v is not None:
+                self.v[-1] = 0.0
+                self.w[-1] = 0.0
 
     def fields(self):
         """(name, array) pairs for the fields present."""
@@ -296,8 +310,6 @@ class ScenarioConfig:
     eps_vac: float = 1e-6
     blowup_gradu_max: float = 1e4
     dt_min: float = 1e-12
-    dt_max: Optional[float] = None
-    lf_band: int = 16
     alpha: Optional[float] = None                  # moment exponent; None -> optimized
     output_stride: int = 10
     output_dir: Optional[str] = None
@@ -337,15 +349,7 @@ def init_scenario(cfg: ScenarioConfig):
         state.w = sample("w")
 
     # center regularity and Dirichlet ends are enforced exactly
-    state.u[0] = 0.0
-    state.B[0] = 0.0
-    if state.v is not None:
-        state.v[0] = 0.0
-    if not cfg.geometry.is_free:
-        state.u[-1] = 0.0
-        if state.v is not None:
-            state.v[-1] = 0.0
-            state.w[-1] = 0.0
+    state.pin(wall=not cfg.geometry.is_free)
 
     if np.any(state.rho < 0.0):
         raise ConfigError("initial density profile is negative somewhere")

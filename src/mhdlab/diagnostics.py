@@ -34,10 +34,7 @@ _EXP_OVERFLOW = 700.0
 
 def divergence(state: FluidState, grid: RadialGrid) -> np.ndarray:
     """u_r + u/r on the nodes; the axis value is the limit 2 u_r(0)."""
-    dr = grid.dr
-    ur = kern.gradient(state.u, dr)
-    ur[0] = (4.0 * state.u[1] - state.u[2]) / (2.0 * dr)
-    uor = kern.over_r(state.u, grid.nodes, ur[0])
+    ur, uor = kern.radial_parts(state.u, grid.nodes, grid.dr)
     return ur + uor
 
 
@@ -62,10 +59,8 @@ def dissipation_rate(state: FluidState, grid: RadialGrid, p: PhysParams) -> floa
     if state.v is None:
         s = divergence(state, grid)
         return p.two_mu_lam * integrate(s * s, grid, Weight.RADIAL_R)
-    ur = kern.gradient(state.u, dr)
-    ur[0] = (4.0 * state.u[1] - state.u[2]) / (2.0 * dr)
-    vr = kern.gradient(state.v, dr)
-    vr[0] = (4.0 * state.v[1] - state.v[2]) / (2.0 * dr)
+    ur = kern.axis_gradient(state.u, dr)
+    vr = kern.axis_gradient(state.v, dr)
     wr = kern.gradient(state.w, dr)
     u2_over_r = np.zeros_like(r)
     v2_over_r = np.zeros_like(r)

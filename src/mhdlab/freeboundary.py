@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FluidState, PhysParams, RadialGrid, Weight, integrate,
-                   integrate_to, make_grid)
+from .core import (FluidState, PhysParams, RadialGrid, Weight, integrate_to,
+                   make_grid)
 from .errors import GeometryCollapse
 from .solver import SolverSettings, StepStats, step as fixed_step
 from .vacuum import advance_radius
@@ -110,17 +110,8 @@ def remap_state(state: FluidState, mgrid_old: MovingGrid, mgrid_new: MovingGrid,
     r_new = mgrid_new.xi * mgrid_new.a
     grid_old = mgrid_old.grid()
     grid_new = mgrid_new.grid()
-    out = FluidState(
-        rho=np.interp(r_new, r_old, state.rho),
-        u=np.interp(r_new, r_old, state.u),
-        P=np.interp(r_new, r_old, state.P),
-        B=np.interp(r_new, r_old, state.B),
-        t=state.t,
-        v=None if state.v is None else np.interp(r_new, r_old, state.v),
-        w=None if state.w is None else np.interp(r_new, r_old, state.w),
-    )
-    out.u[0] = 0.0
-    out.B[0] = 0.0
+    out = state.map(lambda _, f: np.interp(r_new, r_old, f), state.t)
+    out.pin(wall=False)
     if stats is not None:
         # defect of the interpolation itself, measured on the overlap domain
         # (the uncovered/truncated strip belongs to the boundary-flux budget)

@@ -30,7 +30,7 @@ from .mms import MMSForcing
 from .solver import (Scheme, SolverSettings, StepStats, VacuumStrategy,
                      apply_vacuum_balance, cfl_dt, detect_blowup, max_grad_u,
                      step)
-from .vacuum import VacuumFront, advance_front, check_vacuum, vacuum_flux
+from .vacuum import advance_front, check_vacuum, vacuum_flux
 
 CSV_HEADER = ("t,energy,dissipation_cum,flux_vacuum,R_front,a_boundary,"
               "div_l2,div_lower_bound,moment_lhs,moment_rhs,max_gradu,dt")
@@ -78,9 +78,20 @@ def settings_from_config(cfg: ScenarioConfig) -> SolverSettings:
         eps_vac=cfg.eps_vac,
         blowup_gradu_max=cfg.blowup_gradu_max,
         dt_min=cfg.dt_min,
-        dt_max=cfg.dt_max,
-        lf_band=cfg.lf_band,
     )
+
+
+def bound_template(cfg: ScenarioConfig, C0: float, E0: float) -> BoundInputs:
+    """Lifespan-bound inputs at alpha = 1.5 (the start of the alpha search).
+
+    The reference radius is R0 for a fixed boundary and the growth-envelope
+    constant C = R0 + sqrt(E0 / (2mu+lam)) for the free boundary.
+    """
+    r_ref = cfg.r_outer
+    if cfg.geometry.is_free:
+        r_ref += math.sqrt(E0 / cfg.phys.two_mu_lam)
+    return BoundInputs(mu=cfg.phys.mu, lam=cfg.phys.lam, R_ref=r_ref, C0=C0,
+                       E0=E0, alpha=1.5, geometry=cfg.geometry)
 
 
 class _RunState:
@@ -114,18 +125,14 @@ class _RunState:
                              self.stats)
         self.E0 = total_energy(self.state, self.grid, self.p)
 
+        # without a vacuum region there is no trapped flux and no bound
+        self.template = bound_template(
+            cfg, 0.0 if self.front is None else self.front.C0, self.E0)
+        self.C_envelope = self.template.R_ref if self.free else None
         self.alpha_star = None
         self.T_bound = None
-        self.C_envelope = None
-        if self.free:
-            self.C_envelope = (cfg.r_outer
-                               + math.sqrt(self.E0 / self.p.two_mu_lam))
         if self.front is not None:
-            r_ref = self.C_envelope if self.free else cfg.r_outer
-            template = BoundInputs(mu=self.p.mu, lam=self.p.lam, R_ref=r_ref,
-                                   C0=self.front.C0, E0=self.E0, alpha=1.5,
-                                   geometry=cfg.geometry)
-            self.alpha_star, self.T_bound = optimize_alpha(template)
+            self.alpha_star, self.T_bound = optimize_alpha(self.template)
         self.alpha_rec = cfg.alpha if cfg.alpha is not None else self.alpha_star
 
         self.diss_cum = 0.0
@@ -147,11 +154,7 @@ class _RunState:
 
     def pointwise_inequality_slack(self) -> float:
         """min over nodes of [2(u_r^2 + u^2/r^2) - (u_r + u/r)^2] / scale."""
-        dr = self.grid.dr
-        u = self.state.u
-        ur = kern.gradient(u, dr)
-        ur[0] = (4.0 * u[1] - u[2]) / (2.0 * dr)
-        uor = kern.over_r(u, self.grid.nodes, ur[0])
+        ur, uor = kern.radial_parts(self.state.u, self.grid.nodes, self.grid.dr)
         lhs = 2.0 * (ur * ur + uor * uor)
         rhs = (ur + uor) ** 2
         scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
@@ -172,9 +175,7 @@ class _RunState:
             rec.R_front = self.front.R
             rec.flux_vacuum = vacuum_flux(self.state, self.front, self.grid)
             alpha = self.alpha_rec
-            b = BoundInputs(mu=self.p.mu, lam=self.p.lam,
-                            R_ref=self.cfg.r_outer, C0=self.front.C0,
-                            E0=self.E0, alpha=alpha, geometry=self.cfg.geometry)
+            b = dataclasses.replace(self.template, alpha=alpha)
             r_now = self.mgrid.a if self.free else self.front.R
             rec.div_lower_bound = div_lower_bound(b, r_now)
             lhs, rhs, _ = moment_pair(self.state, self.front, self.grid,

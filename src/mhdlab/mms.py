@@ -37,39 +37,30 @@ class MMSForcing:
         self.r_outer = float(r_outer)
         self.amp = float(amp)
 
-    def _pieces(self, r, t):
+    def _fields(self, r, t):
+        """Building blocks (k, e, cos, sin) and the exact (rho, u, P, B)."""
         k = np.pi / self.r_outer
         e = self.amp * np.exp(-t)
         c = np.cos(k * r)
         s = np.sin(k * r)
-        return k, e, c, s
+        fields = (1.0 + e * c, e * s * r / self.r_outer,
+                  1.0 + e * c, e * s * r / self.r_outer)
+        return (k, e, c, s), fields
 
     def exact(self, r: np.ndarray, t: float):
-        k, e, c, s = self._pieces(r, t)
-        rho = 1.0 + e * c
-        u = e * s * r / self.r_outer
-        P = 1.0 + e * c
-        B = e * s * r / self.r_outer
-        return rho, u, P, B
+        return self._fields(r, t)[1]
 
     def exact_state(self, grid: RadialGrid, t: float) -> FluidState:
         rho, u, P, B = self.exact(grid.nodes, t)
         state = FluidState(rho=rho, u=u, P=P, B=B, t=t)
-        state.u[0] = 0.0
-        state.B[0] = 0.0
-        state.u[-1] = 0.0     # sin(pi) roundoff
+        state.pin(wall=True)      # u(R) is sin(pi) roundoff otherwise
         return state
 
     def __call__(self, r: np.ndarray, t: float):
         R = self.r_outer
-        k, e, c, s = self._pieces(r, t)
+        (k, e, c, s), (rho, u, P, B) = self._fields(r, t)
         gamma = self.p.gamma
         two_mu_lam = self.p.two_mu_lam
-
-        rho = 1.0 + e * c
-        u = e * s * r / R
-        P = 1.0 + e * c
-        B = e * s * r / R
 
         rho_t = -e * c
         rho_r = -e * k * s

@@ -20,6 +20,7 @@ and the linear system coincides with the nonlinear one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -29,7 +30,8 @@ import numpy as np
 from . import _kernels as kern
 from .core import FluidState, Geometry, PhysParams, RadialGrid, Weight, integrate
 from .errors import ConfigError
-from .solver import Scheme, SolverSettings, cfl_dt
+from .solver import (Scheme, SolverSettings, Tendency, apply_tendency, blend,
+                     cfl_dt)
 
 _DIVERGENCE_STRIKES = 3
 
@@ -54,57 +56,27 @@ class PicardReport:
 
 
 def _linear_tendency(y: FluidState, V: np.ndarray, p: PhysParams,
-                     grid: RadialGrid, eps_vac: float):
+                     grid: RadialGrid, eps_vac: float) -> Tendency:
+    """The disk tendency with transport by the frozen V and no LF band."""
     r = grid.nodes
     dr = grid.dr
-    n = grid.n_cells
     rho_star = np.maximum(y.rho, eps_vac)
+    no_band = np.zeros(grid.n_cells)
 
-    Vr = kern.gradient(V, dr)
-    Vr0 = (4.0 * V[1] - V[2]) / (2.0 * dr)
-    Vor = kern.over_r(V, r, Vr0)
-    ur = kern.gradient(y.u, dr)
-    ur[0] = (4.0 * y.u[1] - y.u[2]) / (2.0 * dr)
-    Br = kern.gradient(y.B, dr)
-    Br[0] = (4.0 * y.B[1] - y.B[2]) / (2.0 * dr)
-    Bor = kern.over_r(y.B, r, Br[0])
+    Vr, Vor = kern.radial_parts(V, r, dr)
+    ur = kern.axis_gradient(y.u, dr)
+    Br, Bor = kern.radial_parts(y.B, r, dr)
     Pr = kern.gradient(y.P, dr)
 
-    # mass and induction: interior flux form transported by V, one-sided
-    # point forms at the ends (same boundary treatment as the nonlinear rhs)
-    r_face = 0.5 * (r[:-1] + r[1:])
-    mom = y.rho * V
-    G = r_face * 0.5 * (mom[:-1] + mom[1:])
-    vol = r * dr
-    drho = np.empty(n + 1)
-    drho[1:-1] = -(G[1:] - G[:-1]) / vol[1:-1]
-    drho[0] = -2.0 * (-3.0 * mom[0] + 4.0 * mom[1] - mom[2]) / (2.0 * dr)
-    drho[-1] = -((3.0 * mom[-1] - 4.0 * mom[-2] + mom[-3]) / (2.0 * dr)
-                 + mom[-1] / r[-1])
-
-    vb = V * y.B
-    H = 0.5 * (vb[:-1] + vb[1:])
-    dB = np.empty(n + 1)
-    dB[0] = 0.0
-    dB[1:-1] = -(H[1:] - H[:-1]) / dr
-    dB[-1] = -(3.0 * vb[-1] - 4.0 * vb[-2] + vb[-3]) / (2.0 * dr)
-
-    visc = np.zeros_like(y.u)
-    visc[1:-1] = ((y.u[2:] - 2.0 * y.u[1:-1] + y.u[:-2]) / (dr * dr)
-                  + (y.u[2:] - y.u[:-2]) / (2.0 * dr * r[1:-1])
-                  - y.u[1:-1] / (r[1:-1] * r[1:-1]))
-    du = (-y.rho * V * ur - Pr + p.two_mu_lam * visc
+    du = (-y.rho * V * ur - Pr + p.two_mu_lam * kern.vector_laplacian(y.u, r, dr)
           - y.B * (Br + Bor)) / rho_star
     du[0] = du[-1] = 0.0
-
-    dP = -V * Pr - p.gamma * y.P * (Vr + Vor)
-    return drho, du, dP, dB
-
-
-def _pin(y: FluidState) -> None:
-    y.u[0] = 0.0
-    y.B[0] = 0.0
-    y.u[-1] = 0.0
+    return Tendency(
+        drho=kern.mass_tendency(r, dr, y.rho, V, no_band, no_band),
+        du=du,
+        dP=-V * Pr - p.gamma * y.P * (Vr + Vor),
+        dB=kern.induction_tendency(dr, V, y.B, no_band),
+    )
 
 
 def _sweep(state0: FluidState, v_traj, dt: float, n_steps: int, p: PhysParams,
@@ -115,30 +87,21 @@ def _sweep(state0: FluidState, v_traj, dt: float, n_steps: int, p: PhysParams,
     is truncated (remaining snapshots repeat the last state) and flagged.
     """
 
+    def stage(y, V):
+        out = apply_tendency(y, _linear_tendency(y, V, p, grid, eps_vac), dt)
+        out.pin(wall=True)
+        return out
+
     traj = [state0.copy()]
     y = state0.copy()
     for k in range(n_steps):
         v_lo, v_hi = v_traj[k], v_traj[k + 1]
         v_mid = 0.5 * (v_lo + v_hi)
-
-        d = _linear_tendency(y, v_lo, p, grid, eps_vac)
-        y1 = FluidState(rho=y.rho + dt * d[0], u=y.u + dt * d[1],
-                        P=y.P + dt * d[2], B=y.B + dt * d[3], t=y.t + dt)
-        _pin(y1)
-        d = _linear_tendency(y1, v_hi, p, grid, eps_vac)
-        y2 = FluidState(rho=0.75 * y.rho + 0.25 * (y1.rho + dt * d[0]),
-                        u=0.75 * y.u + 0.25 * (y1.u + dt * d[1]),
-                        P=0.75 * y.P + 0.25 * (y1.P + dt * d[2]),
-                        B=0.75 * y.B + 0.25 * (y1.B + dt * d[3]),
-                        t=y.t + 0.5 * dt)
-        _pin(y2)
-        d = _linear_tendency(y2, v_mid, p, grid, eps_vac)
-        y = FluidState(rho=(y.rho + 2.0 * (y2.rho + dt * d[0])) / 3.0,
-                       u=(y.u + 2.0 * (y2.u + dt * d[1])) / 3.0,
-                       P=(y.P + 2.0 * (y2.P + dt * d[2])) / 3.0,
-                       B=(y.B + 2.0 * (y2.B + dt * d[3])) / 3.0,
-                       t=y.t + dt)
-        _pin(y)
+        y1 = stage(y, v_lo)
+        y2 = blend(y, 0.75, stage(y1, v_hi), 0.25, y.t + 0.5 * dt)
+        y2.pin(wall=True)
+        y = blend(y, 1.0 / 3.0, stage(y2, v_mid), 2.0 / 3.0, y.t + dt)
+        y.pin(wall=True)
         if not all(np.all(np.isfinite(arr)) for _, arr in y.fields()):
             traj.extend(y.copy() for _ in range(n_steps - k))
             return traj, False
@@ -172,9 +135,7 @@ def picard_iterate(state0: FluidState, T_window: float, k_max: int, tol: float,
     state0 = state0.copy()
     state0.t = 0.0
 
-    explicit = SolverSettings(cfl=s.cfl, scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS,
-                              vacuum_strategy=s.vacuum_strategy, eps_vac=s.eps_vac,
-                              blowup_gradu_max=s.blowup_gradu_max, dt_min=s.dt_min)
+    explicit = dataclasses.replace(s, scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS)
     dt0 = cfl_dt(state0, grid, p, explicit)
     n_steps = max(1, int(math.ceil(T_window / min(dt0, T_window))))
     dt = T_window / n_steps

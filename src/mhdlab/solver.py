@@ -31,7 +31,7 @@ keeps the stiff modes damped without losing second order in smooth regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -43,6 +43,7 @@ from .errors import DtCollapse, NumericalFailure
 
 _FOURIER_SWITCH = 1e3      # trapezoidal -> backward Euler switch per row
 _DT_EPS = 1e-300
+_LF_BAND = 16              # faces outside the vacuum edge that get LF dissipation
 
 
 class Scheme(Enum):
@@ -63,8 +64,6 @@ class SolverSettings:
     eps_vac: float = 1e-6
     blowup_gradu_max: float = 1e4
     dt_min: float = 1e-12
-    dt_max: Optional[float] = None
-    lf_band: int = 16
 
     def __post_init__(self):
         if not (0.0 < self.cfl < 1.0):
@@ -132,13 +131,13 @@ def _face_controls(state: FluidState, grid: RadialGrid, p: PhysParams,
         return lf_fc, up_fc
     up_fc[:] = vac[:-1] | vac[1:]
     m = vacuum_block(rho, s.eps_vac)
-    if 0 <= m < n - 1 and s.lf_band > 0:
+    if 0 <= m < n - 1:
         a_max = float(np.max(signal_speeds(state, p, s)))
         coeff = 0.5 * a_max * grid.dr
         if stats is not None:
             stats.lf_coeff = coeff
         lo = m + 1
-        hi = min(m + s.lf_band, n - 1)
+        hi = min(m + _LF_BAND, n - 1)
         band = np.arange(lo, hi + 1)
         band = band[up_fc[band] == 0]
         lf_fc[band] = coeff
@@ -152,54 +151,56 @@ def _check_finite(state: FluidState):
             raise NumericalFailure(f"non-finite {name}", node=int(np.argmax(bad)))
 
 
+def _rhs_prologue(state: FluidState, p: PhysParams, grid: RadialGrid,
+                  s: SolverSettings, stats: Optional[StepStats]):
+    """Finite check, floored density and face controls shared by both rhs."""
+    _check_finite(state)
+    rho_star = np.maximum(state.rho, s.eps_vac)
+    return rho_star, _face_controls(state, grid, p, s, stats)
+
+
+def _rhs_epilogue(tend: Tendency, state: FluidState, grid: RadialGrid,
+                  s: SolverSettings, rho_star: np.ndarray, forcing) -> Tendency:
+    """Freeze the velocities on the vacuum block and add any forcing."""
+    if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
+        m = vacuum_block(state.rho, s.eps_vac)
+        if m >= 0:
+            # quasi-stationary: the velocities are set by the balance
+            for d in (tend.du, tend.dv, tend.dw):
+                if d is not None:
+                    d[:m + 1] = 0.0
+    if forcing is not None:
+        f = forcing(grid.nodes, state.t)
+        tend.drho += f[0]
+        tend.du += f[1] / rho_star
+        tend.dP += f[2]
+        tend.dB += f[3]
+        tend.du[0] = tend.du[-1] = 0.0
+    return tend
+
+
 def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettings,
              include_visc: bool = True, forcing=None,
              stats: Optional[StepStats] = None) -> Tendency:
     """Tendency of the 2D radial system (see module docstring for the scheme)."""
-    _check_finite(state)
-    rho_star = np.maximum(state.rho, s.eps_vac)
-    lf_fc, up_fc = _face_controls(state, grid, p, s, stats)
+    rho_star, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     drho, du, dP, dB = kern.disk_tendency(
         grid.nodes, grid.dr, state.rho, state.u, state.P, state.B, rho_star,
         p.two_mu_lam, p.gamma, include_visc, lf_fc, up_fc)
-    if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-        m = vacuum_block(state.rho, s.eps_vac)
-        if m >= 0:
-            du[:m + 1] = 0.0           # quasi-stationary: u set by the balance
-    if forcing is not None:
-        f = forcing(grid.nodes, state.t)
-        drho += f[0]
-        du += f[1] / rho_star
-        dP += f[2]
-        dB += f[3]
-        du[0] = du[-1] = 0.0
-    return Tendency(drho=drho, du=du, dP=dP, dB=dB)
+    return _rhs_epilogue(Tendency(drho=drho, du=du, dP=dP, dB=dB), state, grid,
+                         s, rho_star, forcing)
 
 
 def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
                  s: SolverSettings, include_visc: bool = True, forcing=None,
                  stats: Optional[StepStats] = None) -> Tendency:
     """Tendency of the cylindrically symmetric system (adds swirl and axial flow)."""
-    _check_finite(state)
-    rho_star = np.maximum(state.rho, s.eps_vac)
-    lf_fc, up_fc = _face_controls(state, grid, p, s, stats)
+    rho_star, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     drho, du, dv, dw, dP, dB = kern.cylinder_tendency(
         grid.nodes, grid.dr, state.rho, state.u, state.v, state.w, state.P,
         state.B, rho_star, p.two_mu_lam, p.mu, p.gamma, include_visc, lf_fc, up_fc)
-    if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-        m = vacuum_block(state.rho, s.eps_vac)
-        if m >= 0:
-            du[:m + 1] = 0.0
-            dv[:m + 1] = 0.0
-            dw[:m + 1] = 0.0
-    if forcing is not None:
-        f = forcing(grid.nodes, state.t)
-        drho += f[0]
-        du += f[1] / rho_star
-        dP += f[2]
-        dB += f[3]
-        du[0] = du[-1] = 0.0
-    return Tendency(drho=drho, du=du, dP=dP, dB=dB, dv=dv, dw=dw)
+    return _rhs_epilogue(Tendency(drho=drho, du=du, dP=dP, dB=dB, dv=dv, dw=dw),
+                         state, grid, s, rho_star, forcing)
 
 
 def rhs(state, p, grid, s, **kw) -> Tendency:
@@ -229,8 +230,6 @@ def cfl_dt(state: FluidState, grid: RadialGrid, p: PhysParams,
             rho_floor = float(np.min(rho_star))
         dt = min(dt, grid.dr ** 2 * rho_floor / (2.0 * p.two_mu_lam))
     dt *= s.cfl
-    if s.dt_max is not None:
-        dt = min(dt, s.dt_max)
     if dt < s.dt_min:
         raise DtCollapse(dt, s.dt_min)
     return dt
@@ -248,9 +247,7 @@ class Health:
 
 def max_grad_u(state: FluidState, grid: RadialGrid) -> float:
     """max over nodes of max(|u_r|, |u/r|), u/r taken as u_r(0) at the axis."""
-    ur = kern.gradient(state.u, grid.dr)
-    ur[0] = (4.0 * state.u[1] - state.u[2]) / (2.0 * grid.dr)
-    uor = kern.over_r(state.u, grid.nodes, ur[0])
+    ur, uor = kern.radial_parts(state.u, grid.nodes, grid.dr)
     return float(np.max(np.maximum(np.abs(ur), np.abs(uor))))
 
 
@@ -306,9 +303,7 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     u_edge = float(state.u[edge])
     idx = np.arange(1, edge)
     sub, diag, sup = _lap_stencil(r, dr, idx, swirl=True)
-    Br = kern.gradient(state.B, dr)
-    Br[0] = (4.0 * state.B[1] - state.B[2]) / (2.0 * dr)
-    Bor = kern.over_r(state.B, r, Br[0])
+    Br, Bor = kern.radial_parts(state.B, r, dr)
     Pr = kern.gradient(state.P, dr)
     rhs_vec = (state.B[idx] * (Br[idx] + Bor[idx]) + Pr[idx]) / p.two_mu_lam
     rhs_vec[-1] -= sup[-1] * u_edge
@@ -409,44 +404,22 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
 # Stage assembly and the step operator
 # ---------------------------------------------------------------------------
 
-def _apply_tendency(state: FluidState, tend: Tendency, dt: float) -> FluidState:
-    out = FluidState(
-        rho=state.rho + dt * tend.drho,
-        u=state.u + dt * tend.du,
-        P=state.P + dt * tend.dP,
-        B=state.B + dt * tend.dB,
-        t=state.t + dt,
-        v=None if state.v is None else state.v + dt * tend.dv,
-        w=None if state.w is None else state.w + dt * tend.dw,
-    )
-    return out
+def apply_tendency(state: FluidState, tend: Tendency, dt: float) -> FluidState:
+    """state + dt * tend, field by field, at time t + dt."""
+    return state.map(lambda name, f: f + dt * getattr(tend, "d" + name),
+                     state.t + dt)
 
 
-def _blend(a: FluidState, wa: float, b: FluidState, wb: float, t: float) -> FluidState:
-    return FluidState(
-        rho=wa * a.rho + wb * b.rho,
-        u=wa * a.u + wb * b.u,
-        P=wa * a.P + wb * b.P,
-        B=wa * a.B + wb * b.B,
-        t=t,
-        v=None if a.v is None else wa * a.v + wb * b.v,
-        w=None if a.w is None else wa * a.w + wb * b.w,
-    )
+def blend(a: FluidState, wa: float, b: FluidState, wb: float, t: float) -> FluidState:
+    """wa * a + wb * b, field by field, at time t (an SSP stage combination)."""
+    return a.map(lambda name, f: wa * f + wb * getattr(b, name), t)
 
 
 def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
                    s: SolverSettings, stats: Optional[StepStats] = None,
                    free_bc=None) -> None:
     """Re-pin boundary values, clip rho and P at zero, refresh the vacuum block."""
-    state.u[0] = 0.0
-    state.B[0] = 0.0
-    if state.v is not None:
-        state.v[0] = 0.0
-    if free_bc is None:
-        state.u[-1] = 0.0
-        if state.v is not None:
-            state.v[-1] = 0.0
-            state.w[-1] = 0.0
+    state.pin(wall=free_bc is None)
     neg = state.rho < 0.0
     if neg.any():
         if stats is not None:
@@ -469,11 +442,11 @@ def _ssprk3(state, dt, p, grid, s, stats, forcing, free_bc):
         return rhs(y, p, grid, s, include_visc=True, forcing=forcing, stats=stats)
 
     y0 = state
-    y1 = _apply_tendency(y0, L(y0), dt)
+    y1 = apply_tendency(y0, L(y0), dt)
     finalize_stage(y1, p, grid, s, stats, free_bc)
-    y2 = _blend(y0, 0.75, _apply_tendency(y1, L(y1), dt), 0.25, y0.t + 0.5 * dt)
+    y2 = blend(y0, 0.75, apply_tendency(y1, L(y1), dt), 0.25, y0.t + 0.5 * dt)
     finalize_stage(y2, p, grid, s, stats, free_bc)
-    y3 = _blend(y0, 1.0 / 3.0, _apply_tendency(y2, L(y2), dt), 2.0 / 3.0, y0.t + dt)
+    y3 = blend(y0, 1.0 / 3.0, apply_tendency(y2, L(y2), dt), 2.0 / 3.0, y0.t + dt)
     finalize_stage(y3, p, grid, s, stats, free_bc)
     return y3
 
@@ -483,10 +456,10 @@ def _inviscid_half(state, h, p, grid, s, stats, forcing, free_bc):
         return rhs(y, p, grid, s, include_visc=False, forcing=forcing, stats=stats)
 
     k1 = L(state)
-    ym = _apply_tendency(state, k1, 0.5 * h)
+    ym = apply_tendency(state, k1, 0.5 * h)
     finalize_stage(ym, p, grid, s, stats, free_bc)
     k2 = L(ym)
-    out = _apply_tendency(state, k2, h)
+    out = apply_tendency(state, k2, h)
     out.t = state.t + h
     finalize_stage(out, p, grid, s, stats, free_bc)
     return out

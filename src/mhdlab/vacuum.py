@@ -42,9 +42,7 @@ def advance_front(front: VacuumFront, state: FluidState, grid: RadialGrid,
     """One midpoint (RK2) step of R' = u(R) on the state's frozen velocity field."""
     if dt <= 0.0:
         raise TrackingError(f"front step needs dt > 0, got {dt}")
-    k1 = interp_velocity(state.u, grid, front.R)
-    k2 = interp_velocity(state.u, grid, front.R + 0.5 * dt * k1)
-    r_new = front.R + dt * k2
+    r_new = advance_radius(state.u, grid, front.R, dt)
     if not (0.0 < r_new <= grid.r_outer):
         raise TrackingError(
             f"front left the domain: R={r_new:.6g} not in (0, {grid.r_outer}]")

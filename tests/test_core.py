@@ -26,7 +26,8 @@ class TestMakeGrid:
         g = make_grid(4, 1.0)
         assert np.allclose(g.quad_weights, [0.125, 0.25, 0.25, 0.25, 0.125])
 
-    @pytest.mark.parametrize("n,r", [(0, 1.0), (-3, 1.0), (8, 0.0), (8, -2.0)])
+    @pytest.mark.parametrize("n,r", [(0, 1.0), (-3, 1.0), (8, 0.0), (8, -2.0),
+                                     (1, 1.0)])
     def test_bad_arguments(self, n, r):
         with pytest.raises(ConfigError):
             make_grid(n, r)

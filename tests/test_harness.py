@@ -178,6 +178,14 @@ class TestCli:
         assert cli_main(["run"]) == 1
         assert cli_main(["bounds", "--preset", "smooth-novac"]) == 1  # no vacuum
 
+    def test_grid_below_stencil_width_is_an_error(self, tmp_path, capsys):
+        code = cli_main(["run", "--preset", "smooth-novac",
+                         "--override", "grid.n=1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "at least 2" in err
+        assert "Traceback" not in err
+
     def test_config_and_preset_conflict(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text("geometry = \"disk2d\"\n")

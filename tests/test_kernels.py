@@ -1,4 +1,5 @@
-"""Backend agreement: the compiled kernels must reproduce the NumPy fallback."""
+"""Shared radial operators on exact polynomials, and backend agreement: the
+compiled kernels must reproduce the NumPy fallback."""
 
 import numpy as np
 import pytest
@@ -102,3 +103,47 @@ class TestPureThomas:
         with pytest.raises(ZeroDivisionError):
             pure.thomas(np.array([0.0]), np.array([0.0, 1.0]),
                         np.array([0.0]), np.array([1.0, 1.0]))
+
+
+class TestRadialOperators:
+    """The stencils are exact on low-degree polynomials (NumPy backend)."""
+
+    n = 64
+    r = np.linspace(0.0, 1.0, n + 1)
+    dr = 1.0 / n
+
+    def test_radial_parts_of_r(self):
+        f_r, f_over_r = pure.radial_parts(self.r.copy(), self.r, self.dr)
+        np.testing.assert_allclose(f_r, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f_over_r, 1.0, rtol=0, atol=1e-12)
+
+    def test_radial_parts_of_r_squared(self):
+        f_r, f_over_r = pure.radial_parts(self.r ** 2, self.r, self.dr)
+        # every stencil, the pinned axis one included, is exact on quadratics
+        np.testing.assert_allclose(f_r, 2.0 * self.r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f_over_r, self.r, rtol=0, atol=1e-12)
+
+    def test_vector_laplacian(self):
+        lin = pure.vector_laplacian(self.r.copy(), self.r, self.dr)
+        np.testing.assert_allclose(lin, 0.0, rtol=0, atol=1e-9)
+        quad = pure.vector_laplacian(self.r ** 2, self.r, self.dr)
+        np.testing.assert_allclose(quad[1:-1], 3.0, rtol=1e-9)
+        assert quad[0] == 0.0 and quad[-1] == 0.0
+
+    def test_axial_laplacian(self):
+        quad = pure.axial_laplacian(self.r ** 2, self.r, self.dr)
+        np.testing.assert_allclose(quad[:-1], 4.0, rtol=1e-9)
+        assert quad[-1] == 0.0
+
+    def test_mass_tendency_telescopes(self):
+        rng = np.random.default_rng(7)
+        rho = rng.uniform(0.5, 2.0, self.n + 1)
+        vel = rng.standard_normal(self.n + 1)
+        no_band = np.zeros(self.n)
+        drho = pure.mass_tendency(self.r, self.dr, rho, vel, no_band, no_band)
+        mom = rho * vel
+        r_face = 0.5 * (self.r[:-1] + self.r[1:])
+        G = r_face * 0.5 * (mom[:-1] + mom[1:])
+        vol = self.r * self.dr
+        total = np.sum(vol[1:-1] * drho[1:-1])
+        assert total == pytest.approx(-(G[-1] - G[0]), rel=1e-12, abs=1e-14)
