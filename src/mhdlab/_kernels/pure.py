@@ -17,9 +17,13 @@ Shared conventions (uniform node grid r[0..N], dr = spacing):
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 BACKEND_NAME = "pure"
+
+# the LAPACK routine scipy.linalg.solve_banded((1, 1), ...) calls for a
+# tridiagonal system, fetched once instead of through its per-call validation
+_gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 def gradient(f, dr):
@@ -176,18 +180,48 @@ def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
     return drho, du, dv, dw, dP, dB
 
 
+def laplacian_rows(r, dr):
+    """Tridiagonal rows of the viscous operators at every node of the grid.
+
+    Returns (sub, sup, swirl, axial): row i of (f_r + f/r)_r is
+    sub[i] f[i-1] + swirl[i] f[i] + sup[i] f[i+1], and (r f_r)_r / r shares
+    sub and sup with diagonal axial[i]. At the axis the rows are the
+    symmetric axial operator 4 (f[1] - f[0]) / dr^2; the fields the swirl
+    rows act on are pinned there, so swirl[0] is nan.
+    """
+    inv2 = 1.0 / (dr * dr)
+    ri = r[1:]
+    sub = np.empty_like(r)
+    sup = np.empty_like(r)
+    swirl = np.empty_like(r)
+    sub[1:] = inv2 - 1.0 / (2.0 * dr * ri)
+    sup[1:] = inv2 + 1.0 / (2.0 * dr * ri)
+    swirl[1:] = -2.0 * inv2 - 1.0 / (ri * ri)
+    axial = np.full(len(r), -2.0 * inv2)
+    sub[0] = 0.0
+    sup[0] = 4.0 / (dr * dr)
+    swirl[0] = np.nan
+    axial[0] = -4.0 / (dr * dr)
+    return sub, sup, swirl, axial
+
+
 def thomas(sub, diag, sup, rhs):
     """Solve the tridiagonal system; sub/sup have length n-1.
 
-    Raises ZeroDivisionError on singular systems (same contract as the
-    compiled twin's elimination loop).
+    Calls LAPACK gtsv directly, the routine (and so the result) of
+    scipy.linalg.solve_banded((1, 1), ...). Raises ValueError on non-finite
+    input, as solve_banded does, and ZeroDivisionError on singular systems
+    (same contract as the compiled twin's elimination loop).
     """
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ZeroDivisionError(f"singular tridiagonal system: {exc}") from None
+    for a in (sub, diag, sup, rhs):
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    if len(diag) <= 1:
+        return rhs / diag
+    _, _, _, x, info = _gtsv(sub, diag, sup, rhs)
+    if info > 0:
+        raise ZeroDivisionError(
+            f"singular tridiagonal system: zero pivot at row {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x

@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from ._kernels.pure import laplacian_rows
 from .errors import ConfigError
 
 
@@ -45,9 +47,18 @@ class Weight(Enum):
     RADIAL_R = "radial-r"
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform nodes 0 = r_0 < ... < r_N = R_outer with trapezoid weights."""
+    """Uniform nodes 0 = r_0 < ... < r_N = R_outer with trapezoid weights.
+
+    The arrays are read-only, so what is derived from them and cached on the
+    grid (the viscous stencil rows) stays valid for the grid's lifetime.
+    """
 
     nodes: np.ndarray
     r_outer: float
@@ -61,6 +72,14 @@ class RadialGrid:
     @property
     def dr(self) -> float:
         return float(self.spacing[0])
+
+    @cached_property
+    def lap_rows(self):
+        """(sub, sup, swirl, axial) viscous stencil rows by node, read-only.
+
+        See `_kernels.pure.laplacian_rows`; built on first use, once per grid.
+        """
+        return tuple(_read_only(a) for a in laplacian_rows(self.nodes, self.dr))
 
 
 MIN_CELLS = 2     # width of the one-sided end stencils
@@ -76,8 +95,9 @@ def make_grid(n: int, r_outer: float) -> RadialGrid:
     dr = r_outer / n
     weights = np.full(n + 1, dr)
     weights[0] = weights[-1] = 0.5 * dr
-    return RadialGrid(nodes=nodes, r_outer=float(r_outer),
-                      spacing=np.full(n, dr), quad_weights=weights)
+    return RadialGrid(nodes=_read_only(nodes), r_outer=float(r_outer),
+                      spacing=_read_only(np.full(n, dr)),
+                      quad_weights=_read_only(weights))
 
 
 def integrate(samples: np.ndarray, grid: RadialGrid, weight: Weight = Weight.PLAIN) -> float:

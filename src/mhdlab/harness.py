@@ -24,7 +24,7 @@ from .core import FluidState, ScenarioConfig, Weight, init_scenario, integrate
 from .diagnostics import (BoundInputs, DiagnosticsRecord, div_lower_bound,
                           div_norm, dissipation_rate, energy_residual,
                           moment_pair, optimize_alpha, total_energy)
-from .errors import DtCollapse, MHDLabError
+from .errors import MHDLabError
 from .freeboundary import FreeStats, MovingGrid, free_step, growth_check
 from .mms import MMSForcing
 from .solver import (Scheme, SolverSettings, StepStats, VacuumStrategy,
@@ -266,20 +266,14 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
     try:
         rs.record(dt=0.0)
         t_end = cfg.t_end
+        dt_cfl = None
         while rs.state.t < t_end * (1.0 - 1e-12):
-            try:
-                dt = cfl_dt(rs.state, rs.grid, rs.p, rs.settings)
-            except DtCollapse as exc:
-                if steps == 0:
-                    # collapse before any dynamics: a configuration problem,
-                    # not a blow-up signal
-                    rs.invalid_reason = str(exc)
-                    status = RunStatus.ERROR
-                    break
-                status = RunStatus.BLOWUP_DETECTED
-                detected = rs.state.t
-                break
-            dt = min(dt, t_end - rs.state.t)
+            if dt_cfl is None:
+                # first step only: a DtCollapse here ends the run as an ERROR
+                # (a configuration problem, not a blow-up signal). After each
+                # step detect_blowup flags a collapse and supplies the next dt.
+                dt_cfl = cfl_dt(rs.state, rs.grid, rs.p, rs.settings)
+            dt = min(dt_cfl, t_end - rs.state.t)
             last_dt = dt
             u_before = rs.state.u.copy()
             if rs.free:
@@ -312,6 +306,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
                 status = RunStatus.BLOWUP_DETECTED
                 detected = rs.state.t
                 break
+            dt_cfl = health.dt
         if not rs.records or rs.records[-1].t != rs.state.t:
             rs.record(last_dt)
     except MHDLabError as exc:

@@ -36,13 +36,23 @@ class MMSForcing:
         self.p = p
         self.r_outer = float(r_outer)
         self.amp = float(amp)
+        self._trig_r = None         # node array the cached cos/sin belong to
+        self._trig = None
+
+    def _cos_sin(self, r, k):
+        """cos(k r) and sin(k r), kept for the last node array seen: only
+        e = amp exp(-t) changes between the stages of a run on one grid.
+        Node arrays are not written in place (a grid's are read-only)."""
+        if r is not self._trig_r:
+            self._trig = (np.cos(k * r), np.sin(k * r))
+            self._trig_r = r
+        return self._trig
 
     def _fields(self, r, t):
         """Building blocks (k, e, cos, sin) and the exact (rho, u, P, B)."""
         k = np.pi / self.r_outer
         e = self.amp * np.exp(-t)
-        c = np.cos(k * r)
-        s = np.sin(k * r)
+        c, s = self._cos_sin(r, k)
         fields = (1.0 + e * c, e * s * r / self.r_outer,
                   1.0 + e * c, e * s * r / self.r_outer)
         return (k, e, c, s), fields

@@ -120,17 +120,18 @@ def signal_speeds(state: FluidState, p: PhysParams, s: SolverSettings) -> np.nda
 
 
 def _face_controls(state: FluidState, grid: RadialGrid, p: PhysParams,
-                   s: SolverSettings, stats: Optional[StepStats]):
-    """Per-face LF coefficients and donor-cell flags around the vacuum edge."""
+                   s: SolverSettings, stats: Optional[StepStats],
+                   vac: np.ndarray, m: int):
+    """Per-face LF coefficients and donor-cell flags around the vacuum edge.
+
+    vac is the vacuum mask rho < eps_vac and m the vacuum block's last node.
+    """
     n = grid.n_cells
-    rho = state.rho
     lf_fc = np.zeros(n)
     up_fc = np.zeros(n, dtype=np.uint8)
-    vac = rho < s.eps_vac
     if not np.any(vac):
         return lf_fc, up_fc
     up_fc[:] = vac[:-1] | vac[1:]
-    m = vacuum_block(rho, s.eps_vac)
     if 0 <= m < n - 1:
         a_max = float(np.max(signal_speeds(state, p, s)))
         coeff = 0.5 * a_max * grid.dr
@@ -153,22 +154,24 @@ def _check_finite(state: FluidState):
 
 def _rhs_prologue(state: FluidState, p: PhysParams, grid: RadialGrid,
                   s: SolverSettings, stats: Optional[StepStats]):
-    """Finite check, floored density and face controls shared by both rhs."""
+    """Finite check, floored density, vacuum block and face controls shared by
+    both rhs; the block index m is found once and serves both ends."""
     _check_finite(state)
     rho_star = np.maximum(state.rho, s.eps_vac)
-    return rho_star, _face_controls(state, grid, p, s, stats)
+    m = vacuum_block(state.rho, s.eps_vac)
+    faces = _face_controls(state, grid, p, s, stats, state.rho < s.eps_vac, m)
+    return rho_star, m, faces
 
 
 def _rhs_epilogue(tend: Tendency, state: FluidState, grid: RadialGrid,
-                  s: SolverSettings, rho_star: np.ndarray, forcing) -> Tendency:
-    """Freeze the velocities on the vacuum block and add any forcing."""
-    if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-        m = vacuum_block(state.rho, s.eps_vac)
-        if m >= 0:
-            # quasi-stationary: the velocities are set by the balance
-            for d in (tend.du, tend.dv, tend.dw):
-                if d is not None:
-                    d[:m + 1] = 0.0
+                  s: SolverSettings, rho_star: np.ndarray, m: int,
+                  forcing) -> Tendency:
+    """Freeze the velocities on the vacuum block [0, m] and add any forcing."""
+    if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE and m >= 0:
+        # quasi-stationary: the velocities are set by the balance
+        for d in (tend.du, tend.dv, tend.dw):
+            if d is not None:
+                d[:m + 1] = 0.0
     if forcing is not None:
         f = forcing(grid.nodes, state.t)
         tend.drho += f[0]
@@ -183,24 +186,24 @@ def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettin
              include_visc: bool = True, forcing=None,
              stats: Optional[StepStats] = None) -> Tendency:
     """Tendency of the 2D radial system (see module docstring for the scheme)."""
-    rho_star, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
+    rho_star, m, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     drho, du, dP, dB = kern.disk_tendency(
         grid.nodes, grid.dr, state.rho, state.u, state.P, state.B, rho_star,
         p.two_mu_lam, p.gamma, include_visc, lf_fc, up_fc)
     return _rhs_epilogue(Tendency(drho=drho, du=du, dP=dP, dB=dB), state, grid,
-                         s, rho_star, forcing)
+                         s, rho_star, m, forcing)
 
 
 def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
                  s: SolverSettings, include_visc: bool = True, forcing=None,
                  stats: Optional[StepStats] = None) -> Tendency:
     """Tendency of the cylindrically symmetric system (adds swirl and axial flow)."""
-    rho_star, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
+    rho_star, m, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     drho, du, dv, dw, dP, dB = kern.cylinder_tendency(
         grid.nodes, grid.dr, state.rho, state.u, state.v, state.w, state.P,
         state.B, rho_star, p.two_mu_lam, p.mu, p.gamma, include_visc, lf_fc, up_fc)
     return _rhs_epilogue(Tendency(drho=drho, du=du, dP=dP, dB=dB, dv=dv, dw=dw),
-                         state, grid, s, rho_star, forcing)
+                         state, grid, s, rho_star, m, forcing)
 
 
 def rhs(state, p, grid, s, **kw) -> Tendency:
@@ -240,6 +243,7 @@ class Health:
     suspected: bool
     reason: Optional[str]
     max_gradu: float
+    dt: Optional[float] = None       # cfl_dt of the state when healthy
 
     def __bool__(self):
         return not self.suspected
@@ -260,27 +264,15 @@ def detect_blowup(state: FluidState, grid: RadialGrid, p: PhysParams,
     if g > s.blowup_gradu_max:
         return Health(True, "gradu", g)
     try:
-        cfl_dt(state, grid, p, s)
+        dt = cfl_dt(state, grid, p, s)
     except DtCollapse:
         return Health(True, "dt", g)
-    return Health(False, None, g)
+    return Health(False, None, g, dt)
 
 
 # ---------------------------------------------------------------------------
 # Vacuum elliptic balance and implicit viscous solves
 # ---------------------------------------------------------------------------
-
-def _lap_stencil(r: np.ndarray, dr: float, idx: np.ndarray, swirl: bool):
-    """Rows of (f_r + f/r)_r (swirl=True keeps the -f/r^2 term; w drops it)."""
-    inv2 = 1.0 / (dr * dr)
-    sub = inv2 - 1.0 / (2.0 * dr * r[idx])
-    sup = inv2 + 1.0 / (2.0 * dr * r[idx])
-    if swirl:
-        diag = -2.0 * inv2 - 1.0 / (r[idx] * r[idx])
-    else:
-        diag = np.full(len(idx), -2.0 * inv2)
-    return sub, diag, sup
-
 
 def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
                          s: SolverSettings, stats: Optional[StepStats] = None) -> int:
@@ -301,19 +293,24 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     # classified vacuum the Dirichlet end u(R)=0 closes the problem instead
     edge = min(m + 1, n)
     u_edge = float(state.u[edge])
-    idx = np.arange(1, edge)
-    sub, diag, sup = _lap_stencil(r, dr, idx, swirl=True)
-    Br, Bor = kern.radial_parts(state.B, r, dr)
-    Pr = kern.gradient(state.P, dr)
-    rhs_vec = (state.B[idx] * (Br[idx] + Bor[idx]) + Pr[idx]) / p.two_mu_lam
+    sub, sup, swirl, _ = grid.lap_rows
+    sub, diag, sup = sub[1:edge], swirl[1:edge], sup[1:edge]
+    # B (B_r + B/r) + P_r on the block's rows 1..edge-1 only, with the
+    # interior central differences of kern.gradient
+    B = state.B[1:edge]
+    Br = (state.B[2:edge + 1] - state.B[:edge - 1]) / (2.0 * dr)
+    Pr = (state.P[2:edge + 1] - state.P[:edge - 1]) / (2.0 * dr)
+    rhs_vec = (B * (Br + B / r[1:edge]) + Pr) / p.two_mu_lam
     rhs_vec[-1] -= sup[-1] * u_edge
     try:
         sol = kern.thomas(sub[1:], diag, sup[:-1], rhs_vec)
     except ZeroDivisionError as exc:
         raise NumericalFailure(f"singular vacuum balance solve: {exc}") from None
+    except ValueError as exc:
+        raise NumericalFailure(f"non-finite vacuum balance system: {exc}") from None
     if not np.all(np.isfinite(sol)):
         raise NumericalFailure("vacuum balance solve produced non-finite velocity")
-    state.u[idx] = sol
+    state.u[1:edge] = sol
     state.u[0] = 0.0
     if state.v is not None:
         # mu (v_r + v/r)_r = 0 with v(0)=0  ->  v linear in r (discretely exact);
@@ -330,22 +327,21 @@ def _theta_rows(fo: np.ndarray) -> np.ndarray:
     return np.where(fo <= _FOURIER_SWITCH, 0.5, 1.0)
 
 
-def _implicit_component(f: np.ndarray, nu: np.ndarray, r: np.ndarray, dr: float,
-                        dt: float, lo: int, hi: int, swirl: bool,
-                        axis_open: bool) -> None:
+def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
+                        dt: float, lo: int, hi: int, swirl: bool) -> None:
     """Theta-scheme solve of f_t = nu * L f on nodes [lo, hi], Dirichlet outside.
 
-    axis_open=True includes the r=0 node with the symmetric axial operator
-    (used for w, which has no center pin): L w(0) = 4 (w1 - w0)/dr^2.
+    swirl=True is the vector operator (f_r + f/r)_r, swirl=False the axial
+    one (r f_r)_r / r. lo=0 includes the r=0 node with the symmetric axial
+    operator (used for w, which has no center pin): L w(0) = 4 (w1 - w0)/dr^2.
     """
-    idx = np.arange(lo, hi + 1)
-    if len(idx) == 0:
+    if hi < lo:
         return
-    sub, diag, sup = _lap_stencil(r, dr, np.maximum(idx, 1), swirl)
-    if axis_open and lo == 0:
-        diag[0] = -4.0 / (dr * dr)
-        sup[0] = 4.0 / (dr * dr)
-        sub[0] = 0.0
+    dr = grid.dr
+    idx = np.arange(lo, hi + 1)
+    sub, sup, swirl_diag, axial_diag = grid.lap_rows
+    diag = (swirl_diag if swirl else axial_diag)[lo:hi + 1]
+    sub, sup = sub[lo:hi + 1], sup[lo:hi + 1]
     nu_i = nu[idx]
     fo = dt * nu_i / (dr * dr)
     theta = _theta_rows(fo)
@@ -355,7 +351,7 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, r: np.ndarray, dr: float,
     fc = f[idx]
     fr = f[np.minimum(idx + 1, len(f) - 1)]
     lf = sub * fl + diag * fc + sup * fr
-    if axis_open and lo == 0:
+    if lo == 0:
         lf[0] = diag[0] * f[0] + sup[0] * f[1]
     rhs_vec = fc + dt * (1.0 - theta) * nu_i * lf
 
@@ -370,6 +366,8 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, r: np.ndarray, dr: float,
         sol = kern.thomas(a[1:], b, c[:-1], rhs_vec)
     except ZeroDivisionError as exc:
         raise NumericalFailure(f"singular viscous solve: {exc}") from None
+    except ValueError as exc:
+        raise NumericalFailure(f"non-finite viscous system: {exc}") from None
     if not np.all(np.isfinite(sol)):
         raise NumericalFailure("implicit viscous solve produced non-finite values")
     f[idx] = sol
@@ -379,7 +377,6 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
                      s: SolverSettings, dt: float) -> None:
     """In-place implicit update of the viscous operators over the fluid nodes."""
     n = grid.n_cells
-    r = grid.nodes
     rho_star = np.maximum(state.rho, s.eps_vac)
     if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
         m = vacuum_block(state.rho, s.eps_vac)
@@ -389,15 +386,12 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
     lo = max(lo, 1)
     hi = n - 1
     nu_u = p.two_mu_lam / rho_star
-    _implicit_component(state.u, nu_u, r, grid.dr, dt, lo, hi, swirl=True,
-                        axis_open=False)
+    _implicit_component(state.u, nu_u, grid, dt, lo, hi, swirl=True)
     if state.v is not None:
         nu_v = p.mu / rho_star
-        _implicit_component(state.v, nu_v, r, grid.dr, dt, lo, hi, swirl=True,
-                            axis_open=False)
+        _implicit_component(state.v, nu_v, grid, dt, lo, hi, swirl=True)
         lo_w = m + 1 if m >= 0 else 0
-        _implicit_component(state.w, nu_v, r, grid.dr, dt, lo_w, hi, swirl=False,
-                            axis_open=(lo_w == 0))
+        _implicit_component(state.w, nu_v, grid, dt, lo_w, hi, swirl=False)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,48 @@ class TestMakeGrid:
             make_grid(n, r)
 
 
+class TestStencilRows:
+    """The viscous stencil rows cached on the grid."""
+
+    @staticmethod
+    def formula(g):
+        # rows of (f_r + f/r)_r and (r f_r)_r / r at nodes 1..N
+        r, dr = g.nodes[1:], g.dr
+        inv2 = 1.0 / (dr * dr)
+        return (inv2 - 1.0 / (2.0 * dr * r), inv2 + 1.0 / (2.0 * dr * r),
+                -2.0 * inv2 - 1.0 / (r * r), np.full(len(r), -2.0 * inv2))
+
+    def test_rows_match_formula(self):
+        g = make_grid(64, 1.5)
+        for row, ref in zip(g.lap_rows, self.formula(g)):
+            np.testing.assert_array_equal(row[1:], ref)
+
+    def test_axis_row(self):
+        g = make_grid(64, 1.5)
+        sub, sup, swirl, axial = g.lap_rows
+        assert sub[0] == 0.0
+        assert sup[0] == 4.0 / (g.dr * g.dr)
+        assert axial[0] == -4.0 / (g.dr * g.dr)
+        assert np.isnan(swirl[0])
+
+    def test_cached_and_read_only(self):
+        g = make_grid(32, 1.0)
+        assert g.lap_rows is g.lap_rows
+        for arr in (*g.lap_rows, g.nodes, g.spacing, g.quad_weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
+
+    def test_rescaled_free_grid_has_own_rows(self):
+        from mhdlab.freeboundary import MovingGrid
+        g0 = MovingGrid(n=32, a=1.0, a0=1.0).grid()
+        g1 = MovingGrid(n=32, a=1.1, a0=1.0).grid()
+        assert not np.array_equal(g0.lap_rows[0], g1.lap_rows[0])
+        for g in (g0, g1):
+            for row, ref in zip(g.lap_rows, self.formula(g)):
+                np.testing.assert_array_equal(row[1:], ref)
+
+
 class TestIntegrate:
     def test_constant_plain(self):
         g = make_grid(64, 1.0)

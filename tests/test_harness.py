@@ -104,6 +104,44 @@ class TestRun:
         assert res.outcome.summary["residuals"]["flux"] < 1e-2
 
 
+class TestOneCflPerStep:
+    """run() takes each step's dt from the previous step's health check."""
+
+    def count_calls(self, monkeypatch, cfg):
+        import mhdlab.harness
+        import mhdlab.solver
+        counts = {"cfl_dt": 0, "step": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        cfl = counting("cfl_dt", mhdlab.solver.cfl_dt)
+        monkeypatch.setattr(mhdlab.solver, "cfl_dt", cfl)
+        monkeypatch.setattr(mhdlab.harness, "cfl_dt", cfl)
+        monkeypatch.setattr(mhdlab.harness, "step",
+                            counting("step", mhdlab.harness.step))
+        return run(cfg), counts
+
+    def test_completed_run(self, monkeypatch):
+        # one dt before the first step, then one health check per step; the
+        # last check's dt goes unused
+        res, counts = self.count_calls(
+            monkeypatch, small("disk-blowup", n=64, t_end=0.2))
+        assert res.status is RunStatus.COMPLETED
+        assert counts["step"] > 5
+        assert counts["cfl_dt"] == counts["step"] + 1
+
+    def test_blowup_run(self, monkeypatch):
+        # the last health check stops on the gradient before it gets to cfl_dt
+        res, counts = self.count_calls(monkeypatch, small("disk-blowup", n=64))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        assert counts["step"] > 5
+        assert counts["cfl_dt"] == counts["step"]
+
+
 class TestOutputs:
     def test_csv_schema(self, tmp_path):
         res = run(small("smooth-novac", t_end=0.02), out_dir=str(tmp_path))

@@ -3,8 +3,10 @@ compiled kernels must reproduce the NumPy fallback."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from mhdlab._kernels import get_backend
+from mhdlab.core import make_grid
 
 pure = get_backend("pure")
 try:
@@ -98,11 +100,72 @@ class TestBackendAgreement:
                             np.array([0.0]), np.array([1.0, 1.0]))
 
 
+def banded(sub, diag, sup, rhs):
+    """The same system through scipy.linalg.solve_banded((1, 1), ...)."""
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = sup
+    ab[1, :] = diag
+    ab[2, :-1] = sub
+    return solve_banded((1, 1), ab, rhs)
+
+
 class TestPureThomas:
+    """The NumPy backend's direct LAPACK solve against SciPy's banded solver."""
+
     def test_singular_raises_unified_error(self):
         with pytest.raises(ZeroDivisionError):
             pure.thomas(np.array([0.0]), np.array([0.0, 1.0]),
                         np.array([0.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 400])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_solve_banded(self, n, seed):
+        rng = np.random.default_rng(1000 * n + seed)
+        sub = rng.standard_normal(n - 1)
+        sup = rng.standard_normal(n - 1)
+        diag = rng.uniform(4.0, 6.0, n) * rng.choice([-1.0, 1.0], n)
+        rhs = rng.standard_normal(n)
+        x = pure.thomas(sub, diag, sup, rhs)
+        np.testing.assert_array_equal(x, banded(sub, diag, sup, rhs))
+
+    def test_balance_rows_bitwise(self):
+        # the vacuum-balance system: vector-Laplacian rows 1..m-1 of a grid
+        g = make_grid(256, 1.0)
+        sub, sup, swirl, _ = g.lap_rows
+        m = 120
+        rng = np.random.default_rng(5)
+        rhs = rng.standard_normal(m - 1)
+        args = (sub[2:m], swirl[1:m], sup[1:m - 1], rhs)
+        np.testing.assert_array_equal(pure.thomas(*args), banded(*args))
+
+    @pytest.mark.parametrize("lo", [0, 40])
+    def test_viscous_rows_bitwise(self, lo):
+        # theta-scheme matrices 1 - dt theta nu L, axial rows from the axis
+        g = make_grid(256, 1.0)
+        sub, sup, swirl, axial = g.lap_rows
+        diag = axial if lo == 0 else swirl
+        rows = slice(lo, 256)
+        rng = np.random.default_rng(lo)
+        coeff = 1e-4 * rng.uniform(0.5, 2.0, 256 - lo)
+        a = -coeff * sub[rows]
+        b = 1.0 - coeff * diag[rows]
+        c = -coeff * sup[rows]
+        rhs = rng.standard_normal(256 - lo)
+        args = (a[1:], b, c[:-1], rhs)
+        np.testing.assert_array_equal(pure.thomas(*args), banded(*args))
+
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, which, bad):
+        args = [np.full(4, 0.5), np.full(5, 4.0), np.full(4, 0.5), np.ones(5)]
+        args[which][2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pure.thomas(*args)
+
+    def test_non_finite_one_by_one_raises(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pure.thomas(np.empty(0), np.array([2.0]), np.empty(0),
+                        np.array([np.nan]))
 
 
 class TestRadialOperators:

@@ -83,6 +83,21 @@ class TestForcing:
         # two refinement levels: second order means a factor of 16
         assert errs[0] / errs[1] > 11.0
 
+    def test_cached_trig_is_bitwise_neutral(self):
+        # one instance reused across times and two grids (as the solver
+        # calls it) gives a fresh instance's output bit for bit
+        p = params()
+        f = MMSForcing(p, 1.0)
+        grids = (make_grid(32, 1.0), make_grid(64, 1.0))
+        for t in (0.0, 0.013, 0.2, 0.2, 1.7):
+            for g in grids + grids[::-1]:
+                fresh = MMSForcing(p, 1.0)
+                for got, ref in zip(f(g.nodes, t), fresh(g.nodes, t)):
+                    np.testing.assert_array_equal(got, ref)
+                for got, ref in zip(f.exact(g.nodes, t),
+                                    fresh.exact(g.nodes, t)):
+                    np.testing.assert_array_equal(got, ref)
+
     def test_cylinder_rejected(self):
         with pytest.raises(Exception):
             MMSForcing(PhysParams(mu=1.0, lam=0.0, gamma=1.4,

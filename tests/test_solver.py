@@ -302,6 +302,21 @@ class TestDetectBlowup:
         h = detect_blowup(st, g, disk_params(), settings())
         assert h.suspected and "non-finite" in h.reason
 
+    def test_healthy_carries_next_dt(self):
+        g = make_grid(64, 1.0)
+        r = g.nodes
+        st = disk_state(g, rho=np.ones(65), u=0.1 * r * (1.0 - r),
+                        P=np.ones(65), B=Profile.parse("bump 0.2 0.6 0.5")(r))
+        h = detect_blowup(st, g, disk_params(), settings())
+        assert not h.suspected
+        assert h.dt == cfl_dt(st, g, disk_params(), settings())
+
+    def test_suspected_carries_no_dt(self):
+        g = make_grid(64, 1.0)
+        st = disk_state(g, rho=np.ones(65), P=np.ones(65))
+        h = detect_blowup(st, g, disk_params(), settings(dt_min=1.0))
+        assert h.suspected and h.dt is None
+
 
 class TestVacuumBalance:
     def make_vacuum_state(self, n=512):
@@ -377,6 +392,35 @@ class TestVacuumBalance:
         # v linear through the block, w constant
         assert np.allclose(st.v[:edge], st.v[edge] * r[:edge] / r[edge])
         assert np.allclose(st.w[:edge], st.w[edge])
+
+
+def blowup_initial_state(n=64):
+    """disk-blowup's initial state, grid, physics and settings at n cells."""
+    import dataclasses
+    from mhdlab.config import load_preset
+    from mhdlab.core import init_scenario
+    from mhdlab.harness import settings_from_config
+    cfg = dataclasses.replace(load_preset("disk-blowup"), n=n)
+    st, _ = init_scenario(cfg)
+    return st, cfg.grid(), cfg.phys, settings_from_config(cfg)
+
+
+class TestNonFiniteSolves:
+    """A NaN reaching a tridiagonal solve ends as a NumericalFailure."""
+
+    def test_vacuum_balance(self):
+        st, g, p, s = blowup_initial_state()
+        assert vacuum_block(st.rho, s.eps_vac) > 6
+        st.P[5] = np.nan
+        with pytest.raises(NumericalFailure, match="non-finite vacuum balance"):
+            apply_vacuum_balance(st, p, g, s)
+
+    def test_implicit_viscous(self):
+        from mhdlab.solver import implicit_viscous
+        st, g, p, s = blowup_initial_state()
+        st.rho[40] = np.nan
+        with pytest.raises(NumericalFailure, match="non-finite viscous"):
+            implicit_viscous(st, p, g, s, 1e-4)
 
 
 class TestConservation:
