@@ -5,8 +5,8 @@ lifespan bounds the system satisfies."""
 
 from ._kernels import BACKEND
 from .core import (FluidState, Geometry, PhysParams, Profile, RadialGrid,
-                   ScenarioConfig, Weight, init_scenario, integrate,
-                   integrate_to, make_grid)
+                   ScenarioConfig, Scheme, SolverSettings, VacuumStrategy,
+                   Weight, init_scenario, integrate, integrate_to, make_grid)
 from .diagnostics import (BoundInputs, DiagnosticsRecord, cauchy_schwarz_gap,
                           div_lower_bound, div_norm, dissipation_rate,
                           energy_residual, lifespan_bound, moment_coefficient,
@@ -17,8 +17,8 @@ from .freeboundary import (MovingGrid, advance_domain, boundary_stress_residual,
                            growth_check)
 from .harness import RunOutcome, RunResult, RunStatus, convergence_study, run
 from .picard import picard_iterate
-from .solver import (Scheme, SolverSettings, Tendency, VacuumStrategy, cfl_dt,
-                     detect_blowup, rhs_cylinder, rhs_disk, step)
+from .solver import (Tendency, cfl_dt, detect_blowup, rhs_cylinder, rhs_disk,
+                     step)
 from .vacuum import VacuumFront, advance_front, check_vacuum, vacuum_flux
 
 __version__ = "0.1.0"

@@ -2,32 +2,50 @@
 
 Format: UTF-8 lines of ``section.key = value`` (the bare key ``geometry`` has
 no section), ``#`` comments, strings double-quoted, numbers and true/false
-bare. Unknown keys are rejected with their line number; semantic checks that
-need the sampled fields are deferred to scenario initialization.
+bare. Unknown keys are rejected with their line number. Every value is read
+through one typed reader (numbers finite, integers whole, no true/false for a
+number) and the six solver settings are checked by `SolverSettings`; a bad
+value is a ConfigError. Semantic checks that need the sampled fields are
+deferred to scenario initialization.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .core import MIN_CELLS, Geometry, PhysParams, Profile, ScenarioConfig
+from .core import (MIN_CELLS, Geometry, PhysParams, Profile, ScenarioConfig,
+                   SolverSettings, finite_float, to_member)
 from .errors import ConfigError
 
 _PROFILE_KEYS = {"init.rho": "rho", "init.u": "u", "init.v": "v", "init.w": "w",
                  "init.p": "p", "init.b": "b"}
 
-_KNOWN_KEYS = set(_PROFILE_KEYS) | {
-    "geometry",
-    "grid.n", "grid.r_outer",
-    "physics.mu", "physics.lam", "physics.gamma",
-    "vacuum.r0",
-    "time.t_end", "time.cfl", "time.scheme",
-    "solver.vacuum_strategy", "solver.eps_vac", "solver.blowup_gradu_max",
-    "solver.dt_min",
-    "diag.alpha",
-    "output.stride", "output.dir",
-    "mms.enabled",
-}
+# key -> the type of its value (float keys also take ints)
+_KINDS = dict.fromkeys(_PROFILE_KEYS, str)
+_KINDS.update({
+    "geometry": str,
+    "grid.n": int, "grid.r_outer": float,
+    "physics.mu": float, "physics.lam": float, "physics.gamma": float,
+    "vacuum.r0": float,
+    "time.t_end": float, "time.cfl": float, "time.scheme": str,
+    "solver.vacuum_strategy": str, "solver.eps_vac": float,
+    "solver.blowup_gradu_max": float, "solver.dt_min": float,
+    "diag.alpha": float,
+    "output.stride": int, "output.dir": str,
+    "mms.enabled": bool,
+})
+_KNOWN_KEYS = frozenset(_KINDS)
+
+# keys passed on only when present, so the defaults stay on the target class
+_SOLVER_KEYS = {"time.cfl": "cfl", "time.scheme": "scheme",
+                "solver.vacuum_strategy": "vacuum_strategy",
+                "solver.eps_vac": "eps_vac",
+                "solver.blowup_gradu_max": "blowup_gradu_max",
+                "solver.dt_min": "dt_min"}
+_OPTIONAL_KEYS = {"vacuum.r0": "r0", "diag.alpha": "alpha",
+                  "output.stride": "output_stride", "output.dir": "output_dir"}
+
+_KIND_NAMES = {int: "an integer", str: "a quoted string", bool: "true or false"}
 
 PRESET_NAMES = ("smooth-novac", "disk-blowup", "cylinder-blowup", "free-blowup",
                 "mms")
@@ -84,28 +102,32 @@ def parse_pairs(text: str) -> dict:
     return pairs
 
 
-def _need(pairs: dict, key: str):
+_REQUIRED = object()
+
+
+def _read(pairs: dict, key: str, default=_REQUIRED):
+    """pairs[key] checked against its type in _KINDS (float keys read as
+    finite floats), or default when the key is absent."""
     if key not in pairs:
-        raise ConfigError(f"missing required key {key!r}")
-    return pairs[key]
-
-
-def _expect(value, types, key: str):
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ConfigError(f"key {key!r} has the wrong type")
-    if not isinstance(value, types):
-        raise ConfigError(f"key {key!r} has the wrong type")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    value, kind = pairs[key], _KINDS[key]
+    if kind is float:
+        return finite_float(value, key)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
-def build_config(pairs: dict) -> ScenarioConfig:
-    geometry_tag = _expect(_need(pairs, "geometry"), str, "geometry")
-    try:
-        geometry = Geometry(geometry_tag)
-    except ValueError:
-        raise ConfigError(f"unknown geometry {geometry_tag!r}") from None
+def _present(pairs: dict, fields: dict) -> dict:
+    return {name: _read(pairs, key) for key, name in fields.items() if key in pairs}
 
-    mms = bool(pairs.get("mms.enabled", False))
+
+def build_config(pairs: dict) -> ScenarioConfig:
+    geometry = to_member(Geometry, _read(pairs, "geometry"), "geometry")
+
+    mms = _read(pairs, "mms.enabled", False)
     if mms and geometry is not Geometry.DISK2D:
         raise ConfigError("manufactured-solution runs are defined for disk2d only")
     profiles = {}
@@ -117,56 +139,26 @@ def build_config(pairs: dict) -> ScenarioConfig:
         if mms:
             raise ConfigError("manufactured-solution runs define their own fields; "
                               f"drop {key!r}")
-        profiles[name] = Profile.parse(_expect(pairs[key], str, key))
+        profiles[name] = Profile.parse(_read(pairs, key))
 
-    phys = PhysParams(
-        mu=float(_expect(_need(pairs, "physics.mu"), (int, float), "physics.mu")),
-        lam=float(_expect(_need(pairs, "physics.lam"), (int, float), "physics.lam")),
-        gamma=float(_expect(_need(pairs, "physics.gamma"), (int, float),
-                            "physics.gamma")),
-        geometry=geometry,
-    )
-
-    r0 = pairs.get("vacuum.r0")
-    if r0 is not None:
-        r0 = float(_expect(r0, (int, float), "vacuum.r0"))
-        if mms:
-            raise ConfigError("manufactured-solution runs have no vacuum region")
-
-    scheme = pairs.get("time.scheme", "rk2-imp")
-    if scheme not in ("rk2-imp", "ssprk3"):
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    strategy = pairs.get("solver.vacuum_strategy", "elliptic-balance")
-    if strategy not in ("elliptic-balance", "density-floor"):
-        raise ConfigError(f"unknown vacuum strategy {strategy!r}")
-
-    alpha = pairs.get("diag.alpha")
+    phys = PhysParams(mu=_read(pairs, "physics.mu"), lam=_read(pairs, "physics.lam"),
+                      gamma=_read(pairs, "physics.gamma"), geometry=geometry)
     cfg = ScenarioConfig(
-        geometry=geometry,
-        n=int(_expect(_need(pairs, "grid.n"), int, "grid.n")),
-        r_outer=float(_expect(_need(pairs, "grid.r_outer"), (int, float),
-                              "grid.r_outer")),
+        n=_read(pairs, "grid.n"),
+        r_outer=_read(pairs, "grid.r_outer"),
         phys=phys,
         profiles=profiles,
-        r0=r0,
-        t_end=float(_expect(_need(pairs, "time.t_end"), (int, float), "time.t_end")),
-        cfl=float(pairs.get("time.cfl", 0.4)),
-        scheme=scheme,
-        vacuum_strategy=strategy,
-        eps_vac=float(pairs.get("solver.eps_vac", 1e-6)),
-        blowup_gradu_max=float(pairs.get("solver.blowup_gradu_max", 1e4)),
-        dt_min=float(pairs.get("solver.dt_min", 1e-12)),
-        alpha=None if alpha is None else float(alpha),
-        output_stride=int(pairs.get("output.stride", 10)),
-        output_dir=pairs.get("output.dir"),
+        t_end=_read(pairs, "time.t_end"),
+        solver=SolverSettings(**_present(pairs, _SOLVER_KEYS)),
         mms=mms,
+        **_present(pairs, _OPTIONAL_KEYS),
     )
+    if mms and cfg.r0 is not None:
+        raise ConfigError("manufactured-solution runs have no vacuum region")
     if cfg.n < MIN_CELLS:
         raise ConfigError(f"grid.n must be at least {MIN_CELLS}, got {cfg.n}")
     if cfg.t_end <= 0.0:
         raise ConfigError(f"time.t_end must be positive, got {cfg.t_end}")
-    if not (0.0 < cfg.cfl < 1.0):
-        raise ConfigError(f"time.cfl must lie in (0,1), got {cfg.cfl}")
     if cfg.output_stride < 1:
         raise ConfigError("output.stride must be at least 1")
     return cfg

@@ -13,6 +13,7 @@ scenario files stay line-oriented and human-editable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -313,27 +314,92 @@ class Profile:
 # Scenario configuration and initial states
 # ---------------------------------------------------------------------------
 
+class Scheme(Enum):
+    SSPRK3_EXPLICIT_VISCOUS = "ssprk3"
+    RK2_IMPLICIT_VISCOUS = "rk2-imp"
+
+
+class VacuumStrategy(Enum):
+    DENSITY_FLOOR = "density-floor"
+    ELLIPTIC_BALANCE = "elliptic-balance"
+
+
+def finite_float(value, name: str) -> float:
+    """value as a finite float; a bool, a non-number, NaN or +-inf is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:        # an int beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def to_member(kind, value, name: str):
+    """kind(value), with an unknown value a ConfigError that lists the choices."""
+    try:
+        return kind(value)
+    except ValueError:
+        choices = " | ".join(m.value for m in kind)
+        raise ConfigError(f"unknown {name} {value!r}; choose {choices}") from None
+
+
+@dataclass(frozen=True)
+class SolverSettings:
+    """Step-size, scheme, vacuum and blow-up controls of a run.
+
+    The one home of these settings, their defaults and their checks. scheme
+    and vacuum_strategy also accept their values as strings ("ssprk3").
+    """
+
+    cfl: float = 0.4
+    scheme: Scheme = Scheme.RK2_IMPLICIT_VISCOUS
+    vacuum_strategy: VacuumStrategy = VacuumStrategy.ELLIPTIC_BALANCE
+    eps_vac: float = 1e-6
+    blowup_gradu_max: float = 1e4
+    dt_min: float = 1e-12
+
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("scheme", to_member(Scheme, self.scheme, "scheme"))
+        put("vacuum_strategy", to_member(VacuumStrategy, self.vacuum_strategy,
+                                         "vacuum strategy"))
+        for name in ("cfl", "eps_vac", "blowup_gradu_max", "dt_min"):
+            value = finite_float(getattr(self, name), name)
+            if not value > 0.0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+            put(name, value)
+        if not self.cfl < 1.0:
+            raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
+
+
 @dataclass
 class ScenarioConfig:
-    """Validated run description: grid, physics, initial profiles, controls."""
+    """Validated run description: grid, physics, initial profiles, controls.
 
-    geometry: Geometry
+    The geometry is the physics' own (`phys.geometry`); the solver settings
+    and their defaults live on `SolverSettings`.
+    """
+
     n: int
     r_outer: float
     phys: PhysParams
     profiles: dict = field(default_factory=dict)   # field name -> Profile
     r0: Optional[float] = None                     # initial vacuum radius
     t_end: float = 1.0
-    cfl: float = 0.4
-    scheme: str = "rk2-imp"                        # or "ssprk3"
-    vacuum_strategy: str = "elliptic-balance"      # or "density-floor"
-    eps_vac: float = 1e-6
-    blowup_gradu_max: float = 1e4
-    dt_min: float = 1e-12
+    solver: SolverSettings = field(default_factory=SolverSettings)
     alpha: Optional[float] = None                  # moment exponent; None -> optimized
     output_stride: int = 10
     output_dir: Optional[str] = None
     mms: bool = False
+
+    @property
+    def geometry(self) -> Geometry:
+        return self.phys.geometry
 
     def grid(self) -> RadialGrid:
         return make_grid(self.n, self.r_outer)

@@ -13,7 +13,7 @@ follow the r-weighted convention with the angular factor dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -265,7 +265,4 @@ def optimize_alpha(b_template: BoundInputs):
     g = alphas / np.sqrt(2.0 * alphas - 2.0) + (alphas + 1.0) / np.sqrt(2.0 * alphas)
     h = (2.0 - alphas) ** 2 / g
     alpha_star = float(alphas[int(np.argmax(h))])
-    b = BoundInputs(mu=b_template.mu, lam=b_template.lam, R_ref=b_template.R_ref,
-                    C0=b_template.C0, E0=b_template.E0, alpha=alpha_star,
-                    geometry=b_template.geometry)
-    return alpha_star, lifespan_bound(b)
+    return alpha_star, lifespan_bound(replace(b_template, alpha=alpha_star))

@@ -20,10 +20,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FluidState, PhysParams, RadialGrid, Weight, integrate_to,
-                   make_grid)
+from .core import (FluidState, PhysParams, RadialGrid, SolverSettings, Weight,
+                   integrate_to, make_grid)
 from .errors import GeometryCollapse
-from .solver import SolverSettings, StepStats, step as fixed_step
+from .solver import StepStats, step as fixed_step
 from .vacuum import advance_radius
 
 
@@ -70,12 +70,6 @@ def boundary_stress_residual(state: FluidState, mgrid: MovingGrid,
     """F = B^2/2 + P - (2mu+lam)(u_r + u/a) at r = a, one-sided second order."""
     residual, _ = _residual_and_scale(state, mgrid.grid(), p)
     return residual
-
-
-def stress_scale(state: FluidState, mgrid: MovingGrid, p: PhysParams) -> float:
-    """Magnitude reference for the boundary stress condition."""
-    _, scale = _residual_and_scale(state, mgrid.grid(), p)
-    return scale
 
 
 def enforce_boundary_stress(state: FluidState, grid: RadialGrid,

@@ -27,9 +27,8 @@ from .diagnostics import (BoundInputs, DiagnosticsRecord, div_lower_bound,
 from .errors import MHDLabError
 from .freeboundary import FreeStats, MovingGrid, free_step, growth_check
 from .mms import MMSForcing
-from .solver import (Scheme, SolverSettings, StepStats, VacuumStrategy,
-                     apply_vacuum_balance, cfl_dt, detect_blowup, max_grad_u,
-                     step)
+from .solver import (StepStats, apply_vacuum_balance, cfl_dt, detect_blowup,
+                     max_grad_u, step)
 from .vacuum import advance_front, check_vacuum, vacuum_flux
 
 CSV_HEADER = ("t,energy,dissipation_cum,flux_vacuum,R_front,a_boundary,"
@@ -70,17 +69,6 @@ class RunResult:
         return self.outcome.status
 
 
-def settings_from_config(cfg: ScenarioConfig) -> SolverSettings:
-    return SolverSettings(
-        cfl=cfg.cfl,
-        scheme=Scheme(cfg.scheme),
-        vacuum_strategy=VacuumStrategy(cfg.vacuum_strategy),
-        eps_vac=cfg.eps_vac,
-        blowup_gradu_max=cfg.blowup_gradu_max,
-        dt_min=cfg.dt_min,
-    )
-
-
 def bound_template(cfg: ScenarioConfig, C0: float, E0: float) -> BoundInputs:
     """Lifespan-bound inputs at alpha = 1.5 (the start of the alpha search).
 
@@ -100,7 +88,7 @@ class _RunState:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.p = cfg.phys
-        self.settings = settings_from_config(cfg)
+        self.settings = cfg.solver
         self.state, self.front = init_scenario(cfg)
         self.free = cfg.geometry.is_free
         if self.free:
@@ -113,9 +101,10 @@ class _RunState:
         self.forcing = MMSForcing(self.p, cfg.r_outer) if cfg.mms else None
 
         self.rho0_max = float(np.max(self.state.rho))
-        if self.rho0_max > 0.0 and not cfg.eps_vac <= 1e-3 * self.rho0_max:
+        eps_vac = self.settings.eps_vac
+        if self.rho0_max > 0.0 and not eps_vac <= 1e-3 * self.rho0_max:
             raise MHDLabError(
-                f"eps_vac={cfg.eps_vac} is not small against max rho0="
+                f"eps_vac={eps_vac} is not small against max rho0="
                 f"{self.rho0_max}")
         self.mass0 = integrate(self.state.rho, self.grid, Weight.RADIAL_R)
 
@@ -388,13 +377,12 @@ def convergence_study(cfg: ScenarioConfig, n_list) -> List[ConvergenceRow]:
     for n in n_list:
         sub = dataclasses.replace(cfg, n=int(n))
         grid = sub.grid()
-        settings = settings_from_config(sub)
         forcing = MMSForcing(sub.phys, sub.r_outer)
         state = forcing.exact_state(grid, 0.0)
         while state.t < sub.t_end * (1.0 - 1e-12):
-            dt = cfl_dt(state, grid, sub.phys, settings)
+            dt = cfl_dt(state, grid, sub.phys, sub.solver)
             dt = min(dt, sub.t_end - state.t)
-            state = step(state, dt, sub.phys, grid, settings, forcing=forcing)
+            state = step(state, dt, sub.phys, grid, sub.solver, forcing=forcing)
         exact = forcing.exact_state(grid, state.t)
         errors = {}
         for (name, arr), (_, ref) in zip(state.fields(), exact.fields()):

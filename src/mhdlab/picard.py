@@ -28,10 +28,10 @@ from typing import List
 import numpy as np
 
 from . import _kernels as kern
-from .core import FluidState, Geometry, PhysParams, RadialGrid, Weight, integrate
+from .core import (FluidState, Geometry, PhysParams, RadialGrid, Scheme,
+                   SolverSettings, Weight, integrate)
 from .errors import ConfigError
-from .solver import (Scheme, SolverSettings, Tendency, apply_tendency, blend,
-                     cfl_dt)
+from .solver import Tendency, apply_tendency, blend, cfl_dt
 
 _DIVERGENCE_STRIKES = 3
 

@@ -32,44 +32,18 @@ keeps the stiff modes damped without losing second order in smooth regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels as kern
-from .core import FluidState, PhysParams, RadialGrid, Weight, integrate
+from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
+                   VacuumStrategy, Weight, integrate)
 from .errors import DtCollapse, NumericalFailure
 
 _FOURIER_SWITCH = 1e3      # trapezoidal -> backward Euler switch per row
 _DT_EPS = 1e-300
 _LF_BAND = 16              # faces outside the vacuum edge that get LF dissipation
-
-
-class Scheme(Enum):
-    SSPRK3_EXPLICIT_VISCOUS = "ssprk3"
-    RK2_IMPLICIT_VISCOUS = "rk2-imp"
-
-
-class VacuumStrategy(Enum):
-    DENSITY_FLOOR = "density-floor"
-    ELLIPTIC_BALANCE = "elliptic-balance"
-
-
-@dataclass
-class SolverSettings:
-    cfl: float = 0.4
-    scheme: Scheme = Scheme.RK2_IMPLICIT_VISCOUS
-    vacuum_strategy: VacuumStrategy = VacuumStrategy.ELLIPTIC_BALANCE
-    eps_vac: float = 1e-6
-    blowup_gradu_max: float = 1e4
-    dt_min: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl < 1.0):
-            raise ValueError(f"cfl must lie in (0,1), got {self.cfl}")
-        if self.eps_vac <= 0.0 or self.blowup_gradu_max <= 0.0 or self.dt_min <= 0.0:
-            raise ValueError("eps_vac, blowup_gradu_max and dt_min must be positive")
 
 
 @dataclass
@@ -309,7 +283,7 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     except ValueError as exc:
         raise NumericalFailure(f"non-finite vacuum balance system: {exc}") from None
     if not np.all(np.isfinite(sol)):
-        raise NumericalFailure("vacuum balance solve produced non-finite velocity")
+        raise NumericalFailure("non-finite vacuum balance solution")
     state.u[1:edge] = sol
     state.u[0] = 0.0
     if state.v is not None:
@@ -369,7 +343,7 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
     except ValueError as exc:
         raise NumericalFailure(f"non-finite viscous system: {exc}") from None
     if not np.all(np.isfinite(sol)):
-        raise NumericalFailure("implicit viscous solve produced non-finite values")
+        raise NumericalFailure("non-finite viscous solution")
     f[idx] = sol
 
 

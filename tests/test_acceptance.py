@@ -21,7 +21,7 @@ from mhdlab.cli import main as cli_main
 from mhdlab.config import load_preset
 from mhdlab.diagnostics import divergence, moment_pre_ibp
 from mhdlab.freeboundary import growth_check
-from mhdlab.harness import convergence_study, run, settings_from_config
+from mhdlab.harness import convergence_study, run
 from mhdlab.vacuum import VacuumFront
 
 pytestmark = pytest.mark.acceptance
@@ -252,7 +252,7 @@ def test_criterion_8_pointwise_inequality(cylinder_run):
 def test_criterion_9_picard_cross_validation(mms_rows):
     cfg = dataclasses.replace(load_preset("smooth-novac"), n=256)
     grid = cfg.grid()
-    settings = settings_from_config(cfg)
+    settings = cfg.solver
     from mhdlab.core import init_scenario
     state0, _ = init_scenario(cfg)
     traj, rep = picard_iterate(state0, 0.01, 50, 1e-8, cfg.phys, grid, settings)

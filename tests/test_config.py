@@ -1,10 +1,19 @@
 """Scenario-file parsing: syntax, key validation, semantics, presets."""
 
-import pytest
+import dataclasses
+import math
+import re
+from pathlib import Path
 
-from mhdlab import ConfigError, Geometry
-from mhdlab.config import (PRESET_NAMES, apply_overrides, build_config,
-                           load_preset, parse_config, parse_pairs)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mhdlab import (ConfigError, Geometry, PhysParams, ScenarioConfig, Scheme,
+                    SolverSettings, VacuumStrategy)
+from mhdlab.config import (_KNOWN_KEYS, PRESET_NAMES, apply_overrides,
+                           build_config, load_preset, load_preset_text,
+                           parse_config, parse_pairs)
 
 MINIMAL = """
 geometry = "disk2d"
@@ -22,7 +31,7 @@ class TestParsing:
         cfg = parse_config(MINIMAL)
         assert cfg.geometry is Geometry.DISK2D
         assert cfg.n == 64 and cfg.t_end == 0.5
-        assert cfg.scheme == "rk2-imp"          # defaults applied
+        assert cfg.solver == SolverSettings()   # defaults applied
 
     def test_comments_and_blank_lines(self):
         text = MINIMAL + "\n# full-line comment\noutput.stride = 5  # trailing\n"
@@ -115,3 +124,118 @@ class TestPresets:
 
     def test_mms_preset_flag(self):
         assert load_preset("mms").mms is True
+
+
+# override values as they are typed on the command line: integers (0,
+# negatives, beyond the float range), floats (nan, +-inf), booleans, bare
+# words and quoted strings
+_OVERRIDE_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1", "2", str(10 ** 400), str(-10 ** 400)]),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["true", "false"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]*", fullmatch=True),
+    st.text(max_size=30).map(lambda text: '"' + text + '"'),
+)
+
+
+class TestAnyOverride:
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.fixed_dictionaries(
+        {key: _OVERRIDE_VALUES for key in sorted(_KNOWN_KEYS)}))
+    def test_builds_or_raises_config_error(self, preset, values):
+        pairs = parse_pairs(load_preset_text(preset))
+        for key, raw in values.items():
+            try:
+                cfg = build_config(apply_overrides(pairs, [f"{key}={raw}"]))
+            except ConfigError:
+                continue
+            assert isinstance(cfg, ScenarioConfig)
+            assert isinstance(cfg.solver, SolverSettings)
+            for value in (cfg.r_outer, cfg.t_end, cfg.solver.cfl,
+                          cfg.solver.eps_vac, cfg.solver.dt_min):
+                assert math.isfinite(value)
+
+
+class TestSolverSettings:
+    @pytest.mark.parametrize("bad", [
+        dict(cfl=1.5), dict(cfl=0.0), dict(cfl=math.nan), dict(cfl="x"),
+        dict(cfl=True), dict(eps_vac=-1.0), dict(eps_vac=math.inf),
+        dict(dt_min=0.0), dict(dt_min=math.nan), dict(blowup_gradu_max=0.0),
+        dict(scheme="leapfrog"), dict(vacuum_strategy="none"),
+    ])
+    def test_bad_setting_is_config_error(self, bad):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg.solver, **bad)
+
+    def test_strings_become_members(self):
+        s = SolverSettings(scheme="ssprk3", vacuum_strategy="density-floor",
+                           blowup_gradu_max=100)
+        assert s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS
+        assert s.vacuum_strategy is VacuumStrategy.DENSITY_FLOOR
+        assert s.blowup_gradu_max == 100.0
+        assert isinstance(s.blowup_gradu_max, float)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SolverSettings().cfl = 2.0
+
+    def test_keys_reach_the_settings(self):
+        cfg = parse_config(MINIMAL + 'time.cfl = 0.3\ntime.scheme = "ssprk3"\n'
+                           'solver.vacuum_strategy = "density-floor"\n'
+                           "solver.eps_vac = 1e-4\nsolver.blowup_gradu_max = 50\n"
+                           "solver.dt_min = 1e-9\n")
+        assert cfg.solver == SolverSettings(
+            cfl=0.3, scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS,
+            vacuum_strategy=VacuumStrategy.DENSITY_FLOOR, eps_vac=1e-4,
+            blowup_gradu_max=50.0, dt_min=1e-9)
+
+
+class TestGeometry:
+    def test_geometry_is_the_physics_geometry(self):
+        for name in PRESET_NAMES:
+            cfg = load_preset(name)
+            assert cfg.geometry is cfg.phys.geometry
+
+    def test_no_second_geometry(self):
+        phys = PhysParams(mu=1.0, lam=0.0, gamma=1.4, geometry=Geometry.DISK2D)
+        with pytest.raises(TypeError):
+            ScenarioConfig(geometry=Geometry.CYLINDER3D, n=8, r_outer=1.0,
+                           phys=phys)
+
+
+class TestTypedValues:
+    @pytest.mark.parametrize("line, match", [
+        ("time.t_end = nan", "finite"),
+        ("grid.r_outer = inf", "finite"),
+        ("physics.mu = true", "number"),
+        ('physics.lam = "0"', "number"),
+        ("grid.n = 64.0", "integer"),
+        ("output.stride = 2.5", "integer"),
+        ("output.stride = 0", "at least 1"),
+        ("output.dir = 3", "string"),
+        ("mms.enabled = 1", "true or false"),
+        ("geometry = 2", "string"),
+    ])
+    def test_rejected(self, line, match):
+        key = line.split("=")[0].strip()
+        text = "\n".join(ln for ln in MINIMAL.splitlines()
+                         if not ln.startswith(key + " ")) + "\n" + line + "\n"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    def test_ints_read_as_floats(self):
+        cfg = parse_config(MINIMAL.replace("physics.mu = 1.0", "physics.mu = 2"))
+        assert cfg.phys.mu == 2.0 and isinstance(cfg.phys.mu, float)
+
+
+def test_readme_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Scenario files", 1)[1]
+    block = section.split("```", 2)[1]
+    keys = set(re.findall(r"^([a-z0-9_.]+) = ", block, flags=re.M))
+    assert keys == _KNOWN_KEYS

@@ -164,8 +164,7 @@ class TestProfiles:
 
 def scenario(geometry=Geometry.DISK2D, **kw):
     phys = PhysParams(mu=1.0, lam=0.0, gamma=1.4, geometry=geometry)
-    base = dict(geometry=geometry, n=128, r_outer=1.0, phys=phys, profiles={},
-                t_end=1.0)
+    base = dict(n=128, r_outer=1.0, phys=phys, profiles={}, t_end=1.0)
     base.update(kw)
     return ScenarioConfig(**base)
 

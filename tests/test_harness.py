@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from mhdlab import Geometry, PhysParams, Profile, RunStatus
+from mhdlab import Geometry, PhysParams, Profile, RunStatus, SolverSettings
 from mhdlab.cli import main as cli_main
 from mhdlab.config import load_preset
 from mhdlab.core import ScenarioConfig
@@ -15,16 +15,21 @@ from mhdlab.harness import CSV_HEADER, outcome_to_json, records_to_csv, run
 
 
 def small(preset, **kw):
+    """The preset at n=128, stride 5; keywords naming a SolverSettings field
+    replace that solver setting, the others the config field."""
     cfg = load_preset(preset)
     base = dict(n=128, output_stride=5)
     base.update(kw)
-    return dataclasses.replace(cfg, **base)
+    solver = {f.name: base.pop(f.name) for f in dataclasses.fields(SolverSettings)
+              if f.name in base}
+    return dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, **solver),
+                               **base)
 
 
 def quiescent_config():
     phys = PhysParams(mu=1.0, lam=0.0, gamma=1.4, geometry=Geometry.DISK2D)
-    return ScenarioConfig(geometry=Geometry.DISK2D, n=64, r_outer=1.0,
-                          phys=phys, profiles={}, t_end=0.2, output_stride=5)
+    return ScenarioConfig(n=64, r_outer=1.0, phys=phys, profiles={}, t_end=0.2,
+                          output_stride=5)
 
 
 class TestRun:
@@ -223,6 +228,19 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and "at least 2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override", [
+        "solver.eps_vac=-1", "solver.dt_min=0", "solver.blowup_gradu_max=0",
+        'time.cfl="x"', 'solver.eps_vac="abc"', 'diag.alpha="x"',
+        "time.t_end=nan", "solver.dt_min=nan", "output.stride=2.5",
+    ])
+    def test_bad_value_is_an_error(self, override, tmp_path, capsys):
+        code = cli_main(["run", "--preset", "disk-blowup", "--override", override,
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "run.json").exists()
 
     def test_config_and_preset_conflict(self, tmp_path):
         path = tmp_path / "x.cfg"

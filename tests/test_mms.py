@@ -18,8 +18,9 @@ def params(mu=0.05):
 
 
 def mms_config(**kw):
-    base = dict(geometry=Geometry.DISK2D, n=64, r_outer=1.0, phys=params(),
-                t_end=0.05, cfl=0.4, scheme="ssprk3", mms=True)
+    base = dict(n=64, r_outer=1.0, phys=params(), t_end=0.05,
+                solver=SolverSettings(cfl=0.4, scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS),
+                mms=True)
     base.update(kw)
     return ScenarioConfig(**base)
 

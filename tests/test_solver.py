@@ -399,10 +399,9 @@ def blowup_initial_state(n=64):
     import dataclasses
     from mhdlab.config import load_preset
     from mhdlab.core import init_scenario
-    from mhdlab.harness import settings_from_config
     cfg = dataclasses.replace(load_preset("disk-blowup"), n=n)
     st, _ = init_scenario(cfg)
-    return st, cfg.grid(), cfg.phys, settings_from_config(cfg)
+    return st, cfg.grid(), cfg.phys, cfg.solver
 
 
 class TestNonFiniteSolves:
