@@ -20,8 +20,8 @@ from .config import (apply_overrides, build_config, load_preset_text,
 from .core import init_scenario
 from .diagnostics import lifespan_bound, optimize_alpha, total_energy
 from .errors import MHDLabError
-from .harness import (EXIT_CODES, bound_template, convergence_study,
-                      format_convergence_table, run)
+from .harness import (EXIT_CODES, RunStatus, bound_template,
+                      convergence_study, format_convergence_table, run)
 
 
 def _load_config(args) -> "ScenarioConfig":
@@ -46,6 +46,10 @@ def _cmd_run(args) -> int:
     print(f"status={result.status.value} t_final={result.outcome.t_final:.6g}"
           + (f" T_detected={result.outcome.T_detected:.6g}"
              if result.outcome.T_detected is not None else ""))
+    if result.status is RunStatus.ERROR:
+        summary = result.outcome.summary
+        reason = summary.get("error") or summary.get("invalid_reason")
+        print(f"error: {reason}", file=sys.stderr)
     return EXIT_CODES[result.status]
 
 

@@ -15,6 +15,7 @@ from importlib import resources
 
 from .core import (MIN_CELLS, Geometry, PhysParams, Profile, ScenarioConfig,
                    SolverSettings, finite_float, to_member)
+from .diagnostics import check_alpha
 from .errors import ConfigError
 
 _PROFILE_KEYS = {"init.rho": "rho", "init.u": "u", "init.v": "v", "init.w": "w",
@@ -161,6 +162,8 @@ def build_config(pairs: dict) -> ScenarioConfig:
         raise ConfigError(f"time.t_end must be positive, got {cfg.t_end}")
     if cfg.output_stride < 1:
         raise ConfigError("output.stride must be at least 1")
+    if cfg.alpha is not None:
+        check_alpha(cfg.alpha, geometry)
     return cfg
 
 

@@ -185,6 +185,9 @@ class FluidState:
     t: float = 0.0
     v: Optional[np.ndarray] = None
     w: Optional[np.ndarray] = None
+    # what the solver derived from these arrays (solver._Stage); solver-private
+    _stage: Optional[object] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def copy(self) -> "FluidState":
         return self.map(lambda _, f: f.copy(), self.t)
@@ -204,6 +207,18 @@ class FluidState:
             if self.v is not None:
                 self.v[-1] = 0.0
                 self.w[-1] = 0.0
+
+    def freeze(self) -> None:
+        """Make every field array read-only."""
+        for _, arr in self.fields():
+            arr.flags.writeable = False
+
+    @property
+    def read_only(self) -> bool:
+        """True when no field array can be written in place: each is
+        read-only and owns its memory (so is no view of a writable one)."""
+        return all(not arr.flags.writeable and arr.flags.owndata
+                   for _, arr in self.fields())
 
     def fields(self):
         """(name, array) pairs for the fields present."""

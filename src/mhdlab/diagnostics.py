@@ -190,6 +190,18 @@ def cauchy_schwarz_gap(state: FluidState, front: VacuumFront, grid: RadialGrid,
 # Lifespan bounds
 # ---------------------------------------------------------------------------
 
+def check_alpha(alpha: float, geometry: Geometry) -> None:
+    """ConfigError unless the moment exponent alpha is admissible for the
+    geometry: in (1, 2), and at least 7/6 on cylinder3d."""
+    if geometry.has_swirl:
+        ok, span = ALPHA_MIN_CYLINDER <= alpha < 2.0, "[7/6, 2)"
+    else:
+        ok, span = 1.0 < alpha < 2.0, "(1, 2)"
+    if not ok:
+        raise ConfigError(f"alpha={alpha} outside the admissible range {span} "
+                          f"for {geometry.value}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Closed-form bound inputs: viscosities, reference radius (R0 for fixed
@@ -205,11 +217,7 @@ class BoundInputs:
     geometry: Geometry
 
     def __post_init__(self):
-        lo = ALPHA_MIN_CYLINDER if self.geometry.has_swirl else 1.0
-        if not (lo <= self.alpha < 2.0) or self.alpha <= 1.0:
-            raise ConfigError(
-                f"alpha={self.alpha} outside the admissible range "
-                f"[{lo}, 2) for {self.geometry.value}")
+        check_alpha(self.alpha, self.geometry)
 
     @property
     def two_mu_lam(self) -> float:

@@ -12,11 +12,13 @@ class ConfigError(MHDLabError):
 class NumericalFailure(MHDLabError):
     """Solver produced NaN/Inf or a linear solve broke down.
 
-    `node` carries the first offending node index when known.
+    `reason` is the message without the node; `node` carries the first
+    offending node index when known.
     """
 
     def __init__(self, message, node=None):
         super().__init__(message if node is None else f"{message} (node {node})")
+        self.reason = message
         self.node = node
 
 

@@ -143,6 +143,7 @@ def free_step(state: FluidState, dt: float, p: PhysParams, mgrid: MovingGrid,
     mgrid_new = advance_domain(mgrid, u_mid, dt)
     new_state = remap_state(new_state, mgrid, mgrid_new, stats)
     enforce_boundary_stress(new_state, mgrid_new.grid(), p)
+    new_state.freeze()       # read-only like a fixed step's output
     return new_state, mgrid_new
 
 

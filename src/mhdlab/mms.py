@@ -15,6 +15,8 @@ the fields above at the scheme's spatial order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import FluidState, Geometry, PhysParams, RadialGrid
@@ -28,6 +30,20 @@ class MMSForcing:
 
     f_u is the momentum-equation residual (the ``rho du/dt`` form); the solver
     divides it by rho* alongside the other momentum terms.
+
+    Every residual is a polynomial in e = amp exp(-t) with coefficients that
+    depend on r only. With c = cos(k r), s = sin(k r), q = s r / R,
+    u' = (k c r + s) / R and D = u' + s / R (so u = e q, u_r = e u' and
+    u_r + u/r = e D):
+
+        f_rho = e (D - c)       + e^2 (c D - k s q)
+        f_u   = e b1            + e^2 q (u' + D - c) + e^3 c q u'
+                with b1 = -q - k s - (2mu+lam) k (3c - k s r) / R
+        f_P   = e (gamma D - c) + e^2 (gamma c D - k s q)
+        f_B   = -e q            + e^2 2 q u'
+
+    The coefficient profiles are tabulated once per node array, so a call
+    only evaluates the polynomials.
     """
 
     def __init__(self, p: PhysParams, r_outer: float, amp: float = MMS_AMPLITUDE):
@@ -36,29 +52,15 @@ class MMSForcing:
         self.p = p
         self.r_outer = float(r_outer)
         self.amp = float(amp)
-        self._trig_r = None         # node array the cached cos/sin belong to
-        self._trig = None
-
-    def _cos_sin(self, r, k):
-        """cos(k r) and sin(k r), kept for the last node array seen: only
-        e = amp exp(-t) changes between the stages of a run on one grid.
-        Node arrays are not written in place (a grid's are read-only)."""
-        if r is not self._trig_r:
-            self._trig = (np.cos(k * r), np.sin(k * r))
-            self._trig_r = r
-        return self._trig
-
-    def _fields(self, r, t):
-        """Building blocks (k, e, cos, sin) and the exact (rho, u, P, B)."""
-        k = np.pi / self.r_outer
-        e = self.amp * np.exp(-t)
-        c, s = self._cos_sin(r, k)
-        fields = (1.0 + e * c, e * s * r / self.r_outer,
-                  1.0 + e * c, e * s * r / self.r_outer)
-        return (k, e, c, s), fields
+        self._table_r = None        # node array the cached profiles belong to
+        self._table = None
 
     def exact(self, r: np.ndarray, t: float):
-        return self._fields(r, t)[1]
+        e = self.amp * np.exp(-t)
+        kr = np.pi / self.r_outer * r
+        c, s = np.cos(kr), np.sin(kr)
+        return (1.0 + e * c, e * s * r / self.r_outer,
+                1.0 + e * c, e * s * r / self.r_outer)
 
     def exact_state(self, grid: RadialGrid, t: float) -> FluidState:
         rho, u, P, B = self.exact(grid.nodes, t)
@@ -66,30 +68,33 @@ class MMSForcing:
         state.pin(wall=True)      # u(R) is sin(pi) roundoff otherwise
         return state
 
-    def __call__(self, r: np.ndarray, t: float):
+    def _tabulate(self, r):
+        """The coefficient profiles of the class docstring on nodes r, as
+        ((a1, a2), (b1, b2, b3), (c1, c2), (d1, d2)) for rho, u, P, B."""
         R = self.r_outer
-        (k, e, c, s), (rho, u, P, B) = self._fields(r, t)
+        k = np.pi / R
+        c, s = np.cos(k * r), np.sin(k * r)
         gamma = self.p.gamma
-        two_mu_lam = self.p.two_mu_lam
+        q = s * r / R
+        du = (k * c * r + s) / R
+        D = du + s / R
+        ksq = k * s * q
+        b1 = -q - k * s - self.p.two_mu_lam * k * (3.0 * c - k * s * r) / R
+        return ((D - c, c * D - ksq),
+                (b1, q * (du + D - c), c * q * du),
+                (gamma * D - c, gamma * c * D - ksq),
+                (-q, 2.0 * q * du))
 
-        rho_t = -e * c
-        rho_r = -e * k * s
-        u_t = -u
-        u_r = e * (k * c * r + s) / R
-        u_over_r = e * s / R
-        div = u_r + u_over_r
-        div_r = e * k * (3.0 * c - k * s * r) / R
-        P_t = -e * c
-        P_r = -e * k * s
-        B_t = -B
-        B_r = u_r
-        B_over_r = u_over_r
-
-        f_rho = rho_t + rho_r * u + rho * div
-        f_u = rho * (u_t + u * u_r) + P_r - two_mu_lam * div_r + B * (B_r + B_over_r)
-        f_P = P_t + u * P_r + gamma * P * div
-        f_B = B_t + u_r * B + u * B_r
-        return f_rho, f_u, f_P, f_B
+    def __call__(self, r: np.ndarray, t: float):
+        # only e changes between the calls of a run on one grid; node arrays
+        # are not written in place (a grid's are read-only)
+        if r is not self._table_r:
+            self._table = self._tabulate(r)
+            self._table_r = r
+        (a1, a2), (b1, b2, b3), (c1, c2), (d1, d2) = self._table
+        e = self.amp * math.exp(-t)
+        return (e * (a1 + e * a2), e * (b1 + e * (b2 + e * b3)),
+                e * (c1 + e * c2), e * (d1 + e * d2))
 
 
 def mms_initial_state(grid: RadialGrid, geometry: Geometry) -> FluidState:

@@ -31,6 +31,7 @@ keeps the stiff modes damped without losing second order in smooth regions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,6 +76,94 @@ def vacuum_block(rho: np.ndarray, eps_vac: float) -> int:
     return int(nz[0] - 1) if len(nz) else len(rho) - 1
 
 
+def _check_finite(state: FluidState):
+    """Raise NumericalFailure at the first non-finite node of the first field
+    holding one. A NaN or +-inf entry always makes a field's sum non-finite,
+    so only a field whose sum is non-finite gets the element scan (which an
+    all-finite field whose sum overflows then passes)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in state.fields():
+            if not math.isfinite(arr.sum()):
+                bad = ~np.isfinite(arr)
+                if bad.any():
+                    raise NumericalFailure(f"non-finite {name}",
+                                           node=int(np.argmax(bad)))
+
+
+class _Stage:
+    """What the solver derives from one state whose arrays no longer change.
+
+    rho* = max(rho, eps_vac), the vacuum mask rho < eps_vac and the vacuum
+    block's last node m are built at once; the finiteness scan and the
+    signal speeds on first use. A stage rides on its state
+    (`FluidState._stage`) only while no one else writes into the arrays:
+    inside a step, where the solver owns every write, and on read-only
+    arrays (a step's output). The solver's own in-place writes to u, v, w
+    (`apply_vacuum_balance`, `implicit_viscous`) call `forget_velocities`;
+    rho and P are never written once the stage exists. The methods take the
+    state instead of the stage holding it, so a state and its stage form no
+    reference cycle and are freed as soon as the state is dropped.
+    """
+
+    __slots__ = ("p", "s", "arrays", "rho_star", "vac", "m", "_scanned",
+                 "_failure", "_speeds")
+
+    def __init__(self, state: FluidState, p: PhysParams, s: SolverSettings):
+        self.p = p
+        self.s = s
+        self.arrays = (state.rho, state.u, state.P, state.B, state.v, state.w)
+        self.rho_star = np.maximum(state.rho, s.eps_vac)
+        self.vac = state.rho < s.eps_vac
+        self.m = vacuum_block(state.rho, s.eps_vac)
+        self.forget_velocities()
+
+    def serves(self, state: FluidState, p: PhysParams, s: SolverSettings) -> bool:
+        a = self.arrays
+        return (a[0] is state.rho and a[1] is state.u and a[2] is state.P
+                and a[3] is state.B and a[4] is state.v and a[5] is state.w
+                and self.s == s and self.p == p)
+
+    def forget_velocities(self) -> None:
+        """Drop what an in-place write to u (v, w) makes stale."""
+        self._scanned = False
+        self._failure = None
+        self._speeds = None
+
+    def check_finite(self, state: FluidState) -> None:
+        """`_check_finite(state)`, scanning the arrays at most once."""
+        if not self._scanned:
+            try:
+                _check_finite(state)
+            except NumericalFailure as exc:
+                self._failure = exc
+            self._scanned = True
+        if self._failure is not None:
+            raise NumericalFailure(self._failure.reason, node=self._failure.node)
+
+    def speeds(self, state: FluidState) -> np.ndarray:
+        """Per-node |u| + c_s + c_A (see `signal_speeds`), built on first use."""
+        if self._speeds is None:
+            cs = np.sqrt(self.p.gamma * state.P / self.rho_star)
+            ca = np.sqrt(state.B * state.B / self.rho_star)
+            speeds = np.abs(state.u) + cs + ca
+            if self.s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
+                speeds = np.where(self.vac, np.abs(state.u), speeds)
+            self._speeds = speeds
+        return self._speeds
+
+
+def _stage_of(state: FluidState, p: PhysParams, s: SolverSettings) -> _Stage:
+    """The stage the solver left on state if it still serves; otherwise a
+    new one, left on the state when its arrays are read-only."""
+    stage = state._stage
+    if stage is not None and stage.serves(state, p, s):
+        return stage
+    stage = _Stage(state, p, s)
+    if state.read_only:
+        state._stage = stage
+    return stage
+
+
 def signal_speeds(state: FluidState, p: PhysParams, s: SolverSettings) -> np.ndarray:
     """Per-node |u| + c_s + c_A with rho* = max(rho, eps_vac).
 
@@ -83,31 +172,22 @@ def signal_speeds(state: FluidState, p: PhysParams, s: SolverSettings) -> np.nda
     densities would otherwise make c_A = |B|/sqrt(eps_vac) dominate the step
     size for no physical reason.
     """
-    rho_star = np.maximum(state.rho, s.eps_vac)
-    cs = np.sqrt(p.gamma * state.P / rho_star)
-    ca = np.sqrt(state.B * state.B / rho_star)
-    speeds = np.abs(state.u) + cs + ca
-    if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-        vac = state.rho < s.eps_vac
-        speeds = np.where(vac, np.abs(state.u), speeds)
-    return speeds
+    return _stage_of(state, p, s).speeds(state)
 
 
-def _face_controls(state: FluidState, grid: RadialGrid, p: PhysParams,
-                   s: SolverSettings, stats: Optional[StepStats],
-                   vac: np.ndarray, m: int):
-    """Per-face LF coefficients and donor-cell flags around the vacuum edge.
-
-    vac is the vacuum mask rho < eps_vac and m the vacuum block's last node.
-    """
+def _face_controls(state: FluidState, grid: RadialGrid, stage: _Stage,
+                   stats: Optional[StepStats]):
+    """Per-face LF coefficients and donor-cell flags around the vacuum edge."""
     n = grid.n_cells
     lf_fc = np.zeros(n)
     up_fc = np.zeros(n, dtype=np.uint8)
+    vac = stage.vac
     if not np.any(vac):
         return lf_fc, up_fc
     up_fc[:] = vac[:-1] | vac[1:]
+    m = stage.m
     if 0 <= m < n - 1:
-        a_max = float(np.max(signal_speeds(state, p, s)))
+        a_max = float(np.max(stage.speeds(state)))
         coeff = 0.5 * a_max * grid.dr
         if stats is not None:
             stats.lf_coeff = coeff
@@ -119,28 +199,18 @@ def _face_controls(state: FluidState, grid: RadialGrid, p: PhysParams,
     return lf_fc, up_fc
 
 
-def _check_finite(state: FluidState):
-    for name, arr in state.fields():
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            raise NumericalFailure(f"non-finite {name}", node=int(np.argmax(bad)))
-
-
 def _rhs_prologue(state: FluidState, p: PhysParams, grid: RadialGrid,
                   s: SolverSettings, stats: Optional[StepStats]):
-    """Finite check, floored density, vacuum block and face controls shared by
-    both rhs; the block index m is found once and serves both ends."""
-    _check_finite(state)
-    rho_star = np.maximum(state.rho, s.eps_vac)
-    m = vacuum_block(state.rho, s.eps_vac)
-    faces = _face_controls(state, grid, p, s, stats, state.rho < s.eps_vac, m)
-    return rho_star, m, faces
+    """The state's checked stage and its face controls, shared by both rhs."""
+    stage = _stage_of(state, p, s)
+    stage.check_finite(state)
+    return stage, _face_controls(state, grid, stage, stats)
 
 
 def _rhs_epilogue(tend: Tendency, state: FluidState, grid: RadialGrid,
-                  s: SolverSettings, rho_star: np.ndarray, m: int,
-                  forcing) -> Tendency:
+                  s: SolverSettings, stage: _Stage, forcing) -> Tendency:
     """Freeze the velocities on the vacuum block [0, m] and add any forcing."""
+    m = stage.m
     if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE and m >= 0:
         # quasi-stationary: the velocities are set by the balance
         for d in (tend.du, tend.dv, tend.dw):
@@ -149,7 +219,7 @@ def _rhs_epilogue(tend: Tendency, state: FluidState, grid: RadialGrid,
     if forcing is not None:
         f = forcing(grid.nodes, state.t)
         tend.drho += f[0]
-        tend.du += f[1] / rho_star
+        tend.du += f[1] / stage.rho_star
         tend.dP += f[2]
         tend.dB += f[3]
         tend.du[0] = tend.du[-1] = 0.0
@@ -160,24 +230,25 @@ def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettin
              include_visc: bool = True, forcing=None,
              stats: Optional[StepStats] = None) -> Tendency:
     """Tendency of the 2D radial system (see module docstring for the scheme)."""
-    rho_star, m, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
+    stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     drho, du, dP, dB = kern.disk_tendency(
-        grid.nodes, grid.dr, state.rho, state.u, state.P, state.B, rho_star,
+        grid.nodes, grid.dr, state.rho, state.u, state.P, state.B, stage.rho_star,
         p.two_mu_lam, p.gamma, include_visc, lf_fc, up_fc)
     return _rhs_epilogue(Tendency(drho=drho, du=du, dP=dP, dB=dB), state, grid,
-                         s, rho_star, m, forcing)
+                         s, stage, forcing)
 
 
 def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
                  s: SolverSettings, include_visc: bool = True, forcing=None,
                  stats: Optional[StepStats] = None) -> Tendency:
     """Tendency of the cylindrically symmetric system (adds swirl and axial flow)."""
-    rho_star, m, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
+    stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     drho, du, dv, dw, dP, dB = kern.cylinder_tendency(
         grid.nodes, grid.dr, state.rho, state.u, state.v, state.w, state.P,
-        state.B, rho_star, p.two_mu_lam, p.mu, p.gamma, include_visc, lf_fc, up_fc)
+        state.B, stage.rho_star, p.two_mu_lam, p.mu, p.gamma, include_visc,
+        lf_fc, up_fc)
     return _rhs_epilogue(Tendency(drho=drho, du=du, dP=dP, dB=dB, dv=dv, dw=dw),
-                         state, grid, s, rho_star, m, forcing)
+                         state, grid, s, stage, forcing)
 
 
 def rhs(state, p, grid, s, **kw) -> Tendency:
@@ -194,14 +265,14 @@ def cfl_dt(state: FluidState, grid: RadialGrid, p: PhysParams,
            s: SolverSettings) -> float:
     """Stable step: advective dr/(|u|+c_s+c_A) and, for the explicit scheme,
     the diffusive dr^2 rho* / (2(2mu+lam)) restriction; cfl-scaled minimum."""
-    _check_finite(state)
-    speeds = signal_speeds(state, p, s)
-    vmax = float(np.max(speeds))
+    stage = _stage_of(state, p, s)
+    stage.check_finite(state)
+    vmax = float(np.max(stage.speeds(state)))
     dt = grid.dr / vmax if vmax > _DT_EPS else np.inf
     if s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
-        rho_star = np.maximum(state.rho, s.eps_vac)
+        rho_star = stage.rho_star
         if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-            m = vacuum_block(state.rho, s.eps_vac)
+            m = stage.m
             rho_floor = float(np.min(rho_star[m + 1:])) if m < grid.n_cells else np.inf
         else:
             rho_floor = float(np.min(rho_star))
@@ -231,9 +302,10 @@ def max_grad_u(state: FluidState, grid: RadialGrid) -> float:
 
 def detect_blowup(state: FluidState, grid: RadialGrid, p: PhysParams,
                   s: SolverSettings) -> Health:
-    for name, arr in state.fields():
-        if not np.all(np.isfinite(arr)):
-            return Health(True, f"non-finite {name}", np.inf)
+    try:
+        _stage_of(state, p, s).check_finite(state)
+    except NumericalFailure as exc:
+        return Health(True, exc.reason, np.inf)
     g = max_grad_u(state, grid)
     if g > s.blowup_gradu_max:
         return Health(True, "gradu", g)
@@ -257,7 +329,8 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     """
     if s.vacuum_strategy is not VacuumStrategy.ELLIPTIC_BALANCE:
         return -1
-    m = vacuum_block(state.rho, s.eps_vac)
+    stage = _stage_of(state, p, s)
+    m = stage.m
     if m < 1:
         return m
     n = grid.n_cells
@@ -292,6 +365,7 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
         state.v[:edge] = state.v[edge] * r[:edge] / r[edge]
         state.v[0] = 0.0
         state.w[:edge] = state.w[edge]
+    stage.forget_velocities()
     if stats is not None:
         stats.balance_solves += 1
     return m
@@ -351,11 +425,9 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
                      s: SolverSettings, dt: float) -> None:
     """In-place implicit update of the viscous operators over the fluid nodes."""
     n = grid.n_cells
-    rho_star = np.maximum(state.rho, s.eps_vac)
-    if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-        m = vacuum_block(state.rho, s.eps_vac)
-    else:
-        m = -1
+    stage = _stage_of(state, p, s)
+    rho_star = stage.rho_star
+    m = stage.m if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE else -1
     lo = m + 1 if m >= 0 else 1
     lo = max(lo, 1)
     hi = n - 1
@@ -366,6 +438,7 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
         _implicit_component(state.v, nu_v, grid, dt, lo, hi, swirl=True)
         lo_w = m + 1 if m >= 0 else 0
         _implicit_component(state.w, nu_v, grid, dt, lo_w, hi, swirl=False)
+    stage.forget_velocities()
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +459,11 @@ def blend(a: FluidState, wa: float, b: FluidState, wb: float, t: float) -> Fluid
 def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
                    s: SolverSettings, stats: Optional[StepStats] = None,
                    free_bc=None) -> None:
-    """Re-pin boundary values, clip rho and P at zero, refresh the vacuum block."""
+    """Re-pin boundary values, clip rho and P at zero, refresh the vacuum block.
+
+    Leaves the stage context of the result on the state for the stages that
+    follow; after this only the solver writes into the state's arrays.
+    """
     state.pin(wall=free_bc is None)
     neg = state.rho < 0.0
     if neg.any():
@@ -402,6 +479,8 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
         state.P[neg] = 0.0
     if free_bc is not None:
         free_bc(state)
+    # the balance reads the block and writes only velocities
+    state._stage = _Stage(state, p, s)
     apply_vacuum_balance(state, p, grid, s, stats)
 
 
@@ -444,14 +523,18 @@ def _rk2_strang(state, dt, p, grid, s, stats, forcing, free_bc):
 def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
          s: SolverSettings, stats: Optional[StepStats] = None, forcing=None,
          free_bc=None) -> FluidState:
-    """Advance one step of size dt; returns a new state, never mutates input."""
+    """Advance one step of size dt; returns a new state, never mutates input.
+
+    The new state's arrays are read-only, so the stage context built for it
+    serves `detect_blowup`, `cfl_dt` and the next step's first rhs.
+    """
     if dt <= 0.0:
         raise ValueError(f"step needs dt > 0, got {dt}")
-    work = state.copy()
     if s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
-        out = _ssprk3(work, dt, p, grid, s, stats, forcing, free_bc)
+        out = _ssprk3(state, dt, p, grid, s, stats, forcing, free_bc)
     else:
-        out = _rk2_strang(work, dt, p, grid, s, stats, forcing, free_bc)
+        out = _rk2_strang(state, dt, p, grid, s, stats, forcing, free_bc)
     out.t = state.t + dt
-    _check_finite(out)
+    out.freeze()
+    _stage_of(out, p, s).check_finite(out)
     return out

@@ -219,6 +219,8 @@ class TestTypedValues:
         ("output.dir = 3", "string"),
         ("mms.enabled = 1", "true or false"),
         ("geometry = 2", "string"),
+        ("diag.alpha = 1.0", r"admissible range \(1, 2\)"),
+        ("diag.alpha = 5", r"admissible range \(1, 2\)"),
     ])
     def test_rejected(self, line, match):
         key = line.split("=")[0].strip()
@@ -230,6 +232,24 @@ class TestTypedValues:
     def test_ints_read_as_floats(self):
         cfg = parse_config(MINIMAL.replace("physics.mu = 1.0", "physics.mu = 2"))
         assert cfg.phys.mu == 2.0 and isinstance(cfg.phys.mu, float)
+
+
+class TestAlphaRange:
+    """diag.alpha is checked when the config is built, as BoundInputs checks it."""
+
+    @pytest.mark.parametrize("preset, alpha, ok", [
+        ("disk-blowup", 1.1, True), ("smooth-novac", 1.999, True),
+        ("free-blowup", 2.0, False), ("cylinder-blowup", 1.1, False),
+        ("cylinder-blowup", 7.0 / 6.0, True), ("cylinder-blowup", 1.5, True),
+    ])
+    def test_range(self, preset, alpha, ok):
+        pairs = apply_overrides(parse_pairs(load_preset_text(preset)),
+                                [f"diag.alpha={alpha!r}"])
+        if ok:
+            assert build_config(pairs).alpha == alpha
+        else:
+            with pytest.raises(ConfigError, match="admissible range"):
+                build_config(pairs)
 
 
 def test_readme_lists_every_key():

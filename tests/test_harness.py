@@ -147,6 +147,63 @@ class TestOneCflPerStep:
         assert counts["cfl_dt"] == counts["step"]
 
 
+class TestWorkPerStep:
+    """Per-step calls of the finiteness scan and the vacuum-block search, and
+    the forcing's profile builds, counted between the starts of consecutive
+    steps of run() (one step plus its health check)."""
+
+    def per_step(self, monkeypatch, cfg):
+        import mhdlab.harness
+        import mhdlab.mms
+        import mhdlab.solver
+        counts = {"scan": 0, "block": 0, "table": 0}
+        marks = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def marking(fn):
+            def wrapper(*args, **kwargs):
+                marks.append(dict(counts))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mhdlab.solver, "_check_finite",
+                            counting("scan", mhdlab.solver._check_finite))
+        monkeypatch.setattr(mhdlab.solver, "vacuum_block",
+                            counting("block", mhdlab.solver.vacuum_block))
+        monkeypatch.setattr(mhdlab.mms.MMSForcing, "_tabulate",
+                            counting("table", mhdlab.mms.MMSForcing._tabulate))
+        monkeypatch.setattr(mhdlab.harness, "step", marking(mhdlab.harness.step))
+        res = run(cfg)
+        assert len(marks) > 5
+        # from the second step on: each step's work and its health check
+        deltas = {tuple(b[k] - a[k] for k in ("scan", "block"))
+                  for a, b in zip(marks[1:], marks[2:])}
+        return res, deltas, counts
+
+    def test_disk_blowup_rk2_imp(self, monkeypatch):
+        cfg = small("disk-blowup", n=64, t_end=0.2)
+        assert cfg.solver.scheme.value == "rk2-imp" and cfg.r0 is not None
+        res, deltas, _ = self.per_step(monkeypatch, cfg)
+        assert res.status is RunStatus.COMPLETED
+        # scans: the stages after the first inviscid half-step, the implicit
+        # solve and the second half-step, and the end state; blocks: the
+        # five finalized stages
+        assert deltas == {(4, 5)}
+
+    def test_mms_ssprk3(self, monkeypatch):
+        cfg = dataclasses.replace(load_preset("mms"), n=32, t_end=0.05)
+        assert cfg.solver.scheme.value == "ssprk3"
+        res, deltas, counts = self.per_step(monkeypatch, cfg)
+        assert res.status is RunStatus.COMPLETED
+        assert deltas == {(3, 3)}
+        assert counts["table"] == 1      # one grid, one table
+
+
 class TestOutputs:
     def test_csv_schema(self, tmp_path):
         res = run(small("smooth-novac", t_end=0.02), out_dir=str(tmp_path))
@@ -241,6 +298,28 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize("preset", ["disk-blowup", "smooth-novac"])
+    def test_alpha_out_of_range_is_an_error(self, preset, tmp_path, capsys):
+        code = cli_main(["run", "--preset", preset, "--override", "diag.alpha=5",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "admissible range" in err
+
+    @pytest.mark.parametrize("override, reason", [
+        ("vacuum.r0=0.999", "density and pressure must vanish"),
+        ("grid.r_outer=1e-300", "vacuum radius r0=0.5 must lie inside"),
+    ])
+    def test_run_error_prints_reason(self, override, reason, tmp_path, capsys):
+        # the config builds but the run ends Error at t=0
+        code = cli_main(["run", "--preset", "disk-blowup", "--override", "grid.n=16",
+                         "--override", override, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "status=Error" in out
+        assert err == f"error: {json.loads((tmp_path / 'run.json').read_text())['error']}\n"
+        assert err.startswith(f"error: {reason}")
 
     def test_config_and_preset_conflict(self, tmp_path):
         path = tmp_path / "x.cfg"

@@ -25,6 +25,37 @@ def mms_config(**kw):
     return ScenarioConfig(**base)
 
 
+def closed_form_forcing(f, r, t):
+    """The residuals of the exact fields, term by term (the reference for the
+    tabulated forcing)."""
+    R = f.r_outer
+    k = np.pi / R
+    e = f.amp * np.exp(-t)
+    c, s = np.cos(k * r), np.sin(k * r)
+    rho, u, P, B = f.exact(r, t)
+    gamma = f.p.gamma
+    two_mu_lam = f.p.two_mu_lam
+
+    rho_t = -e * c
+    rho_r = -e * k * s
+    u_t = -u
+    u_r = e * (k * c * r + s) / R
+    u_over_r = e * s / R
+    div = u_r + u_over_r
+    div_r = e * k * (3.0 * c - k * s * r) / R
+    P_t = -e * c
+    P_r = -e * k * s
+    B_t = -B
+    B_r = u_r
+    B_over_r = u_over_r
+
+    f_rho = rho_t + rho_r * u + rho * div
+    f_u = rho * (u_t + u * u_r) + P_r - two_mu_lam * div_r + B * (B_r + B_over_r)
+    f_P = P_t + u * P_r + gamma * P * div
+    f_B = B_t + u_r * B + u * B_r
+    return f_rho, f_u, f_P, f_B
+
+
 class TestForcing:
     def test_forcing_matches_finite_differences(self):
         # residual of the exact fields in the PDE, measured with independent
@@ -98,6 +129,15 @@ class TestForcing:
                 for got, ref in zip(f.exact(g.nodes, t),
                                     fresh.exact(g.nodes, t)):
                     np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("t", [0.0, 0.013, 0.2, 1.7])
+    def test_tabulated_matches_closed_form(self, n, t):
+        p = PhysParams(mu=0.05, lam=0.02, gamma=1.4, geometry=Geometry.DISK2D)
+        f = MMSForcing(p, 1.3)
+        g = make_grid(n, 1.3)
+        for got, ref in zip(f(g.nodes, t), closed_form_forcing(f, g.nodes, t)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_cylinder_rejected(self):
         with pytest.raises(Exception):

@@ -1,6 +1,7 @@
 """Tendency, step, vacuum-balance, and detection tests for the fixed solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mhdlab import (DtCollapse, FluidState, Geometry, NumericalFailure,
                     VacuumStrategy, Weight, cfl_dt, detect_blowup, integrate,
                     make_grid, rhs_cylinder, rhs_disk, step)
 from mhdlab.diagnostics import divergence
-from mhdlab.solver import apply_vacuum_balance, vacuum_block
+from mhdlab.solver import _check_finite, apply_vacuum_balance, vacuum_block
 from mhdlab.vacuum import VacuumFront
 
 
@@ -316,6 +317,99 @@ class TestDetectBlowup:
         st = disk_state(g, rho=np.ones(65), P=np.ones(65))
         h = detect_blowup(st, g, disk_params(), settings(dt_min=1.0))
         assert h.suspected and h.dt is None
+
+
+class TestFiniteScan:
+    """The first non-finite node of the first field holding one is reported,
+    whichever entry point scans the state."""
+
+    @pytest.mark.parametrize("bad, node", [
+        ({7: np.nan}, 7), ({7: np.inf}, 7), ({7: -np.inf}, 7),
+        ({9: np.inf, 4: -np.inf}, 4),
+    ])
+    def test_non_finite_raises(self, bad, node):
+        g = make_grid(32, 1.0)
+        st = disk_state(g, rho=np.ones(33), P=np.ones(33))
+        st.B[12] = np.nan              # a later field is not reported
+        for k, v in bad.items():
+            st.P[k] = v
+        match = rf"^non-finite P \(node {node}\)$"
+        with pytest.raises(NumericalFailure, match=match):
+            _check_finite(st)
+        with pytest.raises(NumericalFailure, match=match):
+            cfl_dt(st, g, disk_params(), settings())
+        with pytest.raises(NumericalFailure, match=match):
+            rhs_disk(st, disk_params(), g, settings())
+        assert detect_blowup(st, g, disk_params(), settings()).reason == "non-finite P"
+
+    def test_overflowing_sum_is_finite(self):
+        g = make_grid(32, 1.0)
+        st = disk_state(g, rho=np.full(33, 1e308), P=np.full(33, -1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_finite(st)
+        st.u[3] = np.nan               # the scan still reaches later fields
+        with pytest.raises(NumericalFailure, match=r"^non-finite u \(node 3\)$"):
+            _check_finite(st)
+
+
+class TestStageContext:
+    """What the solver derives from a state never outlives a write to it."""
+
+    def stepped(self, scheme=Scheme.RK2_IMPLICIT_VISCOUS):
+        g = make_grid(64, 1.0)
+        r = g.nodes
+        st = disk_state(g, rho=1.0 + 0.2 * r, u=0.1 * r * (1.0 - r),
+                        P=np.ones(65), B=Profile.parse("bump 0.2 0.6 0.5")(r))
+        p, s = disk_params(mu=0.2), settings(scheme=scheme)
+        out = step(st, cfl_dt(st, g, p, s), p, g, s)
+        return g, p, s, st, out
+
+    def test_step_output_is_read_only(self):
+        g, p, s, st, out = self.stepped()
+        for _, arr in out.fields():
+            with pytest.raises(ValueError):
+                arr[3] = 1.0
+        assert all(arr.flags.writeable for _, arr in st.fields())
+        copy = out.copy()
+        copy.u[3] = 1.0
+        assert cfl_dt(copy, g, p, s) < cfl_dt(out, g, p, s)
+
+    def test_replaced_field_is_seen(self):
+        g, p, s, _, out = self.stepped()
+        dt = cfl_dt(out, g, p, s)
+        assert detect_blowup(out, g, p, s).dt == dt
+        out.P = out.P.copy()
+        out.P[5] = np.nan
+        with pytest.raises(NumericalFailure, match=r"non-finite P \(node 5\)"):
+            cfl_dt(out, g, p, s)
+        with pytest.raises(NumericalFailure, match=r"non-finite P \(node 5\)"):
+            rhs_disk(out, p, g, s)
+        out.P = np.full(65, 50.0)      # faster sound: a smaller step
+        assert cfl_dt(out, g, p, s) < dt
+
+    def test_other_settings_get_their_own_stage(self):
+        g, p, s, _, out = self.stepped(Scheme.SSPRK3_EXPLICIT_VISCOUS)
+        cfl_dt(out, g, p, s)
+        tight = settings(scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS, eps_vac=1.1)
+        assert cfl_dt(out, g, p, tight) == cfl_dt(out.copy(), g, p, tight)
+        assert cfl_dt(out, g, p, tight) != cfl_dt(out, g, p, s)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_nan_injected_into_a_stage(self, scheme, monkeypatch):
+        import mhdlab.solver
+
+        def poisoned(state, tend, dt):
+            out = apply(state, tend, dt)
+            out.P[7] = np.nan
+            return out
+
+        apply = mhdlab.solver.apply_tendency
+        monkeypatch.setattr(mhdlab.solver, "apply_tendency", poisoned)
+        g = make_grid(64, 1.0)
+        st = disk_state(g, rho=np.ones(65), P=np.ones(65))
+        with pytest.raises(NumericalFailure, match=r"^non-finite P \(node 7\)$"):
+            step(st, 1e-3, disk_params(), g, settings(scheme=scheme))
 
 
 class TestVacuumBalance:
