@@ -14,7 +14,15 @@ Shared conventions (uniform node grid r[0..N], dr = spacing):
   boundary fluxes vanish
 * `lf_fc` carries per-face Lax-Friedrichs coefficients (zero where disabled);
   `up_fc` marks faces that switch the mass flux to donor-cell form
+
+The tendencies are built in place, run the Lax-Friedrichs products over the
+band's faces only and leave out a viscous term that is switched off. Their
+values are those of the full-length expressions (tests/test_kernels.py keeps
+those as the reference); only an exact zero the full forms would get by
+adding +0.0 may keep its negative sign.
 """
+
+import weakref
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -26,26 +34,81 @@ BACKEND_NAME = "pure"
 _gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
+class _GridConstants:
+    """The node-array factors of the stencils for one (r, dr)."""
+
+    __slots__ = ("r_face", "r_dr", "two_dr_r", "r_sq")
+
+    def __init__(self, r, dr):
+        inner = r[1:-1]
+        self.r_face = 0.5 * (r[:-1] + r[1:])
+        self.r_dr = inner * dr
+        self.two_dr_r = 2.0 * dr * inner
+        self.r_sq = inner * inner
+
+
+# id(r) -> (weak reference to r, dr, constants); an entry leaves when r dies
+_constants = {}
+
+
+def _grid_constants(r, dr):
+    """The constants of (r, dr): built once per read-only node array, which
+    is taken to keep its values (a grid's nodes do), and afresh on every
+    call for a writable one."""
+    if r.flags.writeable:
+        return _GridConstants(r, dr)
+    key = id(r)
+    hit = _constants.get(key)
+    if hit is not None and hit[0]() is r and hit[1] == dr:
+        return hit[2]
+    consts = _GridConstants(r, dr)
+    _constants[key] = (weakref.ref(r, lambda _, k=key: _constants.pop(k, None)),
+                       dr, consts)
+    return consts
+
+
+def _lf_faces(lf_fc):
+    """The faces the Lax-Friedrichs products run over: None without a
+    coefficient, the band's own faces while it stays off both end faces,
+    every face otherwise."""
+    nz = (lf_fc != 0.0).nonzero()[0]
+    if nz.size == 0:
+        return None
+    lo, hi = int(nz[0]), int(nz[-1]) + 1
+    if lo == 0 or hi == len(lf_fc):
+        return slice(0, len(lf_fc))
+    return slice(lo, hi)
+
+
+def _gradient_from_r0(f, dr):
+    """f_r central in the interior and one-sided at r=R; the axis is the
+    caller's."""
+    out = np.empty_like(f)
+    inner = out[1:-1]
+    np.subtract(f[2:], f[:-2], out=inner)
+    inner /= 2.0 * dr
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dr)
+    return out
+
+
 def gradient(f, dr):
     """Second-order derivative: central interior, one-sided at both ends."""
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dr)
+    out = _gradient_from_r0(f, dr)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dr)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dr)
     return out
 
 
 def over_r(f, r, f_r0):
     """f/r with the axis value replaced by the limit f_r(0)."""
     out = np.empty_like(f)
-    out[1:] = f[1:] / r[1:]
+    np.divide(f[1:], r[1:], out=out[1:])
     out[0] = f_r0
     return out
 
 
 def axis_gradient(f, dr):
     """f_r of a field pinned to zero at the axis: (4 f[1] - f[2]) / (2 dr) there."""
-    out = gradient(f, dr)
+    out = _gradient_from_r0(f, dr)
     out[0] = (4.0 * f[1] - f[2]) / (2.0 * dr)
     return out
 
@@ -56,22 +119,66 @@ def radial_parts(f, r, dr):
     return f_r, over_r(f, r, f_r[0])
 
 
+def _second_difference(f, dr, consts):
+    """f_rr + f_r / r on interior nodes, zero at both ends."""
+    out = np.zeros_like(f)
+    inner = out[1:-1]
+    np.multiply(f[1:-1], 2.0, out=inner)
+    np.subtract(f[2:], inner, out=inner)
+    inner += f[:-2]
+    inner /= dr * dr
+    drift = f[2:] - f[:-2]
+    drift /= consts.two_dr_r
+    inner += drift
+    return out
+
+
+def _vector_laplacian(f, dr, consts):
+    out = _second_difference(f, dr, consts)
+    out[1:-1] -= f[1:-1] / consts.r_sq
+    return out
+
+
 def vector_laplacian(f, r, dr):
     """(f_r + f/r)_r on interior nodes, zero at both ends."""
-    out = np.zeros_like(f)
-    out[1:-1] = ((f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dr * dr)
-                 + (f[2:] - f[:-2]) / (2.0 * dr * r[1:-1])
-                 - f[1:-1] / (r[1:-1] * r[1:-1]))
+    return _vector_laplacian(f, dr, _grid_constants(r, dr))
+
+
+def _axial_laplacian(f, dr, consts):
+    out = _second_difference(f, dr, consts)
+    out[0] = 4.0 * (f[1] - f[0]) / (dr * dr)
     return out
 
 
 def axial_laplacian(f, r, dr):
     """(r f_r)_r / r on interior nodes and at the axis (2 f_rr(0)), zero at r=R."""
-    out = np.zeros_like(f)
-    out[1:-1] = ((f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dr * dr)
-                 + (f[2:] - f[:-2]) / (2.0 * dr * r[1:-1]))
-    out[0] = 4.0 * (f[1] - f[0]) / (dr * dr)
-    return out
+    return _axial_laplacian(f, dr, _grid_constants(r, dr))
+
+
+def _mass_tendency(r, dr, consts, rho, vel, lf_fc, up_fc, faces):
+    mom = rho * vel
+    fv = mom[:-1] + mom[1:]
+    fv *= 0.5
+    if np.count_nonzero(up_fc):
+        vbar = vel[:-1] + vel[1:]
+        vbar *= 0.5
+        donor = np.where(vbar >= 0.0, rho[:-1], rho[1:])
+        donor *= vbar
+        np.copyto(fv, donor, where=up_fc != 0)
+    G = consts.r_face * fv
+    if faces is not None:
+        G[faces] -= (lf_fc[faces] * consts.r_face[faces]
+                     * (rho[1:][faces] - rho[:-1][faces]))
+    drho = np.empty_like(rho)
+    inner = drho[1:-1]
+    np.subtract(G[1:], G[:-1], out=inner)
+    np.negative(inner, out=inner)
+    inner /= consts.r_dr
+    mom_r0 = (-3.0 * mom[0] + 4.0 * mom[1] - mom[2]) / (2.0 * dr)
+    drho[0] = -2.0 * mom_r0
+    mom_rn = (3.0 * mom[-1] - 4.0 * mom[-2] + mom[-3]) / (2.0 * dr)
+    drho[-1] = -(mom_rn + mom[-1] / r[-1])
+    return drho
 
 
 def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
@@ -81,33 +188,29 @@ def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
     weight and node N contributes O(dr^3) to the mass ledger, so the
     interior telescoping is what conserves mass.
     """
-    mom = rho * vel
-    fv = 0.5 * (mom[:-1] + mom[1:])
-    up = up_fc != 0
-    if np.any(up):
-        vbar = 0.5 * (vel[:-1] + vel[1:])
-        donor = np.where(vbar >= 0.0, rho[:-1], rho[1:]) * vbar
-        fv = np.where(up, donor, fv)
-    r_face = 0.5 * (r[:-1] + r[1:])
-    G = r_face * fv - lf_fc * r_face * (rho[1:] - rho[:-1])
-    drho = np.empty_like(rho)
-    drho[1:-1] = -(G[1:] - G[:-1]) / (r[1:-1] * dr)
-    mom_r0 = (-3.0 * mom[0] + 4.0 * mom[1] - mom[2]) / (2.0 * dr)
-    drho[0] = -2.0 * mom_r0
-    mom_rn = (3.0 * mom[-1] - 4.0 * mom[-2] + mom[-3]) / (2.0 * dr)
-    drho[-1] = -(mom_rn + mom[-1] / r[-1])
-    return drho
+    return _mass_tendency(r, dr, _grid_constants(r, dr), rho, vel, lf_fc,
+                          up_fc, _lf_faces(lf_fc))
+
+
+def _induction_tendency(dr, vel, B, lf_fc, faces):
+    vb = vel * B
+    H = vb[:-1] + vb[1:]
+    H *= 0.5
+    if faces is not None:
+        H[faces] -= lf_fc[faces] * (B[1:][faces] - B[:-1][faces])
+    dB = np.empty_like(B)
+    inner = dB[1:-1]
+    np.subtract(H[1:], H[:-1], out=inner)
+    np.negative(inner, out=inner)
+    inner /= dr
+    dB[0] = 0.0
+    dB[-1] = -(3.0 * vb[-1] - 4.0 * vb[-2] + vb[-3]) / (2.0 * dr)
+    return dB
 
 
 def induction_tendency(dr, vel, B, lf_fc):
     """-(vel B)_r as face-flux differences, one-sided at r=R; B(0) = 0 is exact."""
-    vb = vel * B
-    H = 0.5 * (vb[:-1] + vb[1:]) - lf_fc * (B[1:] - B[:-1])
-    dB = np.empty_like(B)
-    dB[1:-1] = -(H[1:] - H[:-1]) / dr
-    dB[0] = 0.0
-    dB[-1] = -(3.0 * vb[-1] - 4.0 * vb[-2] + vb[-3]) / (2.0 * dr)
-    return dB
+    return _induction_tendency(dr, vel, B, lf_fc, _lf_faces(lf_fc))
 
 
 def _face_flux_diff(flux, flux_in, flux_out, widths):
@@ -120,6 +223,88 @@ def _face_flux_diff(flux, flux_in, flux_out, widths):
     return out
 
 
+def _pressure_diffusion(dP, P, dr, lf_fc, faces):
+    """dP += the band diffusion of P: face fluxes -lf (P[i+1] - P[i]), none
+    through r=0 or r=R, over half-width end cells."""
+    lo, hi = faces.start, faces.stop
+    if lo > 0:
+        # the band stays off both end faces: with the zero-coefficient faces
+        # lo-1 and hi it gives nodes lo..hi their full-length differences
+        flux = -(lf_fc[lo - 1:hi + 1] * (P[lo:hi + 2] - P[lo - 1:hi + 1]))
+        dP[lo:hi + 1] += -(flux[1:] - flux[:-1]) / dr
+        return
+    D = lf_fc * (P[1:] - P[:-1])
+    widths = np.full(len(P), dr)
+    widths[0] = widths[-1] = 0.5 * dr
+    dP += _face_flux_diff(-D, 0.0, 0.0, widths)
+
+
+def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
+              lf_fc, up_fc, swirl=None):
+    """The disk tendency (drho, du, dP, dB); with swirl = (v, w, mu) the
+    cylinder's (drho, du, dv, dw, dP, dB)."""
+    consts = _grid_constants(r, dr)
+    faces = _lf_faces(lf_fc)
+    ur, u_over_r = radial_parts(u, r, dr)
+    Br, B_over_r = radial_parts(B, r, dr)
+    Pr = gradient(P, dr)
+
+    neg_rho = np.negative(rho)
+    neg_rho_u = neg_rho * u
+    du = neg_rho_u * ur
+    du -= Pr
+    if include_visc:
+        du += two_mu_lam * _vector_laplacian(u, dr, consts)
+    Br += B_over_r
+    Br *= B
+    du -= Br
+    du /= rho_star
+    du[0] = 0.0
+    du[-1] = 0.0
+
+    # pressure (with band diffusion where lf_fc is active)
+    dP = np.negative(u)
+    dP *= Pr
+    div = np.add(ur, u_over_r, out=u_over_r)
+    div *= gamma * P
+    dP -= div
+    if faces is not None:
+        _pressure_diffusion(dP, P, dr, lf_fc, faces)
+
+    drho = _mass_tendency(r, dr, consts, rho, u, lf_fc, up_fc, faces)
+    dB = _induction_tendency(dr, u, B, lf_fc, faces)
+    if swirl is None:
+        return drho, du, dP, dB
+
+    v, w, mu = swirl
+    # centrifugal correction on the interior; du stays pinned at both ends
+    centrif = rho[1:-1] * v[1:-1]
+    centrif *= v[1:-1]
+    centrif /= r[1:-1]
+    centrif /= rho_star[1:-1]
+    du[1:-1] += centrif
+
+    vr, v_over_r = radial_parts(v, r, dr)
+    dv = u * vr
+    v_over_r *= u
+    dv += v_over_r
+    dv *= neg_rho
+    if include_visc:
+        dv += mu * _vector_laplacian(v, dr, consts)
+    dv /= rho_star
+    dv[0] = 0.0
+    dv[-1] = 0.0
+
+    dw = gradient(w, dr)
+    dw *= neg_rho_u
+    if include_visc:
+        dw += mu * _axial_laplacian(w, dr, consts)
+    dw /= rho_star
+    dw[-1] = 0.0
+
+    return drho, du, dv, dw, dP, dB
+
+
 def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
                   include_visc, lf_fc, up_fc):
     """Tendency arrays (drho, du, dP, dB) for the 2D radial system.
@@ -130,24 +315,8 @@ def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
         P_t   = -u P_r - gamma P (u_r + u/r)
         B_t   = -(u B)_r                                   (face-flux form)
     """
-    ur, u_over_r = radial_parts(u, r, dr)
-    Br, B_over_r = radial_parts(B, r, dr)
-    Pr = gradient(P, dr)
-    visc = vector_laplacian(u, r, dr) if include_visc else np.zeros_like(u)
-    du = (-rho * u * ur - Pr + two_mu_lam * visc - B * (Br + B_over_r)) / rho_star
-    du[0] = 0.0
-    du[-1] = 0.0
-
-    # pressure (with band diffusion where lf_fc is active)
-    dP = -u * Pr - gamma * P * (ur + u_over_r)
-    if np.any(lf_fc != 0.0):
-        D = lf_fc * (P[1:] - P[:-1])
-        widths = np.full(len(r), dr)
-        widths[0] = widths[-1] = 0.5 * dr
-        dP += _face_flux_diff(-D, 0.0, 0.0, widths)
-
-    return (mass_tendency(r, dr, rho, u, lf_fc, up_fc), du, dP,
-            induction_tendency(dr, u, B, lf_fc))
+    return _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
+                     include_visc, lf_fc, up_fc)
 
 
 def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
@@ -158,26 +327,8 @@ def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
         v_t = [-rho (u v_r + u v / r) + mu (v_r + v/r)_r] / rho*
         w_t = [-rho u w_r + mu (r w_r)_r / r] / rho*
     """
-    drho, du, dP, dB = disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam,
-                                     gamma, include_visc, lf_fc, up_fc)
-    # centrifugal correction: v^2/r -> 0 at the axis since v(0) = 0
-    centrif = np.zeros_like(u)
-    centrif[1:] = rho[1:] * v[1:] * v[1:] / r[1:]
-    du += centrif / rho_star
-    du[0] = 0.0
-    du[-1] = 0.0
-
-    vr, v_over_r = radial_parts(v, r, dr)
-    visc_v = vector_laplacian(v, r, dr) if include_visc else np.zeros_like(v)
-    dv = (-rho * (u * vr + u * v_over_r) + mu * visc_v) / rho_star
-    dv[0] = 0.0
-    dv[-1] = 0.0
-
-    visc_w = axial_laplacian(w, r, dr) if include_visc else np.zeros_like(w)
-    dw = (-rho * u * gradient(w, dr) + mu * visc_w) / rho_star
-    dw[-1] = 0.0
-
-    return drho, du, dv, dw, dP, dB
+    return _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
+                     include_visc, lf_fc, up_fc, swirl=(v, w, mu))
 
 
 def laplacian_rows(r, dr):

@@ -15,7 +15,7 @@ interpolation with the mass/flux remap defect logged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,24 +27,30 @@ from .solver import StepStats, step as fixed_step
 from .vacuum import advance_radius
 
 
-@dataclass
+@dataclass(frozen=True)
 class MovingGrid:
-    """Affinely moving uniform grid: physical node radii are xi * a."""
+    """Affinely moving uniform grid: physical node radii are xi * a.
+
+    Frozen: the `RadialGrid` built with it, and the stencil rows that grid
+    caches, serve every use of this domain.
+    """
 
     n: int
     a: float
     a0: float
+    _grid: RadialGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a <= 0.0:
             raise GeometryCollapse(f"free boundary radius collapsed to a={self.a}")
+        object.__setattr__(self, "_grid", make_grid(self.n, self.a))
 
     @property
     def xi(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n + 1)
 
     def grid(self) -> RadialGrid:
-        return make_grid(self.n, self.a)
+        return self._grid
 
 
 @dataclass

@@ -27,7 +27,7 @@ from .diagnostics import (BoundInputs, DiagnosticsRecord, div_lower_bound,
 from .errors import MHDLabError
 from .freeboundary import FreeStats, MovingGrid, free_step, growth_check
 from .mms import MMSForcing
-from .solver import (StepStats, apply_vacuum_balance, cfl_dt, detect_blowup,
+from .solver import (StepStats, balance_initial_state, cfl_dt, detect_blowup,
                      max_grad_u, step)
 from .vacuum import advance_front, check_vacuum, vacuum_flux
 
@@ -110,8 +110,8 @@ class _RunState:
 
         # initial vacuum block satisfies the quasi-stationary balance so the
         # first record is already in the regime the diagnostics assume
-        apply_vacuum_balance(self.state, self.p, self.grid, self.settings,
-                             self.stats)
+        balance_initial_state(self.state, self.p, self.grid, self.settings,
+                              self.stats)
         self.E0 = total_energy(self.state, self.grid, self.p)
 
         # without a vacuum region there is no trapped flux and no bound

@@ -98,8 +98,9 @@ class _Stage:
     signal speeds on first use. A stage rides on its state
     (`FluidState._stage`) only while no one else writes into the arrays:
     inside a step, where the solver owns every write, and on read-only
-    arrays (a step's output). The solver's own in-place writes to u, v, w
-    (`apply_vacuum_balance`, `implicit_viscous`) call `forget_velocities`;
+    arrays (a step's output, a run's initial state). Every in-place write
+    to u, v, w while a stage rides on the state (`apply_vacuum_balance`,
+    `implicit_viscous`, the re-pinning after it) calls `forget_velocities`;
     rho and P are never written once the stage exists. The methods take the
     state instead of the stage holding it, so a state and its stage form no
     reference cycle and are freed as soon as the state is dropped.
@@ -484,6 +485,36 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
     apply_vacuum_balance(state, p, grid, s, stats)
 
 
+def _finalize_velocities(state: FluidState, p: PhysParams, grid: RadialGrid,
+                         s: SolverSettings, stats: Optional[StepStats] = None,
+                         free_bc=None) -> None:
+    """`finalize_stage` after `implicit_viscous`, which wrote only u, v, w.
+
+    rho and P are as the last finalize left them (clipped, with the stage
+    built from them still on the state), so only the velocities are
+    re-pinned, given the free-boundary condition and re-balanced.
+    """
+    stage = _stage_of(state, p, s)
+    state.pin(wall=free_bc is None)
+    if free_bc is not None:
+        free_bc(state)
+    stage.forget_velocities()
+    apply_vacuum_balance(state, p, grid, s, stats)
+
+
+def balance_initial_state(state: FluidState, p: PhysParams, grid: RadialGrid,
+                          s: SolverSettings,
+                          stats: Optional[StepStats] = None) -> None:
+    """Impose the vacuum balance on a run's initial state and make it read-only.
+
+    The stage built for the balance stays on the state, so the first
+    `cfl_dt` and the first step's rhs share it.
+    """
+    state._stage = _Stage(state, p, s)
+    apply_vacuum_balance(state, p, grid, s, stats)
+    state.freeze()
+
+
 def _ssprk3(state, dt, p, grid, s, stats, forcing, free_bc):
     def L(y):
         return rhs(y, p, grid, s, include_visc=True, forcing=forcing, stats=stats)
@@ -515,7 +546,7 @@ def _inviscid_half(state, h, p, grid, s, stats, forcing, free_bc):
 def _rk2_strang(state, dt, p, grid, s, stats, forcing, free_bc):
     y = _inviscid_half(state, 0.5 * dt, p, grid, s, stats, forcing, free_bc)
     implicit_viscous(y, p, grid, s, dt)
-    finalize_stage(y, p, grid, s, stats, free_bc)
+    _finalize_velocities(y, p, grid, s, stats, free_bc)
     y = _inviscid_half(y, 0.5 * dt, p, grid, s, stats, forcing, free_bc)
     return y
 

@@ -148,15 +148,17 @@ class TestOneCflPerStep:
 
 
 class TestWorkPerStep:
-    """Per-step calls of the finiteness scan and the vacuum-block search, and
-    the forcing's profile builds, counted between the starts of consecutive
-    steps of run() (one step plus its health check)."""
+    """Per-step calls of the finiteness scan, the vacuum-block search and the
+    free grid's builds, and the forcing's profile builds, counted between the
+    starts of consecutive steps of run() (one step plus its health check)."""
 
-    def per_step(self, monkeypatch, cfg):
+    def per_step(self, monkeypatch, cfg, keys=("scan", "block")):
+        import mhdlab.core
+        import mhdlab.freeboundary
         import mhdlab.harness
         import mhdlab.mms
         import mhdlab.solver
-        counts = {"scan": 0, "block": 0, "table": 0}
+        counts = {"scan": 0, "block": 0, "table": 0, "grid": 0, "rows": 0}
         marks = []
 
         def counting(name, fn):
@@ -177,11 +179,17 @@ class TestWorkPerStep:
                             counting("block", mhdlab.solver.vacuum_block))
         monkeypatch.setattr(mhdlab.mms.MMSForcing, "_tabulate",
                             counting("table", mhdlab.mms.MMSForcing._tabulate))
+        monkeypatch.setattr(mhdlab.freeboundary, "make_grid",
+                            counting("grid", mhdlab.freeboundary.make_grid))
+        monkeypatch.setattr(mhdlab.core, "laplacian_rows",
+                            counting("rows", mhdlab.core.laplacian_rows))
         monkeypatch.setattr(mhdlab.harness, "step", marking(mhdlab.harness.step))
+        monkeypatch.setattr(mhdlab.harness, "free_step",
+                            marking(mhdlab.harness.free_step))
         res = run(cfg)
         assert len(marks) > 5
         # from the second step on: each step's work and its health check
-        deltas = {tuple(b[k] - a[k] for k in ("scan", "block"))
+        deltas = {tuple(b[k] - a[k] for k in keys)
                   for a, b in zip(marks[1:], marks[2:])}
         return res, deltas, counts
 
@@ -192,8 +200,16 @@ class TestWorkPerStep:
         assert res.status is RunStatus.COMPLETED
         # scans: the stages after the first inviscid half-step, the implicit
         # solve and the second half-step, and the end state; blocks: the
-        # five finalized stages
-        assert deltas == {(4, 5)}
+        # four stages finalized after an inviscid update (the implicit solve
+        # keeps the density, so its stage keeps the block)
+        assert deltas == {(4, 4)}
+
+    def test_free_blowup_builds_one_grid_per_step(self, monkeypatch):
+        cfg = small("free-blowup", n=64)
+        res, deltas, _ = self.per_step(monkeypatch, cfg, keys=("grid", "rows"))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        # the rescaled grid, and its viscous stencil rows for the next step
+        assert deltas == {(1, 1)}
 
     def test_mms_ssprk3(self, monkeypatch):
         cfg = dataclasses.replace(load_preset("mms"), n=32, t_end=0.05)
@@ -202,6 +218,33 @@ class TestWorkPerStep:
         assert res.status is RunStatus.COMPLETED
         assert deltas == {(3, 3)}
         assert counts["table"] == 1      # one grid, one table
+
+    @pytest.mark.parametrize("preset", ["disk-blowup", "free-blowup",
+                                        "smooth-novac"])
+    def test_one_stage_for_the_initial_state(self, monkeypatch, preset):
+        # the initial balance, the first cfl_dt and the first rhs share it
+        import mhdlab.harness
+        import mhdlab.solver
+        initial, built = [], []
+
+        def init(cfg):
+            state, front = init_scenario(cfg)
+            initial.append(state)
+            return state, front
+
+        class CountedStage(mhdlab.solver._Stage):
+            __slots__ = ()
+
+            def __init__(self, state, p, s):
+                built.append(state)
+                super().__init__(state, p, s)
+
+        init_scenario = mhdlab.harness.init_scenario
+        monkeypatch.setattr(mhdlab.harness, "init_scenario", init)
+        monkeypatch.setattr(mhdlab.solver, "_Stage", CountedStage)
+        res = run(small(preset, n=64, t_end=0.05))
+        assert res.status is RunStatus.COMPLETED
+        assert sum(state is initial[0] for state in built) == 1
 
 
 class TestOutputs:

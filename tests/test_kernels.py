@@ -210,3 +210,241 @@ class TestRadialOperators:
         vol = self.r * self.dr
         total = np.sum(vol[1:-1] * drho[1:-1])
         assert total == pytest.approx(-(G[-1] - G[0]), rel=1e-12, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the straightforward full-length NumPy forms the lean
+# kernels in pure.py must reproduce value for value.
+# ---------------------------------------------------------------------------
+
+def ref_gradient(f, dr):
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dr)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dr)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dr)
+    return out
+
+
+def ref_radial_parts(f, r, dr):
+    f_r = ref_gradient(f, dr)
+    f_r[0] = (4.0 * f[1] - f[2]) / (2.0 * dr)
+    f_over_r = np.empty_like(f)
+    f_over_r[1:] = f[1:] / r[1:]
+    f_over_r[0] = f_r[0]
+    return f_r, f_over_r
+
+
+def ref_vector_laplacian(f, r, dr):
+    out = np.zeros_like(f)
+    out[1:-1] = ((f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dr * dr)
+                 + (f[2:] - f[:-2]) / (2.0 * dr * r[1:-1])
+                 - f[1:-1] / (r[1:-1] * r[1:-1]))
+    return out
+
+
+def ref_axial_laplacian(f, r, dr):
+    out = np.zeros_like(f)
+    out[1:-1] = ((f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dr * dr)
+                 + (f[2:] - f[:-2]) / (2.0 * dr * r[1:-1]))
+    out[0] = 4.0 * (f[1] - f[0]) / (dr * dr)
+    return out
+
+
+def ref_mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
+    mom = rho * vel
+    fv = 0.5 * (mom[:-1] + mom[1:])
+    up = up_fc != 0
+    if np.any(up):
+        vbar = 0.5 * (vel[:-1] + vel[1:])
+        donor = np.where(vbar >= 0.0, rho[:-1], rho[1:]) * vbar
+        fv = np.where(up, donor, fv)
+    r_face = 0.5 * (r[:-1] + r[1:])
+    G = r_face * fv - lf_fc * r_face * (rho[1:] - rho[:-1])
+    drho = np.empty_like(rho)
+    drho[1:-1] = -(G[1:] - G[:-1]) / (r[1:-1] * dr)
+    mom_r0 = (-3.0 * mom[0] + 4.0 * mom[1] - mom[2]) / (2.0 * dr)
+    drho[0] = -2.0 * mom_r0
+    mom_rn = (3.0 * mom[-1] - 4.0 * mom[-2] + mom[-3]) / (2.0 * dr)
+    drho[-1] = -(mom_rn + mom[-1] / r[-1])
+    return drho
+
+
+def ref_induction_tendency(dr, vel, B, lf_fc):
+    vb = vel * B
+    H = 0.5 * (vb[:-1] + vb[1:]) - lf_fc * (B[1:] - B[:-1])
+    dB = np.empty_like(B)
+    dB[1:-1] = -(H[1:] - H[:-1]) / dr
+    dB[0] = 0.0
+    dB[-1] = -(3.0 * vb[-1] - 4.0 * vb[-2] + vb[-3]) / (2.0 * dr)
+    return dB
+
+
+def ref_disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
+                      include_visc, lf_fc, up_fc):
+    ur, u_over_r = ref_radial_parts(u, r, dr)
+    Br, B_over_r = ref_radial_parts(B, r, dr)
+    Pr = ref_gradient(P, dr)
+    visc = ref_vector_laplacian(u, r, dr) if include_visc else np.zeros_like(u)
+    du = (-rho * u * ur - Pr + two_mu_lam * visc - B * (Br + B_over_r)) / rho_star
+    du[0] = 0.0
+    du[-1] = 0.0
+    dP = -u * Pr - gamma * P * (ur + u_over_r)
+    if np.any(lf_fc != 0.0):
+        flux = -(lf_fc * (P[1:] - P[:-1]))
+        widths = np.full(len(r), dr)
+        widths[0] = widths[-1] = 0.5 * dr
+        diff = np.empty(len(r))
+        diff[0] = -(flux[0] - 0.0) / widths[0]
+        diff[1:-1] = -(flux[1:] - flux[:-1]) / widths[1:-1]
+        diff[-1] = -(0.0 - flux[-1]) / widths[-1]
+        dP += diff
+    return (ref_mass_tendency(r, dr, rho, u, lf_fc, up_fc), du, dP,
+            ref_induction_tendency(dr, u, B, lf_fc))
+
+
+def ref_cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
+                          gamma, include_visc, lf_fc, up_fc):
+    drho, du, dP, dB = ref_disk_tendency(r, dr, rho, u, P, B, rho_star,
+                                         two_mu_lam, gamma, include_visc,
+                                         lf_fc, up_fc)
+    centrif = np.zeros_like(u)
+    centrif[1:] = rho[1:] * v[1:] * v[1:] / r[1:]
+    du += centrif / rho_star
+    du[0] = 0.0
+    du[-1] = 0.0
+    vr, v_over_r = ref_radial_parts(v, r, dr)
+    visc_v = ref_vector_laplacian(v, r, dr) if include_visc else np.zeros_like(v)
+    dv = (-rho * (u * vr + u * v_over_r) + mu * visc_v) / rho_star
+    dv[0] = 0.0
+    dv[-1] = 0.0
+    visc_w = ref_axial_laplacian(w, r, dr) if include_visc else np.zeros_like(w)
+    dw = (-rho * u * ref_gradient(w, dr) + mu * visc_w) / rho_star
+    dw[-1] = 0.0
+    return drho, du, dv, dw, dP, dB
+
+
+def run_kernel_inputs(preset, kernel, every=4):
+    """The arguments of every `every`-th tendency call of a preset run at
+    N=64 (the r passed is the grid's read-only nodes)."""
+    import dataclasses
+
+    import mhdlab._kernels as kern
+    from mhdlab.config import load_preset
+    from mhdlab.harness import run
+
+    calls = []
+    real = getattr(kern, kernel)
+
+    def recording(*args):
+        calls.append(tuple(a.copy() if isinstance(a, np.ndarray) and i else a
+                           for i, a in enumerate(args)))
+        return real(*args)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(kern, kernel, recording)
+    try:
+        run(dataclasses.replace(load_preset(preset), n=64))
+    finally:
+        mp.undo()
+    assert len(calls) > 20
+    assert not calls[0][0].flags.writeable
+    return calls[::every]
+
+
+@pytest.fixture(scope="module")
+def disk_inputs():
+    return run_kernel_inputs("disk-blowup", "disk_tendency")
+
+
+@pytest.fixture(scope="module")
+def cylinder_inputs():
+    return run_kernel_inputs("cylinder-blowup", "cylinder_tendency")
+
+
+def lf_variants(lf_fc):
+    """The run's own band, a band on face 0, one on the last face, none."""
+    n = len(lf_fc)
+    ramp = 1e-3 * (1.0 + np.arange(6))
+    first = np.zeros(n)
+    first[:6] = ramp
+    last = np.zeros(n)
+    last[-6:] = ramp
+    return {"run": lf_fc, "face0": first, "last": last, "none": np.zeros(n)}
+
+
+def assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+class TestLeanKernelsMatchReference:
+    """The NumPy kernels against the full-length reference forms, on states
+    of blow-up runs at N=64: every combination of viscous term, vacuum,
+    Lax-Friedrichs band placement and node-array writability."""
+
+    @pytest.mark.parametrize("vacuum", [True, False])
+    @pytest.mark.parametrize("writable_r", [False, True])
+    @pytest.mark.parametrize("include_visc", [True, False])
+    def test_disk_tendency(self, disk_inputs, include_visc, writable_r, vacuum):
+        interior = 0
+        for (r, dr, rho, u, P, B, rho_star, tml, gamma, _, lf,
+             up) in disk_inputs:
+            if writable_r:
+                r = r.copy()
+            if not vacuum:
+                rho, up = rho_star, np.zeros_like(up)
+            interior += bool(lf.any() and lf[0] == 0.0 and lf[-1] == 0.0)
+            for lf_fc in lf_variants(lf).values():
+                args = (r, dr, rho, u, P, B, rho_star, tml, gamma,
+                        include_visc, lf_fc, up)
+                assert_all_equal(pure.disk_tendency(*args),
+                                 ref_disk_tendency(*args))
+                assert np.array_equal(
+                    pure.mass_tendency(r, dr, rho, u, lf_fc, up),
+                    ref_mass_tendency(r, dr, rho, u, lf_fc, up))
+                assert np.array_equal(pure.induction_tendency(dr, u, B, lf_fc),
+                                      ref_induction_tendency(dr, u, B, lf_fc))
+        assert interior == len(disk_inputs)     # the run's band is interior
+
+    @pytest.mark.parametrize("writable_r", [False, True])
+    @pytest.mark.parametrize("include_visc", [True, False])
+    def test_cylinder_tendency(self, cylinder_inputs, include_visc, writable_r):
+        for (r, dr, rho, u, v, w, P, B, rho_star, tml, mu, gamma, _, lf,
+             up) in cylinder_inputs:
+            if writable_r:
+                r = r.copy()
+            for lf_fc in lf_variants(lf).values():
+                args = (r, dr, rho, u, v, w, P, B, rho_star, tml, mu, gamma,
+                        include_visc, lf_fc, up)
+                assert_all_equal(pure.cylinder_tendency(*args),
+                                 ref_cylinder_tendency(*args))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("vac", [False, True])
+    def test_random_fields(self, seed, vac):
+        n = 257
+        r, rho, u, P, B, rho_star, lf, up = random_fields(n, seed, vac)
+        rng = np.random.default_rng(seed + 50)
+        v = rng.standard_normal(n + 1) * 0.2
+        v[0] = v[-1] = 0.0
+        w = rng.standard_normal(n + 1) * 0.2
+        for include_visc in (True, False):
+            for lf_fc in lf_variants(lf).values():
+                args = (r, 1.0 / n, rho, u, P, B, rho_star, 0.7, 1.4,
+                        include_visc, lf_fc, up)
+                assert_all_equal(pure.disk_tendency(*args),
+                                 ref_disk_tendency(*args))
+                args = (r, 1.0 / n, rho, u, v, w, P, B, rho_star, 0.7, 0.3,
+                        1.4, include_visc, lf_fc, up)
+                assert_all_equal(pure.cylinder_tendency(*args),
+                                 ref_cylinder_tendency(*args))
+
+    def test_laplacians(self, disk_inputs):
+        for args in disk_inputs:
+            r, dr, u = args[0], args[1], args[3]
+            for nodes in (r, r.copy()):
+                assert np.array_equal(pure.vector_laplacian(u, nodes, dr),
+                                      ref_vector_laplacian(u, nodes, dr))
+                assert np.array_equal(pure.axial_laplacian(u, nodes, dr),
+                                      ref_axial_laplacian(u, nodes, dr))

@@ -411,6 +411,43 @@ class TestStageContext:
         with pytest.raises(NumericalFailure, match=r"^non-finite P \(node 7\)$"):
             step(st, 1e-3, disk_params(), g, settings(scheme=scheme))
 
+    @pytest.mark.parametrize("strategy", list(VacuumStrategy))
+    def test_reused_stages_match_fresh_ones_on_the_free_path(self, monkeypatch,
+                                                            strategy):
+        # free_bc writes u[-1] into the state the implicit solve left, whose
+        # stage stays on it: every rhs must find that stage current. Under
+        # density-floor no vacuum balance runs after that write; the floor
+        # density's fast vacuum flow needs a short run and a loose threshold.
+        import dataclasses
+
+        import mhdlab.solver
+        from mhdlab.config import load_preset
+        from mhdlab.harness import RunStatus, run
+        calls, reused = [], []
+
+        def checked(state, p, grid, s, **kw):
+            calls.append(state.t)
+            stage = state._stage
+            if stage is not None and stage.serves(state, p, s):
+                fresh = mhdlab.solver._Stage(state, p, s)
+                assert stage.m == fresh.m
+                np.testing.assert_array_equal(stage.rho_star, fresh.rho_star)
+                np.testing.assert_array_equal(stage.speeds(state),
+                                              fresh.speeds(state))
+                reused.append(state.t)
+            return rhs_disk(state, p, grid, s, **kw)
+
+        rhs_disk = mhdlab.solver.rhs_disk
+        monkeypatch.setattr(mhdlab.solver, "rhs_disk", checked)
+        cfg = load_preset("free-blowup")
+        cfg = dataclasses.replace(cfg, n=64)
+        if strategy is VacuumStrategy.DENSITY_FLOOR:
+            cfg = dataclasses.replace(cfg, t_end=2.5e-5, solver=dataclasses.replace(
+                cfg.solver, vacuum_strategy=strategy, blowup_gradu_max=1e9))
+        res = run(cfg)
+        assert res.status in (RunStatus.BLOWUP_DETECTED, RunStatus.COMPLETED)
+        assert len(calls) > 20 and reused == calls
+
 
 class TestVacuumBalance:
     def make_vacuum_state(self, n=512):
