@@ -1,8 +1,8 @@
 """Build script: compiles the optional Cython kernel extension.
 
 The package is fully functional without the extension (a NumPy fallback is
-selected at import time), so a missing compiler or Cython must not break the
-install. Any failure here downgrades to a pure-Python build with a warning.
+selected at import time), so without Cython or NumPy the build says so and
+installs pure Python. With Cython present a failed compile fails the build.
 """
 
 import sys
@@ -37,11 +37,4 @@ def _extensions():
     )
 
 
-try:
-    setup(ext_modules=_extensions())
-except SystemExit:
-    raise
-except Exception as exc:  # compiler missing, etc.
-    print(f"mhdlab: extension build failed ({exc}); retrying pure-Python",
-          file=sys.stderr)
-    setup(ext_modules=[])
+setup(ext_modules=_extensions())

@@ -80,10 +80,10 @@ def _lf_faces(lf_fc):
     return slice(lo, hi)
 
 
-def _gradient_from_r0(f, dr):
+def _gradient_from_r0(f, dr, out=None):
     """f_r central in the interior and one-sided at r=R; the axis is the
     caller's."""
-    out = np.empty_like(f)
+    out = np.empty_like(f) if out is None else out
     inner = out[1:-1]
     np.subtract(f[2:], f[:-2], out=inner)
     inner /= 2.0 * dr
@@ -91,9 +91,9 @@ def _gradient_from_r0(f, dr):
     return out
 
 
-def gradient(f, dr):
+def gradient(f, dr, out=None):
     """Second-order derivative: central interior, one-sided at both ends."""
-    out = _gradient_from_r0(f, dr)
+    out = _gradient_from_r0(f, dr, out)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dr)
     return out
 
@@ -155,7 +155,7 @@ def axial_laplacian(f, r, dr):
     return _axial_laplacian(f, dr, _grid_constants(r, dr))
 
 
-def _mass_tendency(r, dr, consts, rho, vel, lf_fc, up_fc, faces):
+def _mass_tendency(r, dr, consts, rho, vel, lf_fc, up_fc, faces, out=None):
     mom = rho * vel
     fv = mom[:-1] + mom[1:]
     fv *= 0.5
@@ -169,7 +169,7 @@ def _mass_tendency(r, dr, consts, rho, vel, lf_fc, up_fc, faces):
     if faces is not None:
         G[faces] -= (lf_fc[faces] * consts.r_face[faces]
                      * (rho[1:][faces] - rho[:-1][faces]))
-    drho = np.empty_like(rho)
+    drho = np.empty_like(rho) if out is None else out
     inner = drho[1:-1]
     np.subtract(G[1:], G[:-1], out=inner)
     np.negative(inner, out=inner)
@@ -192,13 +192,13 @@ def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
                           up_fc, _lf_faces(lf_fc))
 
 
-def _induction_tendency(dr, vel, B, lf_fc, faces):
+def _induction_tendency(dr, vel, B, lf_fc, faces, out=None):
     vb = vel * B
     H = vb[:-1] + vb[1:]
     H *= 0.5
     if faces is not None:
         H[faces] -= lf_fc[faces] * (B[1:][faces] - B[:-1][faces])
-    dB = np.empty_like(B)
+    dB = np.empty_like(B) if out is None else out
     inner = dB[1:-1]
     np.subtract(H[1:], H[:-1], out=inner)
     np.negative(inner, out=inner)
@@ -241,8 +241,10 @@ def _pressure_diffusion(dP, P, dr, lf_fc, faces):
 
 def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
               lf_fc, up_fc, swirl=None):
-    """The disk tendency (drho, du, dP, dB); with swirl = (v, w, mu) the
-    cylinder's (drho, du, dv, dw, dP, dB)."""
+    """The disk tendency as rows (drho, du, dP, dB) of one array; with
+    swirl = (v, w, mu) the cylinder's (drho, du, dv, dw, dP, dB)."""
+    out = np.empty((4 if swirl is None else 6, len(r)))
+    drho, du, dP, dB = out[0], out[1], out[-2], out[-1]
     consts = _grid_constants(r, dr)
     faces = _lf_faces(lf_fc)
     ur, u_over_r = radial_parts(u, r, dr)
@@ -251,7 +253,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
 
     neg_rho = np.negative(rho)
     neg_rho_u = neg_rho * u
-    du = neg_rho_u * ur
+    np.multiply(neg_rho_u, ur, out=du)
     du -= Pr
     if include_visc:
         du += two_mu_lam * _vector_laplacian(u, dr, consts)
@@ -263,7 +265,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     du[-1] = 0.0
 
     # pressure (with band diffusion where lf_fc is active)
-    dP = np.negative(u)
+    np.negative(u, out=dP)
     dP *= Pr
     div = np.add(ur, u_over_r, out=u_over_r)
     div *= gamma * P
@@ -271,10 +273,10 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     if faces is not None:
         _pressure_diffusion(dP, P, dr, lf_fc, faces)
 
-    drho = _mass_tendency(r, dr, consts, rho, u, lf_fc, up_fc, faces)
-    dB = _induction_tendency(dr, u, B, lf_fc, faces)
+    _mass_tendency(r, dr, consts, rho, u, lf_fc, up_fc, faces, out=drho)
+    _induction_tendency(dr, u, B, lf_fc, faces, out=dB)
     if swirl is None:
-        return drho, du, dP, dB
+        return out
 
     v, w, mu = swirl
     # centrifugal correction on the interior; du stays pinned at both ends
@@ -285,7 +287,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     du[1:-1] += centrif
 
     vr, v_over_r = radial_parts(v, r, dr)
-    dv = u * vr
+    dv = np.multiply(u, vr, out=out[2])
     v_over_r *= u
     dv += v_over_r
     dv *= neg_rho
@@ -295,19 +297,18 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     dv[0] = 0.0
     dv[-1] = 0.0
 
-    dw = gradient(w, dr)
+    dw = gradient(w, dr, out=out[3])
     dw *= neg_rho_u
     if include_visc:
         dw += mu * _axial_laplacian(w, dr, consts)
     dw /= rho_star
     dw[-1] = 0.0
-
-    return drho, du, dv, dw, dP, dB
+    return out
 
 
 def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
                   include_visc, lf_fc, up_fc):
-    """Tendency arrays (drho, du, dP, dB) for the 2D radial system.
+    """Tendency rows (drho, du, dP, dB) of the 2D radial system, one array.
 
         rho_t = -(rho u)_r - rho u / r                     (face-flux form)
         u_t   = [-rho u u_r - P_r + (2mu+lam)(u_r + u/r)_r

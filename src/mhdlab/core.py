@@ -168,66 +168,87 @@ class PhysParams:
         return 2.0 * self.mu + self.lam
 
 
-@dataclass
-class FluidState:
-    """Nodal fields of the radial system at time t.
+def stacked_row(i: int, swirl: bool = False) -> property:
+    """Property for row i of a stacked array `self.y`. A swirl row (v, w) is
+    None unless y has the cylinder's six rows. Assigning a row gives the
+    holder a new y, so nothing derived from the old array is taken for it."""
 
-    v and w (swirl and axial velocity) exist only for the 3D cylinder.
+    def get(self):
+        return None if swirl and len(self.y) < 6 else self.y[i]
+
+    def put(self, value):
+        if swirl and len(self.y) < 6:
+            raise ValueError("only a cylinder state has v and w rows")
+        self.y = self.y.copy()
+        self.y[i] = value
+
+    return property(get, put)
+
+
+_FIELDS = {4: ("rho", "u", "P", "B"), 6: ("rho", "u", "v", "w", "P", "B")}
+_AXIS_ROWS = {4: np.array([1, 3]), 6: np.array([1, 2, 5])}     # u, (v,) B
+
+
+class FluidState:
+    """Nodal fields of the radial system at time t, stacked in one array.
+
+    y has shape (F, N+1) with rows (rho, u, P, B) on the disk and
+    (rho, u, v, w, P, B) on the cylinder (the kernels' order), so the
+    velocities are always y[1:-2]. Each field name is a view of its row;
+    v and w (swirl and axial velocity) are None on the disk. The keyword
+    constructor copies its fields; `of` wraps an array as it is.
     Invariants: rho >= 0, P >= 0 everywhere; u[0] = B[0] = 0 (center
     regularity, plus v[0] = 0 in 3D); u[N] = 0 for fixed-boundary geometries
     (and v[N] = w[N] = 0 in 3D).
     """
 
-    rho: np.ndarray
-    u: np.ndarray
-    P: np.ndarray
-    B: np.ndarray
-    t: float = 0.0
-    v: Optional[np.ndarray] = None
-    w: Optional[np.ndarray] = None
-    # what the solver derived from these arrays (solver._Stage); solver-private
-    _stage: Optional[object] = field(default=None, init=False, repr=False,
-                                     compare=False)
+    __slots__ = ("y", "t", "_stage")
+
+    def __init__(self, rho, u, P, B, t: float = 0.0, v=None, w=None):
+        if (v is None) != (w is None):
+            raise ConfigError("cylinder state needs v and w fields")
+        rows = (rho, u, P, B) if v is None else (rho, u, v, w, P, B)
+        self.y = np.array(rows, dtype=float)
+        self.t = t
+        # what the solver derived from y (solver._Stage); solver-private
+        self._stage = None
+
+    @classmethod
+    def of(cls, y: np.ndarray, t: float) -> "FluidState":
+        """The state holding y itself (no copy) at time t."""
+        state = cls.__new__(cls)
+        state.y, state.t, state._stage = y, t, None
+        return state
+
+    rho = stacked_row(0)
+    u = stacked_row(1)
+    v = stacked_row(2, swirl=True)
+    w = stacked_row(3, swirl=True)
+    P = stacked_row(-2)
+    B = stacked_row(-1)
 
     def copy(self) -> "FluidState":
-        return self.map(lambda _, f: f.copy(), self.t)
-
-    def map(self, fn, t: float) -> "FluidState":
-        """State at time t holding fn(name, array) for every present field."""
-        return FluidState(t=t, **{name: fn(name, arr) for name, arr in self.fields()})
+        return FluidState.of(self.y.copy(), self.t)
 
     def pin(self, wall: bool) -> None:
         """Zero u, B (and v) at the axis; with a wall also u (and v, w) at r=R."""
-        self.u[0] = 0.0
-        self.B[0] = 0.0
-        if self.v is not None:
-            self.v[0] = 0.0
+        self.y[:, 0][_AXIS_ROWS[len(self.y)]] = 0.0
         if wall:
-            self.u[-1] = 0.0
-            if self.v is not None:
-                self.v[-1] = 0.0
-                self.w[-1] = 0.0
+            self.y[1:-2, -1] = 0.0
 
     def freeze(self) -> None:
-        """Make every field array read-only."""
-        for _, arr in self.fields():
-            arr.flags.writeable = False
+        """Make every field read-only."""
+        self.y.flags.writeable = False
 
     @property
     def read_only(self) -> bool:
-        """True when no field array can be written in place: each is
-        read-only and owns its memory (so is no view of a writable one)."""
-        return all(not arr.flags.writeable and arr.flags.owndata
-                   for _, arr in self.fields())
+        """True when no field can be written in place: y is read-only and
+        owns its memory (so is no view of a writable array)."""
+        return not self.y.flags.writeable and self.y.flags.owndata
 
     def fields(self):
-        """(name, array) pairs for the fields present."""
-        out = [("rho", self.rho), ("u", self.u), ("P", self.P), ("B", self.B)]
-        if self.v is not None:
-            out.append(("v", self.v))
-        if self.w is not None:
-            out.append(("w", self.w))
-        return out
+        """(name, row) pairs in row order."""
+        return list(zip(_FIELDS[len(self.y)], self.y))
 
     def validate(self, geometry: Geometry, atol: float = 0.0) -> None:
         for name, arr in self.fields():
@@ -240,14 +261,14 @@ class FluidState:
         if self.u[0] != 0.0 or self.B[0] != 0.0:
             raise ConfigError("center regularity u(0)=B(0)=0 violated")
         if geometry.has_swirl:
-            if self.v is None or self.w is None:
+            if self.v is None:
                 raise ConfigError("cylinder state needs v and w fields")
             if self.v[0] != 0.0:
                 raise ConfigError("center regularity v(0)=0 violated")
             if not geometry.is_free and (self.v[-1] != 0.0 or self.w[-1] != 0.0):
                 raise ConfigError("Dirichlet end v(R)=w(R)=0 violated")
         else:
-            if self.v is not None or self.w is not None:
+            if self.v is not None:
                 raise ConfigError("v/w fields are only valid for cylinder geometry")
         if not geometry.is_free and self.u[-1] != 0.0:
             raise ConfigError("Dirichlet end u(R)=0 violated")
@@ -443,11 +464,9 @@ def init_scenario(cfg: ScenarioConfig):
         prof = cfg.profiles.get(name)
         return np.zeros_like(r) if prof is None else prof(r).astype(float)
 
+    swirl = dict(v=sample("v"), w=sample("w")) if cfg.geometry.has_swirl else {}
     state = FluidState(rho=sample("rho"), u=sample("u"), P=sample("p"), B=sample("b"),
-                       t=0.0)
-    if cfg.geometry.has_swirl:
-        state.v = sample("v")
-        state.w = sample("w")
+                       t=0.0, **swirl)
 
     # center regularity and Dirichlet ends are enforced exactly
     state.pin(wall=not cfg.geometry.is_free)

@@ -40,9 +40,7 @@ def divergence(state: FluidState, grid: RadialGrid) -> np.ndarray:
 
 def total_energy(state: FluidState, grid: RadialGrid, p: PhysParams) -> float:
     """Kinetic + internal + magnetic energy, r-weighted, angular factor dropped."""
-    kin = state.u * state.u
-    if state.v is not None:
-        kin = kin + state.v * state.v + state.w * state.w
+    kin = np.square(state.y[1:-2]).sum(axis=0)     # |velocity|^2
     dens = 0.5 * state.rho * kin + state.P / (p.gamma - 1.0) + 0.5 * state.B * state.B
     return integrate(dens, grid, Weight.RADIAL_R)
 

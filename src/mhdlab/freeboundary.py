@@ -89,10 +89,9 @@ def enforce_boundary_stress(state: FluidState, grid: RadialGrid,
     u[-1] = (target + (4.0 * u[-2] - u[-3]) / (2.0 * dr)) / coeff
 
 
-def advance_domain(mgrid: MovingGrid, state: FluidState, dt: float) -> MovingGrid:
-    """Advance a by the midpoint rule on the boundary velocity of the frozen field."""
-    grid = mgrid.grid()
-    a_new = advance_radius(state.u, grid, mgrid.a, dt)
+def advance_domain(mgrid: MovingGrid, u: np.ndarray, dt: float) -> MovingGrid:
+    """Advance a by the midpoint rule on the boundary velocity of the frozen field u."""
+    a_new = advance_radius(u, mgrid.grid(), mgrid.a, dt)
     if a_new <= 0.0:
         raise GeometryCollapse(f"free boundary radius collapsed to a={a_new}")
     return MovingGrid(n=mgrid.n, a=a_new, a0=mgrid.a0)
@@ -110,7 +109,8 @@ def remap_state(state: FluidState, mgrid_old: MovingGrid, mgrid_new: MovingGrid,
     r_new = mgrid_new.xi * mgrid_new.a
     grid_old = mgrid_old.grid()
     grid_new = mgrid_new.grid()
-    out = state.map(lambda _, f: np.interp(r_new, r_old, f), state.t)
+    out = FluidState.of(np.array([np.interp(r_new, r_old, f) for f in state.y]),
+                        state.t)
     out.pin(wall=False)
     if stats is not None:
         # defect of the interpolation itself, measured on the overlap domain
@@ -144,9 +144,7 @@ def free_step(state: FluidState, dt: float, p: PhysParams, mgrid: MovingGrid,
                                                 abs(residual) / scale)
 
     new_state = fixed_step(state, dt, p, grid, s, stats=stats, free_bc=free_bc)
-    u_mid = FluidState(rho=new_state.rho, u=0.5 * (state.u + new_state.u),
-                       P=new_state.P, B=new_state.B, t=state.t)
-    mgrid_new = advance_domain(mgrid, u_mid, dt)
+    mgrid_new = advance_domain(mgrid, 0.5 * (state.u + new_state.u), dt)
     new_state = remap_state(new_state, mgrid, mgrid_new, stats)
     enforce_boundary_stress(new_state, mgrid_new.grid(), p)
     new_state.freeze()       # read-only like a fixed step's output

@@ -264,7 +264,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
                 dt_cfl = cfl_dt(rs.state, rs.grid, rs.p, rs.settings)
             dt = min(dt_cfl, t_end - rs.state.t)
             last_dt = dt
-            u_before = rs.state.u.copy()
+            u_before = rs.state.u       # a step never writes its input
             if rs.free:
                 rs.state, rs.mgrid = free_step(rs.state, dt, rs.p, rs.mgrid,
                                                rs.settings, rs.stats)
@@ -273,10 +273,8 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
                 rs.state = step(rs.state, dt, rs.p, rs.grid, rs.settings,
                                 stats=rs.stats, forcing=rs.forcing)
             if rs.front is not None:
-                u_mid = 0.5 * (u_before + rs.state.u)
-                shim = FluidState(rho=rs.state.rho, u=u_mid, P=rs.state.P,
-                                  B=rs.state.B, t=rs.state.t)
-                rs.front = advance_front(rs.front, shim, rs.grid, dt)
+                rs.front = advance_front(rs.front, 0.5 * (u_before + rs.state.u),
+                                         rs.grid, dt)
                 if rs.free and rs.front.R > rs.mgrid.a:
                     rs.invalid_reason = (f"vacuum front R={rs.front.R:.6g} "
                                          f"overtook the boundary a={rs.mgrid.a:.6g}")

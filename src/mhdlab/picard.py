@@ -71,12 +71,12 @@ def _linear_tendency(y: FluidState, V: np.ndarray, p: PhysParams,
     du = (-y.rho * V * ur - Pr + p.two_mu_lam * kern.vector_laplacian(y.u, r, dr)
           - y.B * (Br + Bor)) / rho_star
     du[0] = du[-1] = 0.0
-    return Tendency(
-        drho=kern.mass_tendency(r, dr, y.rho, V, no_band, no_band),
-        du=du,
-        dP=-V * Pr - p.gamma * y.P * (Vr + Vor),
-        dB=kern.induction_tendency(dr, V, y.B, no_band),
-    )
+    return Tendency(np.array([
+        kern.mass_tendency(r, dr, y.rho, V, no_band, no_band),
+        du,
+        -V * Pr - p.gamma * y.P * (Vr + Vor),
+        kern.induction_tendency(dr, V, y.B, no_band),
+    ]))
 
 
 def _sweep(state0: FluidState, v_traj, dt: float, n_steps: int, p: PhysParams,
@@ -102,7 +102,7 @@ def _sweep(state0: FluidState, v_traj, dt: float, n_steps: int, p: PhysParams,
         y2.pin(wall=True)
         y = blend(y, 1.0 / 3.0, stage(y2, v_mid), 2.0 / 3.0, y.t + dt)
         y.pin(wall=True)
-        if not all(np.all(np.isfinite(arr)) for _, arr in y.fields()):
+        if not np.isfinite(y.y).all():
             traj.extend(y.copy() for _ in range(n_steps - k))
             return traj, False
         traj.append(y.copy())

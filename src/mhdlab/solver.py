@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
-                   VacuumStrategy, Weight, integrate)
+                   VacuumStrategy, Weight, integrate, stacked_row)
 from .errors import DtCollapse, NumericalFailure
 
 _FOURIER_SWITCH = 1e3      # trapezoidal -> backward Euler switch per row
@@ -47,14 +47,20 @@ _DT_EPS = 1e-300
 _LF_BAND = 16              # faces outside the vacuum edge that get LF dissipation
 
 
-@dataclass
 class Tendency:
-    drho: np.ndarray
-    du: np.ndarray
-    dP: np.ndarray
-    dB: np.ndarray
-    dv: Optional[np.ndarray] = None
-    dw: Optional[np.ndarray] = None
+    """Rates of a state's fields: y has the state's shape and row order."""
+
+    __slots__ = ("y",)
+
+    def __init__(self, y: np.ndarray):
+        self.y = y
+
+    drho = stacked_row(0)
+    du = stacked_row(1)
+    dv = stacked_row(2, swirl=True)
+    dw = stacked_row(3, swirl=True)
+    dP = stacked_row(-2)
+    dB = stacked_row(-1)
 
 
 @dataclass
@@ -80,8 +86,11 @@ def _check_finite(state: FluidState):
     """Raise NumericalFailure at the first non-finite node of the first field
     holding one. A NaN or +-inf entry always makes a field's sum non-finite,
     so only a field whose sum is non-finite gets the element scan (which an
-    all-finite field whose sum overflows then passes)."""
+    all-finite field whose sum overflows then passes), and no field does when
+    the sum of all of them is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(state.y.sum()):
+            return
         for name, arr in state.fields():
             if not math.isfinite(arr.sum()):
                 bad = ~np.isfinite(arr)
@@ -96,9 +105,10 @@ class _Stage:
     rho* = max(rho, eps_vac), the vacuum mask rho < eps_vac and the vacuum
     block's last node m are built at once; the finiteness scan and the
     signal speeds on first use. A stage rides on its state
-    (`FluidState._stage`) only while no one else writes into the arrays:
-    inside a step, where the solver owns every write, and on read-only
-    arrays (a step's output, a run's initial state). Every in-place write
+    (`FluidState._stage`) only while no one else writes into its array y:
+    inside a step, where the solver owns every write, and on a read-only y
+    (a step's output, a run's initial state); assigning a field gives the
+    state a new y, which the stage does not serve. Every in-place write
     to u, v, w while a stage rides on the state (`apply_vacuum_balance`,
     `implicit_viscous`, the re-pinning after it) calls `forget_velocities`;
     rho and P are never written once the stage exists. The methods take the
@@ -106,23 +116,21 @@ class _Stage:
     reference cycle and are freed as soon as the state is dropped.
     """
 
-    __slots__ = ("p", "s", "arrays", "rho_star", "vac", "m", "_scanned",
+    __slots__ = ("p", "s", "y", "rho_star", "vac", "m", "_scanned",
                  "_failure", "_speeds")
 
     def __init__(self, state: FluidState, p: PhysParams, s: SolverSettings):
         self.p = p
         self.s = s
-        self.arrays = (state.rho, state.u, state.P, state.B, state.v, state.w)
-        self.rho_star = np.maximum(state.rho, s.eps_vac)
-        self.vac = state.rho < s.eps_vac
-        self.m = vacuum_block(state.rho, s.eps_vac)
+        self.y = state.y
+        rho = state.rho
+        self.rho_star = np.maximum(rho, s.eps_vac)
+        self.vac = rho < s.eps_vac
+        self.m = vacuum_block(rho, s.eps_vac)
         self.forget_velocities()
 
     def serves(self, state: FluidState, p: PhysParams, s: SolverSettings) -> bool:
-        a = self.arrays
-        return (a[0] is state.rho and a[1] is state.u and a[2] is state.P
-                and a[3] is state.B and a[4] is state.v and a[5] is state.w
-                and self.s == s and self.p == p)
+        return self.y is state.y and self.s == s and self.p == p
 
     def forget_velocities(self) -> None:
         """Drop what an in-place write to u (v, w) makes stale."""
@@ -146,9 +154,10 @@ class _Stage:
         if self._speeds is None:
             cs = np.sqrt(self.p.gamma * state.P / self.rho_star)
             ca = np.sqrt(state.B * state.B / self.rho_star)
-            speeds = np.abs(state.u) + cs + ca
+            abs_u = np.abs(state.u)
+            speeds = abs_u + cs + ca
             if self.s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-                speeds = np.where(self.vac, np.abs(state.u), speeds)
+                speeds = np.where(self.vac, abs_u, speeds)
             self._speeds = speeds
         return self._speeds
 
@@ -214,15 +223,10 @@ def _rhs_epilogue(tend: Tendency, state: FluidState, grid: RadialGrid,
     m = stage.m
     if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE and m >= 0:
         # quasi-stationary: the velocities are set by the balance
-        for d in (tend.du, tend.dv, tend.dw):
-            if d is not None:
-                d[:m + 1] = 0.0
+        tend.y[1:-2, :m + 1] = 0.0
     if forcing is not None:
         f = forcing(grid.nodes, state.t)
-        tend.drho += f[0]
-        tend.du += f[1] / stage.rho_star
-        tend.dP += f[2]
-        tend.dB += f[3]
+        tend.y += (f[0], f[1] / stage.rho_star, f[2], f[3])
         tend.du[0] = tend.du[-1] = 0.0
     return tend
 
@@ -232,11 +236,10 @@ def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettin
              stats: Optional[StepStats] = None) -> Tendency:
     """Tendency of the 2D radial system (see module docstring for the scheme)."""
     stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
-    drho, du, dP, dB = kern.disk_tendency(
-        grid.nodes, grid.dr, state.rho, state.u, state.P, state.B, stage.rho_star,
-        p.two_mu_lam, p.gamma, include_visc, lf_fc, up_fc)
-    return _rhs_epilogue(Tendency(drho=drho, du=du, dP=dP, dB=dB), state, grid,
-                         s, stage, forcing)
+    rates = kern.disk_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
+                               p.two_mu_lam, p.gamma, include_visc, lf_fc, up_fc)
+    return _rhs_epilogue(Tendency(np.asarray(rates)), state, grid, s, stage,
+                         forcing)
 
 
 def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
@@ -244,12 +247,11 @@ def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
                  stats: Optional[StepStats] = None) -> Tendency:
     """Tendency of the cylindrically symmetric system (adds swirl and axial flow)."""
     stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
-    drho, du, dv, dw, dP, dB = kern.cylinder_tendency(
-        grid.nodes, grid.dr, state.rho, state.u, state.v, state.w, state.P,
-        state.B, stage.rho_star, p.two_mu_lam, p.mu, p.gamma, include_visc,
-        lf_fc, up_fc)
-    return _rhs_epilogue(Tendency(drho=drho, du=du, dP=dP, dB=dB, dv=dv, dw=dw),
-                         state, grid, s, stage, forcing)
+    rates = kern.cylinder_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
+                                   p.two_mu_lam, p.mu, p.gamma, include_visc,
+                                   lf_fc, up_fc)
+    return _rhs_epilogue(Tendency(np.asarray(rates)), state, grid, s, stage,
+                         forcing)
 
 
 def rhs(state, p, grid, s, **kw) -> Tendency:
@@ -447,14 +449,13 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
 # ---------------------------------------------------------------------------
 
 def apply_tendency(state: FluidState, tend: Tendency, dt: float) -> FluidState:
-    """state + dt * tend, field by field, at time t + dt."""
-    return state.map(lambda name, f: f + dt * getattr(tend, "d" + name),
-                     state.t + dt)
+    """state + dt * tend at time t + dt."""
+    return FluidState.of(state.y + dt * tend.y, state.t + dt)
 
 
 def blend(a: FluidState, wa: float, b: FluidState, wb: float, t: float) -> FluidState:
-    """wa * a + wb * b, field by field, at time t (an SSP stage combination)."""
-    return a.map(lambda name, f: wa * f + wb * getattr(b, name), t)
+    """wa * a + wb * b at time t (an SSP stage combination)."""
+    return FluidState.of(wa * a.y + wb * b.y, t)
 
 
 def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
@@ -466,18 +467,19 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
     follow; after this only the solver writes into the state's arrays.
     """
     state.pin(wall=free_bc is None)
-    neg = state.rho < 0.0
+    rho, P = state.rho, state.P
+    neg = rho < 0.0
     if neg.any():
         if stats is not None:
-            stats.clipped_mass += -integrate(np.minimum(state.rho, 0.0), grid,
+            stats.clipped_mass += -integrate(np.minimum(rho, 0.0), grid,
                                              Weight.RADIAL_R)
-        state.rho[neg] = 0.0
-    neg = state.P < 0.0
+        rho[neg] = 0.0
+    neg = P < 0.0
     if neg.any():
         if stats is not None:
-            stats.clipped_pressure += -integrate(np.minimum(state.P, 0.0), grid,
+            stats.clipped_pressure += -integrate(np.minimum(P, 0.0), grid,
                                                  Weight.RADIAL_R)
-        state.P[neg] = 0.0
+        P[neg] = 0.0
     if free_bc is not None:
         free_bc(state)
     # the balance reads the block and writes only velocities

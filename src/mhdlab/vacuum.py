@@ -37,12 +37,12 @@ def interp_velocity(u: np.ndarray, grid: RadialGrid, radius: float) -> float:
     return float(u[k] + frac * (u[k + 1] - u[k]))
 
 
-def advance_front(front: VacuumFront, state: FluidState, grid: RadialGrid,
+def advance_front(front: VacuumFront, u: np.ndarray, grid: RadialGrid,
                   dt: float) -> VacuumFront:
-    """One midpoint (RK2) step of R' = u(R) on the state's frozen velocity field."""
+    """One midpoint (RK2) step of R' = u(R) on the frozen velocity field u."""
     if dt <= 0.0:
         raise TrackingError(f"front step needs dt > 0, got {dt}")
-    r_new = advance_radius(state.u, grid, front.R, dt)
+    r_new = advance_radius(u, grid, front.R, dt)
     if not (0.0 < r_new <= grid.r_outer):
         raise TrackingError(
             f"front left the domain: R={r_new:.6g} not in (0, {grid.r_outer}]")

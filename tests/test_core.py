@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhdlab import (ConfigError, Geometry, PhysParams, Profile, ScenarioConfig,
-                    Weight, init_scenario, integrate, integrate_to, make_grid)
+from mhdlab import (ConfigError, FluidState, Geometry, PhysParams, Profile,
+                    ScenarioConfig, Weight, init_scenario, integrate, integrate_to,
+                    make_grid)
 
 
 def disk_params(mu=1.0, lam=0.0, gamma=1.4):
@@ -239,3 +240,107 @@ class TestPhysParams:
         with pytest.raises(ConfigError):
             PhysParams(mu=1.0, lam=-0.7, gamma=1.4, geometry=Geometry.CYLINDER3D)
         PhysParams(mu=1.0, lam=-0.6, gamma=1.4, geometry=Geometry.CYLINDER3D)
+
+
+DISK_ROWS = ("rho", "u", "P", "B")
+CYLINDER_ROWS = ("rho", "u", "v", "w", "P", "B")
+
+
+def random_fields(names, n1=17, seed=3):
+    rng = np.random.default_rng(seed)
+    return {name: rng.standard_normal(n1) for name in names}
+
+
+def pin_per_field(fields, wall):
+    """The per-field pin the stacked one replaces, as the oracle."""
+    fields["u"][0] = 0.0
+    fields["B"][0] = 0.0
+    if "v" in fields:
+        fields["v"][0] = 0.0
+    if wall:
+        fields["u"][-1] = 0.0
+        if "v" in fields:
+            fields["v"][-1] = 0.0
+            fields["w"][-1] = 0.0
+
+
+class TestStackedState:
+    """Every field of a FluidState is a row of one (F, N+1) array."""
+
+    @pytest.mark.parametrize("names", [DISK_ROWS, CYLINDER_ROWS])
+    def test_fields_are_rows_in_kernel_order(self, names):
+        fields = random_fields(names)
+        state = FluidState(**fields)
+        assert state.y.shape == (len(names), 17)
+        assert [name for name, _ in state.fields()] == list(names)
+        for i, name in enumerate(names):
+            row = getattr(state, name)
+            assert row.base is state.y
+            assert np.array_equal(row, fields[name])
+            state.y[i, 4] = 100.0 + i
+            assert row[4] == 100.0 + i
+        assert np.array_equal(state.y[1:-2, 4], 101.0 + np.arange(len(names) - 3))
+        if names is DISK_ROWS:
+            assert state.v is None and state.w is None
+
+    @pytest.mark.parametrize("names", [DISK_ROWS, CYLINDER_ROWS])
+    def test_keyword_constructor_copies(self, names):
+        fields = random_fields(names)
+        state = FluidState(**fields)
+        for arr in fields.values():
+            arr[:] = np.nan
+        assert np.isfinite(state.y).all()
+
+    def test_of_wraps_without_copy(self):
+        y = np.zeros((6, 9))
+        state = FluidState.of(y, 0.5)
+        assert state.y is y and state.t == 0.5
+        assert state.w.base is y
+
+    def test_v_without_w_is_rejected(self):
+        fields = random_fields(DISK_ROWS)
+        with pytest.raises(ConfigError):
+            FluidState(v=np.zeros(17), **fields)
+
+    @pytest.mark.parametrize("names", [DISK_ROWS, CYLINDER_ROWS])
+    def test_freeze_makes_every_field_read_only(self, names):
+        state = FluidState(**random_fields(names))
+        assert not state.read_only
+        state.freeze()
+        assert state.read_only
+        for name, arr in state.fields():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[2] = 1.0
+        assert state.copy().y.flags.writeable
+
+    def test_view_of_a_writable_array_is_not_read_only(self):
+        base = np.zeros((4, 9))
+        state = FluidState.of(base[:, :], 0.0)
+        state.freeze()
+        assert not state.read_only
+
+    @pytest.mark.parametrize("wall", [True, False])
+    @pytest.mark.parametrize("names", [DISK_ROWS, CYLINDER_ROWS])
+    def test_pin_matches_per_field_pin(self, names, wall):
+        fields = random_fields(names, seed=11)
+        state = FluidState(**fields)
+        pin_per_field(fields, wall)
+        state.pin(wall)
+        for name, arr in state.fields():
+            assert np.array_equal(arr, fields[name]), name
+
+    def test_assigning_a_field_gives_a_new_array(self):
+        state = FluidState(**random_fields(CYLINDER_ROWS))
+        state.freeze()
+        old = state.y
+        state.w = np.ones(17)
+        assert state.y is not old and state.y.flags.writeable
+        assert np.array_equal(state.w, np.ones(17))
+        assert np.array_equal(state.y[:3], old[:3])
+        assert np.array_equal(state.y[4:], old[4:])
+
+    def test_disk_state_has_no_swirl_row_to_assign(self):
+        state = FluidState(**random_fields(DISK_ROWS))
+        with pytest.raises(ValueError):
+            state.v = np.zeros(17)

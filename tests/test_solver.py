@@ -11,7 +11,8 @@ from mhdlab import (DtCollapse, FluidState, Geometry, NumericalFailure,
                     VacuumStrategy, Weight, cfl_dt, detect_blowup, integrate,
                     make_grid, rhs_cylinder, rhs_disk, step)
 from mhdlab.diagnostics import divergence
-from mhdlab.solver import _check_finite, apply_vacuum_balance, vacuum_block
+from mhdlab.solver import (Tendency, _check_finite, apply_tendency,
+                           apply_vacuum_balance, blend, vacuum_block)
 from mhdlab.vacuum import VacuumFront
 
 
@@ -582,3 +583,52 @@ class TestConservation:
             dt = cfl_dt(st, g, p, s)
             st = step(st, dt, p, g, s)
         assert st.u[0] == 0.0 and st.B[0] == 0.0 and st.u[-1] == 0.0
+
+
+def random_state(geometry, n1=33, seed=7):
+    """A state with random fields of the geometry and its parameters."""
+    rng = np.random.default_rng(seed)
+    fields = {"rho": 1.0 + rng.uniform(size=n1), "u": 0.1 * rng.standard_normal(n1),
+              "P": 1.0 + rng.uniform(size=n1), "B": 0.1 * rng.standard_normal(n1)}
+    if geometry is Geometry.CYLINDER3D:
+        fields["v"] = 0.1 * rng.standard_normal(n1)
+        fields["w"] = 0.1 * rng.standard_normal(n1)
+        return FluidState(t=0.25, **fields), cyl_params()
+    return FluidState(t=0.25, **fields), disk_params()
+
+
+class TestStackedContract:
+    """Stage algebra on the stacked array equals the per-field formulas."""
+
+    @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
+    def test_rhs_returns_stacked_rates(self, geometry):
+        st, p = random_state(geometry)
+        st.pin(wall=True)
+        g = make_grid(32, 1.0)
+        tend = (rhs_cylinder if geometry.has_swirl else rhs_disk)(st, p, g, settings())
+        assert tend.y.shape == st.y.shape
+        for name, arr in st.fields():
+            rate = getattr(tend, "d" + name)
+            assert rate.base is tend.y and rate.shape == arr.shape
+        if not geometry.has_swirl:
+            assert tend.dv is None and tend.dw is None
+
+    @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
+    def test_apply_tendency_matches_per_field_sum(self, geometry):
+        st, _ = random_state(geometry)
+        rates, _ = random_state(geometry, seed=8)
+        dt = 0.0123
+        out = apply_tendency(st, Tendency(rates.y), dt)
+        assert out.t == st.t + dt
+        for (name, arr), (_, rate) in zip(st.fields(), rates.fields()):
+            assert np.array_equal(getattr(out, name), arr + dt * rate), name
+
+    @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
+    def test_blend_matches_per_field_combination(self, geometry):
+        a, _ = random_state(geometry)
+        b, _ = random_state(geometry, seed=9)
+        out = blend(a, 0.75, b, 0.25, 0.5)
+        assert out.t == 0.5
+        for name, arr in a.fields():
+            assert np.array_equal(getattr(out, name),
+                                  0.75 * arr + 0.25 * getattr(b, name)), name

@@ -22,7 +22,7 @@ class TestAdvanceFront:
         g = make_grid(64, 1.0)
         st = state_with_u(g, np.zeros(65))
         front = VacuumFront(R=0.5, r0=0.5, C0=1.0)
-        out = advance_front(front, st, g, 0.1)
+        out = advance_front(front, st.u, g, 0.1)
         assert out.R == 0.5
 
     def test_constant_velocity_exact(self):
@@ -30,7 +30,7 @@ class TestAdvanceFront:
         st = state_with_u(g, np.full(65, 0.3))
         front = VacuumFront(R=0.2, r0=0.2, C0=1.0)
         for _ in range(10):
-            front = advance_front(front, st, g, 0.05)
+            front = advance_front(front, st.u, g, 0.05)
         assert front.R == pytest.approx(0.2 + 0.3 * 0.5, rel=1e-14)
 
     def test_exponential_growth_order(self):
@@ -44,7 +44,7 @@ class TestAdvanceFront:
             front = VacuumFront(R=r0, r0=r0, C0=1.0)
             dt = t_end / n_steps
             for _ in range(n_steps):
-                front = advance_front(front, st, g, dt)
+                front = advance_front(front, st.u, g, dt)
             return front.R
 
         exact = r0 * math.exp(k * t_end)
@@ -57,7 +57,7 @@ class TestAdvanceFront:
         st = state_with_u(g, np.full(33, 5.0))
         front = VacuumFront(R=0.9, r0=0.9, C0=1.0)
         with pytest.raises(TrackingError):
-            advance_front(front, st, g, 1.0)
+            advance_front(front, st.u, g, 1.0)
 
     def test_interp_velocity_linear(self):
         g = make_grid(10, 1.0)
@@ -74,7 +74,7 @@ class TestAdvanceFront:
             u[0] = 0.0
             st = state_with_u(g, u)
             front = VacuumFront(R=rng.uniform(0.1, 0.8), r0=0.5, C0=1.0)
-            out = advance_front(front, st, g, 1e-3)
+            out = advance_front(front, st.u, g, 1e-3)
             assert out.R >= front.R
 
 
