@@ -5,7 +5,8 @@ the NumPy fallback is used otherwise. MHDLAB_KERNELS=pure|cython forces a
 backend (forcing "cython" raises if the extension was not built). The radial
 operators every module builds its derivatives from (the axis-pinned
 (f_r, f/r) pair, the vector and axial Laplacians, the face-flux mass and
-induction tendencies) have one home, `pure.py`, under either backend.
+induction tendencies) and the factored tridiagonal solve over LAPACK have one
+home, `pure.py`, under either backend.
 """
 
 import os
@@ -43,6 +44,7 @@ vector_laplacian = _pure.vector_laplacian
 axial_laplacian = _pure.axial_laplacian
 mass_tendency = _pure.mass_tendency
 induction_tendency = _pure.induction_tendency
+tridiag_solve = _pure.tridiag_solve
 
 
 def get_backend(name):

@@ -30,8 +30,11 @@ from scipy.linalg import get_lapack_funcs
 BACKEND_NAME = "pure"
 
 # the LAPACK routine scipy.linalg.solve_banded((1, 1), ...) calls for a
-# tridiagonal system, fetched once instead of through its per-call validation
-_gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+# tridiagonal system, fetched once instead of through its per-call validation,
+# and its factor/solve split: gttrf followed by gttrs runs gtsv's elimination,
+# pivot test and back substitution, so the results are the same bits
+_gtsv, _gttrf, _gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"),
+                                         (np.empty(0),))
 
 
 class _GridConstants:
@@ -357,6 +360,20 @@ def laplacian_rows(r, dr):
     return sub, sup, swirl, axial
 
 
+def _require_finite(*arrays):
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _raise_pivot(info, routine):
+    if info > 0:
+        raise ZeroDivisionError(
+            f"singular tridiagonal system: zero pivot at row {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
 def thomas(sub, diag, sup, rhs):
     """Solve the tridiagonal system; sub/sup have length n-1.
 
@@ -365,15 +382,40 @@ def thomas(sub, diag, sup, rhs):
     input, as solve_banded does, and ZeroDivisionError on singular systems
     (same contract as the compiled twin's elimination loop).
     """
-    for a in (sub, diag, sup, rhs):
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+    _require_finite(sub, diag, sup, rhs)
     if len(diag) <= 1:
         return rhs / diag
     _, _, _, x, info = _gtsv(sub, diag, sup, rhs)
-    if info > 0:
-        raise ZeroDivisionError(
-            f"singular tridiagonal system: zero pivot at row {info}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    _raise_pivot(info, "gtsv")
+    return x
+
+
+def tridiag_factor(sub, diag, sup):
+    """Factors of a tridiagonal matrix for `tridiag_solve`; sub/sup have
+    length n-1.
+
+    Checks the rows once: ValueError on a non-finite entry and
+    ZeroDivisionError on a zero pivot, as `thomas` raises them. LAPACK
+    gttrf takes n >= 3; a smaller system keeps its checked rows, which
+    `tridiag_solve` hands to `thomas` (so its pivot is tested there).
+    """
+    _require_finite(sub, diag, sup)
+    if len(diag) < 3:
+        return sub, diag, sup
+    *factors, info = _gttrf(sub, diag, sup)
+    _raise_pivot(info, "gttrf")
+    for a in factors:
+        a.flags.writeable = False
+    return tuple(factors)
+
+
+def tridiag_solve(factors, rhs):
+    """Solve the system `tridiag_factor` factored for one right-hand side,
+    with the bits `thomas` gives; only rhs is checked (ValueError when it is
+    not finite)."""
+    if len(factors) == 3:
+        return thomas(*factors, rhs)
+    _require_finite(rhs)
+    x, info = _gttrs(*factors, rhs)
+    _raise_pivot(info, "gttrs")
     return x

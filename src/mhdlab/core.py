@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels.pure import laplacian_rows
+from ._kernels.pure import laplacian_rows, tridiag_factor
 from .errors import ConfigError
 
 
@@ -58,7 +58,8 @@ class RadialGrid:
     """Uniform nodes 0 = r_0 < ... < r_N = R_outer with trapezoid weights.
 
     The arrays are read-only, so what is derived from them and cached on the
-    grid (the viscous stencil rows) stays valid for the grid's lifetime.
+    grid (the viscous stencil rows, the vacuum-balance factors, the face
+    controls of a state without vacuum) stays valid for the grid's lifetime.
     """
 
     nodes: np.ndarray
@@ -81,6 +82,28 @@ class RadialGrid:
         See `_kernels.pure.laplacian_rows`; built on first use, once per grid.
         """
         return tuple(_read_only(a) for a in laplacian_rows(self.nodes, self.dr))
+
+    def balance_factors(self, edge: int):
+        """`tridiag_factor` of the vacuum balance closed at node edge: rows
+        1..edge-1 of the swirl operator in `lap_rows`, with the Dirichlet
+        value at edge left to the right-hand side. Built once per edge."""
+        hit = self._balance_factors.get(edge)
+        if hit is None:
+            sub, sup, swirl, _ = self.lap_rows
+            hit = tridiag_factor(sub[2:edge], swirl[1:edge], sup[1:edge - 1])
+            self._balance_factors[edge] = hit
+        return hit
+
+    @cached_property
+    def _balance_factors(self) -> dict:
+        return {}
+
+    @cached_property
+    def quiet_faces(self):
+        """Face controls of a state without vacuum nodes, read-only: no
+        Lax-Friedrichs coefficient and no donor-cell flag on any face."""
+        n = self.n_cells
+        return _read_only(np.zeros(n)), _read_only(np.zeros(n, dtype=np.uint8))
 
 
 MIN_CELLS = 2     # width of the one-sided end stencils

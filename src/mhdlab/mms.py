@@ -26,7 +26,8 @@ MMS_AMPLITUDE = 0.1
 
 
 class MMSForcing:
-    """Callable returning (f_rho, f_u, f_P, f_B) forcing arrays at (r, t).
+    """Callable returning the forcing rows (f_rho, f_u, f_P, f_B) at (r, t) as
+    one fresh (4, N+1) array.
 
     f_u is the momentum-equation residual (the ``rho du/dt`` form); the solver
     divides it by rho* alongside the other momentum terms.
@@ -42,8 +43,9 @@ class MMSForcing:
         f_P   = e (gamma D - c) + e^2 (gamma c D - k s q)
         f_B   = -e q            + e^2 2 q u'
 
-    The coefficient profiles are tabulated once per node array, so a call
-    only evaluates the polynomials.
+    The coefficient profiles are tabulated once per node array as three
+    stacked (4, N+1) tables T1, T2, T3 (T3 is zero outside the u row), so a
+    call evaluates ((e T3 + T2) e + T1) e in five array operations.
     """
 
     def __init__(self, p: PhysParams, r_outer: float, amp: float = MMS_AMPLITUDE):
@@ -69,8 +71,8 @@ class MMSForcing:
         return state
 
     def _tabulate(self, r):
-        """The coefficient profiles of the class docstring on nodes r, as
-        ((a1, a2), (b1, b2, b3), (c1, c2), (d1, d2)) for rho, u, P, B."""
+        """The coefficient profiles of the class docstring on nodes r, as the
+        tables (T1, T2, T3) of the powers e, e^2, e^3 with rows rho, u, P, B."""
         R = self.r_outer
         k = np.pi / R
         c, s = np.cos(k * r), np.sin(k * r)
@@ -80,10 +82,12 @@ class MMSForcing:
         D = du + s / R
         ksq = k * s * q
         b1 = -q - k * s - self.p.two_mu_lam * k * (3.0 * c - k * s * r) / R
-        return ((D - c, c * D - ksq),
-                (b1, q * (du + D - c), c * q * du),
-                (gamma * D - c, gamma * c * D - ksq),
-                (-q, 2.0 * q * du))
+        T1 = np.array((D - c, b1, gamma * D - c, -q))
+        T2 = np.array((c * D - ksq, q * (du + D - c), gamma * c * D - ksq,
+                       2.0 * q * du))
+        T3 = np.zeros_like(T1)
+        T3[1] = c * q * du
+        return T1, T2, T3
 
     def __call__(self, r: np.ndarray, t: float):
         # only e changes between the calls of a run on one grid; node arrays
@@ -91,10 +95,14 @@ class MMSForcing:
         if r is not self._table_r:
             self._table = self._tabulate(r)
             self._table_r = r
-        (a1, a2), (b1, b2, b3), (c1, c2), (d1, d2) = self._table
+        T1, T2, T3 = self._table
         e = self.amp * math.exp(-t)
-        return (e * (a1 + e * a2), e * (b1 + e * (b2 + e * b3)),
-                e * (c1 + e * c2), e * (d1 + e * d2))
+        f = T3 * e
+        f += T2
+        f *= e
+        f += T1
+        f *= e
+        return f
 
 
 def mms_initial_state(grid: RadialGrid, geometry: Geometry) -> FluidState:

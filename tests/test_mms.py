@@ -56,6 +56,25 @@ def closed_form_forcing(f, r, t):
     return f_rho, f_u, f_P, f_B
 
 
+def per_row_forcing(f, r, t):
+    """The polynomials of the class docstring evaluated row by row, in the
+    order of the per-row form: e (a1 + e a2), e (b1 + e (b2 + e b3))."""
+    R = f.r_outer
+    k = np.pi / R
+    c, s = np.cos(k * r), np.sin(k * r)
+    gamma = f.p.gamma
+    q = s * r / R
+    du = (k * c * r + s) / R
+    D = du + s / R
+    ksq = k * s * q
+    b1 = -q - k * s - f.p.two_mu_lam * k * (3.0 * c - k * s * r) / R
+    e = f.amp * math.exp(-t)
+    return np.array((e * ((D - c) + e * (c * D - ksq)),
+                     e * (b1 + e * (q * (du + D - c) + e * (c * q * du))),
+                     e * ((gamma * D - c) + e * (gamma * c * D - ksq)),
+                     e * (-q + e * (2.0 * q * du))))
+
+
 class TestForcing:
     def test_forcing_matches_finite_differences(self):
         # residual of the exact fields in the PDE, measured with independent
@@ -138,6 +157,28 @@ class TestForcing:
         g = make_grid(n, 1.3)
         for got, ref in zip(f(g.nodes, t), closed_form_forcing(f, g.nodes, t)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_returns_a_fresh_stacked_array(self):
+        f = MMSForcing(params(), 1.0)
+        g = make_grid(32, 1.0)
+        first = f(g.nodes, 0.2)
+        assert isinstance(first, np.ndarray) and first.shape == (4, 33)
+        kept = first.copy()
+        second = f(g.nodes, 0.7)       # a later call leaves the first alone
+        np.testing.assert_array_equal(first, kept)
+        second[:] = np.nan             # as the solver divides row 1 in place
+        np.testing.assert_array_equal(f(g.nodes, 0.7),
+                                      MMSForcing(params(), 1.0)(g.nodes, 0.7))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("t", [0.0, 0.013, 0.2, 1.7])
+    def test_stacked_matches_per_row_polynomials(self, n, t):
+        p = PhysParams(mu=0.05, lam=0.02, gamma=1.4, geometry=Geometry.DISK2D)
+        f = MMSForcing(p, 1.3)
+        g = make_grid(n, 1.3)
+        got = f(g.nodes, t)
+        assert got.shape == (4, n + 1)
+        assert np.array_equal(got, per_row_forcing(f, g.nodes, t))
 
     def test_cylinder_rejected(self):
         with pytest.raises(Exception):

@@ -11,7 +11,7 @@ from mhdlab import (DtCollapse, FluidState, Geometry, NumericalFailure,
                     VacuumStrategy, Weight, cfl_dt, detect_blowup, integrate,
                     make_grid, rhs_cylinder, rhs_disk, step)
 from mhdlab.diagnostics import divergence
-from mhdlab.solver import (Tendency, _check_finite, apply_tendency,
+from mhdlab.solver import (StepStats, Tendency, _check_finite, apply_tendency,
                            apply_vacuum_balance, blend, vacuum_block)
 from mhdlab.vacuum import VacuumFront
 
@@ -534,6 +534,67 @@ def blowup_initial_state(n=64):
     cfg = dataclasses.replace(load_preset("disk-blowup"), n=n)
     st, _ = init_scenario(cfg)
     return st, cfg.grid(), cfg.phys, cfg.solver
+
+
+class TestBalanceFactors:
+    """The balance matrix depends on the grid and the block edge only."""
+
+    def test_one_factorization_per_grid_and_edge(self, monkeypatch):
+        import dataclasses
+
+        import mhdlab.core
+        import mhdlab.solver
+        from mhdlab.config import load_preset
+        from mhdlab.harness import RunStatus, run
+        factored, keys, balances = [], set(), []
+
+        def counting_factor(*rows):
+            factored.append(len(rows[1]))
+            return factor(*rows)
+
+        def counting_balance(state, p, grid, s, stats=None):
+            m = balance(state, p, grid, s, stats)
+            if m >= 1:
+                balances.append(m)
+                keys.add((id(grid), min(m + 1, grid.n_cells)))
+            return m
+
+        factor = mhdlab.core.tridiag_factor
+        balance = mhdlab.solver.apply_vacuum_balance
+        monkeypatch.setattr(mhdlab.core, "tridiag_factor", counting_factor)
+        monkeypatch.setattr(mhdlab.solver, "apply_vacuum_balance",
+                            counting_balance)
+        res = run(dataclasses.replace(load_preset("disk-blowup"), n=64))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        assert len(balances) > 100
+        assert len(factored) == len(keys) >= 1
+
+
+class TestFaceControls:
+    def controls(self, rho):
+        from mhdlab.solver import _face_controls, _stage_of
+        g = make_grid(32, 1.0)
+        st = disk_state(g, rho=rho, P=np.ones(33))
+        stats = StepStats(lf_coeff=7.0)
+        p, s = disk_params(), settings()
+        return g, stats, _face_controls(st, g, _stage_of(st, p, s), stats)
+
+    def test_vacuum_free_stage_gets_the_grids_zeros(self):
+        g, stats, (lf_fc, up_fc) = self.controls(np.ones(33))
+        assert lf_fc is g.quiet_faces[0] and up_fc is g.quiet_faces[1]
+        for arr in (lf_fc, up_fc):
+            assert not arr.flags.writeable and not arr.any()
+        assert lf_fc.shape == up_fc.shape == (32,) and up_fc.dtype == np.uint8
+        assert stats.lf_coeff == 7.0
+
+    def test_vacuum_stage_gets_new_arrays(self):
+        rho = np.ones(33)
+        rho[:6] = 0.0
+        g, stats, (lf_fc, up_fc) = self.controls(rho)
+        for arr, quiet in zip((lf_fc, up_fc), g.quiet_faces):
+            assert arr is not quiet and arr.flags.writeable
+        assert up_fc[:6].all() and not up_fc[6:].any()
+        assert stats.lf_coeff > 0.0 and lf_fc[6] == stats.lf_coeff
 
 
 class TestNonFiniteSolves:
