@@ -22,19 +22,27 @@ those as the reference); only an exact zero the full forms would get by
 adding +0.0 may keep its negative sign.
 """
 
+import functools
 import weakref
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 BACKEND_NAME = "pure"
 
-# the LAPACK routine scipy.linalg.solve_banded((1, 1), ...) calls for a
-# tridiagonal system, fetched once instead of through its per-call validation,
-# and its factor/solve split: gttrf followed by gttrs runs gtsv's elimination,
-# pivot test and back substitution, so the results are the same bits
-_gtsv, _gttrf, _gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"),
-                                         (np.empty(0),))
+
+@functools.cache
+def _lapack():
+    """(gtsv, gttrf, gttrs): the LAPACK routine scipy.linalg.solve_banded((1, 1),
+    ...) calls for a tridiagonal system, without its per-call validation, and
+    its factor/solve split (gttrf followed by gttrs runs gtsv's elimination,
+    pivot test and back substitution, so the results are the same bits).
+
+    Fetched on the first tridiagonal solve, so a run that never solves one
+    (the MMS ladder, `mhdlab bounds`, an explicit run without vacuum) never
+    imports SciPy.
+    """
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (np.empty(0),))
 
 
 class _GridConstants:
@@ -378,14 +386,16 @@ def thomas(sub, diag, sup, rhs):
     """Solve the tridiagonal system; sub/sup have length n-1.
 
     Calls LAPACK gtsv directly, the routine (and so the result) of
-    scipy.linalg.solve_banded((1, 1), ...). Raises ValueError on non-finite
-    input, as solve_banded does, and ZeroDivisionError on singular systems
-    (same contract as the compiled twin's elimination loop).
+    scipy.linalg.solve_banded((1, 1), ...); SciPy is imported on the first
+    call that reaches it. Raises ValueError on non-finite input, as
+    solve_banded does, and ZeroDivisionError on singular systems (same
+    contract as the compiled twin's elimination loop).
     """
     _require_finite(sub, diag, sup, rhs)
     if len(diag) <= 1:
         return rhs / diag
-    _, _, _, x, info = _gtsv(sub, diag, sup, rhs)
+    gtsv, _, _ = _lapack()
+    _, _, _, x, info = gtsv(sub, diag, sup, rhs)
     _raise_pivot(info, "gtsv")
     return x
 
@@ -402,7 +412,8 @@ def tridiag_factor(sub, diag, sup):
     _require_finite(sub, diag, sup)
     if len(diag) < 3:
         return sub, diag, sup
-    *factors, info = _gttrf(sub, diag, sup)
+    _, gttrf, _ = _lapack()
+    *factors, info = gttrf(sub, diag, sup)
     _raise_pivot(info, "gttrf")
     for a in factors:
         a.flags.writeable = False
@@ -416,6 +427,7 @@ def tridiag_solve(factors, rhs):
     if len(factors) == 3:
         return thomas(*factors, rhs)
     _require_finite(rhs)
-    x, info = _gttrs(*factors, rhs)
+    _, _, gttrs = _lapack()
+    x, info = gttrs(*factors, rhs)
     _raise_pivot(info, "gttrs")
     return x

@@ -78,11 +78,25 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _grid_sizes(text: str) -> list:
+    """The distinct integer grid sizes of a comma-separated --n list."""
+    sizes = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            n = int(tok)
+        except ValueError:
+            raise MHDLabError(f"--n: {tok!r} is not an integer grid size") from None
+        if n in sizes:
+            raise MHDLabError(f"--n: grid size {n} is listed twice")
+        sizes.append(n)
+    if not sizes:
+        raise MHDLabError("--n needs a comma-separated list of grid sizes")
+    return sizes
+
+
 def _cmd_mms(args) -> int:
     cfg = _load_config(args)
-    n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
-    if not n_list:
-        raise MHDLabError("--n needs a comma-separated list of grid sizes")
+    n_list = _grid_sizes(args.n)
     rows = convergence_study(cfg, n_list)
     print(format_convergence_table(rows))
     return 0

@@ -385,34 +385,38 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
     swirl=True is the vector operator (f_r + f/r)_r, swirl=False the axial
     one (r f_r)_r / r. lo=0 includes the r=0 node with the symmetric axial
     operator (used for w, which has no center pin): L w(0) = 4 (w1 - w0)/dr^2.
+    The node hi+1 must exist; it holds the outer Dirichlet value.
     """
     if hi < lo:
         return
     dr = grid.dr
-    idx = np.arange(lo, hi + 1)
+    rows = slice(lo, hi + 1)
     sub, sup, swirl_diag, axial_diag = grid.lap_rows
-    diag = (swirl_diag if swirl else axial_diag)[lo:hi + 1]
-    sub, sup = sub[lo:hi + 1], sup[lo:hi + 1]
-    nu_i = nu[idx]
+    diag = (swirl_diag if swirl else axial_diag)[rows]
+    sub, sup = sub[rows], sup[rows]
+    nu_i = nu[rows]
     fo = dt * nu_i / (dr * dr)
     theta = _theta_rows(fo)
 
-    # explicit part (1-theta) * dt * nu * L f_old
-    fl = f[np.maximum(idx - 1, 0)]
-    fc = f[idx]
-    fr = f[np.minimum(idx + 1, len(f) - 1)]
-    lf = sub * fl + diag * fc + sup * fr
-    if lo == 0:
-        lf[0] = diag[0] * f[0] + sup[0] * f[1]
+    # explicit part (1-theta) * dt * nu * L f_old; the axis row has no left
+    # neighbour
+    fc = f[rows]
+    lf = diag * fc
+    if lo > 0:
+        lf += sub * f[lo - 1:hi]
+    else:
+        lf[1:] += sub[1:] * f[:hi]
+    lf += sup * f[lo + 1:hi + 2]
     rhs_vec = fc + dt * (1.0 - theta) * nu_i * lf
 
-    a = -dt * theta * nu_i * sub
-    b = 1.0 - dt * theta * nu_i * diag
-    c = -dt * theta * nu_i * sup
+    w = dt * theta * nu_i
+    a = -(w * sub)
+    b = 1.0 - w * diag
+    c = -(w * sup)
     # Dirichlet neighbours folded into the right-hand side
     if lo > 0:
         rhs_vec[0] -= a[0] * f[lo - 1]
-    rhs_vec[-1] -= c[-1] * f[hi + 1] if hi + 1 < len(f) else 0.0
+    rhs_vec[-1] -= c[-1] * f[hi + 1]
     try:
         sol = kern.thomas(a[1:], b, c[:-1], rhs_vec)
     except ZeroDivisionError as exc:
@@ -421,7 +425,7 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
         raise NumericalFailure(f"non-finite viscous system: {exc}") from None
     if not np.all(np.isfinite(sol)):
         raise NumericalFailure("non-finite viscous solution")
-    f[idx] = sol
+    f[rows] = sol
 
 
 def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,

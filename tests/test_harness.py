@@ -317,6 +317,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "err(rho)" in out and "p(rho)" in out
 
+    @pytest.mark.parametrize("sizes, reason", [
+        ("16,abc", "'abc' is not an integer grid size"),
+        ("2.5", "'2.5' is not an integer grid size"),
+        ("16,16", "grid size 16 is listed twice"),
+    ])
+    def test_mms_bad_size_list_is_an_error(self, sizes, reason, capsys):
+        code = cli_main(["mms", "--preset", "mms", "--n", sizes])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == f"error: --n: {reason}\n"
+        assert out == ""
+
     def test_bad_usage(self, capsys):
         assert cli_main(["run"]) == 1
         assert cli_main(["bounds", "--preset", "smooth-novac"]) == 1  # no vacuum

@@ -615,6 +615,63 @@ class TestNonFiniteSolves:
             implicit_viscous(st, p, g, s, 1e-4)
 
 
+def _reference_implicit_component(f, nu, grid, dt, lo, hi, swirl):
+    """The index-array form of `solver._implicit_component`, kept as the
+    reference its sliced form must match bit for bit."""
+    from mhdlab import _kernels as kern
+    from mhdlab.solver import _theta_rows
+    dr = grid.dr
+    idx = np.arange(lo, hi + 1)
+    sub, sup, swirl_diag, axial_diag = grid.lap_rows
+    diag = (swirl_diag if swirl else axial_diag)[lo:hi + 1]
+    sub, sup = sub[lo:hi + 1], sup[lo:hi + 1]
+    nu_i = nu[idx]
+    fo = dt * nu_i / (dr * dr)
+    theta = _theta_rows(fo)
+    fl = f[np.maximum(idx - 1, 0)]
+    fc = f[idx]
+    fr = f[np.minimum(idx + 1, len(f) - 1)]
+    lf = sub * fl + diag * fc + sup * fr
+    if lo == 0:
+        lf[0] = diag[0] * f[0] + sup[0] * f[1]
+    rhs_vec = fc + dt * (1.0 - theta) * nu_i * lf
+    a = -dt * theta * nu_i * sub
+    b = 1.0 - dt * theta * nu_i * diag
+    c = -dt * theta * nu_i * sup
+    if lo > 0:
+        rhs_vec[0] -= a[0] * f[lo - 1]
+    rhs_vec[-1] -= c[-1] * f[hi + 1] if hi + 1 < len(f) else 0.0
+    f[idx] = kern.thomas(a[1:], b, c[:-1], rhs_vec)
+
+
+class TestImplicitComponent:
+    """The sliced viscous solve gives the index-array form's bits."""
+
+    N, M = 64, 20
+
+    @pytest.mark.parametrize("lo, swirl", [
+        (1, True),        # the swirl operator pinned at the axis
+        (0, False),       # the axial operator through the axis row
+        (M + 1, True),    # the fluid nodes past a vacuum block
+        (M + 1, False),
+    ])
+    def test_matches_index_form(self, lo, swirl):
+        from mhdlab.solver import _FOURIER_SWITCH, _implicit_component
+        g = make_grid(self.N, 1.0)
+        r = g.nodes
+        f0 = np.sin(3.0 * r) * np.exp(-r) + 0.1 * np.cos(17.0 * r)
+        f0[0] = 0.0 if lo else 0.3
+        nu = np.logspace(-1.0, 3.5, self.N + 1)
+        dt = 1e-3
+        fo = dt * nu[lo:self.N] / (g.dr * g.dr)
+        assert fo.min() <= _FOURIER_SWITCH < fo.max()   # both theta rows
+        got, want = f0.copy(), f0.copy()
+        _implicit_component(got, nu, g, dt, lo, self.N - 1, swirl)
+        _reference_implicit_component(want, nu, g, dt, lo, self.N - 1, swirl)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() != f0.tobytes()
+
+
 class TestConservation:
     def test_mass_conserved_smooth_run(self):
         # interior flux differences telescope; only the two boundary point
