@@ -13,8 +13,7 @@ from .diagnostics import (BoundInputs, DiagnosticsRecord, cauchy_schwarz_gap,
                           moment_pair, optimize_alpha, total_energy)
 from .errors import (ConfigError, DtCollapse, GeometryCollapse, MHDLabError,
                      NumericalFailure, TrackingError)
-from .freeboundary import (MovingGrid, advance_domain, boundary_stress_residual,
-                           growth_check)
+from .freeboundary import advance_domain, boundary_stress_residual, growth_check
 from .harness import RunOutcome, RunResult, RunStatus, convergence_study, run
 from .picard import picard_iterate
 from .solver import (Tendency, cfl_dt, detect_blowup, rhs_cylinder, rhs_disk,
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "BoundInputs", "ConfigError", "DiagnosticsRecord", "DtCollapse",
-    "FluidState", "Geometry", "GeometryCollapse", "MHDLabError", "MovingGrid",
+    "FluidState", "Geometry", "GeometryCollapse", "MHDLabError",
     "NumericalFailure", "PhysParams", "Profile", "RadialGrid", "RunOutcome",
     "RunResult", "RunStatus", "ScenarioConfig", "Scheme", "SolverSettings",
     "Tendency", "TrackingError", "VacuumFront", "VacuumStrategy", "Weight",

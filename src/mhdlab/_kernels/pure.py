@@ -4,7 +4,7 @@ This is the fallback backend; `_core.pyx` holds the compiled twin. Both
 evaluate the same expressions in the same order so results agree to within a
 few ulps, and every physics test passes under either backend.
 
-Shared conventions (uniform node grid r[0..N], dr = spacing):
+Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
 
 * central first derivatives in the interior, second-order one-sided at the
   ends; fields pinned to zero at r=0 use (4 f[1] - f[2]) / (2 dr) there
@@ -80,15 +80,11 @@ def _grid_constants(r, dr):
 
 def _lf_faces(lf_fc):
     """The faces the Lax-Friedrichs products run over: None without a
-    coefficient, the band's own faces while it stays off both end faces,
-    every face otherwise."""
+    coefficient, else the band's first to last nonzero face."""
     nz = (lf_fc != 0.0).nonzero()[0]
     if nz.size == 0:
         return None
-    lo, hi = int(nz[0]), int(nz[-1]) + 1
-    if lo == 0 or hi == len(lf_fc):
-        return slice(0, len(lf_fc))
-    return slice(lo, hi)
+    return slice(int(nz[0]), int(nz[-1]) + 1)
 
 
 def _gradient_from_r0(f, dr, out=None):
@@ -224,30 +220,19 @@ def induction_tendency(dr, vel, B, lf_fc):
     return _induction_tendency(dr, vel, B, lf_fc, _lf_faces(lf_fc))
 
 
-def _face_flux_diff(flux, flux_in, flux_out, widths):
-    """-(F_{i+1/2} - F_{i-1/2}) / width_i for node-centered control volumes."""
-    n1 = len(widths)
-    out = np.empty(n1)
-    out[0] = -(flux[0] - flux_in) / widths[0]
-    out[1:-1] = -(flux[1:] - flux[:-1]) / widths[1:-1]
-    out[-1] = -(flux_out - flux[-1]) / widths[-1]
-    return out
-
-
 def _pressure_diffusion(dP, P, dr, lf_fc, faces):
     """dP += the band diffusion of P: face fluxes -lf (P[i+1] - P[i]), none
-    through r=0 or r=R, over half-width end cells."""
+    on either side of the band (so none through r=0 or r=R), over half-width
+    cells at r=0 and r=R."""
     lo, hi = faces.start, faces.stop
-    if lo > 0:
-        # the band stays off both end faces: with the zero-coefficient faces
-        # lo-1 and hi it gives nodes lo..hi their full-length differences
-        flux = -(lf_fc[lo - 1:hi + 1] * (P[lo:hi + 2] - P[lo - 1:hi + 1]))
-        dP[lo:hi + 1] += -(flux[1:] - flux[:-1]) / dr
-        return
-    D = lf_fc * (P[1:] - P[:-1])
-    widths = np.full(len(P), dr)
-    widths[0] = widths[-1] = 0.5 * dr
-    dP += _face_flux_diff(-D, 0.0, 0.0, widths)
+    D = np.zeros(hi - lo + 2)
+    np.multiply(lf_fc[faces], P[lo + 1:hi + 1] - P[lo:hi], out=D[1:-1])
+    widths = np.full(hi - lo + 1, dr)
+    if lo == 0:
+        widths[0] = 0.5 * dr
+    if hi == len(lf_fc):
+        widths[-1] = 0.5 * dr
+    dP[lo:hi + 1] += (D[1:] - D[:-1]) / widths
 
 
 def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,

@@ -64,16 +64,12 @@ class RadialGrid:
 
     nodes: np.ndarray
     r_outer: float
-    spacing: np.ndarray          # per-cell widths, all equal on a uniform grid
+    dr: float
     quad_weights: np.ndarray
 
     @property
     def n_cells(self) -> int:
         return len(self.nodes) - 1
-
-    @property
-    def dr(self) -> float:
-        return float(self.spacing[0])
 
     @cached_property
     def lap_rows(self):
@@ -116,11 +112,10 @@ def make_grid(n: int, r_outer: float) -> RadialGrid:
     if not (r_outer > 0.0) or not math.isfinite(r_outer):
         raise ConfigError(f"outer radius must be positive and finite, got {r_outer}")
     nodes = np.linspace(0.0, r_outer, n + 1)
-    dr = r_outer / n
+    dr = float(r_outer) / n
     weights = np.full(n + 1, dr)
     weights[0] = weights[-1] = 0.5 * dr
-    return RadialGrid(nodes=_read_only(nodes), r_outer=float(r_outer),
-                      spacing=_read_only(np.full(n, dr)),
+    return RadialGrid(nodes=_read_only(nodes), r_outer=float(r_outer), dr=dr,
                       quad_weights=_read_only(weights))
 
 

@@ -7,15 +7,16 @@ The fluid occupies [0, a(t)] with a'(t) = u(a(t), t) and the stress condition
 enforced strongly every stage by solving the one-sided second-order
 discretization of F = 0 for the boundary velocity itself (a Robin relation:
 u_N appears in both u_r and u/r). Mesh motion is affine: the reference nodes
-xi in [0,1] scale with a(t), the physical grid stays uniform, and after each
-step the fields are remapped onto the rescaled radii by piecewise-linear
-interpolation with the mass/flux remap defect logged.
+xi in [0,1] scale with a(t), the physical grid stays uniform (each step's grid
+is a `RadialGrid` with r_outer = a(t)), and after each step the fields are
+remapped onto the rescaled radii by piecewise-linear interpolation with the
+mass/flux remap defect logged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,32 +26,6 @@ from .core import (FluidState, PhysParams, RadialGrid, SolverSettings, Weight,
 from .errors import GeometryCollapse
 from .solver import StepStats, step as fixed_step
 from .vacuum import advance_radius
-
-
-@dataclass(frozen=True)
-class MovingGrid:
-    """Affinely moving uniform grid: physical node radii are xi * a.
-
-    Frozen: the `RadialGrid` built with it, and the stencil rows that grid
-    caches, serve every use of this domain.
-    """
-
-    n: int
-    a: float
-    a0: float
-    _grid: RadialGrid = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise GeometryCollapse(f"free boundary radius collapsed to a={self.a}")
-        object.__setattr__(self, "_grid", make_grid(self.n, self.a))
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n + 1)
-
-    def grid(self) -> RadialGrid:
-        return self._grid
 
 
 @dataclass
@@ -71,10 +46,10 @@ def _residual_and_scale(state: FluidState, grid: RadialGrid, p: PhysParams):
     return residual, scale
 
 
-def boundary_stress_residual(state: FluidState, mgrid: MovingGrid,
+def boundary_stress_residual(state: FluidState, grid: RadialGrid,
                              p: PhysParams) -> float:
     """F = B^2/2 + P - (2mu+lam)(u_r + u/a) at r = a, one-sided second order."""
-    residual, _ = _residual_and_scale(state, mgrid.grid(), p)
+    residual, _ = _residual_and_scale(state, grid, p)
     return residual
 
 
@@ -89,15 +64,16 @@ def enforce_boundary_stress(state: FluidState, grid: RadialGrid,
     u[-1] = (target + (4.0 * u[-2] - u[-3]) / (2.0 * dr)) / coeff
 
 
-def advance_domain(mgrid: MovingGrid, u: np.ndarray, dt: float) -> MovingGrid:
-    """Advance a by the midpoint rule on the boundary velocity of the frozen field u."""
-    a_new = advance_radius(u, mgrid.grid(), mgrid.a, dt)
+def advance_domain(grid: RadialGrid, u: np.ndarray, dt: float) -> RadialGrid:
+    """The grid on [0, a_new], with a advanced by the midpoint rule on the
+    boundary velocity of the frozen field u."""
+    a_new = advance_radius(u, grid, grid.r_outer, dt)
     if a_new <= 0.0:
         raise GeometryCollapse(f"free boundary radius collapsed to a={a_new}")
-    return MovingGrid(n=mgrid.n, a=a_new, a0=mgrid.a0)
+    return make_grid(grid.n_cells, a_new)
 
 
-def remap_state(state: FluidState, mgrid_old: MovingGrid, mgrid_new: MovingGrid,
+def remap_state(state: FluidState, grid_old: RadialGrid, grid_new: RadialGrid,
                 stats: Optional[FreeStats] = None) -> FluidState:
     """Resample all fields at the rescaled node radii (linear interpolation).
 
@@ -105,17 +81,18 @@ def remap_state(state: FluidState, mgrid_old: MovingGrid, mgrid_new: MovingGrid,
     at an expanding boundary inherits the old boundary state; the resulting
     mass and flux defects are measured and accumulated.
     """
-    r_old = mgrid_old.xi * mgrid_old.a
-    r_new = mgrid_new.xi * mgrid_new.a
-    grid_old = mgrid_old.grid()
-    grid_new = mgrid_new.grid()
+    # the affine radii xi * a: grid.nodes rounds differently and would move
+    # the outputs' bits
+    xi = np.linspace(0.0, 1.0, grid_old.n_cells + 1)
+    r_old = xi * grid_old.r_outer
+    r_new = xi * grid_new.r_outer
     out = FluidState.of(np.array([np.interp(r_new, r_old, f) for f in state.y]),
                         state.t)
     out.pin(wall=False)
     if stats is not None:
         # defect of the interpolation itself, measured on the overlap domain
         # (the uncovered/truncated strip belongs to the boundary-flux budget)
-        a_min = min(mgrid_old.a, mgrid_new.a)
+        a_min = min(grid_old.r_outer, grid_new.r_outer)
         stats.remap_mass_defect += abs(
             integrate_to(out.rho * r_new, grid_new, a_min, Weight.PLAIN)
             - integrate_to(state.rho * r_old, grid_old, a_min, Weight.PLAIN))
@@ -125,17 +102,16 @@ def remap_state(state: FluidState, mgrid_old: MovingGrid, mgrid_new: MovingGrid,
     return out
 
 
-def free_step(state: FluidState, dt: float, p: PhysParams, mgrid: MovingGrid,
+def free_step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
               s: SolverSettings, stats: Optional[FreeStats] = None):
-    """One step of the moving-domain solver; returns (state, mgrid).
+    """One step of the moving-domain solver on the grid of [0, a]; returns
+    (state, grid of [0, a_new]).
 
     The PDE step runs on the frozen current grid with the stress condition
     enforced after every stage; the boundary then moves with the midpoint
     rule on the time-centered velocity field, and the fields are remapped
     onto the rescaled radii.
     """
-    grid = mgrid.grid()
-
     def free_bc(st: FluidState) -> None:
         enforce_boundary_stress(st, grid, p)
         if stats is not None:
@@ -144,11 +120,11 @@ def free_step(state: FluidState, dt: float, p: PhysParams, mgrid: MovingGrid,
                                                 abs(residual) / scale)
 
     new_state = fixed_step(state, dt, p, grid, s, stats=stats, free_bc=free_bc)
-    mgrid_new = advance_domain(mgrid, 0.5 * (state.u + new_state.u), dt)
-    new_state = remap_state(new_state, mgrid, mgrid_new, stats)
-    enforce_boundary_stress(new_state, mgrid_new.grid(), p)
+    grid_new = advance_domain(grid, 0.5 * (state.u + new_state.u), dt)
+    new_state = remap_state(new_state, grid, grid_new, stats)
+    enforce_boundary_stress(new_state, grid_new, p)
     new_state.freeze()       # read-only like a fixed step's output
-    return new_state, mgrid_new
+    return new_state, grid_new
 
 
 @dataclass(frozen=True)

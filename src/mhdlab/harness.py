@@ -25,7 +25,7 @@ from .diagnostics import (BoundInputs, DiagnosticsRecord, div_lower_bound,
                           div_norm, dissipation_rate, energy_residual,
                           moment_pair, optimize_alpha, total_energy)
 from .errors import MHDLabError
-from .freeboundary import FreeStats, MovingGrid, free_step, growth_check
+from .freeboundary import FreeStats, free_step, growth_check
 from .mms import MMSForcing
 from .solver import (StepStats, balance_initial_state, cfl_dt, detect_blowup,
                      max_grad_u, step)
@@ -91,13 +91,8 @@ class _RunState:
         self.settings = cfg.solver
         self.state, self.front = init_scenario(cfg)
         self.free = cfg.geometry.is_free
-        if self.free:
-            self.mgrid = MovingGrid(n=cfg.n, a=cfg.r_outer, a0=cfg.r_outer)
-            self.stats: StepStats = FreeStats()
-        else:
-            self.mgrid = None
-            self.stats = StepStats()
-        self.grid = self.mgrid.grid() if self.free else cfg.grid()
+        self.stats: StepStats = FreeStats() if self.free else StepStats()
+        self.grid = cfg.grid()      # a free run's r_outer is a(t)
         self.forcing = MMSForcing(self.p, cfg.r_outer) if cfg.mms else None
 
         self.rho0_max = float(np.max(self.state.rho))
@@ -159,13 +154,13 @@ class _RunState:
             dt=dt,
         )
         if self.free:
-            rec.a_boundary = self.mgrid.a
+            rec.a_boundary = self.grid.r_outer
         if self.front is not None:
             rec.R_front = self.front.R
             rec.flux_vacuum = vacuum_flux(self.state, self.front, self.grid)
             alpha = self.alpha_rec
             b = dataclasses.replace(self.template, alpha=alpha)
-            r_now = self.mgrid.a if self.free else self.front.R
+            r_now = self.grid.r_outer if self.free else self.front.R
             rec.div_lower_bound = div_lower_bound(b, r_now)
             lhs, rhs, _ = moment_pair(self.state, self.front, self.grid,
                                       self.p, alpha)
@@ -228,7 +223,7 @@ class _RunState:
             out["remap_mass_defect"] = stats.remap_mass_defect
             out["remap_flux_defect"] = stats.remap_flux_defect
             out["max_stress_residual_rel"] = stats.max_stress_residual_rel
-            report = growth_check(self.records, self.mgrid.a0, self.E0, self.p)
+            report = growth_check(self.records, self.cfg.r_outer, self.E0, self.p)
             out["growth_ok"] = report.passed
             out["growth_worst_excess"] = report.worst_excess
         if self.invalid_reason is not None:
@@ -266,20 +261,14 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
             last_dt = dt
             u_before = rs.state.u       # a step never writes its input
             if rs.free:
-                rs.state, rs.mgrid = free_step(rs.state, dt, rs.p, rs.mgrid,
-                                               rs.settings, rs.stats)
-                rs.grid = rs.mgrid.grid()
+                rs.state, rs.grid = free_step(rs.state, dt, rs.p, rs.grid,
+                                              rs.settings, rs.stats)
             else:
                 rs.state = step(rs.state, dt, rs.p, rs.grid, rs.settings,
                                 stats=rs.stats, forcing=rs.forcing)
             if rs.front is not None:
                 rs.front = advance_front(rs.front, 0.5 * (u_before + rs.state.u),
                                          rs.grid, dt)
-                if rs.free and rs.front.R > rs.mgrid.a:
-                    rs.invalid_reason = (f"vacuum front R={rs.front.R:.6g} "
-                                         f"overtook the boundary a={rs.mgrid.a:.6g}")
-                    status = RunStatus.INVALIDATED
-                    break
             rs.accumulate_dissipation(dt)
             steps += 1
             if steps % cfg.output_stride == 0:

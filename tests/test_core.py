@@ -21,7 +21,7 @@ class TestMakeGrid:
 
     def test_spacing(self):
         g = make_grid(8, 2.0)
-        assert np.allclose(g.spacing, 0.25)
+        assert g.dr == 0.25
 
     def test_trapezoid_weights(self):
         g = make_grid(4, 1.0)
@@ -61,15 +61,14 @@ class TestStencilRows:
     def test_cached_and_read_only(self):
         g = make_grid(32, 1.0)
         assert g.lap_rows is g.lap_rows
-        for arr in (*g.lap_rows, g.nodes, g.spacing, g.quad_weights):
+        for arr in (*g.lap_rows, g.nodes, g.quad_weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[1] = 0.0
 
     def test_rescaled_free_grid_has_own_rows(self):
-        from mhdlab.freeboundary import MovingGrid
-        g0 = MovingGrid(n=32, a=1.0, a0=1.0).grid()
-        g1 = MovingGrid(n=32, a=1.1, a0=1.0).grid()
+        g0 = make_grid(32, 1.0)
+        g1 = make_grid(32, 1.1)
         assert not np.array_equal(g0.lap_rows[0], g1.lap_rows[0])
         for g in (g0, g1):
             for row, ref in zip(g.lap_rows, self.formula(g)):

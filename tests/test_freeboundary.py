@@ -10,7 +10,7 @@ from mhdlab import (FluidState, Geometry, GeometryCollapse, PhysParams,
                     boundary_stress_residual, growth_check, integrate,
                     make_grid)
 from mhdlab.diagnostics import DiagnosticsRecord
-from mhdlab.freeboundary import (FreeStats, MovingGrid, advance_domain,
+from mhdlab.freeboundary import (FreeStats, advance_domain,
                                  enforce_boundary_stress, free_step,
                                  remap_state)
 
@@ -19,8 +19,8 @@ def params(mu=0.25, lam=0.0):
     return PhysParams(mu=mu, lam=lam, gamma=1.4, geometry=Geometry.DISK2D_FREE)
 
 
-def free_state(mgrid, rho=None, u=None, P=None, B=None):
-    n1 = mgrid.n + 1
+def free_state(grid, rho=None, u=None, P=None, B=None):
+    n1 = grid.n_cells + 1
 
     def pick(x):
         return np.zeros(n1) if x is None else np.asarray(x, dtype=float)
@@ -30,58 +30,58 @@ def free_state(mgrid, rho=None, u=None, P=None, B=None):
 
 class TestStressResidual:
     def test_quiet_boundary(self):
-        mg = MovingGrid(n=64, a=1.0, a0=1.0)
-        st = free_state(mg, rho=np.ones(65))
-        assert boundary_stress_residual(st, mg, params()) == 0.0
+        g = make_grid(64, 1.0)
+        st = free_state(g, rho=np.ones(65))
+        assert boundary_stress_residual(st, g, params()) == 0.0
 
     def test_linear_velocity_closed_form(self):
         # u = c r: u_r + u/a = 2c at the boundary, residual -(2mu+lam) 2c
-        mg = MovingGrid(n=128, a=1.0, a0=1.0)
+        g = make_grid(128, 1.0)
         c = 0.4
-        r = mg.xi * mg.a
-        st = free_state(mg, rho=np.ones(129), u=c * r)
+        r = g.nodes
+        st = free_state(g, rho=np.ones(129), u=c * r)
         p = params()
-        assert boundary_stress_residual(st, mg, p) == pytest.approx(
+        assert boundary_stress_residual(st, g, p) == pytest.approx(
             -p.two_mu_lam * 2.0 * c, rel=1e-12)
 
     def test_enforcement_zeroes_residual(self):
-        mg = MovingGrid(n=128, a=1.0, a0=1.0)
+        g = make_grid(128, 1.0)
         rng = np.random.default_rng(3)
-        st = free_state(mg, rho=np.ones(129),
-                        u=0.2 * np.sin(np.pi * mg.xi) * mg.xi,
-                        P=np.full(129, 0.1) * (1 - mg.xi),
-                        B=0.3 * mg.xi * (1 - mg.xi))
+        st = free_state(g, rho=np.ones(129),
+                        u=0.2 * np.sin(np.pi * g.nodes) * g.nodes,
+                        P=np.full(129, 0.1) * (1 - g.nodes),
+                        B=0.3 * g.nodes * (1 - g.nodes))
         p = params()
-        enforce_boundary_stress(st, mg.grid(), p)
+        enforce_boundary_stress(st, g, p)
         scale = max(abs(st.P[-1]), p.two_mu_lam, 1.0)
-        assert abs(boundary_stress_residual(st, mg, p)) <= 1e-12 * scale
+        assert abs(boundary_stress_residual(st, g, p)) <= 1e-12 * scale
 
 
 class TestAdvanceDomain:
     def test_static_field(self):
-        mg = MovingGrid(n=64, a=1.0, a0=1.0)
-        st = free_state(mg, rho=np.ones(65))
-        out = advance_domain(mg, st.u, 0.05)
-        assert out.a == 1.0
+        g = make_grid(64, 1.0)
+        st = free_state(g, rho=np.ones(65))
+        out = advance_domain(g, st.u, 0.05)
+        assert out.r_outer == 1.0
 
     def test_constant_velocity_exact(self):
-        mg = MovingGrid(n=64, a=1.0, a0=1.0)
-        st = free_state(mg, u=np.full(65, 0.25))
+        g = make_grid(64, 1.0)
+        st = free_state(g, u=np.full(65, 0.25))
         for _ in range(8):
-            mg = advance_domain(mg, st.u, 0.05)
-        assert mg.a == pytest.approx(1.0 + 0.25 * 0.4, rel=1e-13)
+            g = advance_domain(g, st.u, 0.05)
+        assert g.r_outer == pytest.approx(1.0 + 0.25 * 0.4, rel=1e-13)
 
     def test_collapse_raises(self):
-        mg = MovingGrid(n=64, a=0.1, a0=1.0)
-        st = free_state(mg, u=np.full(65, -1.0))
+        g = make_grid(64, 0.1)
+        st = free_state(g, u=np.full(65, -1.0))
         with pytest.raises(GeometryCollapse):
-            advance_domain(mg, st.u, 0.2)
+            advance_domain(g, st.u, 0.2)
 
 
 class TestRemap:
     def test_constant_fields_exact(self):
-        old = MovingGrid(n=64, a=1.0, a0=1.0)
-        new = MovingGrid(n=64, a=1.05, a0=1.0)
+        old = make_grid(64, 1.0)
+        new = make_grid(64, 1.05)
         st = free_state(old, rho=np.full(65, 2.0), P=np.full(65, 0.3))
         out = remap_state(st, old, new)
         assert np.allclose(out.rho, 2.0) and np.allclose(out.P, 0.3)
@@ -90,18 +90,18 @@ class TestRemap:
         p_rho = Profile.parse("bump 0.2 0.8 1.0")
         defects = []
         for n in (128, 256):
-            old = MovingGrid(n=n, a=1.0, a0=1.0)
-            new = MovingGrid(n=n, a=1.02, a0=1.0)
-            st = free_state(old, rho=1.0 + p_rho(old.xi))
+            old = make_grid(n, 1.0)
+            new = make_grid(n, 1.02)
+            st = free_state(old, rho=1.0 + p_rho(old.nodes))
             stats = FreeStats()
             remap_state(st, old, new, stats)
             defects.append(stats.remap_mass_defect)
         assert defects[0] / defects[1] > 3.0
 
     def test_pins_preserved(self):
-        old = MovingGrid(n=64, a=1.0, a0=1.0)
-        new = MovingGrid(n=64, a=0.98, a0=1.0)
-        st = free_state(old, u=0.1 * old.xi, B=0.2 * old.xi)
+        old = make_grid(64, 1.0)
+        new = make_grid(64, 0.98)
+        st = free_state(old, u=0.1 * old.nodes, B=0.2 * old.nodes)
         st.u[0] = st.B[0] = 0.0
         out = remap_state(st, old, new)
         assert out.u[0] == 0.0 and out.B[0] == 0.0
@@ -134,40 +134,52 @@ class TestGrowthCheck:
 
 class TestFreeStep:
     def test_quiescent_grid_static(self):
-        mg = MovingGrid(n=64, a=1.0, a0=1.0)
-        st = free_state(mg, rho=np.ones(65))
+        g = make_grid(64, 1.0)
+        st = free_state(g, rho=np.ones(65))
         p = params()
-        out, mg2 = free_step(st, 1e-3, p, mg, SolverSettings())
-        assert mg2.a == 1.0
+        out, g2 = free_step(st, 1e-3, p, g, SolverSettings())
+        assert g2.r_outer == 1.0
         assert np.allclose(out.rho, 1.0)
 
+    def test_returns_the_grid_of_the_new_radius(self):
+        g = make_grid(128, 1.0)
+        st = free_state(g, rho=np.ones(129), u=0.3 * g.nodes ** 2)
+        st.u[0] = 0.0
+        s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
+        for _ in range(3):
+            st, g = free_step(st, 1e-3, params(mu=0.3), g, s)
+        ref = make_grid(128, g.r_outer)
+        assert g.r_outer > 1.0 and g.dr == ref.dr
+        np.testing.assert_array_equal(g.nodes, ref.nodes)
+        np.testing.assert_array_equal(g.quad_weights, ref.quad_weights)
+
     def test_stress_residual_tracked_small(self):
-        mg = MovingGrid(n=128, a=1.0, a0=1.0)
+        g = make_grid(128, 1.0)
         prof = Profile.parse("bump 0.2 0.7 0.5")
-        st = free_state(mg, rho=np.ones(129), u=prof(mg.xi),
-                        B=prof(mg.xi))
+        st = free_state(g, rho=np.ones(129), u=prof(g.nodes),
+                        B=prof(g.nodes))
         p = params(mu=0.2)
         stats = FreeStats()
         s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
         for _ in range(10):
-            st, mg = free_step(st, 5e-4, p, mg, s, stats)
+            st, g = free_step(st, 5e-4, p, g, s, stats)
         assert stats.max_stress_residual_rel <= 1e-10
 
     def test_outflow_expands_domain(self):
         # boundary blob pushing outward moves a and conserves mass to remap error
-        mg = MovingGrid(n=256, a=1.0, a0=1.0)
-        r = mg.xi
+        g = make_grid(256, 1.0)
+        r = g.nodes
         u0 = 0.3 * r ** 2
-        st = free_state(mg, rho=np.ones(257), u=u0)
+        st = free_state(g, rho=np.ones(257), u=u0)
         st.u[0] = 0.0
         p = params(mu=0.3)
         s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
         stats = FreeStats()
-        m0 = integrate(st.rho, mg.grid(), Weight.RADIAL_R)
+        m0 = integrate(st.rho, g, Weight.RADIAL_R)
         for _ in range(40):
-            st, mg = free_step(st, 1e-3, p, mg, s, stats)
-        assert mg.a > 1.0
-        m1 = integrate(st.rho, mg.grid(), Weight.RADIAL_R)
+            st, g = free_step(st, 1e-3, p, g, s, stats)
+        assert g.r_outer > 1.0
+        m1 = integrate(st.rho, g, Weight.RADIAL_R)
         assert abs(m1 - m0) / m0 < 1e-3
 
     def test_energy_identity_with_moving_boundary(self):
@@ -177,27 +189,26 @@ class TestFreeStep:
         from mhdlab.diagnostics import dissipation_rate, total_energy
         from mhdlab.freeboundary import enforce_boundary_stress
         n = 512
-        mg = MovingGrid(n=n, a=1.0, a0=1.0)
-        xi = mg.xi
+        g = make_grid(n, 1.0)
+        xi = g.nodes
         p = params(mu=0.15)
-        st = free_state(mg, rho=np.ones(n + 1), u=0.2 * xi * xi * (1.5 - xi),
+        st = free_state(g, rho=np.ones(n + 1), u=0.2 * xi * xi * (1.5 - xi),
                         P=0.3 * (1 - xi ** 2),
                         B=Profile.parse("bump 0.2 0.7 0.4")(xi))
         st.u[0] = st.B[0] = 0.0
         s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
         stats = FreeStats()
-        enforce_boundary_stress(st, mg.grid(), p)
-        e0 = total_energy(st, mg.grid(), p)
+        enforce_boundary_stress(st, g, p)
+        e0 = total_energy(st, g, p)
         diss = 0.0
-        d_prev = dissipation_rate(st, mg.grid(), p)
+        d_prev = dissipation_rate(st, g, p)
         while st.t < 0.5:
-            grid = mg.grid()
-            dt = min(cfl_dt(st, grid, p, s), 0.5 - st.t)
-            st, mg = free_step(st, dt, p, mg, s, stats)
-            d = dissipation_rate(st, mg.grid(), p)
+            dt = min(cfl_dt(st, g, p, s), 0.5 - st.t)
+            st, g = free_step(st, dt, p, g, s, stats)
+            d = dissipation_rate(st, g, p)
             diss += 0.5 * (d_prev + d) * dt
             d_prev = d
-        assert mg.a > 1.05                      # the boundary really moved
-        e_final = total_energy(st, mg.grid(), p)
+        assert g.r_outer > 1.05                # the boundary really moved
+        e_final = total_energy(st, g, p)
         assert abs(e_final + diss - e0) / e0 < 2e-3
         assert stats.max_stress_residual_rel < 1e-10

@@ -86,6 +86,25 @@ class TestRun:
         assert all(r.a_boundary is not None for r in res.records)
         assert all(r.R_front <= r.a_boundary for r in res.records)
 
+    def test_front_past_the_free_boundary_is_an_error(self, monkeypatch):
+        # a front pushed past a(t) leaves the domain of the grid it is
+        # advanced on, so the run ends on the tracker's TrackingError
+        import mhdlab.harness
+        advance = mhdlab.harness.advance_front
+        calls = []
+
+        def kicked(front, u, grid, dt):
+            calls.append(dt)
+            if len(calls) == 5:
+                u = u + 2.0 / dt
+            return advance(front, u, grid, dt)
+
+        monkeypatch.setattr(mhdlab.harness, "advance_front", kicked)
+        res = run(small("free-blowup", n=64))
+        assert len(calls) == 5
+        assert res.status is RunStatus.ERROR
+        assert "front left the domain" in res.outcome.summary["invalid_reason"]
+
     def test_eps_vac_guard(self):
         cfg = small("disk-blowup", n=128, eps_vac=0.5)
         res = run(cfg)
