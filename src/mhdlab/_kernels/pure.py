@@ -14,6 +14,8 @@ Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
   boundary fluxes vanish
 * `lf_fc` carries per-face Lax-Friedrichs coefficients (zero where disabled);
   `up_fc` marks faces that switch the mass flux to donor-cell form
+* tridiagonal systems are solved by LAPACK gtsv, or gttrf once and gttrs per
+  right-hand side, from SciPy's LAPACK extension (see `_lapack`)
 
 The tendencies are built in place, run the Lax-Friedrichs products over the
 band's faces only and leave out a viscous term that is switched off. Their
@@ -23,6 +25,10 @@ adding +0.0 may keep its negative sign.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import weakref
 
 import numpy as np
@@ -30,19 +36,42 @@ import numpy as np
 BACKEND_NAME = "pure"
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
 @functools.cache
 def _lapack():
-    """(gtsv, gttrf, gttrs): the LAPACK routine scipy.linalg.solve_banded((1, 1),
-    ...) calls for a tridiagonal system, without its per-call validation, and
-    its factor/solve split (gttrf followed by gttrs runs gtsv's elimination,
-    pivot test and back substitution, so the results are the same bits).
+    """(dgtsv, dgttrf, dgttrs): the LAPACK routine scipy.linalg.solve_banded(
+    (1, 1), ...) calls for a tridiagonal system, without its per-call
+    validation, and its factor/solve split (gttrf followed by gttrs runs
+    gtsv's elimination, pivot test and back substitution, so the results are
+    the same bits).
 
-    Fetched on the first tridiagonal solve, so a run that never solves one
+    Loaded on the first tridiagonal solve, so a run that never solves one
     (the MMS ladder, `mhdlab bounds`, an explicit run without vacuum) never
-    imports SciPy.
+    loads SciPy. Only top-level `scipy` (for its platform set-up) and its
+    Fortran LAPACK extension are loaded: `import scipy.linalg` would add
+    about 28 MB resident and 0.25 s of a cold start for three functions. An
+    extension already imported is reused, and one loaded here is registered
+    under its own name, so a later `scipy.linalg` import and
+    `get_lapack_funcs` hand out these same objects.
     """
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (np.empty(0),))
+    import scipy
+
+    mod = sys.modules.get(_FLAPACK)
+    if mod is None:
+        where = os.path.join(scipy.__path__[0], "linalg")
+        finder = importlib.machinery.FileFinder(
+            where, (importlib.machinery.ExtensionFileLoader,
+                    importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_FLAPACK)
+        if spec is None:
+            raise ImportError(f"no {_FLAPACK} extension in {where}",
+                              name=_FLAPACK, path=where)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        sys.modules[_FLAPACK] = mod
+    return mod.dgtsv, mod.dgttrf, mod.dgttrs
 
 
 class _GridConstants:
@@ -371,8 +400,8 @@ def thomas(sub, diag, sup, rhs):
     """Solve the tridiagonal system; sub/sup have length n-1.
 
     Calls LAPACK gtsv directly, the routine (and so the result) of
-    scipy.linalg.solve_banded((1, 1), ...); SciPy is imported on the first
-    call that reaches it. Raises ValueError on non-finite input, as
+    scipy.linalg.solve_banded((1, 1), ...); SciPy's LAPACK extension is
+    loaded on the first call that reaches it. Raises ValueError on non-finite input, as
     solve_banded does, and ZeroDivisionError on singular systems (same
     contract as the compiled twin's elimination loop).
     """
