@@ -128,6 +128,7 @@ class _RunState:
         self.pointwise_slack_min = math.inf
         self.energy_breaches = 0
         self.invalid_reason = None
+        self.stop_reason = None     # the failed health check's Health.reason
 
     # -- per-step bookkeeping ------------------------------------------------
 
@@ -201,6 +202,10 @@ class _RunState:
             "mass_residual": (abs(mass_now - self.mass0) / self.mass0
                               if self.mass0 > 0 else 0.0),
             "lf_coeff": self.stats.lf_coeff,
+            "balance_solves": self.stats.balance_solves,
+            # absolute: the vacuum presets start from P = 0, so no base
+            "clipped_pressure": self.stats.clipped_pressure,
+            "stop_reason": self.stop_reason,
         }
         residuals = {"energy": None, "flux": None, "vacuum": None}
         if len(self.records) >= 2:
@@ -280,6 +285,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
             health = detect_blowup(rs.state, rs.grid, rs.p, rs.settings)
             if health.suspected:
                 status = RunStatus.BLOWUP_DETECTED
+                rs.stop_reason = health.reason
                 detected = rs.state.t
                 break
             dt_cfl = health.dt

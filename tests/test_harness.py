@@ -10,7 +10,8 @@ import pytest
 from mhdlab import Geometry, PhysParams, Profile, RunStatus, SolverSettings
 from mhdlab.cli import main as cli_main
 from mhdlab.config import load_preset
-from mhdlab.core import ScenarioConfig
+from mhdlab.core import ScenarioConfig, Weight, integrate
+from mhdlab.errors import DtCollapse
 from mhdlab.harness import CSV_HEADER, outcome_to_json, records_to_csv, run
 
 
@@ -51,6 +52,7 @@ class TestRun:
         # healthy-run ledgers: mass conserved, no clipping on smooth data
         assert s["mass_residual"] <= 1e-6
         assert s["clipped_mass_rel"] <= 1e-8
+        assert s["stop_reason"] is None       # no health check stopped it
 
     def test_blowup_implies_detected_before_t_end(self):
         res = run(small("disk-blowup", n=256))
@@ -166,6 +168,55 @@ class TestOneCflPerStep:
         assert counts["cfl_dt"] == counts["step"]
 
 
+class TestRunReport:
+    """run.json says why a run stopped and counts the balance solves and the
+    pressure clipped at zero."""
+
+    def test_dt_collapse_stop(self, monkeypatch):
+        # the health check after the first step finds dt collapsed
+        import mhdlab.solver
+
+        def collapsed(state, grid, p, s):
+            raise DtCollapse(0.0, s.dt_min)
+
+        monkeypatch.setattr(mhdlab.solver, "cfl_dt", collapsed)
+        res = run(small("smooth-novac", t_end=0.05))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        assert res.outcome.summary["stop_reason"] == "dt"
+        assert res.outcome.T_detected == res.records[1].t > 0.0
+
+    def test_balance_solves_and_clipped_pressure(self, monkeypatch):
+        # every balance solve is counted, and the r-weighted pressure pushed
+        # below zero before each stage's clip is what the run reports
+        import mhdlab._kernels
+        import mhdlab.solver
+        solves = []
+        clipped = []
+        tridiag_solve = mhdlab._kernels.tridiag_solve
+        finalize_stage = mhdlab.solver.finalize_stage
+
+        def counted(factors, rhs):
+            sol = tridiag_solve(factors, rhs)
+            solves.append(len(rhs))
+            return sol
+
+        def dented(state, p, grid, s, stats=None, free_bc=None):
+            dent = np.zeros_like(state.P)
+            dent[grid.n_cells // 2] = -1e-3 * (1 + len(clipped))
+            state.P[grid.n_cells // 2] = dent[grid.n_cells // 2]
+            clipped.append(-integrate(dent, grid, Weight.RADIAL_R))
+            finalize_stage(state, p, grid, s, stats, free_bc)
+
+        monkeypatch.setattr(mhdlab._kernels, "tridiag_solve", counted)
+        monkeypatch.setattr(mhdlab.solver, "finalize_stage", dented)
+        res = run(small("disk-blowup", n=64))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        s = res.outcome.summary
+        assert s["balance_solves"] == len(solves) > len(res.records)
+        assert len(clipped) > 5
+        assert s["clipped_pressure"] == pytest.approx(sum(clipped), rel=1e-12)
+
+
 class TestWorkPerStep:
     """Per-step calls of the finiteness scan, the vacuum-block search and the
     free grid's builds, and the forcing's profile builds, counted between the
@@ -279,9 +330,11 @@ class TestOutputs:
         run(small("disk-blowup", n=256), out_dir=str(tmp_path))
         doc = json.loads((tmp_path / "run.json").read_text())
         for key in ("status", "t_final", "T_detected", "alpha_star", "T_bound",
-                    "C0", "E0", "C_envelope", "residuals"):
+                    "C0", "E0", "C_envelope", "residuals", "stop_reason",
+                    "balance_solves", "clipped_pressure"):
             assert key in doc
         assert doc["status"] == "BlowupDetected"
+        assert doc["stop_reason"] == "gradu"
         assert set(doc["residuals"]) == {"energy", "flux", "vacuum"}
 
     def test_bitwise_deterministic(self):
