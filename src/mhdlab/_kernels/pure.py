@@ -401,9 +401,9 @@ def thomas(sub, diag, sup, rhs):
 
     Calls LAPACK gtsv directly, the routine (and so the result) of
     scipy.linalg.solve_banded((1, 1), ...); SciPy's LAPACK extension is
-    loaded on the first call that reaches it. Raises ValueError on non-finite input, as
-    solve_banded does, and ZeroDivisionError on singular systems (same
-    contract as the compiled twin's elimination loop).
+    loaded on the first call that reaches it. Raises ValueError on
+    non-finite input, as solve_banded does, and ZeroDivisionError on
+    singular systems (same contract as the compiled twin's elimination loop).
     """
     _require_finite(sub, diag, sup, rhs)
     if len(diag) <= 1:

@@ -201,9 +201,9 @@ class TestRunReport:
             return sol
 
         def dented(state, p, grid, s, stats=None, free_bc=None):
+            k = grid.n_cells // 2
             dent = np.zeros_like(state.P)
-            dent[grid.n_cells // 2] = -1e-3 * (1 + len(clipped))
-            state.P[grid.n_cells // 2] = dent[grid.n_cells // 2]
+            dent[k] = state.P[k] = -1e-3 * (1 + len(clipped))
             clipped.append(-integrate(dent, grid, Weight.RADIAL_R))
             finalize_stage(state, p, grid, s, stats, free_bc)
 

@@ -40,7 +40,8 @@ NO_SOLVE = {
     "bounds": "from mhdlab.cli import main\n"
               "assert main(['bounds', '--preset', 'disk-blowup']) == 0",
     "mms-ladder": _CONFIG + "harness.convergence_study(cfg('mms'), [16, 32])",
-    "ssprk3-novac": _run("smooth-novac", 'time.scheme="ssprk3"'),
+    "ssprk3-novac": _run("smooth-novac", 'time.scheme="ssprk3"')
+    + "\nassert res.status.value == 'Completed', res.status",
 }
 
 SOLVE = {
@@ -77,8 +78,7 @@ def _fresh(code, out_dir):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded, backend = json.loads(proc.stdout.splitlines()[-1])
-    return loaded, backend
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("case", sorted(NO_SOLVE))
