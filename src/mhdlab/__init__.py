@@ -5,8 +5,8 @@ lifespan bounds the system satisfies."""
 
 from ._kernels import BACKEND
 from .core import (FluidState, Geometry, PhysParams, Profile, RadialGrid,
-                   ScenarioConfig, Scheme, SolverSettings, VacuumStrategy,
-                   Weight, init_scenario, integrate, integrate_to, make_grid)
+                   ScenarioConfig, Scheme, SolverSettings, Weight,
+                   init_scenario, integrate, integrate_to, make_grid)
 from .diagnostics import (BoundInputs, DiagnosticsRecord, cauchy_schwarz_gap,
                           div_lower_bound, div_norm, dissipation_rate,
                           energy_residual, lifespan_bound, moment_coefficient,
@@ -27,7 +27,7 @@ __all__ = [
     "FluidState", "Geometry", "GeometryCollapse", "MHDLabError",
     "NumericalFailure", "PhysParams", "Profile", "RadialGrid", "RunOutcome",
     "RunResult", "RunStatus", "ScenarioConfig", "Scheme", "SolverSettings",
-    "Tendency", "TrackingError", "VacuumFront", "VacuumStrategy", "Weight",
+    "Tendency", "TrackingError", "VacuumFront", "Weight",
     "advance_domain", "advance_front", "boundary_stress_residual",
     "cauchy_schwarz_gap", "cfl_dt", "check_vacuum", "convergence_study",
     "detect_blowup", "dissipation_rate", "div_lower_bound", "div_norm",

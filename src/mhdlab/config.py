@@ -4,7 +4,7 @@ Format: UTF-8 lines of ``section.key = value`` (the bare key ``geometry`` has
 no section), ``#`` comments, strings double-quoted, numbers and true/false
 bare. Unknown keys are rejected with their line number. Every value is read
 through one typed reader (numbers finite, integers whole, no true/false for a
-number) and the six solver settings are checked by `SolverSettings`; a bad
+number) and the five solver settings are checked by `SolverSettings`; a bad
 value is a ConfigError. Semantic checks that need the sampled fields are
 deferred to scenario initialization.
 """
@@ -29,7 +29,7 @@ _KINDS.update({
     "physics.mu": float, "physics.lam": float, "physics.gamma": float,
     "vacuum.r0": float,
     "time.t_end": float, "time.cfl": float, "time.scheme": str,
-    "solver.vacuum_strategy": str, "solver.eps_vac": float,
+    "solver.eps_vac": float,
     "solver.blowup_gradu_max": float, "solver.dt_min": float,
     "diag.alpha": float,
     "output.stride": int, "output.dir": str,
@@ -39,7 +39,6 @@ _KNOWN_KEYS = frozenset(_KINDS)
 
 # keys passed on only when present, so the defaults stay on the target class
 _SOLVER_KEYS = {"time.cfl": "cfl", "time.scheme": "scheme",
-                "solver.vacuum_strategy": "vacuum_strategy",
                 "solver.eps_vac": "eps_vac",
                 "solver.blowup_gradu_max": "blowup_gradu_max",
                 "solver.dt_min": "dt_min"}

@@ -373,11 +373,6 @@ class Scheme(Enum):
     RK2_IMPLICIT_VISCOUS = "rk2-imp"
 
 
-class VacuumStrategy(Enum):
-    DENSITY_FLOOR = "density-floor"
-    ELLIPTIC_BALANCE = "elliptic-balance"
-
-
 def finite_float(value, name: str) -> float:
     """value as a finite float; a bool, a non-number, NaN or +-inf is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -405,12 +400,11 @@ class SolverSettings:
     """Step-size, scheme, vacuum and blow-up controls of a run.
 
     The one home of these settings, their defaults and their checks. scheme
-    and vacuum_strategy also accept their values as strings ("ssprk3").
+    also accepts its value as a string ("ssprk3").
     """
 
     cfl: float = 0.4
     scheme: Scheme = Scheme.RK2_IMPLICIT_VISCOUS
-    vacuum_strategy: VacuumStrategy = VacuumStrategy.ELLIPTIC_BALANCE
     eps_vac: float = 1e-6
     blowup_gradu_max: float = 1e4
     dt_min: float = 1e-12
@@ -420,8 +414,6 @@ class SolverSettings:
             object.__setattr__(self, name, value)
 
         put("scheme", to_member(Scheme, self.scheme, "scheme"))
-        put("vacuum_strategy", to_member(VacuumStrategy, self.vacuum_strategy,
-                                         "vacuum strategy"))
         for name in ("cfl", "eps_vac", "blowup_gradu_max", "dt_min"):
             value = finite_float(getattr(self, name), name)
             if not value > 0.0:

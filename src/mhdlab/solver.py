@@ -10,16 +10,14 @@ where central transport would otherwise ring; faces touching vacuum nodes
 are excluded so nothing diffuses into the clean region, and the mass flux
 switches to donor-cell form on those faces.
 
-Vacuum handling is selectable:
-
-* density-floor: divide the momentum bracket by max(rho, eps_vac) everywhere;
-* elliptic-balance: nodes with rho < eps_vac drop their u time derivative and
-  instead satisfy the quasi-stationary balance
-      (2mu+lam)(u_r + u/r)_r = B (B_r + B/r) + P_r
-  solved as a tridiagonal boundary-value problem on the vacuum block with
-  u(0) = 0 and continuity of u at the block's outer edge. Swirl and axial
-  velocity take their quasi-stationary profiles there (v linear in r, w
-  constant), which the discrete operators annihilate exactly.
+In the vacuum (the block of nodes with rho < eps_vac next to the axis) the
+momentum equation degenerates: the velocities drop their time derivative and
+instead satisfy the quasi-stationary balance
+    (2mu+lam)(u_r + u/r)_r = B (B_r + B/r) + P_r
+solved as a tridiagonal boundary-value problem on the block with u(0) = 0
+and continuity of u at the block's outer edge. Swirl and axial velocity take
+their quasi-stationary profiles there (v linear in r, w constant), which the
+discrete operators annihilate exactly.
 
 Time integration: three-stage SSP Runge-Kutta on the full tendency, or a
 Strang split with midpoint half-steps for the inviscid terms around an
@@ -38,7 +36,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
-                   VacuumStrategy, Weight, integrate, stacked_row)
+                   Weight, integrate, stacked_row)
 from .errors import DtCollapse, NumericalFailure
 
 _FOURIER_SWITCH = 1e3      # trapezoidal -> backward Euler switch per row
@@ -151,10 +149,7 @@ class _Stage:
             cs = np.sqrt(self.p.gamma * state.P / self.rho_star)
             ca = np.sqrt(state.B * state.B / self.rho_star)
             abs_u = np.abs(state.u)
-            speeds = abs_u + cs + ca
-            if self.s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-                speeds = np.where(self.vac, abs_u, speeds)
-            self._speeds = speeds
+            self._speeds = np.where(self.vac, abs_u, abs_u + cs + ca)
         return self._speeds
 
 
@@ -173,10 +168,9 @@ def _stage_of(state: FluidState, p: PhysParams, s: SolverSettings) -> _Stage:
 def signal_speeds(state: FluidState, p: PhysParams, s: SolverSettings) -> np.ndarray:
     """Per-node |u| + c_s + c_A with rho* = max(rho, eps_vac).
 
-    Under the elliptic-balance strategy vacuum nodes are quasi-stationary: no
-    acoustic or Alfven dynamics live there, so only |u| counts. The floor
-    densities would otherwise make c_A = |B|/sqrt(eps_vac) dominate the step
-    size for no physical reason.
+    Vacuum nodes are quasi-stationary: no acoustic or Alfven dynamics live
+    there, so only |u| counts. The floor densities would otherwise make
+    c_A = |B|/sqrt(eps_vac) dominate the step size for no physical reason.
     """
     return _stage_of(state, p, s).speeds(state)
 
@@ -215,10 +209,10 @@ def _rhs_prologue(state: FluidState, p: PhysParams, grid: RadialGrid,
 
 
 def _rhs_epilogue(tend: Tendency, state: FluidState, grid: RadialGrid,
-                  s: SolverSettings, stage: _Stage, forcing) -> Tendency:
+                  stage: _Stage, forcing) -> Tendency:
     """Freeze the velocities on the vacuum block [0, m] and add any forcing."""
     m = stage.m
-    if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE and m >= 0:
+    if m >= 0:
         # quasi-stationary: the velocities are set by the balance
         tend.y[1:-2, :m + 1] = 0.0
     if forcing is not None:
@@ -236,7 +230,7 @@ def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettin
     stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     rates = kern.disk_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
                                p.two_mu_lam, p.gamma, include_visc, lf_fc, up_fc)
-    return _rhs_epilogue(Tendency(np.asarray(rates)), state, grid, s, stage,
+    return _rhs_epilogue(Tendency(np.asarray(rates)), state, grid, stage,
                          forcing)
 
 
@@ -248,7 +242,7 @@ def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
     rates = kern.cylinder_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
                                    p.two_mu_lam, p.mu, p.gamma, include_visc,
                                    lf_fc, up_fc)
-    return _rhs_epilogue(Tendency(np.asarray(rates)), state, grid, s, stage,
+    return _rhs_epilogue(Tendency(np.asarray(rates)), state, grid, stage,
                          forcing)
 
 
@@ -265,18 +259,15 @@ def rhs(state, p, grid, s, **kw) -> Tendency:
 def cfl_dt(state: FluidState, grid: RadialGrid, p: PhysParams,
            s: SolverSettings) -> float:
     """Stable step: advective dr/(|u|+c_s+c_A) and, for the explicit scheme,
-    the diffusive dr^2 rho* / (2(2mu+lam)) restriction; cfl-scaled minimum."""
+    the diffusive dr^2 rho* / (2(2mu+lam)) restriction over the nodes outside
+    the vacuum block; cfl-scaled minimum."""
     stage = _stage_of(state, p, s)
     stage.check_finite(state)
     vmax = float(np.max(stage.speeds(state)))
     dt = grid.dr / vmax if vmax > _DT_EPS else np.inf
     if s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
-        rho_star = stage.rho_star
-        if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE:
-            m = stage.m
-            rho_floor = float(np.min(rho_star[m + 1:])) if m < grid.n_cells else np.inf
-        else:
-            rho_floor = float(np.min(rho_star))
+        m = stage.m
+        rho_floor = float(np.min(stage.rho_star[m + 1:])) if m < grid.n_cells else np.inf
         dt = min(dt, grid.dr ** 2 * rho_floor / (2.0 * p.two_mu_lam))
     dt *= s.cfl
     if dt < s.dt_min:
@@ -328,8 +319,6 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     Returns the block's last node index (-1 when there is no block). Mutates
     u (and v, w for the cylinder) in place.
     """
-    if s.vacuum_strategy is not VacuumStrategy.ELLIPTIC_BALANCE:
-        return -1
     stage = _stage_of(state, p, s)
     m = stage.m
     if m < 1:
@@ -434,17 +423,15 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
     n = grid.n_cells
     stage = _stage_of(state, p, s)
     rho_star = stage.rho_star
-    m = stage.m if s.vacuum_strategy is VacuumStrategy.ELLIPTIC_BALANCE else -1
-    lo = m + 1 if m >= 0 else 1
-    lo = max(lo, 1)
+    m = stage.m
+    lo = max(m + 1, 1)
     hi = n - 1
     nu_u = p.two_mu_lam / rho_star
     _implicit_component(state.u, nu_u, grid, dt, lo, hi, swirl=True)
     if state.v is not None:
         nu_v = p.mu / rho_star
         _implicit_component(state.v, nu_v, grid, dt, lo, hi, swirl=True)
-        lo_w = m + 1 if m >= 0 else 0
-        _implicit_component(state.w, nu_v, grid, dt, lo_w, hi, swirl=False)
+        _implicit_component(state.w, nu_v, grid, dt, m + 1, hi, swirl=False)
     stage.forget_velocities()
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhdlab import (ConfigError, Geometry, PhysParams, ScenarioConfig, Scheme,
-                    SolverSettings, VacuumStrategy)
+                    SolverSettings)
 from mhdlab.config import (_KNOWN_KEYS, PRESET_NAMES, apply_overrides,
                            build_config, load_preset, load_preset_text,
                            parse_config, parse_pairs)
@@ -77,8 +77,10 @@ class TestParsing:
     def test_bad_scheme_and_strategy(self):
         with pytest.raises(ConfigError, match="scheme"):
             parse_config(MINIMAL + 'time.scheme = "leapfrog"\n')
-        with pytest.raises(ConfigError, match="strategy"):
-            parse_config(MINIMAL + 'solver.vacuum_strategy = "none"\n')
+        lineno = MINIMAL.count("\n") + 1
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key "
+                                              r"'solver\.vacuum_strategy'$"):
+            parse_config(MINIMAL + 'solver.vacuum_strategy = "elliptic-balance"\n')
 
     def test_mms_conflicts_with_profiles(self):
         text = MINIMAL + 'mms.enabled = true\ninit.rho = "constant 1.0"\n'
@@ -164,7 +166,7 @@ class TestSolverSettings:
         dict(cfl=1.5), dict(cfl=0.0), dict(cfl=math.nan), dict(cfl="x"),
         dict(cfl=True), dict(eps_vac=-1.0), dict(eps_vac=math.inf),
         dict(dt_min=0.0), dict(dt_min=math.nan), dict(blowup_gradu_max=0.0),
-        dict(scheme="leapfrog"), dict(vacuum_strategy="none"),
+        dict(scheme="leapfrog"),
     ])
     def test_bad_setting_is_config_error(self, bad):
         cfg = parse_config(MINIMAL)
@@ -172,10 +174,8 @@ class TestSolverSettings:
             dataclasses.replace(cfg.solver, **bad)
 
     def test_strings_become_members(self):
-        s = SolverSettings(scheme="ssprk3", vacuum_strategy="density-floor",
-                           blowup_gradu_max=100)
+        s = SolverSettings(scheme="ssprk3", blowup_gradu_max=100)
         assert s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS
-        assert s.vacuum_strategy is VacuumStrategy.DENSITY_FLOOR
         assert s.blowup_gradu_max == 100.0
         assert isinstance(s.blowup_gradu_max, float)
 
@@ -185,12 +185,10 @@ class TestSolverSettings:
 
     def test_keys_reach_the_settings(self):
         cfg = parse_config(MINIMAL + 'time.cfl = 0.3\ntime.scheme = "ssprk3"\n'
-                           'solver.vacuum_strategy = "density-floor"\n'
                            "solver.eps_vac = 1e-4\nsolver.blowup_gradu_max = 50\n"
                            "solver.dt_min = 1e-9\n")
         assert cfg.solver == SolverSettings(
-            cfl=0.3, scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS,
-            vacuum_strategy=VacuumStrategy.DENSITY_FLOOR, eps_vac=1e-4,
+            cfl=0.3, scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS, eps_vac=1e-4,
             blowup_gradu_max=50.0, dt_min=1e-9)
 
 

@@ -118,17 +118,6 @@ class TestRun:
         assert res.status is RunStatus.ERROR
         assert "dt" in res.outcome.summary.get("invalid_reason", "")
 
-    def test_density_floor_strategy_runs(self):
-        # robustness baseline: Alfven speed from the floor density shrinks dt,
-        # so keep the horizon short
-        cfg = small("disk-blowup", n=128, t_end=0.005,
-                    vacuum_strategy="density-floor", eps_vac=1e-3,
-                    blowup_gradu_max=1e6)
-        res = run(cfg)
-        assert res.status is RunStatus.COMPLETED
-        assert np.all(np.isfinite(res.state.u))
-        assert res.outcome.summary["residuals"]["flux"] < 1e-2
-
 
 class TestOneCflPerStep:
     """run() takes each step's dt from the previous step's health check."""
@@ -424,6 +413,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "run.json").exists()
+
+    def test_vacuum_strategy_is_an_unknown_key(self, tmp_path, capsys):
+        code = cli_main(["run", "--preset", "disk-blowup", "--override",
+                         'solver.vacuum_strategy="density-floor"',
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: override references unknown key 'solver.vacuum_strategy'\n"
         assert not (tmp_path / "run.json").exists()
 
     @pytest.mark.parametrize("preset", ["disk-blowup", "smooth-novac"])
