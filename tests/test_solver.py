@@ -260,8 +260,7 @@ class TestStep:
         order = math.log2(e_full / e_half)
         assert order >= 2.7
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_positivity_clipping_logged(self, scheme):
+    def test_positivity_clipping_logged(self):
         # fluid receding from a vacuum disk: the thinning edge undershoots
         g = make_grid(128, 1.0)
         r = g.nodes
@@ -269,17 +268,18 @@ class TestStep:
         rho = np.where(fluid, 1.0, 0.0)
         u = np.where(fluid, 0.5, 0.0)
         u[-1] = 0.0
-        st = disk_state(g, rho=rho, u=u, P=rho.copy())
         p = disk_params(mu=0.01)
-        s = settings(scheme=scheme)
-        stats = StepStats()
-        balance_initial_state(st, p, g, s, stats)
-        for _ in range(50):
-            st = step(st, cfl_dt(st, g, p, s), p, g, s, stats=stats)
-            assert np.all(st.rho >= 0.0) and np.all(st.P >= 0.0)
-        assert stats.clipped_mass > 0.0
-        assert stats.clipped_pressure > 0.0
-        assert stats.balance_solves > 0
+        for scheme in Scheme:
+            st = disk_state(g, rho=rho.copy(), u=u.copy(), P=rho.copy())
+            s = settings(scheme=scheme)
+            stats = StepStats()
+            balance_initial_state(st, p, g, s, stats)
+            for _ in range(50):
+                st = step(st, cfl_dt(st, g, p, s), p, g, s, stats=stats)
+                assert np.all(st.rho >= 0.0) and np.all(st.P >= 0.0), scheme
+            assert stats.clipped_mass > 0.0, scheme
+            assert stats.clipped_pressure > 0.0, scheme
+            assert stats.balance_solves > 0, scheme
 
 
 class TestDetectBlowup:
