@@ -157,7 +157,8 @@ def radial_parts(f, r, dr):
 
 def _second_difference(f, dr, consts):
     """f_rr + f_r / r on interior nodes, zero at both ends."""
-    out = np.zeros_like(f)
+    out = np.empty_like(f)
+    out[0] = out[-1] = 0.0
     inner = out[1:-1]
     np.multiply(f[1:-1], 2.0, out=inner)
     np.subtract(f[2:], inner, out=inner)
@@ -256,12 +257,14 @@ def _pressure_diffusion(dP, P, dr, lf_fc, faces):
     lo, hi = faces.start, faces.stop
     D = np.zeros(hi - lo + 2)
     np.multiply(lf_fc[faces], P[lo + 1:hi + 1] - P[lo:hi], out=D[1:-1])
-    widths = np.full(hi - lo + 1, dr)
+    # flux differences over the cell widths: dr, half of it at an end
+    div = D[1:] - D[:-1]
+    div /= dr
     if lo == 0:
-        widths[0] = 0.5 * dr
+        div[0] = (D[1] - D[0]) / (0.5 * dr)
     if hi == len(lf_fc):
-        widths[-1] = 0.5 * dr
-    dP[lo:hi + 1] += (D[1:] - D[:-1]) / widths
+        div[-1] = (D[-1] - D[-2]) / (0.5 * dr)
+    dP[lo:hi + 1] += div
 
 
 def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
@@ -384,7 +387,7 @@ def laplacian_rows(r, dr):
 
 def _require_finite(*arrays):
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not np.logical_and.reduce(np.isfinite(a), axis=None):
             raise ValueError("array must not contain infs or NaNs")
 
 

@@ -105,14 +105,25 @@ class RadialGrid:
 MIN_CELLS = 2     # width of the one-sided end stencils
 
 
+def uniform_nodes(n: int, r_outer: float) -> np.ndarray:
+    """The n + 1 nodes of np.linspace(0.0, r_outer, n + 1), bit for bit while
+    r_outer / n > 0: i * (r_outer / n), with the last node r_outer exactly.
+    Built without linspace's Python-level set-up, as a free run builds a
+    grid every step."""
+    nodes = np.arange(n + 1, dtype=float)
+    nodes *= r_outer / n
+    nodes[-1] = r_outer
+    return nodes
+
+
 def make_grid(n: int, r_outer: float) -> RadialGrid:
     """Uniform grid with n cells on [0, r_outer]; weights are composite trapezoid."""
     if n < MIN_CELLS:
         raise ConfigError(f"grid needs at least {MIN_CELLS} cells, got {n}")
     if not (r_outer > 0.0) or not math.isfinite(r_outer):
         raise ConfigError(f"outer radius must be positive and finite, got {r_outer}")
-    nodes = np.linspace(0.0, r_outer, n + 1)
     dr = float(r_outer) / n
+    nodes = uniform_nodes(n, float(r_outer))
     weights = np.full(n + 1, dr)
     weights[0] = weights[-1] = 0.5 * dr
     return RadialGrid(nodes=_read_only(nodes), r_outer=float(r_outer), dr=dr,
@@ -150,7 +161,7 @@ def integrate_to(samples: np.ndarray, grid: RadialGrid, r_upper: float,
     # full cells [0, r_k], then the partial piece [r_k, r_upper]
     total = 0.0
     if k > 0:
-        total += dr * (0.5 * f[0] + np.sum(f[1:k]) + 0.5 * f[k])
+        total += dr * (0.5 * f[0] + np.add.reduce(f[1:k]) + 0.5 * f[k])
     frac = (r_upper - r[k]) / dr
     f_up = f[k] + frac * (f[k + 1] - f[k])
     total += 0.5 * (f[k] + f_up) * (r_upper - r[k])
@@ -204,7 +215,6 @@ def stacked_row(i: int, swirl: bool = False) -> property:
 
 
 _FIELDS = {4: ("rho", "u", "P", "B"), 6: ("rho", "u", "v", "w", "P", "B")}
-_AXIS_ROWS = {4: np.array([1, 3]), 6: np.array([1, 2, 5])}     # u, (v,) B
 
 
 class FluidState:
@@ -250,9 +260,12 @@ class FluidState:
 
     def pin(self, wall: bool) -> None:
         """Zero u, B (and v) at the axis; with a wall also u (and v, w) at r=R."""
-        self.y[:, 0][_AXIS_ROWS[len(self.y)]] = 0.0
+        y = self.y
+        y[1, 0] = y[-1, 0] = 0.0
+        if len(y) == 6:
+            y[2, 0] = 0.0
         if wall:
-            self.y[1:-2, -1] = 0.0
+            y[1:-2, -1] = 0.0
 
     def freeze(self) -> None:
         """Make every field read-only."""

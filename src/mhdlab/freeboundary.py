@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (FluidState, PhysParams, RadialGrid, SolverSettings, Weight,
-                   integrate_to, make_grid)
+                   integrate_to, make_grid, uniform_nodes)
 from .errors import GeometryCollapse
 from .solver import StepStats, step as fixed_step
 from .vacuum import advance_radius
@@ -83,7 +83,7 @@ def remap_state(state: FluidState, grid_old: RadialGrid, grid_new: RadialGrid,
     """
     # the affine radii xi * a: grid.nodes rounds differently and would move
     # the outputs' bits
-    xi = np.linspace(0.0, 1.0, grid_old.n_cells + 1)
+    xi = uniform_nodes(grid_old.n_cells, 1.0)
     r_old = xi * grid_old.r_outer
     r_new = xi * grid_new.r_outer
     out = FluidState.of(np.array([np.interp(r_new, r_old, f) for f in state.y]),

@@ -46,6 +46,11 @@ class MMSForcing:
     The coefficient profiles are tabulated once per node array as three
     stacked (4, N+1) tables T1, T2, T3 (T3 is zero outside the u row), so a
     call evaluates ((e T3 + T2) e + T1) e in five array operations.
+
+    The evaluation at the latest t asked for is kept, and a call at exactly
+    that t returns a copy of it: an SSP-RK3 step asks for t, t + dt and
+    t + dt/2, and the next step's first stage asks for t + dt again, so a
+    step evaluates the polynomial twice.
     """
 
     def __init__(self, p: PhysParams, r_outer: float, amp: float = MMS_AMPLITUDE):
@@ -56,6 +61,8 @@ class MMSForcing:
         self.amp = float(amp)
         self._table_r = None        # node array the cached profiles belong to
         self._table = None
+        self._kept_t = None         # latest t evaluated on _table_r
+        self._kept = None
 
     def exact(self, r: np.ndarray, t: float):
         e = self.amp * np.exp(-t)
@@ -95,6 +102,19 @@ class MMSForcing:
         if r is not self._table_r:
             self._table = self._tabulate(r)
             self._table_r = r
+            self._kept_t = None
+        # the caller writes into the array, so a kept one is handed out as
+        # a copy
+        if t == self._kept_t:
+            return self._kept.copy()
+        f = self._evaluate(t)
+        if self._kept_t is None or t > self._kept_t:
+            self._kept_t, self._kept = t, f
+            return f.copy()
+        return f
+
+    def _evaluate(self, t: float) -> np.ndarray:
+        """The forcing at t on the tabulated nodes, as a new array."""
         T1, T2, T3 = self._table
         e = self.amp * math.exp(-t)
         f = T3 * e

@@ -73,43 +73,44 @@ class StepStats:
 def vacuum_block(rho: np.ndarray, eps_vac: float) -> int:
     """Index of the last node of the vacuum prefix (rho < eps_vac), or -1."""
     vac = rho < eps_vac
-    if not vac[0]:
-        return -1
-    nz = np.nonzero(~vac)[0]
-    return int(nz[0] - 1) if len(nz) else len(rho) - 1
+    # the first fluid node; argmin gives 0 also when every node is vacuum
+    k = int(vac.argmin())
+    return len(rho) - 1 if vac[k] else k - 1
 
 
 def _check_finite(state: FluidState):
     """Raise NumericalFailure at the first non-finite node of the first field
-    holding one; the fields are scanned one by one only when the whole array
-    is not finite."""
-    if np.isfinite(state.y).all():
-        return
-    for name, arr in state.fields():
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            raise NumericalFailure(f"non-finite {name}", node=int(np.argmax(bad)))
+    holding one."""
+    ok = np.isfinite(state.y)
+    # argmin finds the first False in row order (index 0 when there is none)
+    k = int(ok.argmin())
+    if not ok.item(k):
+        row, node = divmod(k, ok.shape[1])
+        raise NumericalFailure(f"non-finite {state.fields()[row][0]}", node=node)
 
 
 class _Stage:
     """What the solver derives from one state whose arrays no longer change.
 
-    rho* = max(rho, eps_vac), the vacuum mask rho < eps_vac and the vacuum
-    block's last node m are built at once; the finiteness scan and the
-    signal speeds on first use. A stage rides on its state
-    (`FluidState._stage`) only while no one else writes into its array y:
-    inside a step, where the solver owns every write, and on a read-only y
-    (a step's output, a run's initial state); assigning a field gives the
-    state a new y, which the stage does not serve. Every in-place write
-    to u, v, w while a stage rides on the state (`apply_vacuum_balance`,
-    `implicit_viscous`, the re-pinning after it) calls `forget_velocities`;
-    rho and P are never written once the stage exists. The methods take the
-    state instead of the stage holding it, so a state and its stage form no
-    reference cycle and are freed as soon as the state is dropped.
+    rho* = max(rho, eps_vac), the vacuum mask rho < eps_vac, the vacuum
+    block's last node m and whether any node is vacuum are built at once;
+    the finiteness scan, the signal speeds and their maximum on first use.
+    Each is one direct NumPy call (a ufunc, its reduce, argmin/argmax), not
+    a Python-level wrapper such as np.max or ndarray.any. A stage rides on
+    its state (`FluidState._stage`) only while no one else writes into its
+    array y: inside a step, where the solver owns every write, and on a
+    read-only y (a step's output, a run's initial state); assigning a field
+    gives the state a new y, which the stage does not serve. Every in-place
+    write to u, v, w while a stage rides on the state
+    (`apply_vacuum_balance`, `implicit_viscous`, the re-pinning after it)
+    calls `forget_velocities`; rho and P are never written once the stage
+    exists. The methods take the state instead of the stage holding it, so
+    a state and its stage form no reference cycle and are freed as soon as
+    the state is dropped.
     """
 
-    __slots__ = ("p", "s", "y", "rho_star", "vac", "m", "_scanned",
-                 "_failure", "_speeds")
+    __slots__ = ("p", "s", "y", "rho_star", "vac", "m", "any_vac",
+                 "_scanned", "_failure", "_speeds", "_max_speed")
 
     def __init__(self, state: FluidState, p: PhysParams, s: SolverSettings):
         self.p = p
@@ -119,6 +120,8 @@ class _Stage:
         self.rho_star = np.maximum(rho, s.eps_vac)
         self.vac = rho < s.eps_vac
         self.m = vacuum_block(rho, s.eps_vac)
+        # argmax finds the first vacuum node (index 0 when there is none)
+        self.any_vac = self.m >= 0 or self.vac.item(self.vac.argmax())
         self.forget_velocities()
 
     def serves(self, state: FluidState, p: PhysParams, s: SolverSettings) -> bool:
@@ -131,6 +134,7 @@ class _Stage:
         self._scanned = False
         self._failure = None
         self._speeds = None
+        self._max_speed = None
 
     def check_finite(self, state: FluidState) -> None:
         """`_check_finite(state)`, scanning the arrays at most once."""
@@ -146,11 +150,26 @@ class _Stage:
     def speeds(self, state: FluidState) -> np.ndarray:
         """Per-node |u| + c_s + c_A (see `signal_speeds`), built on first use."""
         if self._speeds is None:
-            cs = np.sqrt(self.p.gamma * state.P / self.rho_star)
-            ca = np.sqrt(state.B * state.B / self.rho_star)
+            # (|u| + c_s) + c_A, built in the c_s array
+            out = self.p.gamma * state.P
+            out /= self.rho_star
+            np.sqrt(out, out=out)
+            ca = state.B * state.B
+            ca /= self.rho_star
+            np.sqrt(ca, out=ca)
             abs_u = np.abs(state.u)
-            self._speeds = np.where(self.vac, abs_u, abs_u + cs + ca)
+            out += abs_u
+            out += ca
+            if self.any_vac:
+                np.copyto(out, abs_u, where=self.vac)
+            self._speeds = out
         return self._speeds
+
+    def max_speed(self, state: FluidState) -> float:
+        """The largest of `speeds(state)`."""
+        if self._max_speed is None:
+            self._max_speed = float(np.maximum.reduce(self.speeds(state)))
+        return self._max_speed
 
 
 def _stage_of(state: FluidState, p: PhysParams, s: SolverSettings) -> _Stage:
@@ -179,25 +198,23 @@ def _face_controls(state: FluidState, grid: RadialGrid, stage: _Stage,
                    stats: Optional[StepStats]):
     """Per-face LF coefficients and donor-cell flags around the vacuum edge;
     the grid's read-only zeros when no node is vacuum."""
-    vac = stage.vac
-    if not vac.any():
+    if not stage.any_vac:
         return grid.quiet_faces
     n = grid.n_cells
+    vac = stage.vac
+    up = np.empty(n, dtype=bool)
+    np.logical_or(vac[:-1], vac[1:], out=up)
     lf_fc = np.zeros(n)
-    up_fc = np.zeros(n, dtype=np.uint8)
-    up_fc[:] = vac[:-1] | vac[1:]
     m = stage.m
     if 0 <= m < n - 1:
-        a_max = float(np.max(stage.speeds(state)))
-        coeff = 0.5 * a_max * grid.dr
+        coeff = 0.5 * stage.max_speed(state) * grid.dr
         if stats is not None:
             stats.lf_coeff = coeff
-        lo = m + 1
-        hi = min(m + _LF_BAND, n - 1)
-        band = np.arange(lo, hi + 1)
-        band = band[up_fc[band] == 0]
+        # faces m+1 .. m+_LF_BAND short of the last, but none touching vacuum
+        band = slice(m + 1, min(m + _LF_BAND, n - 1) + 1)
         lf_fc[band] = coeff
-    return lf_fc, up_fc
+        np.copyto(lf_fc[band], 0.0, where=up[band])
+    return lf_fc, up.view(np.uint8)
 
 
 def _rhs_prologue(state: FluidState, p: PhysParams, grid: RadialGrid,
@@ -263,11 +280,12 @@ def cfl_dt(state: FluidState, grid: RadialGrid, p: PhysParams,
     the vacuum block; cfl-scaled minimum."""
     stage = _stage_of(state, p, s)
     stage.check_finite(state)
-    vmax = float(np.max(stage.speeds(state)))
+    vmax = stage.max_speed(state)
     dt = grid.dr / vmax if vmax > _DT_EPS else np.inf
     if s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
         m = stage.m
-        rho_floor = float(np.min(stage.rho_star[m + 1:])) if m < grid.n_cells else np.inf
+        rho_floor = (float(np.minimum.reduce(stage.rho_star[m + 1:]))
+                     if m < grid.n_cells else np.inf)
         dt = min(dt, grid.dr ** 2 * rho_floor / (2.0 * p.two_mu_lam))
     dt *= s.cfl
     if dt < s.dt_min:
@@ -289,7 +307,9 @@ class Health:
 def max_grad_u(state: FluidState, grid: RadialGrid) -> float:
     """max over nodes of max(|u_r|, |u/r|), u/r taken as u_r(0) at the axis."""
     ur, uor = kern.radial_parts(state.u, grid.nodes, grid.dr)
-    return float(np.max(np.maximum(np.abs(ur), np.abs(uor))))
+    np.abs(ur, out=ur)
+    np.abs(uor, out=uor)
+    return float(np.maximum.reduce(np.maximum(ur, uor, out=ur)))
 
 
 def detect_blowup(state: FluidState, grid: RadialGrid, p: PhysParams,
@@ -346,7 +366,7 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
         raise NumericalFailure(f"singular vacuum balance solve: {exc}") from None
     except ValueError as exc:
         raise NumericalFailure(f"non-finite vacuum balance system: {exc}") from None
-    if not np.all(np.isfinite(sol)):
+    if not np.logical_and.reduce(np.isfinite(sol)):
         raise NumericalFailure("non-finite vacuum balance solution")
     u[1:edge] = sol
     u[0] = 0.0
@@ -412,7 +432,7 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
         raise NumericalFailure(f"singular viscous solve: {exc}") from None
     except ValueError as exc:
         raise NumericalFailure(f"non-finite viscous system: {exc}") from None
-    if not np.all(np.isfinite(sol)):
+    if not np.logical_and.reduce(np.isfinite(sol)):
         raise NumericalFailure("non-finite viscous solution")
     f[rows] = sol
 
@@ -458,24 +478,29 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
     follow; after this only the solver writes into the state's arrays.
     """
     state.pin(wall=free_bc is None)
-    rho, P = state.rho, state.P
-    neg = rho < 0.0
-    if neg.any():
-        if stats is not None:
-            stats.clipped_mass += -integrate(np.minimum(rho, 0.0), grid,
-                                             Weight.RADIAL_R)
-        rho[neg] = 0.0
-    neg = P < 0.0
-    if neg.any():
-        if stats is not None:
-            stats.clipped_pressure += -integrate(np.minimum(P, 0.0), grid,
+    y = state.y
+    # one scan of the rho and P rows (y[0] and y[-2]) finds a negative or NaN
+    if not np.minimum.reduce(y[::len(y) - 2], axis=None) >= 0.0:
+        rho, P = state.rho, state.P
+        neg = rho < 0.0
+        if np.logical_or.reduce(neg):
+            if stats is not None:
+                stats.clipped_mass += -integrate(np.minimum(rho, 0.0), grid,
                                                  Weight.RADIAL_R)
-        P[neg] = 0.0
+            rho[neg] = 0.0
+        neg = P < 0.0
+        if np.logical_or.reduce(neg):
+            if stats is not None:
+                stats.clipped_pressure += -integrate(np.minimum(P, 0.0), grid,
+                                                     Weight.RADIAL_R)
+            P[neg] = 0.0
     if free_bc is not None:
         free_bc(state)
-    # the balance reads the block and writes only velocities
-    state._stage = _Stage(state, p, s)
-    apply_vacuum_balance(state, p, grid, s, stats)
+    # the balance reads the block and writes only velocities; it does
+    # nothing without a block of two or more nodes, so it is not called
+    stage = state._stage = _Stage(state, p, s)
+    if stage.m >= 1:
+        apply_vacuum_balance(state, p, grid, s, stats)
 
 
 def _finalize_velocities(state: FluidState, p: PhysParams, grid: RadialGrid,
@@ -492,7 +517,8 @@ def _finalize_velocities(state: FluidState, p: PhysParams, grid: RadialGrid,
     if free_bc is not None:
         free_bc(state)
     stage.forget_velocities()
-    apply_vacuum_balance(state, p, grid, s, stats)
+    if stage.m >= 1:
+        apply_vacuum_balance(state, p, grid, s, stats)
 
 
 def balance_initial_state(state: FluidState, p: PhysParams, grid: RadialGrid,
@@ -503,8 +529,9 @@ def balance_initial_state(state: FluidState, p: PhysParams, grid: RadialGrid,
     The stage built for the balance stays on the state, so the first
     `cfl_dt` and the first step's rhs share it.
     """
-    state._stage = _Stage(state, p, s)
-    apply_vacuum_balance(state, p, grid, s, stats)
+    stage = state._stage = _Stage(state, p, s)
+    if stage.m >= 1:
+        apply_vacuum_balance(state, p, grid, s, stats)
     state.freeze()
 
 

@@ -33,6 +33,15 @@ class TestMakeGrid:
         with pytest.raises(ConfigError):
             make_grid(n, r)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 5000),
+           r=st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False))
+    def test_nodes_are_linspace_bits(self, n, r):
+        from mhdlab.core import uniform_nodes
+        want = np.linspace(0.0, r, n + 1).tobytes()
+        assert uniform_nodes(n, r).tobytes() == want
+        assert make_grid(n, r).nodes.tobytes() == want
+
 
 class TestStencilRows:
     """The viscous stencil rows cached on the grid."""

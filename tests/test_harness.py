@@ -206,19 +206,50 @@ class TestRunReport:
         assert s["clipped_pressure"] == pytest.approx(sum(clipped), rel=1e-12)
 
 
+def numpy_wrapper_files():
+    """Source files of NumPy's Python-level reduction wrappers (np.max,
+    np.all, ndarray.any, ...)."""
+    try:
+        from numpy._core import _methods, fromnumeric
+    except ImportError:         # NumPy 1.x
+        from numpy.core import _methods, fromnumeric
+    return {fromnumeric.__file__, _methods.__file__}
+
+
 class TestWorkPerStep:
     """Per-step calls of the finiteness scan, the vacuum-block search and the
-    free grid's builds, and the forcing's profile builds, counted between the
-    starts of consecutive steps of run() (one step plus its health check)."""
+    free grid's builds, the forcing's profile builds and evaluations, and the
+    frames entered in NumPy's reduction wrappers, counted between the starts
+    of consecutive steps of run() (one step plus its health check)."""
 
     def per_step(self, monkeypatch, cfg, keys=("scan", "block")):
+        import sys
+
         import mhdlab.core
         import mhdlab.freeboundary
         import mhdlab.harness
         import mhdlab.mms
         import mhdlab.solver
-        counts = {"scan": 0, "block": 0, "table": 0, "grid": 0, "rows": 0}
+        counts = {"scan": 0, "block": 0, "table": 0, "eval": 0, "grid": 0,
+                  "rows": 0, "wrapped": 0}
         marks = []
+        wrapper_files = numpy_wrapper_files()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename in wrapper_files:
+                counts["wrapped"] += 1
+
+        def profiled(fn):
+            # frames are counted only inside the step and its per-step
+            # checks, not in the records written every output.stride steps
+            def wrapper(*args, **kwargs):
+                outer = sys.getprofile()
+                sys.setprofile(profile)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    sys.setprofile(outer)
+            return wrapper
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -238,10 +269,17 @@ class TestWorkPerStep:
                             counting("block", mhdlab.solver.vacuum_block))
         monkeypatch.setattr(mhdlab.mms.MMSForcing, "_tabulate",
                             counting("table", mhdlab.mms.MMSForcing._tabulate))
+        monkeypatch.setattr(mhdlab.mms.MMSForcing, "_evaluate",
+                            counting("eval", mhdlab.mms.MMSForcing._evaluate))
         monkeypatch.setattr(mhdlab.freeboundary, "make_grid",
                             counting("grid", mhdlab.freeboundary.make_grid))
         monkeypatch.setattr(mhdlab.core, "laplacian_rows",
                             counting("rows", mhdlab.core.laplacian_rows))
+        if "wrapped" in keys:
+            for name in ("step", "free_step", "advance_front",
+                         "dissipation_rate", "detect_blowup"):
+                monkeypatch.setattr(mhdlab.harness, name,
+                                    profiled(getattr(mhdlab.harness, name)))
         monkeypatch.setattr(mhdlab.harness, "step", marking(mhdlab.harness.step))
         monkeypatch.setattr(mhdlab.harness, "free_step",
                             marking(mhdlab.harness.free_step))
@@ -273,10 +311,22 @@ class TestWorkPerStep:
     def test_mms_ssprk3(self, monkeypatch):
         cfg = dataclasses.replace(load_preset("mms"), n=32, t_end=0.05)
         assert cfg.solver.scheme.value == "ssprk3"
-        res, deltas, counts = self.per_step(monkeypatch, cfg)
+        res, deltas, counts = self.per_step(monkeypatch, cfg,
+                                            keys=("scan", "block", "eval"))
         assert res.status is RunStatus.COMPLETED
-        assert deltas == {(3, 3)}
+        # the forcing at t + dt is kept from the step before
+        assert deltas == {(3, 3, 2)}
         assert counts["table"] == 1      # one grid, one table
+
+    @pytest.mark.parametrize("preset, scheme", [
+        ("mms", "ssprk3"), ("disk-blowup", "rk2-imp"),
+        ("cylinder-blowup", "rk2-imp"), ("free-blowup", "rk2-imp")])
+    def test_no_numpy_reduction_wrappers(self, monkeypatch, preset, scheme):
+        cfg = small(preset, n=64, t_end=0.05, output_stride=4)
+        assert cfg.solver.scheme.value == scheme
+        res, deltas, _ = self.per_step(monkeypatch, cfg, keys=("wrapped",))
+        assert res.status is RunStatus.COMPLETED
+        assert deltas == {(0,)}
 
     @pytest.mark.parametrize("preset", ["disk-blowup", "free-blowup",
                                         "smooth-novac"])
@@ -369,6 +419,22 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert {"C0", "E0", "alpha_star", "T_bound"} <= set(doc)
+        assert doc["T_bound"] > 0
+
+    def test_python_m_runs_the_cli(self):
+        import subprocess
+        import sys
+
+        import mhdlab
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mhdlab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhdlab", "bounds", "--preset", "disk-blowup"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
         assert doc["T_bound"] > 0
 
     def test_mms_subcommand(self, capsys):

@@ -180,6 +180,35 @@ class TestForcing:
         assert got.shape == (4, n + 1)
         assert np.array_equal(got, per_row_forcing(f, g.nodes, t))
 
+    def test_kept_evaluations_are_bitwise_neutral(self, monkeypatch):
+        # the ladder's errors with the kept evaluations equal those of a
+        # forcing that evaluates every call, which evaluates more often
+        import mhdlab.harness
+        evaluated = {True: 0, False: 0}
+
+        class Counted(MMSForcing):
+            keep = True
+
+            def __call__(self, r, t):
+                if not self.keep:
+                    self._kept_t = None
+                return super().__call__(r, t)
+
+            def _evaluate(self, t):
+                evaluated[self.keep] += 1
+                return super()._evaluate(t)
+
+        class Uncached(Counted):
+            keep = False
+
+        def errors(forcing):
+            monkeypatch.setattr(mhdlab.harness, "MMSForcing", forcing)
+            rows = convergence_study(mms_config(), [32, 64])
+            return np.array([list(row.errors.values()) for row in rows])
+
+        assert errors(Counted).tobytes() == errors(Uncached).tobytes()
+        assert 0 < evaluated[True] < evaluated[False]
+
     def test_cylinder_rejected(self):
         with pytest.raises(Exception):
             MMSForcing(PhysParams(mu=1.0, lam=0.0, gamma=1.4,

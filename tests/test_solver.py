@@ -750,3 +750,175 @@ class TestStackedContract:
         for name, arr in a.fields():
             assert np.array_equal(getattr(out, name),
                                   0.75 * arr + 0.25 * getattr(b, name)), name
+
+
+# The stage pieces as they were built with NumPy's reduction wrappers, index
+# arrays and one sign scan per field, kept as the references their reworked
+# forms must match bit for bit.
+
+def _reference_vacuum_block(rho, eps_vac):
+    vac = rho < eps_vac
+    if not vac[0]:
+        return -1
+    nz = np.nonzero(~vac)[0]
+    return int(nz[0] - 1) if len(nz) else len(rho) - 1
+
+
+def _reference_speeds(state, stage):
+    cs = np.sqrt(stage.p.gamma * state.P / stage.rho_star)
+    ca = np.sqrt(state.B * state.B / stage.rho_star)
+    abs_u = np.abs(state.u)
+    return np.where(stage.vac, abs_u, abs_u + cs + ca)
+
+
+def _reference_face_controls(state, grid, stage, stats):
+    from mhdlab.solver import _LF_BAND
+    vac = stage.vac
+    if not vac.any():
+        return grid.quiet_faces
+    n = grid.n_cells
+    lf_fc = np.zeros(n)
+    up_fc = np.zeros(n, dtype=np.uint8)
+    up_fc[:] = vac[:-1] | vac[1:]
+    m = stage.m
+    if 0 <= m < n - 1:
+        a_max = float(np.max(_reference_speeds(state, stage)))
+        coeff = 0.5 * a_max * grid.dr
+        if stats is not None:
+            stats.lf_coeff = coeff
+        lo = m + 1
+        hi = min(m + _LF_BAND, n - 1)
+        band = np.arange(lo, hi + 1)
+        band = band[up_fc[band] == 0]
+        lf_fc[band] = coeff
+    return lf_fc, up_fc
+
+
+def _reference_finalize_stage(state, p, grid, s, stats):
+    """`finalize_stage` on a fixed boundary: index-array pins, a sign scan
+    per clipped field, and the balance called on every stage."""
+    from mhdlab.solver import _Stage
+    rows = [1, 2, 5] if len(state.y) == 6 else [1, 3]     # u, (v,) B
+    state.y[:, 0][np.array(rows)] = 0.0
+    state.y[1:-2, -1] = 0.0
+    rho, P = state.rho, state.P
+    neg = rho < 0.0
+    if neg.any():
+        stats.clipped_mass += -integrate(np.minimum(rho, 0.0), grid,
+                                         Weight.RADIAL_R)
+        rho[neg] = 0.0
+    neg = P < 0.0
+    if neg.any():
+        stats.clipped_pressure += -integrate(np.minimum(P, 0.0), grid,
+                                             Weight.RADIAL_R)
+        P[neg] = 0.0
+    state._stage = _Stage(state, p, s)
+    apply_vacuum_balance(state, p, grid, s, stats)
+
+
+N_STAGE = 40
+
+
+def _vacuum_case(name, rng):
+    """Density (with negatives among the vacuum nodes) of a named layout."""
+    rho = rng.uniform(0.5, 1.5, N_STAGE + 1)
+    vacuum = {
+        "none": [],
+        "prefix": list(range(9)),
+        # isolated nodes inside the band, beyond it, and without a prefix
+        "prefix-and-isolated": list(range(5)) + [8, 12, 30],
+        "isolated-only": [6, 7, 19, 33],
+        "axis-only": [0, 10],
+        "ends-at-face-n-1": list(range(N_STAGE)),
+        "all": list(range(N_STAGE + 1)),
+        "two-short-of-the-end": list(range(N_STAGE - 1)),
+    }[name]
+    rho[vacuum] = rng.uniform(-1e-3, 1e-7, len(vacuum))
+    return rho
+
+
+VACUUM_CASES = ["none", "prefix", "prefix-and-isolated", "isolated-only",
+                "axis-only", "ends-at-face-n-1", "all", "two-short-of-the-end"]
+
+
+class TestStageAgainstReference:
+    """The reworked vacuum search, signal speeds, face controls and stage
+    finalize give the reference forms' bits on random states."""
+
+    def state(self, case, geometry, seed, negative_P=True):
+        rng = np.random.default_rng(seed)
+        g = make_grid(N_STAGE, 1.0)
+        n1 = N_STAGE + 1
+        fields = dict(rho=_vacuum_case(case, rng),
+                      u=0.3 * rng.standard_normal(n1),
+                      P=rng.uniform(-0.2 if negative_P else 0.1, 1.0, n1),
+                      B=0.5 * rng.standard_normal(n1))
+        if geometry is Geometry.CYLINDER3D:
+            fields.update(v=0.3 * rng.standard_normal(n1),
+                          w=0.3 * rng.standard_normal(n1))
+            p = cyl_params(mu=0.3, lam=0.1)
+        else:
+            p = disk_params(mu=0.3, lam=0.1)
+        return g, FluidState(**fields), p, settings(eps_vac=1e-6)
+
+    @pytest.mark.parametrize("case", VACUUM_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vacuum_block(self, case, seed):
+        rho = _vacuum_case(case, np.random.default_rng(seed))
+        for eps in (1e-6, 0.0, 1.0, 2.0):
+            assert vacuum_block(rho, eps) == _reference_vacuum_block(rho, eps)
+
+    @pytest.mark.parametrize("case", VACUUM_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
+    def test_speeds_and_face_controls(self, case, seed, geometry):
+        from mhdlab.solver import _face_controls, _Stage
+        # a negative P gives NaN speeds and a NaN coefficient
+        g, st, p, s = self.state(case, geometry, seed, negative_P=seed == 2)
+        with np.errstate(invalid="ignore"):
+            stage = _Stage(st, p, s)
+            want = _reference_speeds(st, stage)
+            assert stage.speeds(st).tobytes() == want.tobytes()
+            got_stats, want_stats = StepStats(lf_coeff=7.0), StepStats(lf_coeff=7.0)
+            got = _face_controls(st, g, _Stage(st, p, s), got_stats)
+            ref = _reference_face_controls(st, g, stage, want_stats)
+        assert (stage.m >= 0) == (case not in ("none", "isolated-only"))
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(got_stats.lf_coeff, want_stats.lf_coeff,
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("case", VACUUM_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
+    def test_finalize_stage(self, case, seed, geometry):
+        from mhdlab.solver import finalize_stage
+        g, st, p, s = self.state(case, geometry, seed)
+        got, want = st.copy(), st.copy()
+        got_stats, want_stats = StepStats(), StepStats()
+        finalize_stage(got, p, g, s, got_stats)
+        _reference_finalize_stage(want, p, g, s, want_stats)
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got_stats == want_stats
+        assert got_stats.clipped_mass > 0.0 or case == "none"
+        assert got_stats.clipped_pressure > 0.0
+        assert (got_stats.balance_solves == 1) == (got._stage.m >= 1)
+
+    @pytest.mark.parametrize("field", ["rho", "P"])
+    def test_finalize_stage_with_a_nan(self, field):
+        # a NaN does not hide the negative nodes beside it from the clipping
+        import dataclasses
+
+        from mhdlab.solver import finalize_stage
+        g, st, p, s = self.state("prefix", Geometry.DISK2D, 0)
+        getattr(st, field)[20] = np.nan
+        got, want = st.copy(), st.copy()
+        got_stats, want_stats = StepStats(), StepStats()
+        with np.errstate(invalid="ignore"):
+            finalize_stage(got, p, g, s, got_stats)
+            _reference_finalize_stage(want, p, g, s, want_stats)
+        assert got.y.tobytes() == want.y.tobytes()
+        assert np.array_equal(dataclasses.astuple(got_stats),
+                              dataclasses.astuple(want_stats), equal_nan=True)
+        assert math.isnan(got_stats.clipped_mass if field == "rho"
+                          else got_stats.clipped_pressure)
