@@ -6,6 +6,10 @@ Subcommands:
     mms     manufactured-solution convergence study over a list of grids
 
 Exit codes: 0 Completed, 1 Error, 2 BlowupDetected, 3 Invalidated.
+
+Only `run` and `mms` import the run loop (`harness`, and through it the
+solver), so `bounds` loads the configuration, scenario and diagnostics
+modules alone.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ import sys
 from .config import (apply_overrides, build_config, load_preset_text,
                      parse_pairs)
 from .core import init_scenario
-from .diagnostics import lifespan_bound, optimize_alpha, total_energy
+from .diagnostics import (bound_template, lifespan_bound, optimize_alpha,
+                          total_energy)
 from .errors import MHDLabError
-from .harness import (EXIT_CODES, RunStatus, bound_template,
-                      convergence_study, format_convergence_table, run)
 
 
 def _load_config(args) -> "ScenarioConfig":
@@ -40,6 +43,8 @@ def _load_config(args) -> "ScenarioConfig":
 
 
 def _cmd_run(args) -> int:
+    from .harness import EXIT_CODES, RunStatus, run
+
     cfg = _load_config(args)
     out_dir = args.out or cfg.output_dir or "."
     result = run(cfg, out_dir=out_dir)
@@ -95,6 +100,8 @@ def _grid_sizes(text: str) -> list:
 
 
 def _cmd_mms(args) -> int:
+    from .harness import convergence_study, format_convergence_table
+
     cfg = _load_config(args)
     n_list = _grid_sizes(args.n)
     rows = convergence_study(cfg, n_list)

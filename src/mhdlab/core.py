@@ -474,8 +474,6 @@ def init_scenario(cfg: ScenarioConfig):
     [0, r0] and the magnetic flux through the vacuum must be non-degenerate;
     the returned front carries R(0) = r0 and the conserved flux C0.
     """
-    from .vacuum import VacuumFront  # local import to avoid a cycle
-
     grid = cfg.grid()
     r = grid.nodes
 
@@ -511,6 +509,9 @@ def init_scenario(cfg: ScenarioConfig):
         if abs(c0) < _FLUX_FLOOR:
             raise ConfigError(
                 f"vacuum magnetic flux {c0:.3e} is degenerate (|C0| < {_FLUX_FLOOR})")
+        # imported here: vacuum imports core, and a scenario without a
+        # vacuum radius never loads it
+        from .vacuum import VacuumFront
         front = VacuumFront(R=r0, r0=r0, C0=c0)
 
     state.validate(cfg.geometry)

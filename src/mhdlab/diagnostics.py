@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels as kern
-from .core import (FluidState, Geometry, PhysParams, RadialGrid, Weight,
-                   integrate, integrate_to)
+from .core import (FluidState, Geometry, PhysParams, RadialGrid,
+                   ScenarioConfig, Weight, integrate, integrate_to)
 from .errors import ConfigError
-from .vacuum import VacuumFront
+
+if TYPE_CHECKING:
+    from .vacuum import VacuumFront
 
 ALPHA_MIN_CYLINDER = 7.0 / 6.0
 _EXP_OVERFLOW = 700.0
@@ -220,6 +222,19 @@ class BoundInputs:
     @property
     def two_mu_lam(self) -> float:
         return 2.0 * self.mu + self.lam
+
+
+def bound_template(cfg: ScenarioConfig, C0: float, E0: float) -> BoundInputs:
+    """Lifespan-bound inputs at alpha = 1.5 (the start of the alpha search).
+
+    The reference radius is R0 for a fixed boundary and the growth-envelope
+    constant C = R0 + sqrt(E0 / (2mu+lam)) for the free boundary.
+    """
+    r_ref = cfg.r_outer
+    if cfg.geometry.is_free:
+        r_ref += math.sqrt(E0 / cfg.phys.two_mu_lam)
+    return BoundInputs(mu=cfg.phys.mu, lam=cfg.phys.lam, R_ref=r_ref, C0=C0,
+                       E0=E0, alpha=1.5, geometry=cfg.geometry)
 
 
 def div_lower_bound(b: BoundInputs, R_now: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .core import FluidState, ScenarioConfig, Weight, init_scenario, integrate
-from .diagnostics import (BoundInputs, DiagnosticsRecord, div_lower_bound,
+from .diagnostics import (DiagnosticsRecord, bound_template, div_lower_bound,
                           div_norm, dissipation_rate, energy_residual,
                           moment_pair, optimize_alpha, total_energy)
 from .errors import MHDLabError
@@ -67,19 +67,6 @@ class RunResult:
     @property
     def status(self) -> RunStatus:
         return self.outcome.status
-
-
-def bound_template(cfg: ScenarioConfig, C0: float, E0: float) -> BoundInputs:
-    """Lifespan-bound inputs at alpha = 1.5 (the start of the alpha search).
-
-    The reference radius is R0 for a fixed boundary and the growth-envelope
-    constant C = R0 + sqrt(E0 / (2mu+lam)) for the free boundary.
-    """
-    r_ref = cfg.r_outer
-    if cfg.geometry.is_free:
-        r_ref += math.sqrt(E0 / cfg.phys.two_mu_lam)
-    return BoundInputs(mu=cfg.phys.mu, lam=cfg.phys.lam, R_ref=r_ref, C0=C0,
-                       E0=E0, alpha=1.5, geometry=cfg.geometry)
 
 
 class _RunState:
@@ -180,9 +167,10 @@ class _RunState:
                                            self.pointwise_inequality_slack())
         self.records.append(rec)
         if self.free and len(self.records) >= 2:
-            res = energy_residual(self.records)
-            breach = abs(self.records[-1].energy + self.records[-1].dissipation_cum
-                         - res.e0) / res.e0 if res.e0 > 0 else 0.0
+            # energy_residual's e0, without its pass over every record
+            e0 = self.records[0].energy + self.records[0].dissipation_cum
+            breach = (abs(rec.energy + rec.dissipation_cum - e0) / e0
+                      if e0 > 0 else 0.0)
             if breach > _INVALIDATION_FACTOR * _FREE_ENERGY_TOL:
                 self.energy_breaches += 1
             else:

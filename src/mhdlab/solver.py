@@ -72,10 +72,14 @@ class StepStats:
 
 def vacuum_block(rho: np.ndarray, eps_vac: float) -> int:
     """Index of the last node of the vacuum prefix (rho < eps_vac), or -1."""
-    vac = rho < eps_vac
+    return _block_end(rho < eps_vac)
+
+
+def _block_end(vac: np.ndarray) -> int:
+    """Index of the last node of the prefix of vacuum mask vac, or -1."""
     # the first fluid node; argmin gives 0 also when every node is vacuum
     k = int(vac.argmin())
-    return len(rho) - 1 if vac[k] else k - 1
+    return len(vac) - 1 if vac[k] else k - 1
 
 
 def _check_finite(state: FluidState):
@@ -119,7 +123,7 @@ class _Stage:
         rho = state.rho
         self.rho_star = np.maximum(rho, s.eps_vac)
         self.vac = rho < s.eps_vac
-        self.m = vacuum_block(rho, s.eps_vac)
+        self.m = _block_end(self.vac)
         # argmax finds the first vacuum node (index 0 when there is none)
         self.any_vac = self.m >= 0 or self.vac.item(self.vac.argmax())
         self.forget_velocities()

@@ -265,8 +265,8 @@ class TestWorkPerStep:
 
         monkeypatch.setattr(mhdlab.solver, "_check_finite",
                             counting("scan", mhdlab.solver._check_finite))
-        monkeypatch.setattr(mhdlab.solver, "vacuum_block",
-                            counting("block", mhdlab.solver.vacuum_block))
+        monkeypatch.setattr(mhdlab.solver, "_block_end",
+                            counting("block", mhdlab.solver._block_end))
         monkeypatch.setattr(mhdlab.mms.MMSForcing, "_tabulate",
                             counting("table", mhdlab.mms.MMSForcing._tabulate))
         monkeypatch.setattr(mhdlab.mms.MMSForcing, "_evaluate",
@@ -354,6 +354,53 @@ class TestWorkPerStep:
         res = run(small(preset, n=64, t_end=0.05))
         assert res.status is RunStatus.COMPLETED
         assert sum(state is initial[0] for state in built) == 1
+
+
+class TestFreeEnergyBreaches:
+    """A free run counts its energy-identity breaches from the first and the
+    newest record, not from a pass over every record at each record."""
+
+    @pytest.mark.parametrize("factor", [None, 0.0])
+    def test_one_ledger_pass_per_run(self, monkeypatch, factor):
+        import mhdlab.harness as harness
+        ledger = harness.energy_residual
+        calls, strikes = [], []
+
+        def counted(history):
+            calls.append(len(history))
+            return ledger(history)
+
+        class Watched(harness._RunState):
+            def record(self, dt):
+                super().record(dt)
+                strikes.append(self.energy_breaches)
+
+        monkeypatch.setattr(harness, "energy_residual", counted)
+        monkeypatch.setattr(harness, "_RunState", Watched)
+        if factor is not None:      # every record breaches
+            monkeypatch.setattr(harness, "_INVALIDATION_FACTOR", factor)
+        res = run(small("free-blowup", n=64, output_stride=1))
+        records = res.records
+        assert len(records) > harness._INVALIDATION_STRIKES
+        # the summary's residual is the one pass over every record
+        assert calls == [len(records)]
+        # the strikes as counted from energy_residual over each prefix
+        limit = harness._INVALIDATION_FACTOR * harness._FREE_ENERGY_TOL
+        expected = [0]
+        for k in range(2, len(records) + 1):
+            e0 = ledger(records[:k]).e0
+            breach = abs(records[k - 1].energy + records[k - 1].dissipation_cum
+                         - e0) / e0 if e0 > 0 else 0.0
+            expected.append(expected[-1] + 1 if breach > limit else 0)
+        assert strikes == expected
+        if factor is None:
+            assert res.status is RunStatus.BLOWUP_DETECTED
+            assert "invalid_reason" not in res.outcome.summary
+        else:
+            assert res.status is RunStatus.INVALIDATED
+            assert strikes[-1] == harness._INVALIDATION_STRIKES
+            assert (res.outcome.summary["invalid_reason"]
+                    == "sustained energy-identity failure")
 
 
 class TestOutputs:
