@@ -32,8 +32,7 @@ _EXPORTS = {
     "harness": ("RunOutcome", "RunResult", "RunStatus", "convergence_study",
                 "run"),
     "picard": ("picard_iterate",),
-    "solver": ("Tendency", "cfl_dt", "detect_blowup", "rhs_cylinder",
-               "rhs_disk", "step"),
+    "solver": ("cfl_dt", "detect_blowup", "rhs_cylinder", "rhs_disk", "step"),
     "vacuum": ("VacuumFront", "advance_front", "check_vacuum", "vacuum_flux"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

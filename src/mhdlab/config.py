@@ -63,13 +63,14 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _parse_value(raw: str, lineno: int):
+def _parse_value(raw: str, where: str):
+    """The typed value of raw; a ConfigError names where it was read."""
     raw = raw.strip()
     if not raw:
-        raise ConfigError(f"line {lineno}: missing value")
+        raise ConfigError(f"{where}: missing value")
     if raw.startswith('"'):
         if not raw.endswith('"') or len(raw) < 2:
-            raise ConfigError(f"line {lineno}: unterminated string {raw!r}")
+            raise ConfigError(f"{where}: unterminated string {raw!r}")
         return raw[1:-1]
     if raw in ("true", "false"):
         return raw == "true"
@@ -80,7 +81,7 @@ def _parse_value(raw: str, lineno: int):
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {raw!r}") from None
+        raise ConfigError(f"{where}: cannot parse value {raw!r}") from None
 
 
 def parse_pairs(text: str) -> dict:
@@ -98,7 +99,7 @@ def parse_pairs(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        pairs[key] = _parse_value(raw, lineno)
+        pairs[key] = _parse_value(raw, f"line {lineno}")
     return pairs
 
 
@@ -180,7 +181,7 @@ def apply_overrides(pairs: dict, overrides) -> dict:
         key = key.strip()
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"override references unknown key {key!r}")
-        out[key] = _parse_value(raw, 0)
+        out[key] = _parse_value(raw, f"override {item!r}")
     return out
 
 

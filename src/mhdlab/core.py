@@ -478,8 +478,8 @@ def init_scenario(cfg: ScenarioConfig):
     r = grid.nodes
 
     if cfg.mms:
-        from .mms import mms_initial_state
-        return mms_initial_state(grid, cfg.geometry), None
+        from .mms import MMSForcing
+        return MMSForcing(cfg.phys, cfg.r_outer).exact_state(grid, 0.0), None
 
     def sample(name):
         prof = cfg.profiles.get(name)

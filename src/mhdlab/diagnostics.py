@@ -126,10 +126,15 @@ def energy_residual(history: Sequence[DiagnosticsRecord]) -> EnergyResidual:
 # The fractional-moment chain
 # ---------------------------------------------------------------------------
 
-def moment_coefficient(alpha: float) -> float:
-    """g(alpha) = alpha/sqrt(2 alpha - 2) + (alpha+1)/sqrt(2 alpha)."""
+def _check_moment_exponent(alpha: float) -> None:
+    """ConfigError unless alpha lies in (1, 2), where the moment chain holds."""
     if not (1.0 < alpha < 2.0):
         raise ConfigError(f"moment exponent must lie in (1, 2), got {alpha}")
+
+
+def moment_coefficient(alpha: float) -> float:
+    """g(alpha) = alpha/sqrt(2 alpha - 2) + (alpha+1)/sqrt(2 alpha)."""
+    _check_moment_exponent(alpha)
     return alpha / math.sqrt(2.0 * alpha - 2.0) + (alpha + 1.0) / math.sqrt(2.0 * alpha)
 
 
@@ -141,8 +146,7 @@ def moment_pair(state: FluidState, front: VacuumFront, grid: RadialGrid,
     rhs       = int [(1 - a/2) B^2 R r^(a-1) + ((a-1)/2) B^2 r^a] dr
     rhs_floor = ((2-a)/2) R int B^2 r^(a-1) dr
     """
-    if not (1.0 < alpha < 2.0):
-        raise ConfigError(f"moment exponent must lie in (1, 2), got {alpha}")
+    _check_moment_exponent(alpha)
     r = grid.nodes
     R = front.R
     s = divergence(state, grid)
@@ -176,8 +180,7 @@ def moment_pre_ibp(state: FluidState, front: VacuumFront, grid: RadialGrid,
 def cauchy_schwarz_gap(state: FluidState, front: VacuumFront, grid: RadialGrid,
                        alpha: float) -> float:
     """Slack of (int B dr)^2 <= (int B^2 r^(a-1) dr) * R^(2-a)/(2-a) on [0, R]."""
-    if not (1.0 < alpha < 2.0):
-        raise ConfigError(f"moment exponent must lie in (1, 2), got {alpha}")
+    _check_moment_exponent(alpha)
     r = grid.nodes
     R = front.R
     b2ra = state.B * state.B * r ** (alpha - 1.0)

@@ -27,7 +27,7 @@ MMS_AMPLITUDE = 0.1
 
 class MMSForcing:
     """Callable returning the forcing rows (f_rho, f_u, f_P, f_B) at (r, t) as
-    one fresh (4, N+1) array.
+    one read-only (4, N+1) array.
 
     f_u is the momentum-equation residual (the ``rho du/dt`` form); the solver
     divides it by rho* alongside the other momentum terms.
@@ -48,9 +48,10 @@ class MMSForcing:
     call evaluates ((e T3 + T2) e + T1) e in five array operations.
 
     The evaluation at the latest t asked for is kept, and a call at exactly
-    that t returns a copy of it: an SSP-RK3 step asks for t, t + dt and
+    that t returns it again: an SSP-RK3 step asks for t, t + dt and
     t + dt/2, and the next step's first stage asks for t + dt again, so a
-    step evaluates the polynomial twice.
+    step evaluates the polynomial twice. No caller can write into an
+    evaluation, so none is copied.
     """
 
     def __init__(self, p: PhysParams, r_outer: float, amp: float = MMS_AMPLITUDE):
@@ -103,18 +104,15 @@ class MMSForcing:
             self._table = self._tabulate(r)
             self._table_r = r
             self._kept_t = None
-        # the caller writes into the array, so a kept one is handed out as
-        # a copy
         if t == self._kept_t:
-            return self._kept.copy()
+            return self._kept
         f = self._evaluate(t)
         if self._kept_t is None or t > self._kept_t:
             self._kept_t, self._kept = t, f
-            return f.copy()
         return f
 
     def _evaluate(self, t: float) -> np.ndarray:
-        """The forcing at t on the tabulated nodes, as a new array."""
+        """The forcing at t on the tabulated nodes, as a new read-only array."""
         T1, T2, T3 = self._table
         e = self.amp * math.exp(-t)
         f = T3 * e
@@ -122,12 +120,5 @@ class MMSForcing:
         f *= e
         f += T1
         f *= e
+        f.flags.writeable = False
         return f
-
-
-def mms_initial_state(grid: RadialGrid, geometry: Geometry) -> FluidState:
-    if geometry is not Geometry.DISK2D:
-        raise ConfigError("the manufactured solution is defined for disk2d only")
-    # parameters other than geometry do not matter for the initial fields
-    p = PhysParams(mu=1.0, lam=0.0, gamma=1.4, geometry=geometry)
-    return MMSForcing(p, grid.r_outer).exact_state(grid, 0.0)

@@ -31,7 +31,7 @@ from . import _kernels as kern
 from .core import (FluidState, Geometry, PhysParams, RadialGrid, Scheme,
                    SolverSettings, Weight, integrate)
 from .errors import ConfigError
-from .solver import Tendency, apply_tendency, blend, cfl_dt
+from .solver import cfl_dt, ssp_rk3
 
 _DIVERGENCE_STRIKES = 3
 
@@ -56,12 +56,12 @@ class PicardReport:
 
 
 def _linear_tendency(y: FluidState, V: np.ndarray, p: PhysParams,
-                     grid: RadialGrid, eps_vac: float) -> Tendency:
-    """The disk tendency with transport by the frozen V and no LF band."""
+                     grid: RadialGrid, eps_vac: float) -> np.ndarray:
+    """The disk rates with transport by the frozen V and no LF band."""
     r = grid.nodes
     dr = grid.dr
     rho_star = np.maximum(y.rho, eps_vac)
-    no_band = np.zeros(grid.n_cells)
+    no_lf, no_donor = grid.quiet_faces
 
     Vr, Vor = kern.radial_parts(V, r, dr)
     ur = kern.axis_gradient(y.u, dr)
@@ -71,37 +71,35 @@ def _linear_tendency(y: FluidState, V: np.ndarray, p: PhysParams,
     du = (-y.rho * V * ur - Pr + p.two_mu_lam * kern.vector_laplacian(y.u, r, dr)
           - y.B * (Br + Bor)) / rho_star
     du[0] = du[-1] = 0.0
-    return Tendency(np.array([
-        kern.mass_tendency(r, dr, y.rho, V, no_band, no_band),
+    return np.array([
+        kern.mass_tendency(r, dr, y.rho, V, no_lf, no_donor),
         du,
         -V * Pr - p.gamma * y.P * (Vr + Vor),
-        kern.induction_tendency(dr, V, y.B, no_band),
-    ]))
+        kern.induction_tendency(dr, V, y.B, no_lf),
+    ])
 
 
 def _sweep(state0: FluidState, v_traj, dt: float, n_steps: int, p: PhysParams,
            grid: RadialGrid, eps_vac: float):
     """Integrate the linear system over the window against a frozen V trajectory.
 
-    Returns (trajectory, finite): a sweep that leaves the floating-point range
-    is truncated (remaining snapshots repeat the last state) and flagged.
+    Each step is `ssp_rk3` with V at the stage times: the step's start, its
+    end and their mean. Returns (trajectory, finite): a sweep that leaves the
+    floating-point range is truncated (remaining snapshots repeat the last
+    state) and flagged.
     """
 
-    def stage(y, V):
-        out = apply_tendency(y, _linear_tendency(y, V, p, grid, eps_vac), dt)
-        out.pin(wall=True)
-        return out
+    def pin(y):
+        y.pin(wall=True)
 
     traj = [state0.copy()]
     y = state0.copy()
     for k in range(n_steps):
         v_lo, v_hi = v_traj[k], v_traj[k + 1]
-        v_mid = 0.5 * (v_lo + v_hi)
-        y1 = stage(y, v_lo)
-        y2 = blend(y, 0.75, stage(y1, v_hi), 0.25, y.t + 0.5 * dt)
-        y2.pin(wall=True)
-        y = blend(y, 1.0 / 3.0, stage(y2, v_mid), 2.0 / 3.0, y.t + dt)
-        y.pin(wall=True)
+        stage_v = (v_lo, v_hi, 0.5 * (v_lo + v_hi))
+        y = ssp_rk3(y, dt,
+                    lambda x, i: _linear_tendency(x, stage_v[i], p, grid, eps_vac),
+                    pin)
         if not np.isfinite(y.y).all():
             traj.extend(y.copy() for _ in range(n_steps - k))
             return traj, False

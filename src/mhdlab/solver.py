@@ -19,7 +19,10 @@ and continuity of u at the block's outer edge. Swirl and axial velocity take
 their quasi-stationary profiles there (v linear in r, w constant), which the
 discrete operators annihilate exactly.
 
-Time integration: three-stage SSP Runge-Kutta on the full tendency, or a
+Rates are plain arrays in the state's shape and row order.
+
+Time integration: three-stage SSP Runge-Kutta on the full tendency
+(`ssp_rk3`, whose stage sequence the linearized Picard sweeps share), or a
 Strang split with midpoint half-steps for the inviscid terms around an
 implicit tridiagonal solve of the viscous operators. The implicit solve uses
 the trapezoidal rule, falling back to backward Euler row-wise wherever the
@@ -36,28 +39,12 @@ import numpy as np
 
 from . import _kernels as kern
 from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
-                   Weight, integrate, stacked_row)
+                   Weight, integrate)
 from .errors import DtCollapse, NumericalFailure
 
 _FOURIER_SWITCH = 1e3      # trapezoidal -> backward Euler switch per row
 _DT_EPS = 1e-300
 _LF_BAND = 16              # faces outside the vacuum edge that get LF dissipation
-
-
-class Tendency:
-    """Rates of a state's fields: y has the state's shape and row order."""
-
-    __slots__ = ("y",)
-
-    def __init__(self, y: np.ndarray):
-        self.y = y
-
-    drho = stacked_row(0)
-    du = stacked_row(1)
-    dv = stacked_row(2, swirl=True)
-    dw = stacked_row(3, swirl=True)
-    dP = stacked_row(-2)
-    dB = stacked_row(-1)
 
 
 @dataclass
@@ -229,45 +216,48 @@ def _rhs_prologue(state: FluidState, p: PhysParams, grid: RadialGrid,
     return stage, _face_controls(state, grid, stage, stats)
 
 
-def _rhs_epilogue(tend: Tendency, state: FluidState, grid: RadialGrid,
-                  stage: _Stage, forcing) -> Tendency:
+def _rhs_epilogue(rates: np.ndarray, state: FluidState, grid: RadialGrid,
+                  stage: _Stage, forcing) -> np.ndarray:
     """Freeze the velocities on the vacuum block [0, m] and add any forcing."""
     m = stage.m
     if m >= 0:
         # quasi-stationary: the velocities are set by the balance
-        tend.y[1:-2, :m + 1] = 0.0
+        rates[1:-2, :m + 1] = 0.0
     if forcing is not None:
-        f = forcing(grid.nodes, state.t)     # a fresh (F, N+1) array
-        f[1] /= stage.rho_star
-        tend.y += f
-        tend.y[1, 0] = tend.y[1, -1] = 0.0
-    return tend
+        f = forcing(grid.nodes, state.t)     # (F, N+1), read only
+        # row 1 takes f_u / rho* (a momentum residual), the others f itself;
+        # one add over every row, then row 1 put back, costs the fewest calls
+        du = rates[1] + f[1] / stage.rho_star
+        rates += f
+        rates[1] = du
+        rates[1, 0] = rates[1, -1] = 0.0
+    return rates
 
 
 def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettings,
              include_visc: bool = True, forcing=None,
-             stats: Optional[StepStats] = None) -> Tendency:
-    """Tendency of the 2D radial system (see module docstring for the scheme)."""
+             stats: Optional[StepStats] = None) -> np.ndarray:
+    """Rates of the 2D radial system in the state's shape and row order (see
+    the module docstring for the scheme)."""
     stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     rates = kern.disk_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
                                p.two_mu_lam, p.gamma, include_visc, lf_fc, up_fc)
-    return _rhs_epilogue(Tendency(np.asarray(rates)), state, grid, stage,
-                         forcing)
+    return _rhs_epilogue(np.asarray(rates), state, grid, stage, forcing)
 
 
 def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
                  s: SolverSettings, include_visc: bool = True, forcing=None,
-                 stats: Optional[StepStats] = None) -> Tendency:
-    """Tendency of the cylindrically symmetric system (adds swirl and axial flow)."""
+                 stats: Optional[StepStats] = None) -> np.ndarray:
+    """Rates of the cylindrically symmetric system (adds swirl and axial
+    flow) in the state's shape and row order."""
     stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     rates = kern.cylinder_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
                                    p.two_mu_lam, p.mu, p.gamma, include_visc,
                                    lf_fc, up_fc)
-    return _rhs_epilogue(Tendency(np.asarray(rates)), state, grid, stage,
-                         forcing)
+    return _rhs_epilogue(np.asarray(rates), state, grid, stage, forcing)
 
 
-def rhs(state, p, grid, s, **kw) -> Tendency:
+def rhs(state, p, grid, s, **kw) -> np.ndarray:
     if p.geometry.has_swirl:
         return rhs_cylinder(state, p, grid, s, **kw)
     return rhs_disk(state, p, grid, s, **kw)
@@ -463,9 +453,9 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
 # Stage assembly and the step operator
 # ---------------------------------------------------------------------------
 
-def apply_tendency(state: FluidState, tend: Tendency, dt: float) -> FluidState:
-    """state + dt * tend at time t + dt."""
-    return FluidState.of(state.y + dt * tend.y, state.t + dt)
+def apply_tendency(state: FluidState, rates: np.ndarray, dt: float) -> FluidState:
+    """state + dt * rates at time t + dt."""
+    return FluidState.of(state.y + dt * rates, state.t + dt)
 
 
 def blend(a: FluidState, wa: float, b: FluidState, wb: float, t: float) -> FluidState:
@@ -539,17 +529,22 @@ def balance_initial_state(state: FluidState, p: PhysParams, grid: RadialGrid,
     state.freeze()
 
 
-def _ssprk3(state, dt, p, grid, s, stats, forcing, free_bc):
-    def L(y):
-        return rhs(y, p, grid, s, include_visc=True, forcing=forcing, stats=stats)
+def ssp_rk3(y0: FluidState, dt: float, rates, finish) -> FluidState:
+    """One three-stage SSP Runge-Kutta step from y0.
 
-    y0 = state
-    y1 = apply_tendency(y0, L(y0), dt)
-    finalize_stage(y1, p, grid, s, stats, free_bc)
-    y2 = blend(y0, 0.75, apply_tendency(y1, L(y1), dt), 0.25, y0.t + 0.5 * dt)
-    finalize_stage(y2, p, grid, s, stats, free_bc)
-    y3 = blend(y0, 1.0 / 3.0, apply_tendency(y2, L(y2), dt), 2.0 / 3.0, y0.t + dt)
-    finalize_stage(y3, p, grid, s, stats, free_bc)
+    Stage k (0, 1, 2) takes the rates `rates(y, k)` of its input, whose time
+    is t, t + dt and t + dt/2; the stages blend with y0 by the weights 1,
+    3/4 : 1/4 and 1/3 : 2/3. `finish(y)` completes each stage's result in
+    place before the next stage reads it.
+    """
+    y1 = apply_tendency(y0, rates(y0, 0), dt)
+    finish(y1)
+    y2 = blend(y0, 0.75, apply_tendency(y1, rates(y1, 1), dt), 0.25,
+               y0.t + 0.5 * dt)
+    finish(y2)
+    y3 = blend(y0, 1.0 / 3.0, apply_tendency(y2, rates(y2, 2), dt), 2.0 / 3.0,
+               y0.t + dt)
+    finish(y3)
     return y3
 
 
@@ -562,7 +557,6 @@ def _inviscid_half(state, h, p, grid, s, stats, forcing, free_bc):
     finalize_stage(ym, p, grid, s, stats, free_bc)
     k2 = L(ym)
     out = apply_tendency(state, k2, h)
-    out.t = state.t + h
     finalize_stage(out, p, grid, s, stats, free_bc)
     return out
 
@@ -586,7 +580,10 @@ def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
     if dt <= 0.0:
         raise ValueError(f"step needs dt > 0, got {dt}")
     if s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
-        out = _ssprk3(state, dt, p, grid, s, stats, forcing, free_bc)
+        out = ssp_rk3(
+            state, dt,
+            lambda y, _: rhs(y, p, grid, s, forcing=forcing, stats=stats),
+            lambda y: finalize_stage(y, p, grid, s, stats, free_bc))
     else:
         out = _rk2_strang(state, dt, p, grid, s, stats, forcing, free_bc)
     out.t = state.t + dt

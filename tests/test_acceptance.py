@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from mhdlab import (BoundInputs, FluidState, Geometry, PhysParams, Profile,
-                    RunStatus, SolverSettings, Weight, cauchy_schwarz_gap,
-                    integrate, integrate_to, lifespan_bound, make_grid,
-                    moment_coefficient, moment_pair, optimize_alpha,
-                    picard_iterate, step)
+                    RunStatus, Scheme, SolverSettings, Weight,
+                    cauchy_schwarz_gap, init_scenario, integrate, integrate_to,
+                    lifespan_bound, make_grid, moment_coefficient, moment_pair,
+                    optimize_alpha, picard_iterate, step)
 from mhdlab.cli import main as cli_main
 from mhdlab.config import load_preset
 from mhdlab.diagnostics import divergence, moment_pre_ibp
@@ -62,6 +62,17 @@ def smooth_run():
 def mms_rows():
     return _timed(lambda: convergence_study(load_preset("mms"),
                                             [128, 256, 512]))
+
+
+@pytest.fixture(scope="module")
+def picard_sweep():
+    """smooth-novac at N=256 linearized over [0, 0.01]: (cfg, grid, state0,
+    trajectory, report)."""
+    cfg = dataclasses.replace(load_preset("smooth-novac"), n=256)
+    grid = cfg.grid()
+    state0, _ = init_scenario(cfg)
+    traj, rep = picard_iterate(state0, 0.01, 50, 1e-8, cfg.phys, grid, cfg.solver)
+    return cfg, grid, state0, traj, rep
 
 
 def test_criterion_1_inequality_suite():
@@ -249,15 +260,9 @@ def test_criterion_8_pointwise_inequality(cylinder_run):
             f"min_normalized_slack={slack:.2e}")
 
 
-def test_criterion_9_picard_cross_validation(mms_rows):
-    cfg = dataclasses.replace(load_preset("smooth-novac"), n=256)
-    grid = cfg.grid()
+def test_criterion_9_picard_cross_validation(mms_rows, picard_sweep):
+    cfg, grid, state0, traj, rep = picard_sweep
     settings = cfg.solver
-    from mhdlab.core import init_scenario
-    state0, _ = init_scenario(cfg)
-    traj, rep = picard_iterate(state0, 0.01, 50, 1e-8, cfg.phys, grid, settings)
-
-    from mhdlab.solver import Scheme
     s_exp = SolverSettings(cfl=settings.cfl,
                            scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS,
                            eps_vac=settings.eps_vac)
@@ -311,6 +316,15 @@ GOLDEN_MMS = {
 }
 
 
+# The criterion-9 sweep: its iteration count, step count, every sweep's
+# sup phi and the r-weighted L2 norm of u in its last snapshot.
+GOLDEN_PICARD = dict(
+    iterations=3, n_steps=656,
+    sup_phis=[8.260961079549306e-05, 3.9617006960279144e-07,
+              6.780491014123018e-12],
+    u_l2=0.06203445943065686)
+
+
 def _approx(value):
     return None if value is None else pytest.approx(value, rel=1e-9)
 
@@ -337,6 +351,16 @@ def test_golden_outputs(disk_run, cylinder_run, free_run, smooth_run, mms_rows):
             assert row.errors[f] == _approx(err), f"MMS N={row.n}: {f}"
 
 
+def test_golden_picard(picard_sweep):
+    _, grid, _, traj, rep = picard_sweep
+    u = traj[-1].u
+    assert rep.iterations == GOLDEN_PICARD["iterations"]
+    assert rep.n_steps == GOLDEN_PICARD["n_steps"] == len(traj) - 1
+    assert rep.sup_phis == [_approx(v) for v in GOLDEN_PICARD["sup_phis"]]
+    u_l2 = math.sqrt(integrate(u * u, grid, Weight.RADIAL_R))
+    assert u_l2 == _approx(GOLDEN_PICARD["u_l2"])
+
+
 def test_bounds_subcommand_consistency(capsys):
     # the CLI bounds path reproduces the library computation on live data
     code = cli_main(["bounds", "--preset", "disk-blowup"])
@@ -345,7 +369,6 @@ def test_bounds_subcommand_consistency(capsys):
     import json
     doc = json.loads(out)
     cfg = load_preset("disk-blowup")
-    from mhdlab.core import init_scenario
     from mhdlab.diagnostics import total_energy
     state, front = init_scenario(cfg)
     e0 = total_energy(state, cfg.grid(), cfg.phys)

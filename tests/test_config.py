@@ -96,9 +96,11 @@ class TestParsing:
 class TestOverrides:
     def test_override_applies(self):
         pairs = parse_pairs(MINIMAL)
-        pairs = apply_overrides(pairs, ["grid.n=128", "time.t_end=0.25"])
+        pairs = apply_overrides(pairs, ["grid.n=128", "time.t_end=0.25",
+                                        'time.scheme="ssprk3"'])
         cfg = build_config(pairs)
         assert cfg.n == 128 and cfg.t_end == 0.25
+        assert cfg.solver.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS
 
     def test_override_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -107,6 +109,16 @@ class TestOverrides:
     def test_override_needs_equals(self):
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides({}, ["grid.n"])
+
+    @pytest.mark.parametrize("item, reason", [
+        ("grid.n=", "missing value"),
+        ("time.scheme=ssprk3", "cannot parse value 'ssprk3'"),
+        ('output.dir="out', "unterminated string"),
+    ])
+    def test_bad_value_names_the_override(self, item, reason):
+        with pytest.raises(ConfigError) as exc:
+            apply_overrides({}, [item])
+        assert str(exc.value).startswith(f"override {item!r}: {reason}")
 
 
 class TestPresets:

@@ -122,6 +122,18 @@ class TestMomentCoefficient:
         with pytest.raises(ConfigError):
             moment_coefficient(alpha)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_chain_functions_share_the_domain_message(self, alpha):
+        g = make_grid(16, 1.0)
+        st_ = disk_state(g)
+        front = VacuumFront(R=1.0, r0=1.0, C0=1.0)
+        message = rf"^moment exponent must lie in \(1, 2\), got {alpha}$"
+        for call in (lambda: moment_coefficient(alpha),
+                     lambda: moment_pair(st_, front, g, disk_params(), alpha),
+                     lambda: cauchy_schwarz_gap(st_, front, g, alpha)):
+            with pytest.raises(ConfigError, match=message):
+                call()
+
 
 class TestMomentPair:
     def test_zero_field_zero_rhs(self):

@@ -170,7 +170,7 @@ def test_bounds_leaves_the_run_loop_unloaded(tmp_path):
 
 
 def test_public_names_are_their_home_modules_objects():
-    assert len(mhdlab.__all__) == 51
+    assert len(mhdlab.__all__) == 50
     star = {}
     exec("from mhdlab import *", star)
     for name in mhdlab.__all__:

@@ -121,7 +121,7 @@ class TestForcing:
             g = make_grid(n, 1.0)
             f = MMSForcing(p, 1.0)
             st = f.exact_state(g, 0.2)
-            tend = rhs_disk(st, p, g, SolverSettings(), forcing=f)
+            drho, du, _, _ = rhs_disk(st, p, g, SolverSettings(), forcing=f)
             k = np.pi
             e = 0.1 * math.exp(-0.2)
             r = g.nodes
@@ -129,8 +129,8 @@ class TestForcing:
             rate_rho = -e * np.cos(k * r)
             rate_u = -e * np.sin(k * r) * r
             sl = (r > 0.1) & (r < 0.9)
-            errs.append(max(np.max(np.abs(tend.drho[sl] - rate_rho[sl])),
-                            np.max(np.abs(tend.du[sl] - rate_u[sl]))))
+            errs.append(max(np.max(np.abs(drho[sl] - rate_rho[sl])),
+                            np.max(np.abs(du[sl] - rate_u[sl]))))
         # two refinement levels: second order means a factor of 16
         assert errs[0] / errs[1] > 11.0
 
@@ -164,11 +164,16 @@ class TestForcing:
         first = f(g.nodes, 0.2)
         assert isinstance(first, np.ndarray) and first.shape == (4, 33)
         kept = first.copy()
-        second = f(g.nodes, 0.7)       # a later call leaves the first alone
+        # every evaluation is read-only, the kept one included
+        for t in (0.7, 0.7, 0.1):
+            got = f(g.nodes, t)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[1] /= 2.0
+            np.testing.assert_array_equal(got,
+                                          MMSForcing(params(), 1.0)(g.nodes, t))
+        # a later call leaves the earlier array alone
         np.testing.assert_array_equal(first, kept)
-        second[:] = np.nan             # as the solver divides row 1 in place
-        np.testing.assert_array_equal(f(g.nodes, 0.7),
-                                      MMSForcing(params(), 1.0)(g.nodes, 0.7))
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("t", [0.0, 0.013, 0.2, 1.7])

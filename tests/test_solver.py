@@ -10,10 +10,11 @@ from mhdlab import (DtCollapse, FluidState, Geometry, NumericalFailure,
                     PhysParams, Profile, Scheme, SolverSettings, Weight,
                     cfl_dt, detect_blowup, integrate, make_grid, rhs_cylinder,
                     rhs_disk, step)
+from mhdlab import _kernels as kern
 from mhdlab.diagnostics import divergence
-from mhdlab.solver import (StepStats, Tendency, _check_finite, apply_tendency,
+from mhdlab.solver import (StepStats, _check_finite, apply_tendency,
                            apply_vacuum_balance, balance_initial_state, blend,
-                           vacuum_block)
+                           ssp_rk3, vacuum_block)
 from mhdlab.vacuum import VacuumFront
 
 
@@ -52,8 +53,8 @@ class TestRhsDisk:
     def test_uniform_rest_state(self):
         g = make_grid(64, 1.0)
         st = disk_state(g, rho=np.ones(65), P=np.full(65, 0.7))
-        t = rhs_disk(st, disk_params(), g, settings())
-        for arr in (t.drho, t.du, t.dP, t.dB):
+        rates = rhs_disk(st, disk_params(), g, settings())
+        for arr in rates:
             assert np.all(arr == 0.0)
 
     def test_mass_tendency_linear_u(self):
@@ -62,16 +63,16 @@ class TestRhsDisk:
         g = make_grid(128, 1.0)
         st = disk_state(g, rho=np.ones(129), u=c * g.nodes)
         st.u[-1] = 0.0
-        t = rhs_disk(st, disk_params(), g, settings())
-        assert np.allclose(t.drho[1:-3], -2.0 * c, rtol=0, atol=1e-12)
-        assert np.all(t.dP[:-3] == 0.0)
+        drho, _, dP, _ = rhs_disk(st, disk_params(), g, settings())
+        assert np.allclose(drho[1:-3], -2.0 * c, rtol=0, atol=1e-12)
+        assert np.all(dP[:-3] == 0.0)
 
     def test_lorentz_acceleration(self):
         # rho=1, B = r: u_t = -B(B_r + B/r) = -2r at interior nodes
         g = make_grid(128, 1.0)
         st = disk_state(g, rho=np.ones(129), B=g.nodes.copy())
-        t = rhs_disk(st, disk_params(), g, settings())
-        assert np.allclose(t.du[1:-3], -2.0 * g.nodes[1:-3], rtol=0, atol=1e-12)
+        du = rhs_disk(st, disk_params(), g, settings())[1]
+        assert np.allclose(du[1:-3], -2.0 * g.nodes[1:-3], rtol=0, atol=1e-12)
 
     def test_polynomial_fields_second_order(self):
         # pointwise second order away from the axis; the finite-volume mass
@@ -84,17 +85,15 @@ class TestRhsDisk:
             u = r * (1 - r)
             b = r * (1 - r)
             st = disk_state(g, rho=np.ones(n + 1), u=u, P=np.full(n + 1, 0.2), B=b)
-            t = rhs_disk(st, p, g, settings())
+            rates = rhs_disk(st, p, g, settings())
             div = 2.0 - 3.0 * r
             drho_ref = -div
             du_ref = (-u * (1 - 2 * r) - 3.0 * p.two_mu_lam - b * div)
             dP_ref = -p.gamma * 0.2 * div
             dB_ref = -2.0 * u * (1 - 2 * r)
             sl = (r >= 0.1) & (r <= 1.0 - 2.5 / n)
-            return max(np.max(np.abs(t.drho[sl] - drho_ref[sl])),
-                       np.max(np.abs(t.du[sl] - du_ref[sl])),
-                       np.max(np.abs(t.dP[sl] - dP_ref[sl])),
-                       np.max(np.abs(t.dB[sl] - dB_ref[sl])))
+            return max(np.max(np.abs(rate[sl] - ref[sl])) for rate, ref
+                       in zip(rates, (drho_ref, du_ref, dP_ref, dB_ref)))
 
         e1, e2 = max_err(128), max_err(256)
         assert e1 / e2 > 3.5
@@ -111,32 +110,33 @@ class TestRhsDisk:
         st = disk_state(g, rho=np.ones(65), u=np.sin(np.pi * g.nodes),
                         P=np.full(65, 0.1), B=g.nodes * (1 - g.nodes))
         st.u[0] = st.u[-1] = 0.0
-        t = rhs_disk(st, disk_params(), g, settings())
-        assert t.du[0] == 0.0 and t.du[-1] == 0.0
+        du = rhs_disk(st, disk_params(), g, settings())[1]
+        assert du[0] == 0.0 and du[-1] == 0.0
 
 
 class TestRhsCylinder:
     def test_rest_state(self):
         g = make_grid(64, 1.0)
         st = cyl_state(g, rho=np.ones(65), P=np.full(65, 0.3))
-        t = rhs_cylinder(st, cyl_params(), g, settings())
-        for arr in (t.drho, t.du, t.dv, t.dw, t.dP, t.dB):
+        rates = rhs_cylinder(st, cyl_params(), g, settings())
+        assert rates.shape == (6, 65)
+        for arr in rates:
             assert np.all(arr == 0.0)
 
     def test_centrifugal_term(self):
         # rho=1, v = r: u_t = v^2/r = r at interior nodes
         g = make_grid(128, 1.0)
         st = cyl_state(g, rho=np.ones(129), v=g.nodes.copy())
-        t = rhs_cylinder(st, cyl_params(), g, settings())
-        assert np.allclose(t.du[1:-3], g.nodes[1:-3], rtol=0, atol=1e-12)
+        du = rhs_cylinder(st, cyl_params(), g, settings())[1]
+        assert np.allclose(du[1:-3], g.nodes[1:-3], rtol=0, atol=1e-12)
 
     def test_axial_diffusion(self):
         # w = r^2: w_t = mu (r w_r)_r / r = 4 mu at interior nodes
         mu = 0.7
         g = make_grid(128, 1.0)
         st = cyl_state(g, rho=np.ones(129), w=g.nodes ** 2)
-        t = rhs_cylinder(st, cyl_params(mu=mu), g, settings())
-        assert np.allclose(t.dw[1:-3], 4.0 * mu, rtol=0, atol=1e-10)
+        dw = rhs_cylinder(st, cyl_params(mu=mu), g, settings())[3]
+        assert np.allclose(dw[1:-3], 4.0 * mu, rtol=0, atol=1e-10)
 
 
 class TestCflDt:
@@ -723,23 +723,45 @@ class TestStackedContract:
         st, p = random_state(geometry)
         st.pin(wall=True)
         g = make_grid(32, 1.0)
-        tend = (rhs_cylinder if geometry.has_swirl else rhs_disk)(st, p, g, settings())
-        assert tend.y.shape == st.y.shape
-        for name, arr in st.fields():
-            rate = getattr(tend, "d" + name)
-            assert rate.base is tend.y and rate.shape == arr.shape
-        if not geometry.has_swirl:
-            assert tend.dv is None and tend.dw is None
+        rates = (rhs_cylinder if geometry.has_swirl else rhs_disk)(st, p, g, settings())
+        assert type(rates) is np.ndarray
+        assert rates.shape == st.y.shape and rates.dtype == st.y.dtype
+        # the rows follow the state's: rho first, B last (the face-flux forms
+        # every rhs shares), the velocities between
+        lf_fc, up_fc = g.quiet_faces
+        mass = kern.mass_tendency(g.nodes, g.dr, st.rho, st.u, lf_fc, up_fc)
+        induction = kern.induction_tendency(g.dr, st.u, st.B, lf_fc)
+        np.testing.assert_allclose(rates[0], mass, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rates[-1], induction, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
     def test_apply_tendency_matches_per_field_sum(self, geometry):
         st, _ = random_state(geometry)
         rates, _ = random_state(geometry, seed=8)
         dt = 0.0123
-        out = apply_tendency(st, Tendency(rates.y), dt)
+        out = apply_tendency(st, rates.y, dt)
         assert out.t == st.t + dt
         for (name, arr), (_, rate) in zip(st.fields(), rates.fields()):
             assert np.array_equal(getattr(out, name), arr + dt * rate), name
+
+    def test_ssp_rk3_is_third_order_exact_on_a_linear_system(self):
+        # y' = lam y: one step multiplies y by 1 + z + z^2/2 + z^3/6, z = lam dt
+        st, _ = random_state(Geometry.DISK2D)
+        lam, dt = -3.7, 0.05
+        times, finished = [], []
+
+        def rates(y, k):
+            assert k == len(times)
+            times.append(y.t)
+            return lam * y.y
+
+        out = ssp_rk3(st, dt, rates, finished.append)
+        z = lam * dt
+        np.testing.assert_allclose(out.y, (1 + z + z * z / 2 + z ** 3 / 6) * st.y,
+                                   rtol=1e-14, atol=0)
+        assert times == [st.t, st.t + dt, st.t + 0.5 * dt]
+        assert len(finished) == 3 and finished[-1] is out
+        assert out.t == st.t + dt
 
     @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
     def test_blend_matches_per_field_combination(self, geometry):
