@@ -6,7 +6,9 @@ backend (forcing "cython" raises if the extension was not built). The radial
 operators every module builds its derivatives from (the axis-pinned
 (f_r, f/r) pair, the vector and axial Laplacians, the face-flux mass and
 induction tendencies) and the factored tridiagonal solve over LAPACK have one
-home, `pure.py`, under either backend. The LAPACK routines come from SciPy's
+home, `pure.py`, under either backend: the NumPy tendency kernels' own
+stencil helpers, run on fresh outputs (the kernels run them on a per-thread
+workspace of scratch arrays). The LAPACK routines come from SciPy's
 Fortran extension `scipy.linalg._flapack`, loaded alone on the first
 tridiagonal solve (`pure._lapack`), so no run imports `scipy.linalg`.
 """

@@ -17,11 +17,25 @@ Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
 * tridiagonal systems are solved by LAPACK gtsv, or gttrf once and gttrs per
   right-hand side, from SciPy's LAPACK extension (see `_lapack`)
 
-The tendencies are built in place, run the Lax-Friedrichs products over the
-band's faces only and leave out a viscous term that is switched off. Their
-values are those of the full-length expressions (tests/test_kernels.py keeps
-those as the reference); only an exact zero the full forms would get by
-adding +0.0 may keep its negative sign.
+The tendency kernels allocate only the rates array they return. Every
+intermediate is a positional-`out` ufunc call into a `_Workspace`: scratch
+arrays for one node count with their interior and face views built once,
+one per thread and size (`_workspace`), built on the first call. The
+workspace holds the grid factors of the last node array it was bound to,
+through a weak reference, so the many grids of a free run share it and none
+is kept alive. The kernels know the quiet face controls (`quiet_faces`, one
+read-only pair per size) by identity, so a state without vacuum skips the
+band and the donor flux unscanned; another `lf_fc` is scanned for its band
+(the scan's face indices are the one other array a call makes).
+They run the Lax-Friedrichs products over the band's faces only, on scratch
+sliced to the band, and leave out a viscous term that is switched off.
+
+Each radial operator has one implementation, a helper that writes into the
+output it is given; the public operators (`gradient`, `radial_parts`,
+`vector_laplacian`, `mass_tendency`, ...) call the same helpers with fresh
+outputs. Their values are those of the full-length expressions
+(tests/test_kernels.py keeps those as the reference); only an exact zero
+the full forms would get by adding +0.0 may keep its negative sign.
 """
 
 import functools
@@ -29,6 +43,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -74,197 +89,257 @@ def _lapack():
     return mod.dgtsv, mod.dgttrf, mod.dgttrs
 
 
-class _GridConstants:
-    """The node-array factors of the stencils for one (r, dr)."""
+_quiet = {}
 
-    __slots__ = ("r_face", "r_dr", "two_dr_r", "r_sq")
 
-    def __init__(self, r, dr):
+def quiet_faces(n_faces):
+    """The face controls of a state without vacuum nodes on n_faces faces:
+    no Lax-Friedrichs coefficient and no donor-cell flag, read-only.
+
+    One pair per size for the whole process, so the tendency kernels know
+    it by identity and skip the band and the donor flux without scanning it.
+    """
+    hit = _quiet.get(n_faces)
+    if hit is None:
+        lf, up = np.zeros(n_faces), np.zeros(n_faces, dtype=np.uint8)
+        lf.flags.writeable = up.flags.writeable = False
+        hit = _quiet.setdefault(n_faces, (lf, up))
+    return hit
+
+
+def _nothing():
+    return None
+
+
+class _Workspace:
+    """The tendency kernels' scratch arrays for one node count, with their
+    interior and face views built once, and the stencil factors of the last
+    node array bound (see `bind`). Each thread has its own (`_workspace`)."""
+
+    def __init__(self, nodes):
+        faces, inner = nodes - 1, nodes - 2
+        self.quiet_lf, self.quiet_up = quiet_faces(faces)
+        self._r, self._dr = _nothing, None
+        self.r_face = np.empty(faces)
+        self.neg_r_dr = np.empty(inner)
+        self.two_dr_r = np.empty(inner)
+        self.r_sq = np.empty(inner)
+
+        def node_array(view):
+            a = np.empty(nodes)
+            return a, a[view]
+
+        interior, tail = slice(1, -1), slice(1, None)
+        # f_r with its interior, f/r with its nodes past the axis
+        self.ur, self.ur_in = node_array(interior)
+        self.Br, self.Br_in = node_array(interior)
+        self.Pr, self.Pr_in = node_array(interior)
+        self.vr, self.vr_in = node_array(interior)
+        self.uor, self.uor_tail = node_array(tail)
+        self.Bor, self.Bor_tail = node_array(tail)
+        self.vor, self.vor_tail = node_array(tail)
+        self.lap, self.lap_in = node_array(interior)
+        self.lap_tmp = np.empty(inner)
+        self.neg_rho = np.empty(nodes)
+        self.neg_rho_u = np.empty(nodes)
+        self.gamma_P = np.empty(nodes)
+        self.centrif = np.empty(inner)
+
+        # node products and their face sums
+        self.mom = np.empty(nodes)
+        self.mom_lo, self.mom_hi = self.mom[:-1], self.mom[1:]
+        self.vb = np.empty(nodes)
+        self.vb_lo, self.vb_hi = self.vb[:-1], self.vb[1:]
+        self.fv = np.empty(faces)
+        self.G = np.empty(faces)
+        self.G_lo, self.G_hi = self.G[:-1], self.G[1:]
+        self.H = np.empty(faces)
+        self.H_lo, self.H_hi = self.H[:-1], self.H[1:]
+        self.vbar = np.empty(faces)
+        self.donor = np.empty(faces)
+        self.ahead = np.empty(faces, dtype=bool)
+        self.flagged = np.empty(faces, dtype=bool)
+        self.lf_mask = np.empty(faces, dtype=bool)
+        # band scratch: sliced to the band's faces on each call
+        self.band = np.empty(faces)
+        self.jump = np.empty(faces)
+        self.D = np.empty(nodes + 1)
+        self.div = np.empty(nodes)
+
+    def bind(self, r, dr):
+        """Make r_face, neg_r_dr (-r dr), two_dr_r and r_sq those of
+        (r, dr). A read-only r is taken to keep its values (a grid's nodes
+        do), so its factors stay until another r or dr comes; a writable r
+        gets them afresh. Only a weak reference to r is kept."""
+        if self._r() is r and self._dr == dr:
+            return
         inner = r[1:-1]
-        self.r_face = 0.5 * (r[:-1] + r[1:])
-        self.r_dr = inner * dr
-        self.two_dr_r = 2.0 * dr * inner
-        self.r_sq = inner * inner
+        np.add(r[:-1], r[1:], self.r_face)
+        np.multiply(0.5, self.r_face, self.r_face)
+        np.negative(np.multiply(inner, dr, self.neg_r_dr), self.neg_r_dr)
+        np.multiply(2.0 * dr, inner, self.two_dr_r)
+        np.multiply(inner, inner, self.r_sq)
+        self._r = _nothing if r.flags.writeable else weakref.ref(r)
+        self._dr = dr
+
+    def lf_faces(self, lf_fc):
+        """The faces the Lax-Friedrichs products run over: None without a
+        coefficient (the quiet zeros are not scanned), else the band's first
+        to last nonzero face."""
+        if lf_fc is self.quiet_lf:
+            return None
+        nz = np.not_equal(lf_fc, 0.0, self.lf_mask).nonzero()[0]
+        if nz.size == 0:
+            return None
+        return slice(int(nz[0]), int(nz[-1]) + 1)
 
 
-# id(r) -> (weak reference to r, dr, constants); an entry leaves when r dies
-_constants = {}
+class _Workspaces(threading.local):
+    def __init__(self):
+        self.by_nodes = {}
 
 
-def _grid_constants(r, dr):
-    """The constants of (r, dr): built once per read-only node array, which
-    is taken to keep its values (a grid's nodes do), and afresh on every
-    call for a writable one."""
-    if r.flags.writeable:
-        return _GridConstants(r, dr)
-    key = id(r)
-    hit = _constants.get(key)
-    if hit is not None and hit[0]() is r and hit[1] == dr:
-        return hit[2]
-    consts = _GridConstants(r, dr)
-    _constants[key] = (weakref.ref(r, lambda _, k=key: _constants.pop(k, None)),
-                       dr, consts)
-    return consts
+_workspaces = _Workspaces()
 
 
-def _lf_faces(lf_fc):
-    """The faces the Lax-Friedrichs products run over: None without a
-    coefficient, else the band's first to last nonzero face."""
-    nz = (lf_fc != 0.0).nonzero()[0]
-    if nz.size == 0:
-        return None
-    return slice(int(nz[0]), int(nz[-1]) + 1)
+def _workspace(nodes):
+    """This thread's workspace for `nodes` nodes, built on first use."""
+    ws = _workspaces.by_nodes.get(nodes)
+    if ws is None:
+        ws = _workspaces.by_nodes[nodes] = _Workspace(nodes)
+    return ws
 
 
-def _gradient_from_r0(f, dr, out=None):
+# The stencil helpers write into `out` and its interior view `inner`
+# (out[1:-1]) or the view past the axis `tail` (out[1:]): workspace arrays
+# in the kernels, fresh arrays in the public operators below them.
+
+def _gradient_from_r0(f, dr, out, inner):
     """f_r central in the interior and one-sided at r=R; the axis is the
     caller's."""
-    out = np.empty_like(f) if out is None else out
-    inner = out[1:-1]
-    np.subtract(f[2:], f[:-2], out=inner)
-    inner /= 2.0 * dr
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dr)
-    return out
+    np.subtract(f[2:], f[:-2], inner)
+    np.true_divide(inner, 2.0 * dr, inner)
+    out[-1] = (3.0 * f.item(-1) - 4.0 * f.item(-2) + f.item(-3)) / (2.0 * dr)
 
 
-def gradient(f, dr, out=None):
-    """Second-order derivative: central interior, one-sided at both ends."""
-    out = _gradient_from_r0(f, dr, out)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dr)
-    return out
+def _gradient(f, dr, out, inner):
+    _gradient_from_r0(f, dr, out, inner)
+    out[0] = (-3.0 * f.item(0) + 4.0 * f.item(1) - f.item(2)) / (2.0 * dr)
 
 
-def over_r(f, r, f_r0):
-    """f/r with the axis value replaced by the limit f_r(0)."""
-    out = np.empty_like(f)
-    np.divide(f[1:], r[1:], out=out[1:])
+def _axis_gradient(f, dr, out, inner):
+    _gradient_from_r0(f, dr, out, inner)
+    out[0] = (4.0 * f.item(1) - f.item(2)) / (2.0 * dr)
+
+
+def _over_r(f, r, f_r0, out, tail):
+    np.true_divide(f[1:], r[1:], tail)
     out[0] = f_r0
-    return out
 
 
-def axis_gradient(f, dr):
-    """f_r of a field pinned to zero at the axis: (4 f[1] - f[2]) / (2 dr) there."""
-    out = _gradient_from_r0(f, dr)
-    out[0] = (4.0 * f[1] - f[2]) / (2.0 * dr)
-    return out
+def _radial_parts(f, r, dr, f_r, f_r_in, f_over_r, f_over_r_tail):
+    _axis_gradient(f, dr, f_r, f_r_in)
+    _over_r(f, r, f_r[0], f_over_r, f_over_r_tail)
 
 
-def radial_parts(f, r, dr):
-    """(f_r, f/r) of a field pinned to zero at the axis, f/r(0) = f_r(0)."""
-    f_r = axis_gradient(f, dr)
-    return f_r, over_r(f, r, f_r[0])
-
-
-def _second_difference(f, dr, consts):
+def _second_difference(f, dr, ws, out, inner):
     """f_rr + f_r / r on interior nodes, zero at both ends."""
-    out = np.empty_like(f)
     out[0] = out[-1] = 0.0
-    inner = out[1:-1]
-    np.multiply(f[1:-1], 2.0, out=inner)
-    np.subtract(f[2:], inner, out=inner)
-    inner += f[:-2]
-    inner /= dr * dr
-    drift = f[2:] - f[:-2]
-    drift /= consts.two_dr_r
-    inner += drift
-    return out
+    f_hi, f_lo = f[2:], f[:-2]
+    np.multiply(f[1:-1], 2.0, inner)
+    np.subtract(f_hi, inner, inner)
+    np.add(inner, f_lo, inner)
+    np.true_divide(inner, dr * dr, inner)
+    drift = np.subtract(f_hi, f_lo, ws.lap_tmp)
+    np.true_divide(drift, ws.two_dr_r, drift)
+    np.add(inner, drift, inner)
 
 
-def _vector_laplacian(f, dr, consts):
-    out = _second_difference(f, dr, consts)
-    out[1:-1] -= f[1:-1] / consts.r_sq
-    return out
+def _vector_laplacian(f, dr, ws, out, inner):
+    _second_difference(f, dr, ws, out, inner)
+    hoop = np.true_divide(f[1:-1], ws.r_sq, ws.lap_tmp)
+    np.subtract(inner, hoop, inner)
 
 
-def vector_laplacian(f, r, dr):
-    """(f_r + f/r)_r on interior nodes, zero at both ends."""
-    return _vector_laplacian(f, dr, _grid_constants(r, dr))
+def _axial_laplacian(f, dr, ws, out, inner):
+    _second_difference(f, dr, ws, out, inner)
+    out[0] = 4.0 * (f.item(1) - f.item(0)) / (dr * dr)
 
 
-def _axial_laplacian(f, dr, consts):
-    out = _second_difference(f, dr, consts)
-    out[0] = 4.0 * (f[1] - f[0]) / (dr * dr)
-    return out
+def _add_viscous(rate, nu, laplacian, f, dr, ws):
+    """rate += nu * laplacian(f)."""
+    lap = ws.lap
+    laplacian(f, dr, ws, lap, ws.lap_in)
+    np.multiply(nu, lap, lap)
+    np.add(rate, lap, rate)
 
 
-def axial_laplacian(f, r, dr):
-    """(r f_r)_r / r on interior nodes and at the axis (2 f_rr(0)), zero at r=R."""
-    return _axial_laplacian(f, dr, _grid_constants(r, dr))
-
-
-def _mass_tendency(r, dr, consts, rho, vel, lf_fc, up_fc, faces, out=None):
-    mom = rho * vel
-    fv = mom[:-1] + mom[1:]
-    fv *= 0.5
-    if np.count_nonzero(up_fc):
-        vbar = vel[:-1] + vel[1:]
-        vbar *= 0.5
-        donor = np.where(vbar >= 0.0, rho[:-1], rho[1:])
-        donor *= vbar
-        np.copyto(fv, donor, where=up_fc != 0)
-    G = consts.r_face * fv
+def _mass_tendency(r, dr, ws, rho, vel, lf_fc, up_fc, faces, drho, inner):
+    mom = np.multiply(rho, vel, ws.mom)
+    fv = np.add(ws.mom_lo, ws.mom_hi, ws.fv)
+    np.multiply(fv, 0.5, fv)
+    if up_fc is not ws.quiet_up and np.count_nonzero(up_fc):
+        vbar = np.add(vel[:-1], vel[1:], ws.vbar)
+        np.multiply(vbar, 0.5, vbar)
+        donor = ws.donor
+        np.copyto(donor, rho[1:])
+        np.copyto(donor, rho[:-1], where=np.greater_equal(vbar, 0.0, ws.ahead))
+        np.multiply(donor, vbar, donor)
+        np.copyto(fv, donor, where=np.not_equal(up_fc, 0, ws.flagged))
+    G = np.multiply(ws.r_face, fv, ws.G)
     if faces is not None:
-        G[faces] -= (lf_fc[faces] * consts.r_face[faces]
-                     * (rho[1:][faces] - rho[:-1][faces]))
-    drho = np.empty_like(rho) if out is None else out
-    inner = drho[1:-1]
-    np.subtract(G[1:], G[:-1], out=inner)
-    np.negative(inner, out=inner)
-    inner /= consts.r_dr
-    mom_r0 = (-3.0 * mom[0] + 4.0 * mom[1] - mom[2]) / (2.0 * dr)
-    drho[0] = -2.0 * mom_r0
-    mom_rn = (3.0 * mom[-1] - 4.0 * mom[-2] + mom[-3]) / (2.0 * dr)
-    drho[-1] = -(mom_rn + mom[-1] / r[-1])
-    return drho
+        lo, hi = faces.start, faces.stop
+        band = np.multiply(lf_fc[faces], ws.r_face[faces], ws.band[faces])
+        jump = np.subtract(rho[lo + 1:hi + 1], rho[lo:hi], ws.jump[faces])
+        np.multiply(band, jump, band)
+        G_band = G[faces]
+        np.subtract(G_band, band, G_band)
+    # -(G[i+1] - G[i]) / (r dr): IEEE division is symmetric in sign, so
+    # dividing by -(r dr) gives the bits of negating first
+    np.subtract(ws.G_hi, ws.G_lo, inner)
+    np.true_divide(inner, ws.neg_r_dr, inner)
+    mom_r0 = -3.0 * mom.item(0) + 4.0 * mom.item(1) - mom.item(2)
+    drho[0] = -2.0 * (mom_r0 / (2.0 * dr))
+    mom_n = mom.item(-1)
+    mom_rn = (3.0 * mom_n - 4.0 * mom.item(-2) + mom.item(-3)) / (2.0 * dr)
+    drho[-1] = -(mom_rn + mom_n / r.item(-1))
 
 
-def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
-    """-(rho vel)_r - rho vel / r as face-flux differences in the interior.
-
-    The ends use point-value one-sided forms: node 0 has zero quadrature
-    weight and node N contributes O(dr^3) to the mass ledger, so the
-    interior telescoping is what conserves mass.
-    """
-    return _mass_tendency(r, dr, _grid_constants(r, dr), rho, vel, lf_fc,
-                          up_fc, _lf_faces(lf_fc))
-
-
-def _induction_tendency(dr, vel, B, lf_fc, faces, out=None):
-    vb = vel * B
-    H = vb[:-1] + vb[1:]
-    H *= 0.5
+def _induction_tendency(dr, ws, vel, B, lf_fc, faces, dB, inner):
+    vb = np.multiply(vel, B, ws.vb)
+    H = np.add(ws.vb_lo, ws.vb_hi, ws.H)
+    np.multiply(H, 0.5, H)
     if faces is not None:
-        H[faces] -= lf_fc[faces] * (B[1:][faces] - B[:-1][faces])
-    dB = np.empty_like(B) if out is None else out
-    inner = dB[1:-1]
-    np.subtract(H[1:], H[:-1], out=inner)
-    np.negative(inner, out=inner)
-    inner /= dr
+        lo, hi = faces.start, faces.stop
+        jump = np.subtract(B[lo + 1:hi + 1], B[lo:hi], ws.jump[faces])
+        np.multiply(lf_fc[faces], jump, jump)
+        H_band = H[faces]
+        np.subtract(H_band, jump, H_band)
+    np.subtract(ws.H_hi, ws.H_lo, inner)
+    np.true_divide(inner, -dr, inner)      # -(H[i+1] - H[i]) / dr
     dB[0] = 0.0
-    dB[-1] = -(3.0 * vb[-1] - 4.0 * vb[-2] + vb[-3]) / (2.0 * dr)
-    return dB
+    vb_rn = 3.0 * vb.item(-1) - 4.0 * vb.item(-2) + vb.item(-3)
+    dB[-1] = -vb_rn / (2.0 * dr)
 
 
-def induction_tendency(dr, vel, B, lf_fc):
-    """-(vel B)_r as face-flux differences, one-sided at r=R; B(0) = 0 is exact."""
-    return _induction_tendency(dr, vel, B, lf_fc, _lf_faces(lf_fc))
-
-
-def _pressure_diffusion(dP, P, dr, lf_fc, faces):
+def _pressure_diffusion(dP, P, dr, lf_fc, faces, ws):
     """dP += the band diffusion of P: face fluxes -lf (P[i+1] - P[i]), none
     on either side of the band (so none through r=0 or r=R), over half-width
     cells at r=0 and r=R."""
     lo, hi = faces.start, faces.stop
-    D = np.zeros(hi - lo + 2)
-    np.multiply(lf_fc[faces], P[lo + 1:hi + 1] - P[lo:hi], out=D[1:-1])
+    D = ws.D[:hi - lo + 2]
+    D[0] = D[-1] = 0.0
+    flux = np.subtract(P[lo + 1:hi + 1], P[lo:hi], D[1:-1])
+    np.multiply(lf_fc[faces], flux, flux)
     # flux differences over the cell widths: dr, half of it at an end
-    div = D[1:] - D[:-1]
-    div /= dr
+    div = np.subtract(D[1:], D[:-1], ws.div[:hi - lo + 1])
+    np.true_divide(div, dr, div)
     if lo == 0:
         div[0] = (D[1] - D[0]) / (0.5 * dr)
     if hi == len(lf_fc):
         div[-1] = (D[-1] - D[-2]) / (0.5 * dr)
-    dP[lo:hi + 1] += div
+    band = dP[lo:hi + 1]
+    np.add(band, div, band)
 
 
 def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
@@ -273,63 +348,69 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     swirl = (v, w, mu) the cylinder's (drho, du, dv, dw, dP, dB)."""
     out = np.empty((4 if swirl is None else 6, len(r)))
     drho, du, dP, dB = out[0], out[1], out[-2], out[-1]
-    consts = _grid_constants(r, dr)
-    faces = _lf_faces(lf_fc)
-    ur, u_over_r = radial_parts(u, r, dr)
-    Br, B_over_r = radial_parts(B, r, dr)
-    Pr = gradient(P, dr)
+    ws = _workspace(len(r))
+    ws.bind(r, dr)
+    faces = ws.lf_faces(lf_fc)
+    ur, u_over_r, Br, B_over_r, Pr = ws.ur, ws.uor, ws.Br, ws.Bor, ws.Pr
+    _radial_parts(u, r, dr, ur, ws.ur_in, u_over_r, ws.uor_tail)
+    _radial_parts(B, r, dr, Br, ws.Br_in, B_over_r, ws.Bor_tail)
+    _gradient(P, dr, Pr, ws.Pr_in)
 
-    neg_rho = np.negative(rho)
-    neg_rho_u = neg_rho * u
-    np.multiply(neg_rho_u, ur, out=du)
-    du -= Pr
+    neg_rho = np.negative(rho, ws.neg_rho)
+    neg_rho_u = np.multiply(neg_rho, u, ws.neg_rho_u)
+    np.multiply(neg_rho_u, ur, du)
+    np.subtract(du, Pr, du)
     if include_visc:
-        du += two_mu_lam * _vector_laplacian(u, dr, consts)
-    Br += B_over_r
-    Br *= B
-    du -= Br
-    du /= rho_star
+        _add_viscous(du, two_mu_lam, _vector_laplacian, u, dr, ws)
+    np.add(Br, B_over_r, Br)
+    np.multiply(Br, B, Br)
+    np.subtract(du, Br, du)
+    np.true_divide(du, rho_star, du)
     du[0] = 0.0
     du[-1] = 0.0
 
     # pressure (with band diffusion where lf_fc is active)
-    np.negative(u, out=dP)
-    dP *= Pr
-    div = np.add(ur, u_over_r, out=u_over_r)
-    div *= gamma * P
-    dP -= div
+    np.negative(u, dP)
+    np.multiply(dP, Pr, dP)
+    div = np.add(ur, u_over_r, u_over_r)
+    np.multiply(div, np.multiply(gamma, P, ws.gamma_P), div)
+    np.subtract(dP, div, dP)
     if faces is not None:
-        _pressure_diffusion(dP, P, dr, lf_fc, faces)
+        _pressure_diffusion(dP, P, dr, lf_fc, faces, ws)
 
-    _mass_tendency(r, dr, consts, rho, u, lf_fc, up_fc, faces, out=drho)
-    _induction_tendency(dr, u, B, lf_fc, faces, out=dB)
+    _mass_tendency(r, dr, ws, rho, u, lf_fc, up_fc, faces, drho, drho[1:-1])
+    _induction_tendency(dr, ws, u, B, lf_fc, faces, dB, dB[1:-1])
     if swirl is None:
         return out
 
     v, w, mu = swirl
     # centrifugal correction on the interior; du stays pinned at both ends
-    centrif = rho[1:-1] * v[1:-1]
-    centrif *= v[1:-1]
-    centrif /= r[1:-1]
-    centrif /= rho_star[1:-1]
-    du[1:-1] += centrif
+    v_in = v[1:-1]
+    centrif = np.multiply(rho[1:-1], v_in, ws.centrif)
+    np.multiply(centrif, v_in, centrif)
+    np.true_divide(centrif, r[1:-1], centrif)
+    np.true_divide(centrif, rho_star[1:-1], centrif)
+    du_in = du[1:-1]
+    np.add(du_in, centrif, du_in)
 
-    vr, v_over_r = radial_parts(v, r, dr)
-    dv = np.multiply(u, vr, out=out[2])
-    v_over_r *= u
-    dv += v_over_r
-    dv *= neg_rho
+    vr, v_over_r = ws.vr, ws.vor
+    _radial_parts(v, r, dr, vr, ws.vr_in, v_over_r, ws.vor_tail)
+    dv = np.multiply(u, vr, out[2])
+    np.multiply(v_over_r, u, v_over_r)
+    np.add(dv, v_over_r, dv)
+    np.multiply(dv, neg_rho, dv)
     if include_visc:
-        dv += mu * _vector_laplacian(v, dr, consts)
-    dv /= rho_star
+        _add_viscous(dv, mu, _vector_laplacian, v, dr, ws)
+    np.true_divide(dv, rho_star, dv)
     dv[0] = 0.0
     dv[-1] = 0.0
 
-    dw = gradient(w, dr, out=out[3])
-    dw *= neg_rho_u
+    dw = out[3]
+    _gradient(w, dr, dw, dw[1:-1])
+    np.multiply(dw, neg_rho_u, dw)
     if include_visc:
-        dw += mu * _axial_laplacian(w, dr, consts)
-    dw /= rho_star
+        _add_viscous(dw, mu, _axial_laplacian, w, dr, ws)
+    np.true_divide(dw, rho_star, dw)
     dw[-1] = 0.0
     return out
 
@@ -358,6 +439,77 @@ def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
     """
     return _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
                      include_visc, lf_fc, up_fc, swirl=(v, w, mu))
+
+
+# The shared radial operators: the kernels' helpers on fresh outputs.
+
+def gradient(f, dr, out=None):
+    """Second-order derivative: central interior, one-sided at both ends."""
+    out = np.empty_like(f) if out is None else out
+    _gradient(f, dr, out, out[1:-1])
+    return out
+
+
+def over_r(f, r, f_r0):
+    """f/r with the axis value replaced by the limit f_r(0)."""
+    out = np.empty_like(f)
+    _over_r(f, r, f_r0, out, out[1:])
+    return out
+
+
+def axis_gradient(f, dr):
+    """f_r of a field pinned to zero at the axis: (4 f[1] - f[2]) / (2 dr) there."""
+    out = np.empty_like(f)
+    _axis_gradient(f, dr, out, out[1:-1])
+    return out
+
+
+def radial_parts(f, r, dr):
+    """(f_r, f/r) of a field pinned to zero at the axis, f/r(0) = f_r(0)."""
+    f_r = axis_gradient(f, dr)
+    return f_r, over_r(f, r, f_r[0])
+
+
+def _bound_workspace(r, dr):
+    ws = _workspace(len(r))
+    ws.bind(r, dr)
+    return ws
+
+
+def vector_laplacian(f, r, dr):
+    """(f_r + f/r)_r on interior nodes, zero at both ends."""
+    out = np.empty_like(f)
+    _vector_laplacian(f, dr, _bound_workspace(r, dr), out, out[1:-1])
+    return out
+
+
+def axial_laplacian(f, r, dr):
+    """(r f_r)_r / r on interior nodes and at the axis (2 f_rr(0)), zero at r=R."""
+    out = np.empty_like(f)
+    _axial_laplacian(f, dr, _bound_workspace(r, dr), out, out[1:-1])
+    return out
+
+
+def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
+    """-(rho vel)_r - rho vel / r as face-flux differences in the interior.
+
+    The ends use point-value one-sided forms: node 0 has zero quadrature
+    weight and node N contributes O(dr^3) to the mass ledger, so the
+    interior telescoping is what conserves mass.
+    """
+    ws = _bound_workspace(r, dr)
+    drho = np.empty_like(rho)
+    _mass_tendency(r, dr, ws, rho, vel, lf_fc, up_fc, ws.lf_faces(lf_fc),
+                   drho, drho[1:-1])
+    return drho
+
+
+def induction_tendency(dr, vel, B, lf_fc):
+    """-(vel B)_r as face-flux differences, one-sided at r=R; B(0) = 0 is exact."""
+    ws = _workspace(len(B))
+    dB = np.empty_like(B)
+    _induction_tendency(dr, ws, vel, B, lf_fc, ws.lf_faces(lf_fc), dB, dB[1:-1])
+    return dB
 
 
 def laplacian_rows(r, dr):

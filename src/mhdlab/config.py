@@ -14,7 +14,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .core import (MIN_CELLS, Geometry, PhysParams, Profile, ScenarioConfig,
-                   SolverSettings, finite_float, to_member)
+                   Scheme, SolverSettings, finite_float, to_member)
 from .diagnostics import check_alpha
 from .errors import ConfigError
 
@@ -63,8 +63,9 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _parse_value(raw: str, where: str):
-    """The typed value of raw; a ConfigError names where it was read."""
+def _parse_value(raw: str, where: str, kind: type):
+    """The typed value of raw for a key whose values are of type kind; a
+    ConfigError names where it was read."""
     raw = raw.strip()
     if not raw:
         raise ConfigError(f"{where}: missing value")
@@ -81,7 +82,9 @@ def _parse_value(raw: str, where: str):
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {raw!r}") from None
+        hint = (f"; strings are double-quoted: \"{raw}\"" if kind is str
+                else "")
+        raise ConfigError(f"{where}: cannot parse value {raw!r}{hint}") from None
 
 
 def parse_pairs(text: str) -> dict:
@@ -99,7 +102,7 @@ def parse_pairs(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        pairs[key] = _parse_value(raw, f"line {lineno}")
+        pairs[key] = _parse_value(raw, f"line {lineno}", _KINDS[key])
     return pairs
 
 
@@ -156,6 +159,12 @@ def build_config(pairs: dict) -> ScenarioConfig:
     )
     if mms and cfg.r0 is not None:
         raise ConfigError("manufactured-solution runs have no vacuum region")
+    if cfg.r0 is not None and cfg.solver.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
+        raise ConfigError(
+            'time.scheme "ssprk3" cannot run a vacuum region (vacuum.r0 is '
+            "set): its explicit viscous step dr^2 rho* / (2(2mu+lam)) is "
+            "bound by the thin fluid at the vacuum edge, so the run would "
+            'take millions of steps; use time.scheme = "rk2-imp"')
     if cfg.n < MIN_CELLS:
         raise ConfigError(f"grid.n must be at least {MIN_CELLS}, got {cfg.n}")
     if cfg.t_end <= 0.0:
@@ -181,7 +190,7 @@ def apply_overrides(pairs: dict, overrides) -> dict:
         key = key.strip()
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"override references unknown key {key!r}")
-        out[key] = _parse_value(raw, f"override {item!r}")
+        out[key] = _parse_value(raw, f"override {item!r}", _KINDS[key])
     return out
 
 

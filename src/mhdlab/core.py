@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels.pure import laplacian_rows, tridiag_factor
+from ._kernels.pure import laplacian_rows, quiet_faces, tridiag_factor
 from .errors import ConfigError
 
 
@@ -97,9 +97,11 @@ class RadialGrid:
     @cached_property
     def quiet_faces(self):
         """Face controls of a state without vacuum nodes, read-only: no
-        Lax-Friedrichs coefficient and no donor-cell flag on any face."""
-        n = self.n_cells
-        return _read_only(np.zeros(n)), _read_only(np.zeros(n, dtype=np.uint8))
+        Lax-Friedrichs coefficient and no donor-cell flag on any face.
+
+        The pair of `_kernels.pure.quiet_faces`, shared by every grid of this
+        size, which the NumPy kernels recognise without scanning it."""
+        return quiet_faces(self.n_cells)
 
 
 MIN_CELLS = 2     # width of the one-sided end stencils

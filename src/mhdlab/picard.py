@@ -84,26 +84,28 @@ def _sweep(state0: FluidState, v_traj, dt: float, n_steps: int, p: PhysParams,
     """Integrate the linear system over the window against a frozen V trajectory.
 
     Each step is `ssp_rk3` with V at the stage times: the step's start, its
-    end and their mean. Returns (trajectory, finite): a sweep that leaves the
-    floating-point range is truncated (remaining snapshots repeat the last
-    state) and flagged.
+    end and their mean. Returns (trajectory, finite): the read-only state0
+    and each step's state, frozen (`ssp_rk3` returns a fresh one, so no
+    snapshot is copied). A sweep that leaves the floating-point range is
+    truncated (remaining snapshots repeat the last state) and flagged.
     """
 
     def pin(y):
         y.pin(wall=True)
 
-    traj = [state0.copy()]
-    y = state0.copy()
+    traj = [state0]
+    y = state0
     for k in range(n_steps):
         v_lo, v_hi = v_traj[k], v_traj[k + 1]
         stage_v = (v_lo, v_hi, 0.5 * (v_lo + v_hi))
         y = ssp_rk3(y, dt,
                     lambda x, i: _linear_tendency(x, stage_v[i], p, grid, eps_vac),
                     pin)
+        y.freeze()
         if not np.isfinite(y.y).all():
-            traj.extend(y.copy() for _ in range(n_steps - k))
+            traj.extend([y] * (n_steps - k))
             return traj, False
-        traj.append(y.copy())
+        traj.append(y)
     return traj, True
 
 
@@ -123,8 +125,8 @@ def picard_iterate(state0: FluidState, T_window: float, k_max: int, tol: float,
     """Successive linearization from state0 over [0, T_window].
 
     Returns (trajectory, report): the last sweep's states at the shared step
-    times, and the iteration log. Divergence (sup phi growing three sweeps in
-    a row) stops early and reports the best sweep.
+    times, read-only, and the iteration log. Divergence (sup phi growing
+    three sweeps in a row) stops early and reports the best sweep.
     """
     if p.geometry is not Geometry.DISK2D:
         raise ConfigError("the linearized sweep is defined for disk2d")
@@ -132,6 +134,7 @@ def picard_iterate(state0: FluidState, T_window: float, k_max: int, tol: float,
         raise ConfigError(f"window must be positive, got {T_window}")
     state0 = state0.copy()
     state0.t = 0.0
+    state0.freeze()
 
     explicit = dataclasses.replace(s, scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS)
     dt0 = cfl_dt(state0, grid, p, explicit)
@@ -140,8 +143,8 @@ def picard_iterate(state0: FluidState, T_window: float, k_max: int, tol: float,
 
     report = PicardReport(n_steps=n_steps, dt=dt)
     # sweep 0: transport field frozen at the initial velocity
-    v_traj = [state0.u.copy() for _ in range(n_steps + 1)]
-    prev_traj = [state0.copy() for _ in range(n_steps + 1)]
+    v_traj = [state0.u] * (n_steps + 1)
+    prev_traj = [state0] * (n_steps + 1)
 
     best_traj = prev_traj
     best_phi = math.inf
@@ -171,5 +174,5 @@ def picard_iterate(state0: FluidState, T_window: float, k_max: int, tol: float,
             report.diverged = True
             return best_traj, report
         prev_traj = traj
-        v_traj = [st.u.copy() for st in traj]
+        v_traj = [st.u for st in traj]
     return best_traj, report

@@ -120,6 +120,28 @@ class TestOverrides:
             apply_overrides({}, [item])
         assert str(exc.value).startswith(f"override {item!r}: {reason}")
 
+    @pytest.mark.parametrize("item, hint", [
+        ("time.scheme=ssprk3", 'strings are double-quoted: "ssprk3"'),
+        ("output.dir=runs/a", 'strings are double-quoted: "runs/a"'),
+        ("grid.n=abc", None),
+        ("physics.mu=fast", None),
+    ])
+    def test_unquoted_string_hint(self, item, hint):
+        # the hint is given only where the key takes a string
+        with pytest.raises(ConfigError) as exc:
+            apply_overrides({}, [item])
+        message = str(exc.value)
+        assert message.startswith(f"override {item!r}: cannot parse value")
+        if hint is None:
+            assert "quoted" not in message
+        else:
+            assert message.endswith(hint)
+
+    def test_unquoted_string_hint_in_a_file(self):
+        with pytest.raises(ConfigError,
+                           match=r'^line 2: cannot parse .*double-quoted: "disk2d"$'):
+            parse_pairs("\ngeometry = disk2d\n")
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -138,6 +160,18 @@ class TestPresets:
 
     def test_mms_preset_flag(self):
         assert load_preset("mms").mms is True
+
+    @pytest.mark.parametrize("name", ["disk-blowup", "cylinder-blowup",
+                                      "free-blowup"])
+    def test_explicit_scheme_refuses_a_vacuum_region(self, name):
+        pairs = apply_overrides(parse_pairs(load_preset_text(name)),
+                                ['time.scheme="ssprk3"'])
+        with pytest.raises(ConfigError, match="vacuum region") as exc:
+            build_config(pairs)
+        assert '"rk2-imp"' in str(exc.value)
+        # without the vacuum region the same scheme is accepted
+        del pairs["vacuum.r0"]
+        assert build_config(pairs).solver.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS
 
 
 # override values as they are typed on the command line: integers (0,

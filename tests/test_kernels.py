@@ -525,3 +525,155 @@ class TestLeanKernelsMatchReference:
                                       ref_vector_laplacian(u, nodes, dr))
                 assert np.array_equal(pure.axial_laplacian(u, nodes, dr),
                                       ref_axial_laplacian(u, nodes, dr))
+
+
+def swirl_fields(n, seed):
+    rng = np.random.default_rng(seed + 50)
+    v = rng.standard_normal(n + 1) * 0.2
+    v[0] = v[-1] = 0.0
+    return v, rng.standard_normal(n + 1) * 0.2
+
+
+def kernel_cases(n, seed):
+    """(kernel, reference, args) for both kernels on random fields at n
+    cells: the grid's read-only nodes with the quiet faces, writable nodes
+    with a band and donor faces, and read-only nodes with the grid's
+    spacing but other values."""
+    g = make_grid(n, 1.0)
+    r, rho, u, P, B, rho_star, lf, up = random_fields(n, seed, vac=True)
+    v, w = swirl_fields(n, seed)
+    quiet_lf, quiet_up = g.quiet_faces
+    shifted = g.nodes + 0.5
+    shifted.flags.writeable = False
+    cases = []
+    for nodes, lf_fc, up_fc in ((g.nodes, quiet_lf, quiet_up), (r, lf, up),
+                                (shifted, lf, up)):
+        cases.append((pure.disk_tendency, ref_disk_tendency,
+                      (nodes, g.dr, rho, u, P, B, rho_star, 0.7, 1.4, True,
+                       lf_fc, up_fc)))
+        cases.append((pure.cylinder_tendency, ref_cylinder_tendency,
+                      (nodes, g.dr, rho, u, v, w, P, B, rho_star, 0.7, 0.3,
+                       1.4, False, lf_fc, up_fc)))
+    return cases
+
+
+class TestWorkspace:
+    """The NumPy kernels compute in a per-thread workspace of scratch arrays
+    keyed by node count: what they return is theirs alone, and no call
+    sees another's scratch."""
+
+    def test_quiet_faces_are_shared_and_read_only(self):
+        lf, up = make_grid(64, 1.0).quiet_faces
+        other_lf, other_up = make_grid(64, 3.0).quiet_faces
+        assert lf is other_lf is pure.quiet_faces(64)[0]
+        assert up is other_up is pure.quiet_faces(64)[1]
+        assert not lf.any() and not up.any() and up.dtype == np.uint8
+        assert not lf.flags.writeable and not up.flags.writeable
+
+    def test_returned_rates_stay_unchanged(self, disk_inputs, cylinder_inputs):
+        first = pure.disk_tendency(*disk_inputs[0])
+        second = pure.cylinder_tendency(*cylinder_inputs[0])
+        kept = first.tobytes(), second.tobytes()
+        for d_args, c_args in zip(disk_inputs[1:6], cylinder_inputs[1:6]):
+            pure.disk_tendency(*d_args)
+            pure.cylinder_tendency(*c_args)
+        assert (first.tobytes(), second.tobytes()) == kept
+        assert not np.shares_memory(first, second)
+
+    def test_interleaved_sizes_match_reference(self):
+        cases = {n: kernel_cases(n, n) for n in (64, 256, 1024)}
+        for _ in range(2):
+            for n in (64, 1024, 256):
+                for kernel, reference, args in cases[n]:
+                    assert_all_equal(kernel(*args), reference(*args))
+
+    def test_successive_grids_of_a_free_run(self, monkeypatch):
+        import dataclasses
+        import weakref
+
+        import mhdlab._kernels as kern
+        from mhdlab.config import load_preset
+        from mhdlab.harness import run
+
+        seen = {"calls": 0, "grids": 0, "last": lambda: None}
+        real = kern.disk_tendency
+
+        def checked(*args):
+            # only a weak reference, so each grid dies when the run drops it
+            if seen["last"]() is not args[0]:
+                seen["grids"] += 1
+                seen["last"] = weakref.ref(args[0])
+            rates = real(*args)
+            assert_all_equal(rates, ref_disk_tendency(*args))
+            seen["calls"] += 1
+            return rates
+
+        monkeypatch.setattr(kern, "disk_tendency", checked)
+        run(dataclasses.replace(load_preset("free-blowup"), n=64))
+        assert seen["calls"] > 50 and seen["grids"] > 10
+
+    def test_threads_get_the_reference_bits(self):
+        import sys
+        import threading
+
+        cases = [kernel_cases(128, seed) for seed in (1, 2)]
+        want = [[reference(*args) for _, reference, args in c] for c in cases]
+        start = threading.Barrier(2, timeout=60)
+        bad = []
+
+        def work(k):
+            start.wait()
+            for _ in range(60):
+                for (kernel, _, args), w in zip(cases[k], want[k]):
+                    got = kernel(*args)
+                    if not all(np.array_equal(g, x) for g, x in zip(got, w)):
+                        bad.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_one_workspace_per_thread_and_size(self):
+        import dataclasses
+        import threading
+
+        from mhdlab.config import load_preset
+        from mhdlab.harness import run
+
+        cfg = dataclasses.replace(load_preset("free-blowup"), n=64)
+        seen = []
+
+        def work():
+            for _ in range(2):
+                run(cfg)
+                seen.append(dict(pure._workspaces.by_nodes))
+
+        t = threading.Thread(target=work)
+        t.start()
+        t.join(timeout=300)
+        assert not t.is_alive()
+        # one entry for N+1 nodes, the same across the runs' many grids
+        assert [list(spaces) for spaces in seen] == [[65], [65]]
+        assert seen[0][65] is seen[1][65]
+        assert pure._workspaces.by_nodes.get(65) is not seen[0][65]
+
+    def test_no_grid_is_kept_alive(self):
+        import gc
+        import weakref
+
+        args = kernel_cases(64, 3)[0][2]
+        g = make_grid(64, 1.0)
+        pure.disk_tendency(g.nodes, *args[1:])
+        nodes = weakref.ref(g.nodes)
+        del g
+        gc.collect()
+        assert nodes() is None

@@ -56,6 +56,18 @@ class TestPicard:
                 integrate(d * d, g, Weight.RADIAL_R), 0.0))))
         assert gap < 1e-8
 
+    def test_snapshots_are_read_only(self):
+        g = make_grid(64, 1.0)
+        st = smooth_state(g)
+        traj, rep = picard_iterate(st, 0.01, 30, 1e-10, params(), g,
+                                   SolverSettings())
+        assert rep.iterations >= 2 and len(traj) == rep.n_steps + 1
+        assert all(snap.read_only for snap in traj)
+        with pytest.raises(ValueError, match="read-only"):
+            traj[-1].u[1] = 1.0
+        # the caller's state is not frozen with its copy
+        assert not st.read_only
+
     def test_window_must_be_positive(self):
         g = make_grid(64, 1.0)
         with pytest.raises(ConfigError):
