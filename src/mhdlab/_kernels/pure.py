@@ -210,6 +210,13 @@ def _workspace(nodes):
     return ws
 
 
+def _bound_workspace(r, dr):
+    """This thread's workspace for the nodes `r`, bound to their factors."""
+    ws = _workspace(len(r))
+    ws.bind(r, dr)
+    return ws
+
+
 # The stencil helpers write into `out` and its interior view `inner`
 # (out[1:-1]) or the view past the axis `tail` (out[1:]): workspace arrays
 # in the kernels, fresh arrays in the public operators below them.
@@ -348,8 +355,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     swirl = (v, w, mu) the cylinder's (drho, du, dv, dw, dP, dB)."""
     out = np.empty((4 if swirl is None else 6, len(r)))
     drho, du, dP, dB = out[0], out[1], out[-2], out[-1]
-    ws = _workspace(len(r))
-    ws.bind(r, dr)
+    ws = _bound_workspace(r, dr)
     faces = ws.lf_faces(lf_fc)
     ur, u_over_r, Br, B_over_r, Pr = ws.ur, ws.uor, ws.Br, ws.Bor, ws.Pr
     _radial_parts(u, r, dr, ur, ws.ur_in, u_over_r, ws.uor_tail)
@@ -468,12 +474,6 @@ def radial_parts(f, r, dr):
     """(f_r, f/r) of a field pinned to zero at the axis, f/r(0) = f_r(0)."""
     f_r = axis_gradient(f, dr)
     return f_r, over_r(f, r, f_r[0])
-
-
-def _bound_workspace(r, dr):
-    ws = _workspace(len(r))
-    ws.bind(r, dr)
-    return ws
 
 
 def vector_laplacian(f, r, dr):

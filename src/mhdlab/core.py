@@ -94,7 +94,7 @@ class RadialGrid:
     def _balance_factors(self) -> dict:
         return {}
 
-    @cached_property
+    @property
     def quiet_faces(self):
         """Face controls of a state without vacuum nodes, read-only: no
         Lax-Friedrichs coefficient and no donor-cell flag on any face.
