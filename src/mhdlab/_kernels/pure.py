@@ -30,6 +30,18 @@ band and the donor flux unscanned; another `lf_fc` is scanned for its band
 They run the Lax-Friedrichs products over the band's faces only, on scratch
 sliced to the band, and leave out a viscous term that is switched off.
 
+Every ufunc call takes array operands only. NumPy converts and promotes a
+Python number operand on every call: at 129 nodes that takes a multiply from
+0.48 to 0.90 us (NumPy 2.4). So the constants are prebuilt read-only 0-d
+arrays (`operand`): the module's (`_HALF`, `_TWO`, `_ZERO`, `_ZERO_U8`), the
+spacing's (`_Spacing`, one per thread for the last dr) and the physical
+coefficients the workspace was last handed (`_Workspace.coefficients`). A
+0-d float64 operand runs the same loop on the same value as the Python float
+it replaces, so the bits do not change. The kernels also share what they
+would compute twice: rho u serves the mass flux and, negated, the momentum
+term ((-rho) u and -(rho u) are the same bits), and the raw central
+difference of a velocity serves its gradient and its Laplacian's drift term.
+
 Each radial operator has one implementation, a helper that writes into the
 output it is given; the public operators (`gradient`, `radial_parts`,
 `vector_laplacian`, `mass_tendency`, ...) call the same helpers with fresh
@@ -111,6 +123,41 @@ def _nothing():
     return None
 
 
+def operand(value, dtype=np.float64):
+    """value as a read-only 0-d array of dtype: a ufunc operand NumPy uses as
+    it is, where it converts a Python number on every call."""
+    a = np.array(value, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+_HALF = operand(0.5)
+_TWO = operand(2.0)
+_ZERO = operand(0.0)
+_ZERO_U8 = operand(0, np.uint8)
+
+
+class _Spacing:
+    """The 0-d operands of one grid spacing: dr, -dr, 2 dr and dr^2."""
+
+    __slots__ = ("value", "dr", "neg_dr", "two_dr", "dr_sq")
+
+    def __init__(self, dr):
+        self.value = dr
+        self.dr = operand(dr)
+        self.neg_dr = operand(-dr)
+        self.two_dr = operand(2.0 * dr)
+        self.dr_sq = operand(dr * dr)
+
+
+def _spacing(dr):
+    """This thread's `_Spacing` of dr, rebuilt only when dr changes."""
+    sp = _workspaces.spacing
+    if sp.value != dr:
+        sp = _workspaces.spacing = _Spacing(dr)
+    return sp
+
+
 class _Workspace:
     """The tendency kernels' scratch arrays for one node count, with their
     interior and face views built once, and the stencil factors of the last
@@ -120,6 +167,8 @@ class _Workspace:
         faces, inner = nodes - 1, nodes - 2
         self.quiet_lf, self.quiet_up = quiet_faces(faces)
         self._r, self._dr = _nothing, None
+        self.sp = None
+        self._coefficients = None
         self.r_face = np.empty(faces)
         self.neg_r_dr = np.empty(inner)
         self.two_dr_r = np.empty(inner)
@@ -140,6 +189,10 @@ class _Workspace:
         self.vor, self.vor_tail = node_array(tail)
         self.lap, self.lap_in = node_array(interior)
         self.lap_tmp = np.empty(inner)
+        # raw central differences f[2:] - f[:-2] of the velocities
+        self.diff_u = np.empty(inner)
+        self.diff_v = np.empty(inner)
+        self.diff_w = np.empty(inner)
         self.neg_rho = np.empty(nodes)
         self.neg_rho_u = np.empty(nodes)
         self.gamma_P = np.empty(nodes)
@@ -168,19 +221,30 @@ class _Workspace:
 
     def bind(self, r, dr):
         """Make r_face, neg_r_dr (-r dr), two_dr_r and r_sq those of
-        (r, dr). A read-only r is taken to keep its values (a grid's nodes
-        do), so its factors stay until another r or dr comes; a writable r
-        gets them afresh. Only a weak reference to r is kept."""
+        (r, dr), and sp the `_Spacing` of dr. A read-only r is taken to keep
+        its values (a grid's nodes do), so its factors stay until another r
+        or dr comes; a writable r gets them afresh. Only a weak reference to
+        r is kept."""
         if self._r() is r and self._dr == dr:
             return
+        sp = self.sp = _spacing(dr)
         inner = r[1:-1]
         np.add(r[:-1], r[1:], self.r_face)
-        np.multiply(0.5, self.r_face, self.r_face)
-        np.negative(np.multiply(inner, dr, self.neg_r_dr), self.neg_r_dr)
-        np.multiply(2.0 * dr, inner, self.two_dr_r)
+        np.multiply(_HALF, self.r_face, self.r_face)
+        np.negative(np.multiply(inner, sp.dr, self.neg_r_dr), self.neg_r_dr)
+        np.multiply(sp.two_dr, inner, self.two_dr_r)
         np.multiply(inner, inner, self.r_sq)
         self._r = _nothing if r.flags.writeable else weakref.ref(r)
         self._dr = dr
+
+    def coefficients(self, *values):
+        """0-d operands of the physical coefficients (2mu+lam, gamma[, mu]),
+        rebuilt only when the values differ from the last ones handed in."""
+        hit = self._coefficients
+        if hit is None or hit[0] != values:
+            hit = self._coefficients = (values,
+                                        tuple(operand(c) for c in values))
+        return hit[1]
 
     def lf_faces(self, lf_fc):
         """The faces the Lax-Friedrichs products run over: None without a
@@ -188,7 +252,7 @@ class _Workspace:
         to last nonzero face."""
         if lf_fc is self.quiet_lf:
             return None
-        nz = np.not_equal(lf_fc, 0.0, self.lf_mask).nonzero()[0]
+        nz = np.not_equal(lf_fc, _ZERO, self.lf_mask).nonzero()[0]
         if nz.size == 0:
             return None
         return slice(int(nz[0]), int(nz[-1]) + 1)
@@ -197,6 +261,7 @@ class _Workspace:
 class _Workspaces(threading.local):
     def __init__(self):
         self.by_nodes = {}
+        self.spacing = _Spacing(1.0)
 
 
 _workspaces = _Workspaces()
@@ -219,23 +284,25 @@ def _bound_workspace(r, dr):
 
 # The stencil helpers write into `out` and its interior view `inner`
 # (out[1:-1]) or the view past the axis `tail` (out[1:]): workspace arrays
-# in the kernels, fresh arrays in the public operators below them.
+# in the kernels, fresh arrays in the public operators below them. `sp` is
+# the `_Spacing` of dr, and `diff` takes the raw central difference
+# f[2:] - f[:-2] (it may be `inner` itself).
 
-def _gradient_from_r0(f, dr, out, inner):
+def _gradient_from_r0(f, dr, sp, out, inner, diff):
     """f_r central in the interior and one-sided at r=R; the axis is the
     caller's."""
-    np.subtract(f[2:], f[:-2], inner)
-    np.true_divide(inner, 2.0 * dr, inner)
+    np.subtract(f[2:], f[:-2], diff)
+    np.true_divide(diff, sp.two_dr, inner)
     out[-1] = (3.0 * f.item(-1) - 4.0 * f.item(-2) + f.item(-3)) / (2.0 * dr)
 
 
-def _gradient(f, dr, out, inner):
-    _gradient_from_r0(f, dr, out, inner)
+def _gradient(f, dr, sp, out, inner, diff):
+    _gradient_from_r0(f, dr, sp, out, inner, diff)
     out[0] = (-3.0 * f.item(0) + 4.0 * f.item(1) - f.item(2)) / (2.0 * dr)
 
 
-def _axis_gradient(f, dr, out, inner):
-    _gradient_from_r0(f, dr, out, inner)
+def _axis_gradient(f, dr, sp, out, inner, diff):
+    _gradient_from_r0(f, dr, sp, out, inner, diff)
     out[0] = (4.0 * f.item(1) - f.item(2)) / (2.0 * dr)
 
 
@@ -244,55 +311,56 @@ def _over_r(f, r, f_r0, out, tail):
     out[0] = f_r0
 
 
-def _radial_parts(f, r, dr, f_r, f_r_in, f_over_r, f_over_r_tail):
-    _axis_gradient(f, dr, f_r, f_r_in)
+def _radial_parts(f, r, dr, sp, f_r, f_r_in, f_over_r, f_over_r_tail, diff):
+    _axis_gradient(f, dr, sp, f_r, f_r_in, diff)
     _over_r(f, r, f_r[0], f_over_r, f_over_r_tail)
 
 
-def _second_difference(f, dr, ws, out, inner):
-    """f_rr + f_r / r on interior nodes, zero at both ends."""
+def _second_difference(f, ws, out, inner, diff):
+    """f_rr + f_r / r on interior nodes, zero at both ends, from the raw
+    central difference diff of f."""
     out[0] = out[-1] = 0.0
-    f_hi, f_lo = f[2:], f[:-2]
-    np.multiply(f[1:-1], 2.0, inner)
-    np.subtract(f_hi, inner, inner)
-    np.add(inner, f_lo, inner)
-    np.true_divide(inner, dr * dr, inner)
-    drift = np.subtract(f_hi, f_lo, ws.lap_tmp)
-    np.true_divide(drift, ws.two_dr_r, drift)
+    np.multiply(f[1:-1], _TWO, inner)
+    np.subtract(f[2:], inner, inner)
+    np.add(inner, f[:-2], inner)
+    np.true_divide(inner, ws.sp.dr_sq, inner)
+    drift = np.true_divide(diff, ws.two_dr_r, ws.lap_tmp)
     np.add(inner, drift, inner)
 
 
-def _vector_laplacian(f, dr, ws, out, inner):
-    _second_difference(f, dr, ws, out, inner)
+def _vector_laplacian(f, dr, ws, out, inner, diff):
+    _second_difference(f, ws, out, inner, diff)
     hoop = np.true_divide(f[1:-1], ws.r_sq, ws.lap_tmp)
     np.subtract(inner, hoop, inner)
 
 
-def _axial_laplacian(f, dr, ws, out, inner):
-    _second_difference(f, dr, ws, out, inner)
+def _axial_laplacian(f, dr, ws, out, inner, diff):
+    _second_difference(f, ws, out, inner, diff)
     out[0] = 4.0 * (f.item(1) - f.item(0)) / (dr * dr)
 
 
-def _add_viscous(rate, nu, laplacian, f, dr, ws):
-    """rate += nu * laplacian(f)."""
+def _add_viscous(rate, nu, laplacian, f, dr, ws, diff):
+    """rate += nu * laplacian(f), nu a 0-d operand."""
     lap = ws.lap
-    laplacian(f, dr, ws, lap, ws.lap_in)
+    laplacian(f, dr, ws, lap, ws.lap_in, diff)
     np.multiply(nu, lap, lap)
     np.add(rate, lap, rate)
 
 
-def _mass_tendency(r, dr, ws, rho, vel, lf_fc, up_fc, faces, drho, inner):
-    mom = np.multiply(rho, vel, ws.mom)
+def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
+                   inner):
+    """The mass rates from the momentum mom = rho vel (in ws.mom)."""
     fv = np.add(ws.mom_lo, ws.mom_hi, ws.fv)
-    np.multiply(fv, 0.5, fv)
+    np.multiply(fv, _HALF, fv)
     if up_fc is not ws.quiet_up and np.count_nonzero(up_fc):
         vbar = np.add(vel[:-1], vel[1:], ws.vbar)
-        np.multiply(vbar, 0.5, vbar)
+        np.multiply(vbar, _HALF, vbar)
         donor = ws.donor
         np.copyto(donor, rho[1:])
-        np.copyto(donor, rho[:-1], where=np.greater_equal(vbar, 0.0, ws.ahead))
+        np.copyto(donor, rho[:-1],
+                  where=np.greater_equal(vbar, _ZERO, ws.ahead))
         np.multiply(donor, vbar, donor)
-        np.copyto(fv, donor, where=np.not_equal(up_fc, 0, ws.flagged))
+        np.copyto(fv, donor, where=np.not_equal(up_fc, _ZERO_U8, ws.flagged))
     G = np.multiply(ws.r_face, fv, ws.G)
     if faces is not None:
         lo, hi = faces.start, faces.stop
@@ -312,10 +380,10 @@ def _mass_tendency(r, dr, ws, rho, vel, lf_fc, up_fc, faces, drho, inner):
     drho[-1] = -(mom_rn + mom_n / r.item(-1))
 
 
-def _induction_tendency(dr, ws, vel, B, lf_fc, faces, dB, inner):
+def _induction_tendency(dr, sp, ws, vel, B, lf_fc, faces, dB, inner):
     vb = np.multiply(vel, B, ws.vb)
     H = np.add(ws.vb_lo, ws.vb_hi, ws.H)
-    np.multiply(H, 0.5, H)
+    np.multiply(H, _HALF, H)
     if faces is not None:
         lo, hi = faces.start, faces.stop
         jump = np.subtract(B[lo + 1:hi + 1], B[lo:hi], ws.jump[faces])
@@ -323,7 +391,7 @@ def _induction_tendency(dr, ws, vel, B, lf_fc, faces, dB, inner):
         H_band = H[faces]
         np.subtract(H_band, jump, H_band)
     np.subtract(ws.H_hi, ws.H_lo, inner)
-    np.true_divide(inner, -dr, inner)      # -(H[i+1] - H[i]) / dr
+    np.true_divide(inner, sp.neg_dr, inner)      # -(H[i+1] - H[i]) / dr
     dB[0] = 0.0
     vb_rn = 3.0 * vb.item(-1) - 4.0 * vb.item(-2) + vb.item(-3)
     dB[-1] = -vb_rn / (2.0 * dr)
@@ -340,7 +408,7 @@ def _pressure_diffusion(dP, P, dr, lf_fc, faces, ws):
     np.multiply(lf_fc[faces], flux, flux)
     # flux differences over the cell widths: dr, half of it at an end
     div = np.subtract(D[1:], D[:-1], ws.div[:hi - lo + 1])
-    np.true_divide(div, dr, div)
+    np.true_divide(div, ws.sp.dr, div)
     if lo == 0:
         div[0] = (D[1] - D[0]) / (0.5 * dr)
     if hi == len(lf_fc):
@@ -356,18 +424,26 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     out = np.empty((4 if swirl is None else 6, len(r)))
     drho, du, dP, dB = out[0], out[1], out[-2], out[-1]
     ws = _bound_workspace(r, dr)
+    sp = ws.sp
+    if swirl is None:
+        nu_u, gamma = ws.coefficients(two_mu_lam, gamma)
+    else:
+        nu_u, gamma, nu_swirl = ws.coefficients(two_mu_lam, gamma, swirl[2])
     faces = ws.lf_faces(lf_fc)
     ur, u_over_r, Br, B_over_r, Pr = ws.ur, ws.uor, ws.Br, ws.Bor, ws.Pr
-    _radial_parts(u, r, dr, ur, ws.ur_in, u_over_r, ws.uor_tail)
-    _radial_parts(B, r, dr, Br, ws.Br_in, B_over_r, ws.Bor_tail)
-    _gradient(P, dr, Pr, ws.Pr_in)
+    _radial_parts(u, r, dr, sp, ur, ws.ur_in, u_over_r, ws.uor_tail,
+                  ws.diff_u)
+    _radial_parts(B, r, dr, sp, Br, ws.Br_in, B_over_r, ws.Bor_tail,
+                  ws.Br_in)
+    _gradient(P, dr, sp, Pr, ws.Pr_in, ws.Pr_in)
 
-    neg_rho = np.negative(rho, ws.neg_rho)
-    neg_rho_u = np.multiply(neg_rho, u, ws.neg_rho_u)
+    # rho u: the mass flux's momentum, and negated the momentum term's
+    mom = np.multiply(rho, u, ws.mom)
+    neg_rho_u = np.negative(mom, ws.neg_rho_u)
     np.multiply(neg_rho_u, ur, du)
     np.subtract(du, Pr, du)
     if include_visc:
-        _add_viscous(du, two_mu_lam, _vector_laplacian, u, dr, ws)
+        _add_viscous(du, nu_u, _vector_laplacian, u, dr, ws, ws.diff_u)
     np.add(Br, B_over_r, Br)
     np.multiply(Br, B, Br)
     np.subtract(du, Br, du)
@@ -384,12 +460,13 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     if faces is not None:
         _pressure_diffusion(dP, P, dr, lf_fc, faces, ws)
 
-    _mass_tendency(r, dr, ws, rho, u, lf_fc, up_fc, faces, drho, drho[1:-1])
-    _induction_tendency(dr, ws, u, B, lf_fc, faces, dB, dB[1:-1])
+    _mass_tendency(r, dr, ws, rho, u, mom, lf_fc, up_fc, faces, drho,
+                   drho[1:-1])
+    _induction_tendency(dr, sp, ws, u, B, lf_fc, faces, dB, dB[1:-1])
     if swirl is None:
         return out
 
-    v, w, mu = swirl
+    v, w, _ = swirl
     # centrifugal correction on the interior; du stays pinned at both ends
     v_in = v[1:-1]
     centrif = np.multiply(rho[1:-1], v_in, ws.centrif)
@@ -400,22 +477,23 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     np.add(du_in, centrif, du_in)
 
     vr, v_over_r = ws.vr, ws.vor
-    _radial_parts(v, r, dr, vr, ws.vr_in, v_over_r, ws.vor_tail)
+    _radial_parts(v, r, dr, sp, vr, ws.vr_in, v_over_r, ws.vor_tail,
+                  ws.diff_v)
     dv = np.multiply(u, vr, out[2])
     np.multiply(v_over_r, u, v_over_r)
     np.add(dv, v_over_r, dv)
-    np.multiply(dv, neg_rho, dv)
+    np.multiply(dv, np.negative(rho, ws.neg_rho), dv)
     if include_visc:
-        _add_viscous(dv, mu, _vector_laplacian, v, dr, ws)
+        _add_viscous(dv, nu_swirl, _vector_laplacian, v, dr, ws, ws.diff_v)
     np.true_divide(dv, rho_star, dv)
     dv[0] = 0.0
     dv[-1] = 0.0
 
     dw = out[3]
-    _gradient(w, dr, dw, dw[1:-1])
+    _gradient(w, dr, sp, dw, dw[1:-1], ws.diff_w)
     np.multiply(dw, neg_rho_u, dw)
     if include_visc:
-        _add_viscous(dw, mu, _axial_laplacian, w, dr, ws)
+        _add_viscous(dw, nu_swirl, _axial_laplacian, w, dr, ws, ws.diff_w)
     np.true_divide(dw, rho_star, dw)
     dw[-1] = 0.0
     return out
@@ -452,7 +530,8 @@ def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
 def gradient(f, dr, out=None):
     """Second-order derivative: central interior, one-sided at both ends."""
     out = np.empty_like(f) if out is None else out
-    _gradient(f, dr, out, out[1:-1])
+    inner = out[1:-1]
+    _gradient(f, dr, _spacing(dr), out, inner, inner)
     return out
 
 
@@ -466,7 +545,8 @@ def over_r(f, r, f_r0):
 def axis_gradient(f, dr):
     """f_r of a field pinned to zero at the axis: (4 f[1] - f[2]) / (2 dr) there."""
     out = np.empty_like(f)
-    _axis_gradient(f, dr, out, out[1:-1])
+    inner = out[1:-1]
+    _axis_gradient(f, dr, _spacing(dr), out, inner, inner)
     return out
 
 
@@ -476,18 +556,22 @@ def radial_parts(f, r, dr):
     return f_r, over_r(f, r, f_r[0])
 
 
+def _laplacian(laplacian, f, r, dr):
+    ws = _bound_workspace(r, dr)
+    diff = np.subtract(f[2:], f[:-2], ws.lap_tmp)
+    out = np.empty_like(f)
+    laplacian(f, dr, ws, out, out[1:-1], diff)
+    return out
+
+
 def vector_laplacian(f, r, dr):
     """(f_r + f/r)_r on interior nodes, zero at both ends."""
-    out = np.empty_like(f)
-    _vector_laplacian(f, dr, _bound_workspace(r, dr), out, out[1:-1])
-    return out
+    return _laplacian(_vector_laplacian, f, r, dr)
 
 
 def axial_laplacian(f, r, dr):
     """(r f_r)_r / r on interior nodes and at the axis (2 f_rr(0)), zero at r=R."""
-    out = np.empty_like(f)
-    _axial_laplacian(f, dr, _bound_workspace(r, dr), out, out[1:-1])
-    return out
+    return _laplacian(_axial_laplacian, f, r, dr)
 
 
 def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
@@ -499,7 +583,8 @@ def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
     """
     ws = _bound_workspace(r, dr)
     drho = np.empty_like(rho)
-    _mass_tendency(r, dr, ws, rho, vel, lf_fc, up_fc, ws.lf_faces(lf_fc),
+    mom = np.multiply(rho, vel, ws.mom)
+    _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, ws.lf_faces(lf_fc),
                    drho, drho[1:-1])
     return drho
 
@@ -508,7 +593,8 @@ def induction_tendency(dr, vel, B, lf_fc):
     """-(vel B)_r as face-flux differences, one-sided at r=R; B(0) = 0 is exact."""
     ws = _workspace(len(B))
     dB = np.empty_like(B)
-    _induction_tendency(dr, ws, vel, B, lf_fc, ws.lf_faces(lf_fc), dB, dB[1:-1])
+    _induction_tendency(dr, _spacing(dr), ws, vel, B, lf_fc, ws.lf_faces(lf_fc),
+                        dB, dB[1:-1])
     return dB
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels.pure import laplacian_rows, quiet_faces, tridiag_factor
+from ._kernels.pure import laplacian_rows, operand, quiet_faces, tridiag_factor
 from .errors import ConfigError
 
 
@@ -60,6 +60,8 @@ class RadialGrid:
     The arrays are read-only, so what is derived from them and cached on the
     grid (the viscous stencil rows, the vacuum-balance factors, the face
     controls of a state without vacuum) stays valid for the grid's lifetime.
+    `two_dr_0d` and `dr_sq_0d` are 2 dr and dr^2 as read-only 0-d arrays,
+    the operands the solver's ufunc calls take (`_kernels.pure.operand`).
     """
 
     nodes: np.ndarray
@@ -93,6 +95,14 @@ class RadialGrid:
     @cached_property
     def _balance_factors(self) -> dict:
         return {}
+
+    @cached_property
+    def two_dr_0d(self) -> np.ndarray:
+        return operand(2.0 * self.dr)
+
+    @cached_property
+    def dr_sq_0d(self) -> np.ndarray:
+        return operand(self.dr * self.dr)
 
     @property
     def quiet_faces(self):
@@ -175,7 +185,9 @@ class PhysParams:
     """Viscosities mu, lam and adiabatic exponent gamma.
 
     Physical admissibility: mu > 0, (2/d) mu + lam >= 0 with d the spatial
-    dimension of the geometry, and gamma > 1.
+    dimension of the geometry, and gamma > 1. The `*_0d` properties are
+    gamma, 2mu+lam and mu as read-only 0-d arrays, built once: the operands
+    the solver's ufunc calls take (`_kernels.pure.operand`).
     """
 
     mu: float
@@ -197,6 +209,18 @@ class PhysParams:
     @property
     def two_mu_lam(self) -> float:
         return 2.0 * self.mu + self.lam
+
+    @cached_property
+    def gamma_0d(self) -> np.ndarray:
+        return operand(self.gamma)
+
+    @cached_property
+    def two_mu_lam_0d(self) -> np.ndarray:
+        return operand(self.two_mu_lam)
+
+    @cached_property
+    def mu_0d(self) -> np.ndarray:
+        return operand(self.mu)
 
 
 def stacked_row(i: int, swirl: bool = False) -> property:
@@ -415,7 +439,8 @@ class SolverSettings:
     """Step-size, scheme, vacuum and blow-up controls of a run.
 
     The one home of these settings, their defaults and their checks. scheme
-    also accepts its value as a string ("ssprk3").
+    also accepts its value as a string ("ssprk3"). `eps_vac_0d` is eps_vac
+    as a read-only 0-d array, built once (see `PhysParams`).
     """
 
     cfl: float = 0.4
@@ -436,6 +461,10 @@ class SolverSettings:
             put(name, value)
         if not self.cfl < 1.0:
             raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
+
+    @cached_property
+    def eps_vac_0d(self) -> np.ndarray:
+        return operand(self.eps_vac)
 
 
 @dataclass

@@ -348,10 +348,13 @@ class ConvergenceRow:
     n: int
     errors: dict                  # field -> L2_r error at t_end
     orders: Optional[dict] = None  # vs the previous row
+    max_errors: Optional[dict] = None   # field -> max-norm error at t_end
 
 
 def convergence_study(cfg: ScenarioConfig, n_list) -> List[ConvergenceRow]:
-    """L2 errors against the manufactured fields at t_end for each grid size."""
+    """L2_r and max-norm errors against the manufactured fields at t_end for
+    each grid size; the orders are those of the L2_r errors. The max norm
+    shows what the r-weight of L2_r hides near the axis."""
     if not cfg.mms:
         raise MHDLabError("convergence_study needs a manufactured-solution config")
     rows: List[ConvergenceRow] = []
@@ -365,12 +368,13 @@ def convergence_study(cfg: ScenarioConfig, n_list) -> List[ConvergenceRow]:
             dt = min(dt, sub.t_end - state.t)
             state = step(state, dt, sub.phys, grid, sub.solver, forcing=forcing)
         exact = forcing.exact_state(grid, state.t)
-        errors = {}
+        errors, max_errors = {}, {}
         for (name, arr), (_, ref) in zip(state.fields(), exact.fields()):
             diff = arr - ref
             errors[name] = math.sqrt(max(
                 integrate(diff * diff, grid, Weight.RADIAL_R), 0.0))
-        row = ConvergenceRow(n=int(n), errors=errors)
+            max_errors[name] = float(np.maximum.reduce(np.abs(diff)))
+        row = ConvergenceRow(n=int(n), errors=errors, max_errors=max_errors)
         if rows:
             prev = rows[-1]
             ratio = math.log2(int(n) / prev.n)
@@ -385,13 +389,20 @@ def convergence_study(cfg: ScenarioConfig, n_list) -> List[ConvergenceRow]:
 
 
 def format_convergence_table(rows: List[ConvergenceRow]) -> str:
+    """One line per row: N, the L2_r errors, the max-norm errors when every
+    row has them, and the L2_r orders when there are two rows or more."""
     fields = list(rows[0].errors) if rows else []
+    with_max = bool(rows) and all(row.max_errors for row in rows)
     header = ["N"] + [f"err({f})" for f in fields]
+    if with_max:
+        header += [f"max({f})" for f in fields]
     if len(rows) > 1:
         header += [f"p({f})" for f in fields]
     lines = ["  ".join(f"{h:>12}" for h in header)]
     for row in rows:
         cells = [f"{row.n:>12d}"] + [f"{row.errors[f]:>12.4e}" for f in fields]
+        if with_max:
+            cells += [f"{row.max_errors[f]:>12.4e}" for f in fields]
         if len(rows) > 1:
             if row.orders:
                 cells += [f"{row.orders[f]:>12.3f}" for f in fields]

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from ._kernels.pure import operand
 from .core import FluidState, Geometry, PhysParams, RadialGrid
 from .errors import ConfigError
 
@@ -114,7 +115,8 @@ class MMSForcing:
     def _evaluate(self, t: float) -> np.ndarray:
         """The forcing at t on the tabulated nodes, as a new read-only array."""
         T1, T2, T3 = self._table
-        e = self.amp * math.exp(-t)
+        # one 0-d e for its three products
+        e = operand(self.amp * math.exp(-t))
         f = T3 * e
         f += T2
         f *= e

@@ -19,7 +19,12 @@ and continuity of u at the block's outer edge. Swirl and axial velocity take
 their quasi-stationary profiles there (v linear in r, w constant), which the
 discrete operators annihilate exactly.
 
-Rates are plain arrays in the state's shape and row order.
+Rates are plain arrays in the state's shape and row order. The ufunc calls
+of a step take array operands only: the physical and spacing constants come
+as the read-only 0-d arrays of `PhysParams`, `SolverSettings` and
+`RadialGrid`, the stage weights and thresholds as this module's (see
+`_kernels.pure.operand`). A step's dt stays a Python float where it is used
+once.
 
 Time integration: three-stage SSP Runge-Kutta on the full tendency
 (`ssp_rk3`, whose stage sequence the linearized Picard sweeps share), or a
@@ -38,13 +43,19 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as kern
+from ._kernels.pure import operand
 from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
                    Weight, integrate)
 from .errors import DtCollapse, NumericalFailure
 
-_FOURIER_SWITCH = 1e3      # trapezoidal -> backward Euler switch per row
+_FOURIER_SWITCH = operand(1e3)   # trapezoidal -> backward Euler switch per row
 _DT_EPS = 1e-300
 _LF_BAND = 16              # faces outside the vacuum edge that get LF dissipation
+
+_ZERO, _HALF, _ONE = operand(0.0), operand(0.5), operand(1.0)
+# the SSP-RK3 stage weights
+_THREE_QUARTERS, _QUARTER = operand(0.75), operand(0.25)
+_THIRD, _TWO_THIRDS = operand(1.0 / 3.0), operand(2.0 / 3.0)
 
 
 @dataclass
@@ -108,8 +119,9 @@ class _Stage:
         self.s = s
         self.y = state.y
         rho = state.rho
-        self.rho_star = np.maximum(rho, s.eps_vac)
-        self.vac = rho < s.eps_vac
+        eps_vac = s.eps_vac_0d
+        self.rho_star = np.maximum(rho, eps_vac)
+        self.vac = rho < eps_vac
         self.m = _block_end(self.vac)
         # argmax finds the first vacuum node (index 0 when there is none)
         self.any_vac = self.m >= 0 or self.vac.item(self.vac.argmax())
@@ -142,7 +154,7 @@ class _Stage:
         """Per-node |u| + c_s + c_A (see `signal_speeds`), built on first use."""
         if self._speeds is None:
             # (|u| + c_s) + c_A, built in the c_s array
-            out = self.p.gamma * state.P
+            out = np.multiply(self.p.gamma_0d, state.P)
             out /= self.rho_star
             np.sqrt(out, out=out)
             ca = state.B * state.B
@@ -204,7 +216,7 @@ def _face_controls(state: FluidState, grid: RadialGrid, stage: _Stage,
         # faces m+1 .. m+_LF_BAND short of the last, but none touching vacuum
         band = slice(m + 1, min(m + _LF_BAND, n - 1) + 1)
         lf_fc[band] = coeff
-        np.copyto(lf_fc[band], 0.0, where=up[band])
+        np.copyto(lf_fc[band], _ZERO, where=up[band])
     return lf_fc, up.view(np.uint8)
 
 
@@ -338,7 +350,6 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     if m < 1:
         return m
     r = grid.nodes
-    dr = grid.dr
     y = state.y
     u, P, B = y[1], y[-2], y[-1]
     # edge node supplying the outer continuity value; with the whole domain
@@ -347,9 +358,10 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     # B (B_r + B/r) + P_r on the block's rows 1..edge-1 only, with the
     # interior central differences of kern.gradient
     B_in = B[1:edge]
-    Br = (B[2:edge + 1] - B[:edge - 1]) / (2.0 * dr)
-    Pr = (P[2:edge + 1] - P[:edge - 1]) / (2.0 * dr)
-    rhs_vec = (B_in * (Br + B_in / r[1:edge]) + Pr) / p.two_mu_lam
+    two_dr = grid.two_dr_0d
+    Br = (B[2:edge + 1] - B[:edge - 1]) / two_dr
+    Pr = (P[2:edge + 1] - P[:edge - 1]) / two_dr
+    rhs_vec = (B_in * (Br + B_in / r[1:edge]) + Pr) / p.two_mu_lam_0d
     # the last row's coupling to the Dirichlet value u[edge]
     sup = grid.lap_rows[1]
     rhs_vec[-1] -= sup[edge - 1] * float(u[edge])
@@ -378,27 +390,27 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
 
 
 def _theta_rows(fo: np.ndarray) -> np.ndarray:
-    return np.where(fo <= _FOURIER_SWITCH, 0.5, 1.0)
+    return np.where(fo <= _FOURIER_SWITCH, _HALF, _ONE)
 
 
 def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
-                        dt: float, lo: int, hi: int, swirl: bool) -> None:
+                        dt: np.ndarray, lo: int, hi: int, swirl: bool) -> None:
     """Theta-scheme solve of f_t = nu * L f on nodes [lo, hi], Dirichlet outside.
 
     swirl=True is the vector operator (f_r + f/r)_r, swirl=False the axial
     one (r f_r)_r / r. lo=0 includes the r=0 node with the symmetric axial
     operator (used for w, which has no center pin): L w(0) = 4 (w1 - w0)/dr^2.
-    The node hi+1 must exist; it holds the outer Dirichlet value.
+    The node hi+1 must exist; it holds the outer Dirichlet value. dt may be
+    a 0-d array.
     """
     if hi < lo:
         return
-    dr = grid.dr
     rows = slice(lo, hi + 1)
     sub, sup, swirl_diag, axial_diag = grid.lap_rows
     diag = (swirl_diag if swirl else axial_diag)[rows]
     sub, sup = sub[rows], sup[rows]
     nu_i = nu[rows]
-    fo = dt * nu_i / (dr * dr)
+    fo = dt * nu_i / grid.dr_sq_0d
     theta = _theta_rows(fo)
 
     # explicit part (1-theta) * dt * nu * L f_old; the axis row has no left
@@ -410,11 +422,11 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
     else:
         lf[1:] += sub[1:] * f[:hi]
     lf += sup * f[lo + 1:hi + 2]
-    rhs_vec = fc + dt * (1.0 - theta) * nu_i * lf
+    rhs_vec = fc + dt * (_ONE - theta) * nu_i * lf
 
     w = dt * theta * nu_i
     a = -(w * sub)
-    b = 1.0 - w * diag
+    b = _ONE - w * diag
     c = -(w * sup)
     # Dirichlet neighbours folded into the right-hand side
     if lo > 0:
@@ -440,10 +452,12 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
     m = stage.m
     lo = max(m + 1, 1)
     hi = n - 1
-    nu_u = p.two_mu_lam / rho_star
+    # one 0-d dt for the three to nine products of the solves
+    dt = operand(dt)
+    nu_u = p.two_mu_lam_0d / rho_star
     _implicit_component(state.u, nu_u, grid, dt, lo, hi, swirl=True)
     if state.v is not None:
-        nu_v = p.mu / rho_star
+        nu_v = p.mu_0d / rho_star
         _implicit_component(state.v, nu_v, grid, dt, lo, hi, swirl=True)
         _implicit_component(state.w, nu_v, grid, dt, m + 1, hi, swirl=False)
     stage.forget_velocities()
@@ -458,8 +472,9 @@ def apply_tendency(state: FluidState, rates: np.ndarray, dt: float) -> FluidStat
     return FluidState.of(state.y + dt * rates, state.t + dt)
 
 
-def blend(a: FluidState, wa: float, b: FluidState, wb: float, t: float) -> FluidState:
-    """wa * a + wb * b at time t (an SSP stage combination)."""
+def blend(a: FluidState, wa, b: FluidState, wb, t: float) -> FluidState:
+    """wa * a + wb * b at time t (an SSP stage combination); the weights are
+    numbers or 0-d arrays."""
     return FluidState.of(wa * a.y + wb * b.y, t)
 
 
@@ -476,16 +491,16 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
     # one scan of the rho and P rows (y[0] and y[-2]) finds a negative or NaN
     if not np.minimum.reduce(y[::len(y) - 2], axis=None) >= 0.0:
         rho, P = state.rho, state.P
-        neg = rho < 0.0
+        neg = rho < _ZERO
         if np.logical_or.reduce(neg):
             if stats is not None:
-                stats.clipped_mass += -integrate(np.minimum(rho, 0.0), grid,
+                stats.clipped_mass += -integrate(np.minimum(rho, _ZERO), grid,
                                                  Weight.RADIAL_R)
             rho[neg] = 0.0
-        neg = P < 0.0
+        neg = P < _ZERO
         if np.logical_or.reduce(neg):
             if stats is not None:
-                stats.clipped_pressure += -integrate(np.minimum(P, 0.0), grid,
+                stats.clipped_pressure += -integrate(np.minimum(P, _ZERO), grid,
                                                      Weight.RADIAL_R)
             P[neg] = 0.0
     if free_bc is not None:
@@ -539,10 +554,10 @@ def ssp_rk3(y0: FluidState, dt: float, rates, finish) -> FluidState:
     """
     y1 = apply_tendency(y0, rates(y0, 0), dt)
     finish(y1)
-    y2 = blend(y0, 0.75, apply_tendency(y1, rates(y1, 1), dt), 0.25,
-               y0.t + 0.5 * dt)
+    y2 = blend(y0, _THREE_QUARTERS, apply_tendency(y1, rates(y1, 1), dt),
+               _QUARTER, y0.t + 0.5 * dt)
     finish(y2)
-    y3 = blend(y0, 1.0 / 3.0, apply_tendency(y2, rates(y2, 2), dt), 2.0 / 3.0,
+    y3 = blend(y0, _THIRD, apply_tendency(y2, rates(y2, 2), dt), _TWO_THIRDS,
                y0.t + dt)
     finish(y3)
     return y3

@@ -119,6 +119,38 @@ class TestRun:
         assert "dt" in res.outcome.summary.get("invalid_reason", "")
 
 
+class TestDetectedAtTheAxis:
+    """A blow-up preset at N=64 runs many steps and stops on the gradient
+    threshold at the axis, where the event forms. At N <= 48 the presets
+    stop instead after a few steps on a gradient at the vacuum edge (disk-
+    and free-blowup at N=32: after 4 steps, at node 15 past a block ending
+    at node 13), an artefact of a grid too coarse for them."""
+
+    @pytest.mark.parametrize("preset", ["disk-blowup", "cylinder-blowup",
+                                        "free-blowup"])
+    def test_stops_at_node_0_on_the_gradient(self, monkeypatch, preset):
+        import mhdlab.harness
+        from mhdlab._kernels import radial_parts
+        detect = mhdlab.harness.detect_blowup
+        checks = []
+
+        def watched(state, grid, p, s):
+            health = detect(state, grid, p, s)
+            checks.append((state, grid, health))
+            return health
+
+        monkeypatch.setattr(mhdlab.harness, "detect_blowup", watched)
+        res = run(dataclasses.replace(load_preset(preset), n=64))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        assert res.outcome.summary["stop_reason"] == "gradu"
+        assert len(checks) >= 10            # one health check per step
+        state, grid, health = checks[-1]
+        ur, uor = radial_parts(state.u, grid.nodes, grid.dr)
+        gradu = np.maximum(np.abs(ur), np.abs(uor))
+        assert gradu.max() == health.max_gradu
+        assert int(np.argmax(gradu)) == 0
+
+
 class TestOneCflPerStep:
     """run() takes each step's dt from the previous step's health check."""
 
@@ -216,22 +248,57 @@ def numpy_wrapper_files():
     return {fromnumeric.__file__, _methods.__file__}
 
 
+def scalar_counting_numpy(modules, counts):
+    """A stand-in for `numpy` in each module whose named ufuncs (the ones
+    its source calls as np.<name>) add to counts["scalars"] every positional
+    Python int or float operand (bools aside) they are handed. `.reduce`
+    still works; every other name is numpy's own."""
+    import inspect
+    import re
+    import types
+
+    class Counted:
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+            self.reduce = ufunc.reduce
+
+        def __call__(self, *args, **kwargs):
+            counts["scalars"] += sum(isinstance(a, (int, float))
+                                     and not isinstance(a, bool) for a in args)
+            return self.ufunc(*args, **kwargs)
+
+    stand_ins = {}
+    for module in modules:
+        names = set(re.findall(r"\bnp\.(\w+)", inspect.getsource(module)))
+        ufuncs = {n: Counted(getattr(np, n)) for n in names
+                  if isinstance(getattr(np, n, None), np.ufunc)}
+        assert ufuncs
+        stand_in = types.ModuleType("numpy")
+        stand_in.__getattr__ = lambda name: getattr(np, name)
+        stand_in.__dict__.update(ufuncs)
+        stand_ins[module] = stand_in
+    return stand_ins
+
+
 class TestWorkPerStep:
     """Per-step calls of the finiteness scan, the vacuum-block search and the
-    free grid's builds, the forcing's profile builds and evaluations, and the
-    frames entered in NumPy's reduction wrappers, counted between the starts
-    of consecutive steps of run() (one step plus its health check)."""
+    free grid's builds, the forcing's profile builds and evaluations, the
+    frames entered in NumPy's reduction wrappers, and the Python-number
+    operands of the NumPy kernels' and the solver's ufunc calls, counted
+    between the starts of consecutive steps of run() (one step plus its
+    health check)."""
 
     def per_step(self, monkeypatch, cfg, keys=("scan", "block")):
         import sys
 
+        import mhdlab._kernels
         import mhdlab.core
         import mhdlab.freeboundary
         import mhdlab.harness
         import mhdlab.mms
         import mhdlab.solver
         counts = {"scan": 0, "block": 0, "table": 0, "eval": 0, "grid": 0,
-                  "rows": 0, "wrapped": 0}
+                  "rows": 0, "wrapped": 0, "scalars": 0}
         marks = []
         wrapper_files = numpy_wrapper_files()
 
@@ -280,6 +347,15 @@ class TestWorkPerStep:
                          "dissipation_rate", "detect_blowup"):
                 monkeypatch.setattr(mhdlab.harness, name,
                                     profiled(getattr(mhdlab.harness, name)))
+        if "scalars" in keys:
+            # the NumPy kernels whatever the backend
+            pure = mhdlab._kernels.get_backend("pure")
+            for name in ("gradient", "disk_tendency", "cylinder_tendency",
+                         "thomas"):
+                monkeypatch.setattr(mhdlab._kernels, name, getattr(pure, name))
+            stand_ins = scalar_counting_numpy((pure, mhdlab.solver), counts)
+            for module, stand_in in stand_ins.items():
+                monkeypatch.setattr(module, "np", stand_in)
         monkeypatch.setattr(mhdlab.harness, "step", marking(mhdlab.harness.step))
         monkeypatch.setattr(mhdlab.harness, "free_step",
                             marking(mhdlab.harness.free_step))
@@ -325,6 +401,18 @@ class TestWorkPerStep:
         cfg = small(preset, n=64, t_end=0.05, output_stride=4)
         assert cfg.solver.scheme.value == scheme
         res, deltas, _ = self.per_step(monkeypatch, cfg, keys=("wrapped",))
+        assert res.status is RunStatus.COMPLETED
+        assert deltas == {(0,)}
+
+    @pytest.mark.parametrize("preset, scheme", [
+        ("mms", "ssprk3"), ("disk-blowup", "rk2-imp"),
+        ("cylinder-blowup", "rk2-imp"), ("free-blowup", "rk2-imp")])
+    def test_no_python_number_ufunc_operands(self, monkeypatch, preset, scheme):
+        # NumPy converts and promotes a Python number operand on every call;
+        # the step path hands its ufuncs prebuilt 0-d arrays instead
+        cfg = small(preset, n=64, t_end=0.05, output_stride=4)
+        assert cfg.solver.scheme.value == scheme
+        res, deltas, _ = self.per_step(monkeypatch, cfg, keys=("scalars",))
         assert res.status is RunStatus.COMPLETED
         assert deltas == {(0,)}
 

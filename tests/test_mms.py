@@ -231,6 +231,43 @@ class TestConvergence:
         rows = convergence_study(mms_config(), [48])
         assert len(rows) == 1 and rows[0].orders is None
 
+    def test_max_norm_errors(self, monkeypatch):
+        # each field's largest |numerical - exact| on the nodes at t_end,
+        # next to its L2_r error
+        import mhdlab.harness
+        cfg = mms_config()
+        last = {}
+        step_ = mhdlab.harness.step
+
+        def kept(state, dt, p, grid, s, **kw):
+            out = step_(state, dt, p, grid, s, **kw)
+            last[grid.n_cells] = out, grid
+            return out
+
+        monkeypatch.setattr(mhdlab.harness, "step", kept)
+        rows = convergence_study(cfg, [16, 32])
+        for row in rows:
+            state, grid = last[row.n]
+            exact = MMSForcing(cfg.phys, cfg.r_outer).exact_state(grid, state.t)
+            want = {name: np.max(np.abs(arr - ref)) for (name, arr), (_, ref)
+                    in zip(state.fields(), exact.fields())}
+            assert row.max_errors == want
+            assert all(row.max_errors[f] > row.errors[f] > 0.0
+                       for f in ("rho", "P"))
+
+    def test_table_shows_max_norms_of_every_row_or_none(self):
+        from mhdlab.harness import ConvergenceRow, format_convergence_table
+        rows = [ConvergenceRow(n=16, errors={"u": 2e-3}, max_errors={"u": 5e-3}),
+                ConvergenceRow(n=32, errors={"u": 5e-4}, orders={"u": 2.0},
+                               max_errors={"u": 1.25e-3})]
+        header, *lines = format_convergence_table(rows).splitlines()
+        assert header.split() == ["N", "err(u)", "max(u)", "p(u)"]
+        assert lines[1].split() == ["32", "5.0000e-04", "1.2500e-03", "2.000"]
+        rows[0].max_errors = None
+        header, *lines = format_convergence_table(rows).splitlines()
+        assert header.split() == ["N", "err(u)", "p(u)"]
+        assert lines[1].split() == ["32", "5.0000e-04", "2.000"]
+
     def test_orders_above_threshold(self):
         rows = convergence_study(mms_config(), [32, 64, 128])
         for row in rows[1:]:
