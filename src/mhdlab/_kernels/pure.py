@@ -189,10 +189,9 @@ class _Workspace:
         self.vor, self.vor_tail = node_array(tail)
         self.lap, self.lap_in = node_array(interior)
         self.lap_tmp = np.empty(inner)
-        # raw central differences f[2:] - f[:-2] of the velocities
-        self.diff_u = np.empty(inner)
-        self.diff_v = np.empty(inner)
-        self.diff_w = np.empty(inner)
+        # the raw central difference f[2:] - f[:-2] of the velocity last
+        # differentiated, for its Laplacian
+        self.diff = np.empty(inner)
         self.neg_rho = np.empty(nodes)
         self.neg_rho_u = np.empty(nodes)
         self.gamma_P = np.empty(nodes)
@@ -432,7 +431,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     faces = ws.lf_faces(lf_fc)
     ur, u_over_r, Br, B_over_r, Pr = ws.ur, ws.uor, ws.Br, ws.Bor, ws.Pr
     _radial_parts(u, r, dr, sp, ur, ws.ur_in, u_over_r, ws.uor_tail,
-                  ws.diff_u)
+                  ws.diff)
     _radial_parts(B, r, dr, sp, Br, ws.Br_in, B_over_r, ws.Bor_tail,
                   ws.Br_in)
     _gradient(P, dr, sp, Pr, ws.Pr_in, ws.Pr_in)
@@ -443,7 +442,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     np.multiply(neg_rho_u, ur, du)
     np.subtract(du, Pr, du)
     if include_visc:
-        _add_viscous(du, nu_u, _vector_laplacian, u, dr, ws, ws.diff_u)
+        _add_viscous(du, nu_u, _vector_laplacian, u, dr, ws, ws.diff)
     np.add(Br, B_over_r, Br)
     np.multiply(Br, B, Br)
     np.subtract(du, Br, du)
@@ -478,22 +477,22 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
 
     vr, v_over_r = ws.vr, ws.vor
     _radial_parts(v, r, dr, sp, vr, ws.vr_in, v_over_r, ws.vor_tail,
-                  ws.diff_v)
+                  ws.diff)
     dv = np.multiply(u, vr, out[2])
     np.multiply(v_over_r, u, v_over_r)
     np.add(dv, v_over_r, dv)
     np.multiply(dv, np.negative(rho, ws.neg_rho), dv)
     if include_visc:
-        _add_viscous(dv, nu_swirl, _vector_laplacian, v, dr, ws, ws.diff_v)
+        _add_viscous(dv, nu_swirl, _vector_laplacian, v, dr, ws, ws.diff)
     np.true_divide(dv, rho_star, dv)
     dv[0] = 0.0
     dv[-1] = 0.0
 
     dw = out[3]
-    _gradient(w, dr, sp, dw, dw[1:-1], ws.diff_w)
+    _gradient(w, dr, sp, dw, dw[1:-1], ws.diff)
     np.multiply(dw, neg_rho_u, dw)
     if include_visc:
-        _add_viscous(dw, nu_swirl, _axial_laplacian, w, dr, ws, ws.diff_w)
+        _add_viscous(dw, nu_swirl, _axial_laplacian, w, dr, ws, ws.diff)
     np.true_divide(dw, rho_star, dw)
     dw[-1] = 0.0
     return out

@@ -250,9 +250,10 @@ def numpy_wrapper_files():
 
 def scalar_counting_numpy(modules, counts):
     """A stand-in for `numpy` in each module whose named ufuncs (the ones
-    its source calls as np.<name>) add to counts["scalars"] every positional
-    Python int or float operand (bools aside) they are handed. `.reduce`
-    still works; every other name is numpy's own."""
+    its source calls as np.<name>) count their calls in counts["ufuncs"]
+    and add to counts["scalars"] every positional Python int or float
+    operand (bools aside) they are handed. `.reduce` still works; every
+    other name is numpy's own."""
     import inspect
     import re
     import types
@@ -263,6 +264,7 @@ def scalar_counting_numpy(modules, counts):
             self.reduce = ufunc.reduce
 
         def __call__(self, *args, **kwargs):
+            counts["ufuncs"] += 1
             counts["scalars"] += sum(isinstance(a, (int, float))
                                      and not isinstance(a, bool) for a in args)
             return self.ufunc(*args, **kwargs)
@@ -298,7 +300,7 @@ class TestWorkPerStep:
         import mhdlab.mms
         import mhdlab.solver
         counts = {"scan": 0, "block": 0, "table": 0, "eval": 0, "grid": 0,
-                  "rows": 0, "wrapped": 0, "scalars": 0}
+                  "rows": 0, "wrapped": 0, "scalars": 0, "ufuncs": 0}
         marks = []
         wrapper_files = numpy_wrapper_files()
 
@@ -412,9 +414,11 @@ class TestWorkPerStep:
         # the step path hands its ufuncs prebuilt 0-d arrays instead
         cfg = small(preset, n=64, t_end=0.05, output_stride=4)
         assert cfg.solver.scheme.value == scheme
-        res, deltas, _ = self.per_step(monkeypatch, cfg, keys=("scalars",))
+        res, deltas, _ = self.per_step(monkeypatch, cfg,
+                                       keys=("scalars", "ufuncs"))
         assert res.status is RunStatus.COMPLETED
-        assert deltas == {(0,)}
+        assert {scalars for scalars, _ in deltas} == {0}
+        assert min(ufuncs for _, ufuncs in deltas) > 20
 
     @pytest.mark.parametrize("preset", ["disk-blowup", "free-blowup",
                                         "smooth-novac"])
