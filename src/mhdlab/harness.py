@@ -392,7 +392,7 @@ def format_convergence_table(rows: List[ConvergenceRow]) -> str:
     """One line per row: N, the L2_r errors, the max-norm errors when every
     row has them, and the L2_r orders when there are two rows or more."""
     fields = list(rows[0].errors) if rows else []
-    with_max = bool(rows) and all(row.max_errors for row in rows)
+    with_max = all(row.max_errors for row in rows)
     header = ["N"] + [f"err({f})" for f in fields]
     if with_max:
         header += [f"max({f})" for f in fields]
