@@ -3,14 +3,13 @@
 The compiled extension is preferred for the per-step kernels when present;
 the NumPy fallback is used otherwise. MHDLAB_KERNELS=pure|cython forces a
 backend (forcing "cython" raises if the extension was not built). The radial
-operators every module builds its derivatives from (the axis-pinned
-(f_r, f/r) pair, the vector and axial Laplacians, the face-flux mass and
-induction tendencies) and the factored tridiagonal solve over LAPACK have one
-home, `pure.py`, under either backend: the NumPy tendency kernels' own
-stencil helpers, run on fresh outputs (the kernels run them on a per-thread
-workspace of scratch arrays). The LAPACK routines come from SciPy's
-Fortran extension `scipy.linalg._flapack`, loaded alone on the first
-tridiagonal solve (`pure._lapack`), so no run imports `scipy.linalg`.
+operators every module builds its derivatives from (`axis_gradient` and the
+axis-pinned (f_r, f/r) pair `radial_parts`) and the factored tridiagonal
+solve over LAPACK have one home, `pure.py`, under either backend: the NumPy
+tendency kernels' own stencil helpers, run on fresh outputs (the kernels run
+them on a per-thread workspace of scratch arrays). The LAPACK routines come
+from SciPy's Fortran extension `scipy.linalg._flapack`, loaded alone on the
+first tridiagonal solve (`pure._lapack`), so no run imports `scipy.linalg`.
 """
 
 import os
@@ -44,10 +43,6 @@ thomas = _impl.thomas
 
 axis_gradient = _pure.axis_gradient
 radial_parts = _pure.radial_parts
-vector_laplacian = _pure.vector_laplacian
-axial_laplacian = _pure.axial_laplacian
-mass_tendency = _pure.mass_tendency
-induction_tendency = _pure.induction_tendency
 tridiag_solve = _pure.tridiag_solve
 
 

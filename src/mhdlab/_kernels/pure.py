@@ -43,11 +43,18 @@ term ((-rho) u and -(rho u) are the same bits), and the raw central
 difference of a velocity serves its gradient and its Laplacian's drift term.
 
 Each radial operator has one implementation, a helper that writes into the
-output it is given; the public operators (`gradient`, `radial_parts`,
-`vector_laplacian`, `mass_tendency`, ...) call the same helpers with fresh
-outputs. Their values are those of the full-length expressions
+output it is given; the public operators (`gradient`, `over_r`,
+`axis_gradient`, `radial_parts`) call the same helpers with fresh outputs.
+The Laplacians and the face-flux mass and induction rates run inside the
+kernels only. Their values are those of the full-length expressions
 (tests/test_kernels.py keeps those as the reference); only an exact zero
 the full forms would get by adding +0.0 may keep its negative sign.
+
+`disk_tendency` also takes `transport`, the frozen velocity V of the
+linearized system: V carries the fields in u's place (the mass and
+induction fluxes, the momentum transport -rho V u_r, the pressure's
+-V P_r and divergence V_r + V/r), so the Picard sweep (`picard.py`) runs
+this kernel. Without it the arithmetic is the nonlinear system's.
 """
 
 import functools
@@ -328,12 +335,15 @@ def _second_difference(f, ws, out, inner, diff):
 
 
 def _vector_laplacian(f, dr, ws, out, inner, diff):
+    """(f_r + f/r)_r on interior nodes, zero at both ends."""
     _second_difference(f, ws, out, inner, diff)
     hoop = np.true_divide(f[1:-1], ws.r_sq, ws.lap_tmp)
     np.subtract(inner, hoop, inner)
 
 
 def _axial_laplacian(f, dr, ws, out, inner, diff):
+    """(r f_r)_r / r on interior nodes and at the axis (2 f_rr(0)), zero at
+    r=R."""
     _second_difference(f, ws, out, inner, diff)
     out[0] = 4.0 * (f.item(1) - f.item(0)) / (dr * dr)
 
@@ -348,7 +358,12 @@ def _add_viscous(rate, nu, laplacian, f, dr, ws, diff):
 
 def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
                    inner):
-    """The mass rates from the momentum mom = rho vel (in ws.mom)."""
+    """The mass rates from the momentum mom = rho vel (in ws.mom).
+
+    The ends use point-value one-sided forms: node 0 has zero quadrature
+    weight and node N contributes O(dr^3) to the mass ledger, so the
+    interior telescoping is what conserves mass.
+    """
     fv = np.add(ws.mom_lo, ws.mom_hi, ws.fv)
     np.multiply(fv, _HALF, fv)
     if up_fc is not ws.quiet_up and np.count_nonzero(up_fc):
@@ -380,6 +395,8 @@ def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
 
 
 def _induction_tendency(dr, sp, ws, vel, B, lf_fc, faces, dB, inner):
+    """-(vel B)_r as face-flux differences, one-sided at r=R; B(0) = 0 is
+    exact."""
     vb = np.multiply(vel, B, ws.vb)
     H = np.add(ws.vb_lo, ws.vb_hi, ws.H)
     np.multiply(H, _HALF, H)
@@ -417,9 +434,10 @@ def _pressure_diffusion(dP, P, dr, lf_fc, faces, ws):
 
 
 def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
-              lf_fc, up_fc, swirl=None):
+              lf_fc, up_fc, swirl=None, transport=None):
     """The disk tendency as rows (drho, du, dP, dB) of one array; with
-    swirl = (v, w, mu) the cylinder's (drho, du, dv, dw, dP, dB)."""
+    swirl = (v, w, mu) the cylinder's (drho, du, dv, dw, dP, dB). A
+    transport velocity (disk only) carries the fields in u's place."""
     out = np.empty((4 if swirl is None else 6, len(r)))
     drho, du, dP, dB = out[0], out[1], out[-2], out[-1]
     ws = _bound_workspace(r, dr)
@@ -436,8 +454,9 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
                   ws.Br_in)
     _gradient(P, dr, sp, Pr, ws.Pr_in, ws.Pr_in)
 
-    # rho u: the mass flux's momentum, and negated the momentum term's
-    mom = np.multiply(rho, u, ws.mom)
+    # rho vel: the mass flux's momentum, and negated the momentum term's
+    vel = u if transport is None else transport
+    mom = np.multiply(rho, vel, ws.mom)
     neg_rho_u = np.negative(mom, ws.neg_rho_u)
     np.multiply(neg_rho_u, ur, du)
     np.subtract(du, Pr, du)
@@ -451,17 +470,23 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     du[-1] = 0.0
 
     # pressure (with band diffusion where lf_fc is active)
-    np.negative(u, dP)
+    np.negative(vel, dP)
     np.multiply(dP, Pr, dP)
-    div = np.add(ur, u_over_r, u_over_r)
+    vel_r, vel_over_r = ur, u_over_r
+    if transport is not None:
+        # into the cylinder's v scratch, which is free on the disk
+        vel_r, vel_over_r = ws.vr, ws.vor
+        _radial_parts(transport, r, dr, sp, vel_r, ws.vr_in, vel_over_r,
+                      ws.vor_tail, ws.vr_in)
+    div = np.add(vel_r, vel_over_r, vel_over_r)
     np.multiply(div, np.multiply(gamma, P, ws.gamma_P), div)
     np.subtract(dP, div, dP)
     if faces is not None:
         _pressure_diffusion(dP, P, dr, lf_fc, faces, ws)
 
-    _mass_tendency(r, dr, ws, rho, u, mom, lf_fc, up_fc, faces, drho,
+    _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
                    drho[1:-1])
-    _induction_tendency(dr, sp, ws, u, B, lf_fc, faces, dB, dB[1:-1])
+    _induction_tendency(dr, sp, ws, vel, B, lf_fc, faces, dB, dB[1:-1])
     if swirl is None:
         return out
 
@@ -499,17 +524,20 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
 
 
 def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                  include_visc, lf_fc, up_fc):
+                  include_visc, lf_fc, up_fc, transport=None):
     """Tendency rows (drho, du, dP, dB) of the 2D radial system, one array.
 
-        rho_t = -(rho u)_r - rho u / r                     (face-flux form)
-        u_t   = [-rho u u_r - P_r + (2mu+lam)(u_r + u/r)_r
+        rho_t = -(rho V)_r - rho V / r                     (face-flux form)
+        u_t   = [-rho V u_r - P_r + (2mu+lam)(u_r + u/r)_r
                  - B (B_r + B/r)] / rho*
-        P_t   = -u P_r - gamma P (u_r + u/r)
-        B_t   = -(u B)_r                                   (face-flux form)
+        P_t   = -V P_r - gamma P (V_r + V/r)
+        B_t   = -(V B)_r                                   (face-flux form)
+
+    V is u itself, or the frozen velocity `transport` of the linearized
+    system (a transport of u gives the same bits as none).
     """
     return _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                     include_visc, lf_fc, up_fc)
+                     include_visc, lf_fc, up_fc, transport=transport)
 
 
 def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
@@ -526,9 +554,9 @@ def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
 
 # The shared radial operators: the kernels' helpers on fresh outputs.
 
-def gradient(f, dr, out=None):
+def gradient(f, dr):
     """Second-order derivative: central interior, one-sided at both ends."""
-    out = np.empty_like(f) if out is None else out
+    out = np.empty_like(f)
     inner = out[1:-1]
     _gradient(f, dr, _spacing(dr), out, inner, inner)
     return out
@@ -553,48 +581,6 @@ def radial_parts(f, r, dr):
     """(f_r, f/r) of a field pinned to zero at the axis, f/r(0) = f_r(0)."""
     f_r = axis_gradient(f, dr)
     return f_r, over_r(f, r, f_r[0])
-
-
-def _laplacian(laplacian, f, r, dr):
-    ws = _bound_workspace(r, dr)
-    diff = np.subtract(f[2:], f[:-2], ws.lap_tmp)
-    out = np.empty_like(f)
-    laplacian(f, dr, ws, out, out[1:-1], diff)
-    return out
-
-
-def vector_laplacian(f, r, dr):
-    """(f_r + f/r)_r on interior nodes, zero at both ends."""
-    return _laplacian(_vector_laplacian, f, r, dr)
-
-
-def axial_laplacian(f, r, dr):
-    """(r f_r)_r / r on interior nodes and at the axis (2 f_rr(0)), zero at r=R."""
-    return _laplacian(_axial_laplacian, f, r, dr)
-
-
-def mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
-    """-(rho vel)_r - rho vel / r as face-flux differences in the interior.
-
-    The ends use point-value one-sided forms: node 0 has zero quadrature
-    weight and node N contributes O(dr^3) to the mass ledger, so the
-    interior telescoping is what conserves mass.
-    """
-    ws = _bound_workspace(r, dr)
-    drho = np.empty_like(rho)
-    mom = np.multiply(rho, vel, ws.mom)
-    _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, ws.lf_faces(lf_fc),
-                   drho, drho[1:-1])
-    return drho
-
-
-def induction_tendency(dr, vel, B, lf_fc):
-    """-(vel B)_r as face-flux differences, one-sided at r=R; B(0) = 0 is exact."""
-    ws = _workspace(len(B))
-    dB = np.empty_like(B)
-    _induction_tendency(dr, _spacing(dr), ws, vel, B, lf_fc, ws.lf_faces(lf_fc),
-                        dB, dB[1:-1])
-    return dB
 
 
 def laplacian_rows(r, dr):

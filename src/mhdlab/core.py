@@ -307,13 +307,13 @@ class FluidState:
         """(name, row) pairs in row order."""
         return list(zip(_FIELDS[len(self.y)], self.y))
 
-    def validate(self, geometry: Geometry, atol: float = 0.0) -> None:
+    def validate(self, geometry: Geometry) -> None:
         for name, arr in self.fields():
             if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"non-finite values in field {name}")
-        if np.any(self.rho < -atol):
+        if np.any(self.rho < 0.0):
             raise ConfigError("negative density")
-        if np.any(self.P < -atol):
+        if np.any(self.P < 0.0):
             raise ConfigError("negative pressure")
         if self.u[0] != 0.0 or self.B[0] != 0.0:
             raise ConfigError("center regularity u(0)=B(0)=0 violated")

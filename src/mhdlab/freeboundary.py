@@ -27,6 +27,9 @@ from .errors import GeometryCollapse
 from .solver import StepStats, step as fixed_step
 from .vacuum import advance_radius
 
+# how far the free boundary may pass its growth envelope in `growth_check`
+GROWTH_SLACK = 1e-8
+
 
 @dataclass
 class FreeStats(StepStats):
@@ -135,8 +138,9 @@ class GrowthReport:
 
 
 def growth_check(history: Sequence, a0: float, E0: float,
-                 p: PhysParams, slack: float = 1e-8) -> GrowthReport:
-    """Verify a(t) <= a0 + sqrt(t E0/(2mu+lam)) + slack on every record."""
+                 p: PhysParams) -> GrowthReport:
+    """Verify a(t) <= a0 + sqrt(t E0/(2mu+lam)) + GROWTH_SLACK on every
+    record."""
     worst = -math.inf
     for rec in history:
         if rec.a_boundary is None:
@@ -144,5 +148,5 @@ def growth_check(history: Sequence, a0: float, E0: float,
         envelope = a0 + math.sqrt(max(rec.t, 0.0) * E0 / p.two_mu_lam)
         worst = max(worst, rec.a_boundary - envelope)
     c_env = a0 + math.sqrt(E0 / p.two_mu_lam)
-    return GrowthReport(passed=(worst <= slack), worst_excess=worst,
+    return GrowthReport(passed=(worst <= GROWTH_SLACK), worst_excess=worst,
                         envelope_constant=c_env)

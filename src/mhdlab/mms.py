@@ -33,10 +33,10 @@ class MMSForcing:
     f_u is the momentum-equation residual (the ``rho du/dt`` form); the solver
     divides it by rho* alongside the other momentum terms.
 
-    Every residual is a polynomial in e = amp exp(-t) with coefficients that
-    depend on r only. With c = cos(k r), s = sin(k r), q = s r / R,
-    u' = (k c r + s) / R and D = u' + s / R (so u = e q, u_r = e u' and
-    u_r + u/r = e D):
+    Every residual is a polynomial in e = MMS_AMPLITUDE exp(-t) with
+    coefficients that depend on r only. With c = cos(k r), s = sin(k r),
+    q = s r / R, u' = (k c r + s) / R and D = u' + s / R (so u = e q,
+    u_r = e u' and u_r + u/r = e D):
 
         f_rho = e (D - c)       + e^2 (c D - k s q)
         f_u   = e b1            + e^2 q (u' + D - c) + e^3 c q u'
@@ -55,19 +55,18 @@ class MMSForcing:
     evaluation, so none is copied.
     """
 
-    def __init__(self, p: PhysParams, r_outer: float, amp: float = MMS_AMPLITUDE):
+    def __init__(self, p: PhysParams, r_outer: float):
         if p.geometry is not Geometry.DISK2D:
             raise ConfigError("the manufactured solution is defined for disk2d only")
         self.p = p
         self.r_outer = float(r_outer)
-        self.amp = float(amp)
         self._table_r = None        # node array the cached profiles belong to
         self._table = None
         self._kept_t = None         # latest t evaluated on _table_r
         self._kept = None
 
     def exact(self, r: np.ndarray, t: float):
-        e = self.amp * np.exp(-t)
+        e = MMS_AMPLITUDE * np.exp(-t)
         kr = np.pi / self.r_outer * r
         c, s = np.cos(kr), np.sin(kr)
         return (1.0 + e * c, e * s * r / self.r_outer,
@@ -116,7 +115,7 @@ class MMSForcing:
         """The forcing at t on the tabulated nodes, as a new read-only array."""
         T1, T2, T3 = self._table
         # one 0-d e for its three products
-        e = operand(self.amp * math.exp(-t))
+        e = operand(MMS_AMPLITUDE * math.exp(-t))
         f = T3 * e
         f += T2
         f *= e

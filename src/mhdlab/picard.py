@@ -8,7 +8,8 @@ trajectory V and integrates the linear system
     P_t + V P_r + gamma P (V_r + V/r) = 0
     B_t + (V B)_r = 0
 
-with the same spatial discretization as the nonlinear solver (SSP-RK3 in
+by the nonlinear solver's own tendency kernel, the NumPy `disk_tendency`
+with V as its transport velocity, on either kernel backend (SSP-RK3 in
 time, fixed step over the window so successive iterates share their time
 grid). The sweep-to-sweep contraction functional
 
@@ -27,7 +28,7 @@ from typing import List
 
 import numpy as np
 
-from . import _kernels as kern
+from ._kernels import pure
 from .core import (FluidState, Geometry, PhysParams, RadialGrid, Scheme,
                    SolverSettings, Weight, integrate)
 from .errors import ConfigError
@@ -58,25 +59,9 @@ class PicardReport:
 def _linear_tendency(y: FluidState, V: np.ndarray, p: PhysParams,
                      grid: RadialGrid, eps_vac: float) -> np.ndarray:
     """The disk rates with transport by the frozen V and no LF band."""
-    r = grid.nodes
-    dr = grid.dr
-    rho_star = np.maximum(y.rho, eps_vac)
-    no_lf, no_donor = grid.quiet_faces
-
-    Vr, Vor = kern.radial_parts(V, r, dr)
-    ur = kern.axis_gradient(y.u, dr)
-    Br, Bor = kern.radial_parts(y.B, r, dr)
-    Pr = kern.gradient(y.P, dr)
-
-    du = (-y.rho * V * ur - Pr + p.two_mu_lam * kern.vector_laplacian(y.u, r, dr)
-          - y.B * (Br + Bor)) / rho_star
-    du[0] = du[-1] = 0.0
-    return np.array([
-        kern.mass_tendency(r, dr, y.rho, V, no_lf, no_donor),
-        du,
-        -V * Pr - p.gamma * y.P * (Vr + Vor),
-        kern.induction_tendency(dr, V, y.B, no_lf),
-    ])
+    return pure.disk_tendency(grid.nodes, grid.dr, *y.y,
+                              np.maximum(y.rho, eps_vac), p.two_mu_lam_0d,
+                              p.gamma_0d, True, *grid.quiet_faces, transport=V)
 
 
 def _sweep(state0: FluidState, v_traj, dt: float, n_steps: int, p: PhysParams,

@@ -9,7 +9,7 @@ from mhdlab import (Geometry, PhysParams, Scheme, SolverSettings, cfl_dt,
                     make_grid, step)
 from mhdlab.core import ScenarioConfig
 from mhdlab.harness import convergence_study
-from mhdlab.mms import MMSForcing
+from mhdlab.mms import MMS_AMPLITUDE, MMSForcing
 from mhdlab.solver import rhs_disk
 
 
@@ -30,7 +30,7 @@ def closed_form_forcing(f, r, t):
     tabulated forcing)."""
     R = f.r_outer
     k = np.pi / R
-    e = f.amp * np.exp(-t)
+    e = MMS_AMPLITUDE * np.exp(-t)
     c, s = np.cos(k * r), np.sin(k * r)
     rho, u, P, B = f.exact(r, t)
     gamma = f.p.gamma
@@ -68,7 +68,7 @@ def per_row_forcing(f, r, t):
     D = du + s / R
     ksq = k * s * q
     b1 = -q - k * s - f.p.two_mu_lam * k * (3.0 * c - k * s * r) / R
-    e = f.amp * math.exp(-t)
+    e = MMS_AMPLITUDE * math.exp(-t)
     return np.array((e * ((D - c) + e * (c * D - ksq)),
                      e * (b1 + e * (q * (du + D - c) + e * (c * q * du))),
                      e * ((gamma * D - c) + e * (gamma * c * D - ksq)),

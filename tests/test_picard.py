@@ -1,11 +1,16 @@
 """Linearized successive-approximation sweeps against the nonlinear solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mhdlab import (ConfigError, FluidState, Geometry, PhysParams, Profile,
-                    Scheme, SolverSettings, Weight, integrate, make_grid,
-                    picard_iterate, step)
+                    Scheme, SolverSettings, Weight, init_scenario, integrate,
+                    make_grid, picard_iterate, step)
+from mhdlab._kernels import pure
+from mhdlab.config import load_preset
+from mhdlab.picard import _linear_tendency
 
 
 def params(mu=0.1):
@@ -131,3 +136,37 @@ class TestPicard:
         # tolerance unreachable in two sweeps: log filled, no convergence flag
         assert rep.iterations == 2 and not rep.converged
         assert len(rep.sup_phis) == 2 and len(rep.ratios) == 1
+
+
+class TestLinearizationAtTheSolution:
+    """With V = u the linear system is the nonlinear one, bit for bit: the
+    disk kernel's transport of u gives the bytes of no transport, and so
+    does the sweep's tendency. The cross-validation of criterion 9 rests on
+    this."""
+
+    @staticmethod
+    def assert_identity(state, p, grid, eps_vac):
+        args = (grid.nodes, grid.dr, *state.y, np.maximum(state.rho, eps_vac),
+                p.two_mu_lam, p.gamma, True, *grid.quiet_faces)
+        nonlinear = pure.disk_tendency(*args).tobytes()
+        assert pure.disk_tendency(*args, transport=state.u).tobytes() == nonlinear
+        assert _linear_tendency(state, state.u, p, grid,
+                                eps_vac).tobytes() == nonlinear
+        # and the transport's scratch leaves the next call's bits alone
+        assert pure.disk_tendency(*args).tobytes() == nonlinear
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_fields(self, n, seed):
+        rng = np.random.default_rng(seed)
+        st = FluidState(rho=rng.uniform(0.5, 2.0, n + 1),
+                        u=0.3 * rng.standard_normal(n + 1),
+                        P=rng.uniform(0.1, 1.0, n + 1),
+                        B=0.5 * rng.standard_normal(n + 1))
+        st.pin(wall=True)
+        self.assert_identity(st, params(), make_grid(n, 1.0), 1e-6)
+
+    def test_criterion_9_initial_state(self):
+        cfg = dataclasses.replace(load_preset("smooth-novac"), n=256)
+        state0, _ = init_scenario(cfg)
+        self.assert_identity(state0, cfg.phys, cfg.grid(), cfg.solver.eps_vac)

@@ -728,11 +728,11 @@ class TestStackedContract:
         assert rates.shape == st.y.shape and rates.dtype == st.y.dtype
         # the rows follow the state's: rho first, B last (the face-flux forms
         # every rhs shares), the velocities between
-        lf_fc, up_fc = g.quiet_faces
-        mass = kern.mass_tendency(g.nodes, g.dr, st.rho, st.u, lf_fc, up_fc)
-        induction = kern.induction_tendency(g.dr, st.u, st.B, lf_fc)
-        np.testing.assert_allclose(rates[0], mass, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(rates[-1], induction, rtol=1e-12, atol=1e-12)
+        disk = kern.disk_tendency(g.nodes, g.dr, st.rho, st.u, st.P, st.B,
+                                  st.rho, p.two_mu_lam, p.gamma, True,
+                                  *g.quiet_faces)
+        np.testing.assert_allclose(rates[0], disk[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rates[-1], disk[-1], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
     def test_apply_tendency_matches_per_field_sum(self, geometry):
