@@ -27,12 +27,12 @@ _EXPORTS = {
                     "moment_pair", "optimize_alpha", "total_energy"),
     "errors": ("ConfigError", "DtCollapse", "GeometryCollapse", "MHDLabError",
                "NumericalFailure", "TrackingError"),
-    "freeboundary": ("advance_domain", "boundary_stress_residual",
-                     "growth_check"),
+    "freeboundary": ("advance_domain", "growth_check"),
     "harness": ("RunOutcome", "RunResult", "RunStatus", "convergence_study",
                 "run"),
     "picard": ("picard_iterate",),
-    "solver": ("cfl_dt", "detect_blowup", "rhs_cylinder", "rhs_disk", "step"),
+    "solver": ("boundary_stress_residual", "cfl_dt", "detect_blowup",
+               "rhs_cylinder", "rhs_disk", "step"),
     "vacuum": ("VacuumFront", "advance_front", "check_vacuum", "vacuum_flux"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

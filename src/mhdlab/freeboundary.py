@@ -2,11 +2,13 @@
 
 The fluid occupies [0, a(t)] with a'(t) = u(a(t), t) and the stress condition
 
-    F = B^2/2 + P - (2mu+lam)(u_r + u/r) = 0   at r = a(t),
+    F = B^2/2 + P - (2mu+lam)(u_r + u/r) = 0   at r = a(t).
 
-enforced strongly every stage by solving the one-sided second-order
-discretization of F = 0 for the boundary velocity itself (a Robin relation:
-u_N appears in both u_r and u/r). Mesh motion is affine: the reference nodes
+The solver enforces F = 0 at the end of every stage on a free geometry
+(`solver.enforce_boundary_stress` solves its one-sided second-order
+discretization for the boundary velocity itself, a Robin relation: u_N
+appears in both u_r and u/r). This module moves the mesh, remaps the fields
+and checks the growth of a(t). Mesh motion is affine: the reference nodes
 xi in [0,1] scale with a(t), the physical grid stays uniform (each step's grid
 is a `RadialGrid` with r_outer = a(t)), and after each step the fields are
 remapped onto the rescaled radii by piecewise-linear interpolation with the
@@ -24,47 +26,11 @@ import numpy as np
 from .core import (FluidState, PhysParams, RadialGrid, SolverSettings, Weight,
                    integrate_to, make_grid, uniform_nodes)
 from .errors import GeometryCollapse
-from .solver import StepStats, step as fixed_step
+from .solver import StepStats, enforce_boundary_stress, step as fixed_step
 from .vacuum import advance_radius
 
 # how far the free boundary may pass its growth envelope in `growth_check`
 GROWTH_SLACK = 1e-8
-
-
-@dataclass
-class FreeStats(StepStats):
-    remap_mass_defect: float = 0.0
-    remap_flux_defect: float = 0.0
-    max_stress_residual_rel: float = 0.0
-
-
-def _residual_and_scale(state: FluidState, grid: RadialGrid, p: PhysParams):
-    dr = grid.dr
-    a = grid.r_outer
-    u = state.u
-    ur = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
-    stress_mag = 0.5 * state.B[-1] ** 2 + state.P[-1]
-    residual = stress_mag - p.two_mu_lam * (ur + u[-1] / a)
-    scale = max(stress_mag, p.two_mu_lam * (abs(ur) + abs(u[-1]) / a), 1e-30)
-    return residual, scale
-
-
-def boundary_stress_residual(state: FluidState, grid: RadialGrid,
-                             p: PhysParams) -> float:
-    """F = B^2/2 + P - (2mu+lam)(u_r + u/a) at r = a, one-sided second order."""
-    residual, _ = _residual_and_scale(state, grid, p)
-    return residual
-
-
-def enforce_boundary_stress(state: FluidState, grid: RadialGrid,
-                            p: PhysParams) -> None:
-    """Solve F(a) = 0 for u_N; mutates the state in place."""
-    dr = grid.dr
-    a = grid.r_outer
-    u = state.u
-    target = (0.5 * state.B[-1] ** 2 + state.P[-1]) / p.two_mu_lam
-    coeff = 3.0 / (2.0 * dr) + 1.0 / a
-    u[-1] = (target + (4.0 * u[-2] - u[-3]) / (2.0 * dr)) / coeff
 
 
 def advance_domain(grid: RadialGrid, u: np.ndarray, dt: float) -> RadialGrid:
@@ -77,7 +43,7 @@ def advance_domain(grid: RadialGrid, u: np.ndarray, dt: float) -> RadialGrid:
 
 
 def remap_state(state: FluidState, grid_old: RadialGrid, grid_new: RadialGrid,
-                stats: Optional[FreeStats] = None) -> FluidState:
+                stats: Optional[StepStats] = None) -> FluidState:
     """Resample all fields at the rescaled node radii (linear interpolation).
 
     np.interp extends by the end values, so the thin freshly-uncovered strip
@@ -106,23 +72,16 @@ def remap_state(state: FluidState, grid_old: RadialGrid, grid_new: RadialGrid,
 
 
 def free_step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
-              s: SolverSettings, stats: Optional[FreeStats] = None):
+              s: SolverSettings, stats: Optional[StepStats] = None):
     """One step of the moving-domain solver on the grid of [0, a]; returns
     (state, grid of [0, a_new]).
 
-    The PDE step runs on the frozen current grid with the stress condition
-    enforced after every stage; the boundary then moves with the midpoint
-    rule on the time-centered velocity field, and the fields are remapped
-    onto the rescaled radii.
+    The PDE step runs on the frozen current grid, where the solver enforces
+    the stress condition after every stage; the boundary then moves with the
+    midpoint rule on the time-centered velocity field, and the fields are
+    remapped onto the rescaled radii.
     """
-    def free_bc(st: FluidState) -> None:
-        enforce_boundary_stress(st, grid, p)
-        if stats is not None:
-            residual, scale = _residual_and_scale(st, grid, p)
-            stats.max_stress_residual_rel = max(stats.max_stress_residual_rel,
-                                                abs(residual) / scale)
-
-    new_state = fixed_step(state, dt, p, grid, s, stats=stats, free_bc=free_bc)
+    new_state = fixed_step(state, dt, p, grid, s, stats=stats)
     grid_new = advance_domain(grid, 0.5 * (state.u + new_state.u), dt)
     new_state = remap_state(new_state, grid, grid_new, stats)
     enforce_boundary_stress(new_state, grid_new, p)

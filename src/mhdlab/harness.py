@@ -25,7 +25,7 @@ from .diagnostics import (DiagnosticsRecord, bound_template, div_lower_bound,
                           div_norm, dissipation_rate, energy_residual,
                           moment_pair, optimize_alpha, total_energy)
 from .errors import MHDLabError
-from .freeboundary import FreeStats, free_step, growth_check
+from .freeboundary import free_step, growth_check
 from .mms import MMSForcing
 from .solver import (StepStats, balance_initial_state, cfl_dt, detect_blowup,
                      max_grad_u, step)
@@ -78,7 +78,7 @@ class _RunState:
         self.settings = cfg.solver
         self.state, self.front = init_scenario(cfg)
         self.free = cfg.geometry.is_free
-        self.stats: StepStats = FreeStats() if self.free else StepStats()
+        self.stats = StepStats()
         self.grid = cfg.grid()      # a free run's r_outer is a(t)
         self.forcing = MMSForcing(self.p, cfg.r_outer) if cfg.mms else None
 
@@ -212,10 +212,9 @@ class _RunState:
         if self.state.v is not None and math.isfinite(self.pointwise_slack_min):
             out["pointwise_slack_min"] = self.pointwise_slack_min
         if self.free:
-            stats: FreeStats = self.stats
-            out["remap_mass_defect"] = stats.remap_mass_defect
-            out["remap_flux_defect"] = stats.remap_flux_defect
-            out["max_stress_residual_rel"] = stats.max_stress_residual_rel
+            out["remap_mass_defect"] = self.stats.remap_mass_defect
+            out["remap_flux_defect"] = self.stats.remap_flux_defect
+            out["max_stress_residual_rel"] = self.stats.max_stress_residual_rel
             report = growth_check(self.records, self.cfg.r_outer, self.E0, self.p)
             out["growth_ok"] = report.passed
             out["growth_worst_excess"] = report.worst_excess

@@ -33,6 +33,12 @@ implicit tridiagonal solve of the viscous operators. The implicit solve uses
 the trapezoidal rule, falling back to backward Euler row-wise wherever the
 cell Fourier number dt*nu/dr^2 is extreme (vacuum-adjacent cells), which
 keeps the stiff modes damped without losing second order in smooth regions.
+
+Boundary conditions are the solver's own, applied at the end of every stage:
+u and B (and v) vanish at the axis; at a fixed wall u (and v, w) vanish at
+r = R; on a free geometry (`Geometry.DISK2D_FREE`) u(a) instead solves the
+one-sided second-order discretization of the zero-stress condition
+B^2/2 + P - (2mu+lam)(u_r + u/r) = 0 at r = a (`enforce_boundary_stress`).
 """
 
 from __future__ import annotations
@@ -60,12 +66,18 @@ _THIRD, _TWO_THIRDS = operand(1.0 / 3.0), operand(2.0 / 3.0)
 
 @dataclass
 class StepStats:
-    """Per-run bookkeeping owned by one solver run."""
+    """Per-run bookkeeping owned by one solver run; the last three fields
+    change on a free geometry only."""
 
     clipped_mass: float = 0.0        # cumulative r-weighted density clipped at 0
     clipped_pressure: float = 0.0
     lf_coeff: float = 0.0            # last Lax-Friedrichs coefficient in use
     balance_solves: int = 0
+    # free boundary: the remap defects (`freeboundary.remap_state`) and the
+    # largest relative stress residual left by a stage
+    remap_mass_defect: float = 0.0
+    remap_flux_defect: float = 0.0
+    max_stress_residual_rel: float = 0.0
 
 
 def vacuum_block(rho: np.ndarray, eps_vac: float) -> int:
@@ -104,8 +116,8 @@ class _Stage:
     read-only y (a step's output, a run's initial state); assigning a field
     gives the state a new y, which the stage does not serve. Every in-place
     write to u, v, w while a stage rides on the state
-    (`apply_vacuum_balance`, `implicit_viscous`, the re-pinning after it)
-    calls `forget_velocities`; rho and P are never written once the stage
+    (`apply_vacuum_balance`, `implicit_viscous`, the boundary conditions of
+    `_finish_velocities`) calls `forget_velocities`; rho and P are never written once the stage
     exists. The methods take the state instead of the stage holding it, so
     a state and its stage form no reference cycle and are freed as soon as
     the state is dropped.
@@ -464,6 +476,39 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
 
 
 # ---------------------------------------------------------------------------
+# The free-surface stress condition
+# ---------------------------------------------------------------------------
+
+def _residual_and_scale(state: FluidState, grid: RadialGrid, p: PhysParams):
+    dr = grid.dr
+    a = grid.r_outer
+    u = state.u
+    ur = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
+    stress_mag = 0.5 * state.B[-1] ** 2 + state.P[-1]
+    residual = stress_mag - p.two_mu_lam * (ur + u[-1] / a)
+    scale = max(stress_mag, p.two_mu_lam * (abs(ur) + abs(u[-1]) / a), 1e-30)
+    return residual, scale
+
+
+def boundary_stress_residual(state: FluidState, grid: RadialGrid,
+                             p: PhysParams) -> float:
+    """F = B^2/2 + P - (2mu+lam)(u_r + u/a) at r = a, one-sided second order."""
+    residual, _ = _residual_and_scale(state, grid, p)
+    return residual
+
+
+def enforce_boundary_stress(state: FluidState, grid: RadialGrid,
+                            p: PhysParams) -> None:
+    """Solve F(a) = 0 for u_N; mutates the state in place."""
+    dr = grid.dr
+    a = grid.r_outer
+    u = state.u
+    target = (0.5 * state.B[-1] ** 2 + state.P[-1]) / p.two_mu_lam
+    coeff = 3.0 / (2.0 * dr) + 1.0 / a
+    u[-1] = (target + (4.0 * u[-2] - u[-3]) / (2.0 * dr)) / coeff
+
+
+# ---------------------------------------------------------------------------
 # Stage assembly and the step operator
 # ---------------------------------------------------------------------------
 
@@ -479,14 +524,13 @@ def blend(a: FluidState, wa, b: FluidState, wb, t: float) -> FluidState:
 
 
 def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
-                   s: SolverSettings, stats: Optional[StepStats] = None,
-                   free_bc=None) -> None:
-    """Re-pin boundary values, clip rho and P at zero, refresh the vacuum block.
+                   s: SolverSettings, stats: Optional[StepStats] = None) -> None:
+    """Clip rho and P at zero, refresh the vacuum block, then apply the
+    boundary conditions and the vacuum balance (`_finish_velocities`).
 
     Leaves the stage context of the result on the state for the stages that
     follow; after this only the solver writes into the state's arrays.
     """
-    state.pin(wall=free_bc is None)
     y = state.y
     # one scan of the rho and P rows (y[0] and y[-2]) finds a negative or NaN
     if not np.minimum.reduce(y[::len(y) - 2], axis=None) >= 0.0:
@@ -503,29 +547,27 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
                 stats.clipped_pressure += -integrate(np.minimum(P, _ZERO), grid,
                                                      Weight.RADIAL_R)
             P[neg] = 0.0
-    if free_bc is not None:
-        free_bc(state)
+    stage = state._stage = _Stage(state, p, s)
+    _finish_velocities(state, p, grid, s, stats, stage)
+
+
+def _finish_velocities(state: FluidState, p: PhysParams, grid: RadialGrid,
+                       s: SolverSettings, stats: Optional[StepStats],
+                       stage: _Stage) -> None:
+    """The tail of every stage, once rho and P are final: pin the axis (and
+    the wall's) velocities, solve the stress condition for u(a) on a free
+    geometry, and re-balance the vacuum block."""
+    free = p.geometry.is_free
+    state.pin(wall=not free)
+    if free:
+        enforce_boundary_stress(state, grid, p)
+        if stats is not None:
+            residual, scale = _residual_and_scale(state, grid, p)
+            stats.max_stress_residual_rel = max(stats.max_stress_residual_rel,
+                                                abs(residual) / scale)
+    stage.forget_velocities()
     # the balance reads the block and writes only velocities; it does
     # nothing without a block of two or more nodes, so it is not called
-    stage = state._stage = _Stage(state, p, s)
-    if stage.m >= 1:
-        apply_vacuum_balance(state, p, grid, s, stats)
-
-
-def _finalize_velocities(state: FluidState, p: PhysParams, grid: RadialGrid,
-                         s: SolverSettings, stats: Optional[StepStats] = None,
-                         free_bc=None) -> None:
-    """`finalize_stage` after `implicit_viscous`, which wrote only u, v, w.
-
-    rho and P are as the last finalize left them (clipped, with the stage
-    built from them still on the state), so only the velocities are
-    re-pinned, given the free-boundary condition and re-balanced.
-    """
-    stage = _stage_of(state, p, s)
-    state.pin(wall=free_bc is None)
-    if free_bc is not None:
-        free_bc(state)
-    stage.forget_velocities()
     if stage.m >= 1:
         apply_vacuum_balance(state, p, grid, s, stats)
 
@@ -563,30 +605,31 @@ def ssp_rk3(y0: FluidState, dt: float, rates, finish) -> FluidState:
     return y3
 
 
-def _inviscid_half(state, h, p, grid, s, stats, forcing, free_bc):
+def _inviscid_half(state, h, p, grid, s, stats, forcing):
     def L(y):
         return rhs(y, p, grid, s, include_visc=False, forcing=forcing, stats=stats)
 
     k1 = L(state)
     ym = apply_tendency(state, k1, 0.5 * h)
-    finalize_stage(ym, p, grid, s, stats, free_bc)
+    finalize_stage(ym, p, grid, s, stats)
     k2 = L(ym)
     out = apply_tendency(state, k2, h)
-    finalize_stage(out, p, grid, s, stats, free_bc)
+    finalize_stage(out, p, grid, s, stats)
     return out
 
 
-def _rk2_strang(state, dt, p, grid, s, stats, forcing, free_bc):
-    y = _inviscid_half(state, 0.5 * dt, p, grid, s, stats, forcing, free_bc)
+def _rk2_strang(state, dt, p, grid, s, stats, forcing):
+    y = _inviscid_half(state, 0.5 * dt, p, grid, s, stats, forcing)
     implicit_viscous(y, p, grid, s, dt)
-    _finalize_velocities(y, p, grid, s, stats, free_bc)
-    y = _inviscid_half(y, 0.5 * dt, p, grid, s, stats, forcing, free_bc)
+    # rho and P are as the last finalize left them, its stage still current
+    _finish_velocities(y, p, grid, s, stats, _stage_of(y, p, s))
+    y = _inviscid_half(y, 0.5 * dt, p, grid, s, stats, forcing)
     return y
 
 
 def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
-         s: SolverSettings, stats: Optional[StepStats] = None, forcing=None,
-         free_bc=None) -> FluidState:
+         s: SolverSettings, stats: Optional[StepStats] = None,
+         forcing=None) -> FluidState:
     """Advance one step of size dt; returns a new state, never mutates input.
 
     The new state's arrays are read-only, so the stage context built for it
@@ -598,9 +641,9 @@ def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
         out = ssp_rk3(
             state, dt,
             lambda y, _: rhs(y, p, grid, s, forcing=forcing, stats=stats),
-            lambda y: finalize_stage(y, p, grid, s, stats, free_bc))
+            lambda y: finalize_stage(y, p, grid, s, stats))
     else:
-        out = _rk2_strang(state, dt, p, grid, s, stats, forcing, free_bc)
+        out = _rk2_strang(state, dt, p, grid, s, stats, forcing)
     out.t = state.t + dt
     out.freeze()
     _stage_of(out, p, s).check_finite(out)

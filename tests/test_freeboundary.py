@@ -10,9 +10,9 @@ from mhdlab import (FluidState, Geometry, GeometryCollapse, PhysParams,
                     boundary_stress_residual, growth_check, integrate,
                     make_grid)
 from mhdlab.diagnostics import DiagnosticsRecord
-from mhdlab.freeboundary import (FreeStats, advance_domain,
-                                 enforce_boundary_stress, free_step,
-                                 remap_state)
+from mhdlab.freeboundary import (advance_domain, enforce_boundary_stress,
+                                 free_step, remap_state)
+from mhdlab.solver import StepStats, _residual_and_scale, step
 
 
 def params(mu=0.25, lam=0.0):
@@ -56,6 +56,21 @@ class TestStressResidual:
         scale = max(abs(st.P[-1]), p.two_mu_lam, 1.0)
         assert abs(boundary_stress_residual(st, g, p)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_solver_step_meets_stress_condition(self, scheme):
+        # the free geometry alone tells the solver to enforce the stress
+        # condition: a plain `step` must not pin the wall
+        g = make_grid(128, 1.0)
+        r = g.nodes
+        st = free_state(g, rho=np.ones(129), u=0.1 * r ** 2,
+                        P=0.3 * (1.2 - r ** 2),
+                        B=Profile.parse("bump 0.2 0.7 0.5")(r))
+        p = params(mu=0.2)
+        out = step(st, 1e-4, p, g, SolverSettings(scheme=scheme))
+        _, scale = _residual_and_scale(out, g, p)
+        assert abs(boundary_stress_residual(out, g, p)) <= 1e-10 * scale
+        assert out.u[-1] != 0.0
+
 
 class TestAdvanceDomain:
     def test_static_field(self):
@@ -93,7 +108,7 @@ class TestRemap:
             old = make_grid(n, 1.0)
             new = make_grid(n, 1.02)
             st = free_state(old, rho=1.0 + p_rho(old.nodes))
-            stats = FreeStats()
+            stats = StepStats()
             remap_state(st, old, new, stats)
             defects.append(stats.remap_mass_defect)
         assert defects[0] / defects[1] > 3.0
@@ -159,7 +174,7 @@ class TestFreeStep:
         st = free_state(g, rho=np.ones(129), u=prof(g.nodes),
                         B=prof(g.nodes))
         p = params(mu=0.2)
-        stats = FreeStats()
+        stats = StepStats()
         s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
         for _ in range(10):
             st, g = free_step(st, 5e-4, p, g, s, stats)
@@ -174,7 +189,7 @@ class TestFreeStep:
         st.u[0] = 0.0
         p = params(mu=0.3)
         s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
-        stats = FreeStats()
+        stats = StepStats()
         m0 = integrate(st.rho, g, Weight.RADIAL_R)
         for _ in range(40):
             st, g = free_step(st, 1e-3, p, g, s, stats)
@@ -197,7 +212,7 @@ class TestFreeStep:
                         B=Profile.parse("bump 0.2 0.7 0.4")(xi))
         st.u[0] = st.B[0] = 0.0
         s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
-        stats = FreeStats()
+        stats = StepStats()
         enforce_boundary_stress(st, g, p)
         e0 = total_energy(st, g, p)
         diss = 0.0

@@ -221,12 +221,12 @@ class TestRunReport:
             solves.append(len(rhs))
             return sol
 
-        def dented(state, p, grid, s, stats=None, free_bc=None):
+        def dented(state, p, grid, s, stats=None):
             k = grid.n_cells // 2
             dent = np.zeros_like(state.P)
             dent[k] = state.P[k] = -1e-3 * (1 + len(clipped))
             clipped.append(-integrate(dent, grid, Weight.RADIAL_R))
-            finalize_stage(state, p, grid, s, stats, free_bc)
+            finalize_stage(state, p, grid, s, stats)
 
         monkeypatch.setattr(mhdlab._kernels, "tridiag_solve", counted)
         monkeypatch.setattr(mhdlab.solver, "finalize_stage", dented)

@@ -420,8 +420,9 @@ class TestStageContext:
             step(st, 1e-3, disk_params(), g, settings(scheme=scheme))
 
     def test_reused_stages_match_fresh_ones_on_the_free_path(self, monkeypatch):
-        # free_bc writes u[-1] into the state the implicit solve left, whose
-        # stage stays on it: every rhs must find that stage current.
+        # the stress condition writes u[-1] into the state the implicit
+        # solve left, whose stage stays on it: every rhs must find that stage
+        # current.
         import dataclasses
 
         import mhdlab.solver
