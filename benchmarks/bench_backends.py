@@ -3,9 +3,9 @@
 
 Usage: python benchmarks/bench_backends.py [--n 4096] [--repeat 200]
 
-Also times one full disk-blowup preset run per backend (forced through the
-MHDLAB_KERNELS environment variable in a subprocess so the import-time
-selection is exercised exactly as users hit it).
+Also times one full disk-blowup preset run per backend, each in a fresh
+interpreter that rebinds `mhdlab._kernels`' selected kernels and `BACKEND`
+to those of `get_backend(name)` before the run.
 """
 
 import argparse
@@ -88,13 +88,19 @@ def main():
               f"{rows[0][2] / rows[1][2]:>15.2f} {rows[0][3] / rows[1][3]:>15.2f}")
 
     print("\nfull disk-blowup preset run per backend:")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
     for name in backends:
-        env = dict(os.environ, MHDLAB_KERNELS=name,
-                   PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
-        code = ("import time; from mhdlab.config import load_preset; "
+        code = ("import time; from mhdlab import _kernels as k; "
+                f"b = k.get_backend({name!r}); "
+                "k.disk_tendency, k.cylinder_tendency, k.thomas, k.gradient = "
+                "b.disk_tendency, b.cylinder_tendency, b.thomas, b.gradient; "
+                "k.BACKEND = b.BACKEND_NAME; "
+                "from mhdlab.config import load_preset; "
                 "from mhdlab.harness import run; t0=time.time(); "
                 "r=run(load_preset('disk-blowup')); "
-                "print(f'  {r.outcome.status.value} in {time.time()-t0:.2f}s')")
+                "print(f'  {r.outcome.status.value} in {time.time()-t0:.2f}s"
+                " ({r.outcome.summary[\"backend\"]} kernels)')")
         print(f"{name}:", flush=True)
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

@@ -32,17 +32,6 @@ def gradient(cnp.ndarray[double, ndim=1] f, double dr):
     return out
 
 
-def over_r(cnp.ndarray[double, ndim=1] f, cnp.ndarray[double, ndim=1] r,
-           double f_r0):
-    cdef Py_ssize_t n1 = f.shape[0]
-    cdef cnp.ndarray[double, ndim=1] out = np.empty(n1)
-    cdef Py_ssize_t i
-    out[0] = f_r0
-    for i in range(1, n1):
-        out[i] = f[i] / r[i]
-    return out
-
-
 def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
                   cnp.ndarray[double, ndim=1] rho,
                   cnp.ndarray[double, ndim=1] u,

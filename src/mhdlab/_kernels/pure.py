@@ -1,6 +1,7 @@
 """NumPy implementation of the hot per-step kernels.
 
-This is the fallback backend; `_core.pyx` holds the compiled twin. Both
+These kernels run when the compiled twin `_core.pyx` is not built (a
+built extension that fails to load is an ImportError, see `_kernels`). Both
 evaluate the same expressions in the same order so results agree to within a
 few ulps, and every physics test passes under either backend.
 

@@ -307,29 +307,6 @@ class FluidState:
         """(name, row) pairs in row order."""
         return list(zip(_FIELDS[len(self.y)], self.y))
 
-    def validate(self, geometry: Geometry) -> None:
-        for name, arr in self.fields():
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"non-finite values in field {name}")
-        if np.any(self.rho < 0.0):
-            raise ConfigError("negative density")
-        if np.any(self.P < 0.0):
-            raise ConfigError("negative pressure")
-        if self.u[0] != 0.0 or self.B[0] != 0.0:
-            raise ConfigError("center regularity u(0)=B(0)=0 violated")
-        if geometry.has_swirl:
-            if self.v is None:
-                raise ConfigError("cylinder state needs v and w fields")
-            if self.v[0] != 0.0:
-                raise ConfigError("center regularity v(0)=0 violated")
-            if not geometry.is_free and (self.v[-1] != 0.0 or self.w[-1] != 0.0):
-                raise ConfigError("Dirichlet end v(R)=w(R)=0 violated")
-        else:
-            if self.v is not None:
-                raise ConfigError("v/w fields are only valid for cylinder geometry")
-        if not geometry.is_free and self.u[-1] != 0.0:
-            raise ConfigError("Dirichlet end u(R)=0 violated")
-
 
 # ---------------------------------------------------------------------------
 # Profile descriptors
@@ -527,6 +504,9 @@ def init_scenario(cfg: ScenarioConfig):
         raise ConfigError("initial density profile is negative somewhere")
     if np.any(state.P < 0.0):
         raise ConfigError("initial pressure profile is negative somewhere")
+    for name, arr in state.fields():
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"non-finite values in field {name}")
 
     front = None
     if cfg.r0 is not None:
@@ -545,5 +525,4 @@ def init_scenario(cfg: ScenarioConfig):
         from .vacuum import VacuumFront
         front = VacuumFront(R=r0, r0=r0, C0=c0)
 
-    state.validate(cfg.geometry)
     return state, front

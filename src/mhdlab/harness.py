@@ -31,8 +31,10 @@ from .solver import (StepStats, balance_initial_state, cfl_dt, detect_blowup,
                      max_grad_u, step)
 from .vacuum import advance_front, check_vacuum, vacuum_flux
 
-CSV_HEADER = ("t,energy,dissipation_cum,flux_vacuum,R_front,a_boundary,"
-              "div_l2,div_lower_bound,moment_lhs,moment_rhs,max_gradu,dt")
+_CSV_COLUMNS = ("t", "energy", "dissipation_cum", "flux_vacuum", "R_front",
+                "a_boundary", "div_l2", "div_lower_bound", "moment_lhs",
+                "moment_rhs", "max_gradu", "dt")
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 _FREE_ENERGY_TOL = 2e-3          # identity tolerance on the free boundary
 _INVALIDATION_FACTOR = 10.0      # sustained breach multiplier
@@ -232,7 +234,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
         outcome = RunOutcome(status=RunStatus.ERROR, t_final=0.0,
                              summary={"error": str(exc), "residuals": {}})
         if out_dir is not None:
-            _emit(out_dir, cfg, [], outcome)
+            _emit(out_dir, [], outcome)
         return RunResult(outcome=outcome)
 
     status = RunStatus.COMPLETED
@@ -286,7 +288,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
                          summary=rs.summary())
     result = RunResult(outcome=outcome, records=rs.records, state=rs.state)
     if out_dir is not None:
-        _emit(out_dir, cfg, rs.records, outcome)
+        _emit(out_dir, rs.records, outcome)
     return result
 
 
@@ -303,12 +305,7 @@ def _fmt(x) -> str:
 def records_to_csv(records) -> str:
     lines = [CSV_HEADER]
     for rec in records:
-        lines.append(",".join([
-            _fmt(rec.t), _fmt(rec.energy), _fmt(rec.dissipation_cum),
-            _fmt(rec.flux_vacuum), _fmt(rec.R_front), _fmt(rec.a_boundary),
-            _fmt(rec.div_l2), _fmt(rec.div_lower_bound), _fmt(rec.moment_lhs),
-            _fmt(rec.moment_rhs), _fmt(rec.max_gradu), _fmt(rec.dt),
-        ]))
+        lines.append(",".join(_fmt(getattr(rec, c)) for c in _CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -330,7 +327,7 @@ def outcome_to_json(outcome: RunOutcome) -> str:
     return json.dumps(doc, indent=2, allow_nan=True) + "\n"
 
 
-def _emit(out_dir: str, cfg: ScenarioConfig, records, outcome: RunOutcome) -> None:
+def _emit(out_dir: str, records, outcome: RunOutcome) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "run.csv"), "w", encoding="utf-8") as fh:
         fh.write(records_to_csv(records))

@@ -318,9 +318,6 @@ class Health:
     max_gradu: float
     dt: Optional[float] = None       # cfl_dt of the state when healthy
 
-    def __bool__(self):
-        return not self.suspected
-
 
 def max_grad_u(state: FluidState, grid: RadialGrid) -> float:
     """max over nodes of max(|u_r|, |u/r|), u/r taken as u_r(0) at the axis."""

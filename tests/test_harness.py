@@ -9,7 +9,8 @@ import pytest
 
 from mhdlab import Geometry, PhysParams, Profile, RunStatus, SolverSettings
 from mhdlab.cli import main as cli_main
-from mhdlab.config import load_preset
+from mhdlab.config import (apply_overrides, build_config, load_preset,
+                           load_preset_text, parse_pairs)
 from mhdlab.core import ScenarioConfig, Weight, integrate
 from mhdlab.errors import DtCollapse
 from mhdlab.harness import CSV_HEADER, outcome_to_json, records_to_csv, run
@@ -117,6 +118,19 @@ class TestRun:
         res = run(cfg)
         assert res.status is RunStatus.ERROR
         assert "dt" in res.outcome.summary.get("invalid_reason", "")
+
+    @pytest.mark.parametrize("override, field", [
+        ('init.p="constant inf"', "P"),
+        ('init.rho="poly 1e308 1e308 0"', "rho"),
+        ('init.u="constant nan"', "u")])
+    def test_non_finite_initial_field_is_an_error(self, override, field):
+        pairs = parse_pairs(load_preset_text("smooth-novac"))
+        cfg = build_config(apply_overrides(pairs, ["grid.n=32", override]))
+        with np.errstate(over="ignore"):      # 1e308 + 1e308 r overflows
+            res = run(cfg)
+        assert res.status is RunStatus.ERROR
+        assert res.outcome.summary["error"] == (
+            f"non-finite values in field {field}")
 
 
 class TestDetectedAtTheAxis:

@@ -1,15 +1,17 @@
 """What a cold start loads: `import mhdlab` loads no submodule and no NumPy,
 the set-up path and `mhdlab bounds` leave the run loop unloaded, SciPy's
 LAPACK extension is loaded by the first tridiagonal solve, and no run
-imports `scipy.linalg`. The package's public names resolve, lazily, to the
-objects of their home modules.
+imports `scipy.linalg`. The kernel backend is the compiled extension when
+it is built and the NumPy kernels when it is not; a built extension that
+fails to load is an ImportError. The package's public names resolve,
+lazily, to the objects of their home modules.
 
 Each cold-start case is executed in a fresh interpreter, since pytest's own
 process has every module loaded already (tests/test_kernels.py imports
 `scipy.linalg`).
 """
 
-import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -87,6 +89,34 @@ assert all(a is b for a, b in zip(pure._lapack(), ref, strict=True)), ref
 """
 
 
+# an extension that is found but fails to load, as a .so built against
+# another libpython does; the finder is taken out again so that _fresh's
+# own import of mhdlab._kernels reports the installed backend
+BROKEN_EXTENSION = """
+import importlib.abc, importlib.util, sys
+
+class Broken(importlib.abc.MetaPathFinder, importlib.abc.Loader):
+    def find_spec(self, name, path, target=None):
+        if name == "mhdlab._kernels._core":
+            return importlib.util.spec_from_loader(name, self)
+
+    def create_module(self, spec):
+        raise ImportError("undefined symbol: PyFoo_Bar")
+
+    def exec_module(self, module):
+        pass
+
+sys.meta_path.insert(0, Broken())
+try:
+    import mhdlab._kernels
+except ImportError as exc:
+    assert type(exc) is ImportError and str(exc) == "undefined symbol: PyFoo_Bar", exc
+else:
+    raise AssertionError("selected " + mhdlab._kernels.BACKEND)
+sys.meta_path.pop(0)
+"""
+
+
 def _fresh(code, out_dir):
     """Run `code` in a new interpreter; the SciPy modules it left loaded, the
     kernel backend, and the `mhdlab.*` modules it left loaded (taken before
@@ -140,6 +170,20 @@ def test_missing_extension_is_an_import_error(tmp_path, monkeypatch):
         pure._lapack.cache_clear()
     assert info.value.name == FLAPACK
     assert info.value.path == str(tmp_path / "linalg")
+
+
+def test_broken_extension_raises_its_own_import_error(tmp_path):
+    _fresh(BROKEN_EXTENSION, tmp_path)
+
+
+@pytest.mark.parametrize("value", ["pure", "cython"])
+def test_backend_is_the_installed_one_whatever_the_environment(
+        value, tmp_path, monkeypatch):
+    # the variable a backend switch once read: no setting picks the backend
+    built = importlib.util.find_spec("mhdlab._kernels._core") is not None
+    monkeypatch.setenv("MHDLAB_KERNELS", value)
+    _, backend, _ = _fresh("", tmp_path)
+    assert backend == ("cython" if built else "pure")
 
 
 def test_import_loads_no_submodule_and_no_numpy(tmp_path):

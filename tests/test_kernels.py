@@ -70,15 +70,12 @@ class TestBackendAgreement:
         for x, y in zip(a, b):
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
 
-    def test_gradient_and_over_r(self):
+    def test_gradient(self):
         n = 100
         rng = np.random.default_rng(11)
-        r = np.linspace(0.0, 2.0, n + 1)
         f = rng.standard_normal(n + 1)
         np.testing.assert_allclose(pure.gradient(f, 0.02),
                                    compiled.gradient(f, 0.02), rtol=1e-13)
-        np.testing.assert_allclose(pure.over_r(f, r, 1.23),
-                                   compiled.over_r(f, r, 1.23), rtol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 400])
     def test_thomas_matches_banded_solver(self, n):
