@@ -31,21 +31,24 @@ band and the donor flux unscanned; another `lf_fc` is scanned for its band
 They run the Lax-Friedrichs products over the band's faces only, on scratch
 sliced to the band, and leave out a viscous term that is switched off.
 
-Every ufunc call takes array operands only. NumPy converts and promotes a
-Python number operand on every call: at 129 nodes that takes a multiply from
-0.48 to 0.90 us (NumPy 2.4). So the constants are prebuilt read-only 0-d
-arrays (`operand`): the module's (`_HALF`, `_TWO`, `_ZERO`, `_ZERO_U8`), the
-spacing's (`_Spacing`, one per thread for the last dr) and the physical
-coefficients the workspace was last handed (`_Workspace.coefficients`). A
-0-d float64 operand runs the same loop on the same value as the Python float
-it replaces, so the bits do not change. The kernels also share what they
+Every ufunc call of a run takes array operands only. NumPy converts and
+promotes a Python number operand on every call: at 129 nodes that takes a
+multiply from 0.48 to 0.90 us (NumPy 2.4). So the constants are prebuilt
+read-only 0-d arrays (`operand`): the module's (`_HALF`, `_TWO`, `_ZERO`,
+`_ZERO_U8`) and the spacing's (`spacing`, one `_Spacing` per thread for the
+last dr), which the solver's balance and implicit solves share. The physical
+coefficients (2mu+lam, gamma, mu) are used as the caller hands them: the
+solver and Picard pass `PhysParams`' 0-d operands, and a caller that passes
+Python floats gets the same bits, converted on each call. A 0-d float64
+operand runs the same loop on the same value as the Python float it
+replaces, so the bits do not change. The kernels also share what they
 would compute twice: rho u serves the mass flux and, negated, the momentum
 term ((-rho) u and -(rho u) are the same bits), and the raw central
 difference of a velocity serves its gradient and its Laplacian's drift term.
 
 Each radial operator has one implementation, a helper that writes into the
-output it is given; the public operators (`gradient`, `over_r`,
-`axis_gradient`, `radial_parts`) call the same helpers with fresh outputs.
+output it is given; the public operators (`gradient`, `axis_gradient`,
+`radial_parts`) call the same helpers with fresh outputs.
 The Laplacians and the face-flux mass and induction rates run inside the
 kernels only. Their values are those of the full-length expressions
 (tests/test_kernels.py keeps those as the reference); only an exact zero
@@ -158,7 +161,7 @@ class _Spacing:
         self.dr_sq = operand(dr * dr)
 
 
-def _spacing(dr):
+def spacing(dr):
     """This thread's `_Spacing` of dr, rebuilt only when dr changes."""
     sp = _workspaces.spacing
     if sp.value != dr:
@@ -176,7 +179,6 @@ class _Workspace:
         self.quiet_lf, self.quiet_up = quiet_faces(faces)
         self._r, self._dr = _nothing, None
         self.sp = None
-        self._coefficients = None
         self.r_face = np.empty(faces)
         self.neg_r_dr = np.empty(inner)
         self.two_dr_r = np.empty(inner)
@@ -234,7 +236,7 @@ class _Workspace:
         r is kept."""
         if self._r() is r and self._dr == dr:
             return
-        sp = self.sp = _spacing(dr)
+        sp = self.sp = spacing(dr)
         inner = r[1:-1]
         np.add(r[:-1], r[1:], self.r_face)
         np.multiply(_HALF, self.r_face, self.r_face)
@@ -243,15 +245,6 @@ class _Workspace:
         np.multiply(inner, inner, self.r_sq)
         self._r = _nothing if r.flags.writeable else weakref.ref(r)
         self._dr = dr
-
-    def coefficients(self, *values):
-        """0-d operands of the physical coefficients (2mu+lam, gamma[, mu]),
-        rebuilt only when the values differ from the last ones handed in."""
-        hit = self._coefficients
-        if hit is None or hit[0] != values:
-            hit = self._coefficients = (values,
-                                        tuple(operand(c) for c in values))
-        return hit[1]
 
     def lf_faces(self, lf_fc):
         """The faces the Lax-Friedrichs products run over: None without a
@@ -443,10 +436,6 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     drho, du, dP, dB = out[0], out[1], out[-2], out[-1]
     ws = _bound_workspace(r, dr)
     sp = ws.sp
-    if swirl is None:
-        nu_u, gamma = ws.coefficients(two_mu_lam, gamma)
-    else:
-        nu_u, gamma, nu_swirl = ws.coefficients(two_mu_lam, gamma, swirl[2])
     faces = ws.lf_faces(lf_fc)
     ur, u_over_r, Br, B_over_r, Pr = ws.ur, ws.uor, ws.Br, ws.Bor, ws.Pr
     _radial_parts(u, r, dr, sp, ur, ws.ur_in, u_over_r, ws.uor_tail,
@@ -462,7 +451,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     np.multiply(neg_rho_u, ur, du)
     np.subtract(du, Pr, du)
     if include_visc:
-        _add_viscous(du, nu_u, _vector_laplacian, u, dr, ws, ws.diff)
+        _add_viscous(du, two_mu_lam, _vector_laplacian, u, dr, ws, ws.diff)
     np.add(Br, B_over_r, Br)
     np.multiply(Br, B, Br)
     np.subtract(du, Br, du)
@@ -491,7 +480,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     if swirl is None:
         return out
 
-    v, w, _ = swirl
+    v, w, mu = swirl
     # centrifugal correction on the interior; du stays pinned at both ends
     v_in = v[1:-1]
     centrif = np.multiply(rho[1:-1], v_in, ws.centrif)
@@ -509,7 +498,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     np.add(dv, v_over_r, dv)
     np.multiply(dv, np.negative(rho, ws.neg_rho), dv)
     if include_visc:
-        _add_viscous(dv, nu_swirl, _vector_laplacian, v, dr, ws, ws.diff)
+        _add_viscous(dv, mu, _vector_laplacian, v, dr, ws, ws.diff)
     np.true_divide(dv, rho_star, dv)
     dv[0] = 0.0
     dv[-1] = 0.0
@@ -518,7 +507,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     _gradient(w, dr, sp, dw, dw[1:-1], ws.diff)
     np.multiply(dw, neg_rho_u, dw)
     if include_visc:
-        _add_viscous(dw, nu_swirl, _axial_laplacian, w, dr, ws, ws.diff)
+        _add_viscous(dw, mu, _axial_laplacian, w, dr, ws, ws.diff)
     np.true_divide(dw, rho_star, dw)
     dw[-1] = 0.0
     return out
@@ -559,14 +548,7 @@ def gradient(f, dr):
     """Second-order derivative: central interior, one-sided at both ends."""
     out = np.empty_like(f)
     inner = out[1:-1]
-    _gradient(f, dr, _spacing(dr), out, inner, inner)
-    return out
-
-
-def over_r(f, r, f_r0):
-    """f/r with the axis value replaced by the limit f_r(0)."""
-    out = np.empty_like(f)
-    _over_r(f, r, f_r0, out, out[1:])
+    _gradient(f, dr, spacing(dr), out, inner, inner)
     return out
 
 
@@ -574,14 +556,16 @@ def axis_gradient(f, dr):
     """f_r of a field pinned to zero at the axis: (4 f[1] - f[2]) / (2 dr) there."""
     out = np.empty_like(f)
     inner = out[1:-1]
-    _axis_gradient(f, dr, _spacing(dr), out, inner, inner)
+    _axis_gradient(f, dr, spacing(dr), out, inner, inner)
     return out
 
 
 def radial_parts(f, r, dr):
     """(f_r, f/r) of a field pinned to zero at the axis, f/r(0) = f_r(0)."""
     f_r = axis_gradient(f, dr)
-    return f_r, over_r(f, r, f_r[0])
+    f_over_r = np.empty_like(f)
+    _over_r(f, r, f_r[0], f_over_r, f_over_r[1:])
+    return f_r, f_over_r
 
 
 def laplacian_rows(r, dr):

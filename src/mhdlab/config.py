@@ -4,22 +4,22 @@ Format: UTF-8 lines of ``section.key = value`` (the bare key ``geometry`` has
 no section), ``#`` comments, strings double-quoted, numbers and true/false
 bare. Unknown keys are rejected with their line number. Every value is read
 through one typed reader (numbers finite, integers whole, no true/false for a
-number) and the five solver settings are checked by `SolverSettings`; a bad
-value is a ConfigError. Semantic checks that need the sampled fields are
-deferred to scenario initialization.
+number); the reader only reads and constructs. What the values must satisfy
+together is checked by the classes the scenario is built from
+(`SolverSettings`, `PhysParams`, `ScenarioConfig`), so a scenario built in
+Python is checked alike. A bad value is a ConfigError. Checks that need the
+sampled fields are made at scenario initialization.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .core import (MIN_CELLS, Geometry, PhysParams, Profile, ScenarioConfig,
-                   Scheme, SolverSettings, finite_float, to_member)
-from .diagnostics import check_alpha
+from .core import (Geometry, PhysParams, Profile, ScenarioConfig,
+                   SolverSettings, finite_float, to_member)
 from .errors import ConfigError
 
-_PROFILE_KEYS = {"init.rho": "rho", "init.u": "u", "init.v": "v", "init.w": "w",
-                 "init.p": "p", "init.b": "b"}
+_PROFILE_KEYS = {f"init.{name}": name for name in ("rho", "u", "v", "w", "p", "b")}
 
 # key -> the type of its value (float keys also take ints)
 _KINDS = dict.fromkeys(_PROFILE_KEYS, str)
@@ -43,7 +43,8 @@ _SOLVER_KEYS = {"time.cfl": "cfl", "time.scheme": "scheme",
                 "solver.blowup_gradu_max": "blowup_gradu_max",
                 "solver.dt_min": "dt_min"}
 _OPTIONAL_KEYS = {"vacuum.r0": "r0", "diag.alpha": "alpha",
-                  "output.stride": "output_stride", "output.dir": "output_dir"}
+                  "output.stride": "output_stride", "output.dir": "output_dir",
+                  "mms.enabled": "mms"}
 
 _KIND_NAMES = {int: "an integer", str: "a quoted string", bool: "true or false"}
 
@@ -129,51 +130,20 @@ def _present(pairs: dict, fields: dict) -> dict:
 
 
 def build_config(pairs: dict) -> ScenarioConfig:
+    """The scenario of a parsed pair map: each value read by its typed reader,
+    the config checked by the classes it is built from."""
     geometry = to_member(Geometry, _read(pairs, "geometry"), "geometry")
-
-    mms = _read(pairs, "mms.enabled", False)
-    if mms and geometry is not Geometry.DISK2D:
-        raise ConfigError("manufactured-solution runs are defined for disk2d only")
-    profiles = {}
-    for key, name in _PROFILE_KEYS.items():
-        if key not in pairs:
-            continue
-        if name in ("v", "w") and not geometry.has_swirl:
-            raise ConfigError(f"profile {key!r} is not a field of {geometry.value}")
-        if mms:
-            raise ConfigError("manufactured-solution runs define their own fields; "
-                              f"drop {key!r}")
-        profiles[name] = Profile.parse(_read(pairs, key))
-
-    phys = PhysParams(mu=_read(pairs, "physics.mu"), lam=_read(pairs, "physics.lam"),
-                      gamma=_read(pairs, "physics.gamma"), geometry=geometry)
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         n=_read(pairs, "grid.n"),
         r_outer=_read(pairs, "grid.r_outer"),
-        phys=phys,
-        profiles=profiles,
+        phys=PhysParams(mu=_read(pairs, "physics.mu"), lam=_read(pairs, "physics.lam"),
+                        gamma=_read(pairs, "physics.gamma"), geometry=geometry),
+        profiles={name: Profile.parse(_read(pairs, key))
+                  for key, name in _PROFILE_KEYS.items() if key in pairs},
         t_end=_read(pairs, "time.t_end"),
         solver=SolverSettings(**_present(pairs, _SOLVER_KEYS)),
-        mms=mms,
         **_present(pairs, _OPTIONAL_KEYS),
     )
-    if mms and cfg.r0 is not None:
-        raise ConfigError("manufactured-solution runs have no vacuum region")
-    if cfg.r0 is not None and cfg.solver.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
-        raise ConfigError(
-            'time.scheme "ssprk3" cannot run a vacuum region (vacuum.r0 is '
-            "set): its explicit viscous step dr^2 rho* / (2(2mu+lam)) is "
-            "bound by the thin fluid at the vacuum edge, so the run would "
-            'take millions of steps; use time.scheme = "rk2-imp"')
-    if cfg.n < MIN_CELLS:
-        raise ConfigError(f"grid.n must be at least {MIN_CELLS}, got {cfg.n}")
-    if cfg.t_end <= 0.0:
-        raise ConfigError(f"time.t_end must be positive, got {cfg.t_end}")
-    if cfg.output_stride < 1:
-        raise ConfigError("output.stride must be at least 1")
-    if cfg.alpha is not None:
-        check_alpha(cfg.alpha, geometry)
-    return cfg
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -43,6 +43,21 @@ class Geometry(Enum):
         return self is Geometry.DISK2D_FREE
 
 
+ALPHA_MIN_CYLINDER = 7.0 / 6.0
+
+
+def check_alpha(alpha: float, geometry: Geometry) -> None:
+    """ConfigError unless the moment exponent alpha is admissible for the
+    geometry: in (1, 2), and at least 7/6 on cylinder3d."""
+    if geometry.has_swirl:
+        ok, span = ALPHA_MIN_CYLINDER <= alpha < 2.0, "[7/6, 2)"
+    else:
+        ok, span = 1.0 < alpha < 2.0, "(1, 2)"
+    if not ok:
+        raise ConfigError(f"alpha={alpha} outside the admissible range {span} "
+                          f"for {geometry.value}")
+
+
 class Weight(Enum):
     PLAIN = "plain"
     RADIAL_R = "radial-r"
@@ -60,8 +75,7 @@ class RadialGrid:
     The arrays are read-only, so what is derived from them and cached on the
     grid (the viscous stencil rows, the vacuum-balance factors, the face
     controls of a state without vacuum) stays valid for the grid's lifetime.
-    `two_dr_0d` and `dr_sq_0d` are 2 dr and dr^2 as read-only 0-d arrays,
-    the operands the solver's ufunc calls take (`_kernels.pure.operand`).
+    The 0-d operands of the spacing are `_kernels.pure.spacing(dr)`'s.
     """
 
     nodes: np.ndarray
@@ -95,14 +109,6 @@ class RadialGrid:
     @cached_property
     def _balance_factors(self) -> dict:
         return {}
-
-    @cached_property
-    def two_dr_0d(self) -> np.ndarray:
-        return operand(2.0 * self.dr)
-
-    @cached_property
-    def dr_sq_0d(self) -> np.ndarray:
-        return operand(self.dr * self.dr)
 
     @property
     def quiet_faces(self):
@@ -180,12 +186,38 @@ def integrate_to(samples: np.ndarray, grid: RadialGrid, r_upper: float,
     return float(total)
 
 
+def finite_float(value, name: str) -> float:
+    """value as a finite float; a bool, a non-number, NaN or +-inf is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:        # an int beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def _finite_fields(obj, names, key_prefix: str = "", positive: bool = False):
+    """Store each field of the frozen dataclass obj named in names as a finite
+    float (`finite_float`), and with positive as one > 0. A ConfigError
+    names the field as key_prefix + name."""
+    for name in names:
+        key = key_prefix + name
+        value = finite_float(getattr(obj, name), key)
+        if positive and not value > 0.0:
+            raise ConfigError(f"{key} must be positive, got {value}")
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Viscosities mu, lam and adiabatic exponent gamma.
 
-    Physical admissibility: mu > 0, (2/d) mu + lam >= 0 with d the spatial
-    dimension of the geometry, and gamma > 1. The `*_0d` properties are
+    Physical admissibility: finite numbers with mu > 0, (2/d) mu + lam >= 0
+    with d the spatial dimension of the geometry, and gamma > 1, checked
+    however the parameters are built. The `*_0d` properties are
     gamma, 2mu+lam and mu as read-only 0-d arrays, built once: the operands
     the solver's ufunc calls take (`_kernels.pure.operand`).
     """
@@ -196,6 +228,7 @@ class PhysParams:
     geometry: Geometry
 
     def __post_init__(self):
+        _finite_fields(self, ("mu", "lam", "gamma"), "physics.")
         if not (self.mu > 0.0):
             raise ConfigError(f"shear viscosity must be positive, got mu={self.mu}")
         d = self.geometry.dim
@@ -241,6 +274,12 @@ def stacked_row(i: int, swirl: bool = False) -> property:
 
 
 _FIELDS = {4: ("rho", "u", "P", "B"), 6: ("rho", "u", "v", "w", "P", "B")}
+
+
+def _profile_names(geometry: Geometry) -> list:
+    """The profile name of each row of the geometry's state, in row order: a
+    scenario file's `init.<name>`."""
+    return [name.lower() for name in _FIELDS[6 if geometry.has_swirl else 4]]
 
 
 class FluidState:
@@ -354,6 +393,7 @@ class Profile:
         except ValueError as exc:
             raise ConfigError(f"bad profile parameter in {text!r}: {exc}") from None
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.kind == "zero":
@@ -389,19 +429,6 @@ class Scheme(Enum):
     RK2_IMPLICIT_VISCOUS = "rk2-imp"
 
 
-def finite_float(value, name: str) -> float:
-    """value as a finite float; a bool, a non-number, NaN or +-inf is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:        # an int beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return out
-
-
 def to_member(kind, value, name: str):
     """kind(value), with an unknown value a ConfigError that lists the choices."""
     try:
@@ -427,15 +454,9 @@ class SolverSettings:
     dt_min: float = 1e-12
 
     def __post_init__(self):
-        def put(name, value):
-            object.__setattr__(self, name, value)
-
-        put("scheme", to_member(Scheme, self.scheme, "scheme"))
-        for name in ("cfl", "eps_vac", "blowup_gradu_max", "dt_min"):
-            value = finite_float(getattr(self, name), name)
-            if not value > 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-            put(name, value)
+        object.__setattr__(self, "scheme", to_member(Scheme, self.scheme, "scheme"))
+        _finite_fields(self, ("cfl", "eps_vac", "blowup_gradu_max", "dt_min"),
+                       positive=True)
         if not self.cfl < 1.0:
             raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
 
@@ -444,12 +465,16 @@ class SolverSettings:
         return operand(self.eps_vac)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Validated run description: grid, physics, initial profiles, controls.
 
     The geometry is the physics' own (`phys.geometry`); the solver settings
-    and their defaults live on `SolverSettings`.
+    and their defaults live on `SolverSettings`. The one home of the
+    scenario's checks: a config read from a file, built in Python or made
+    by `dataclasses.replace` is checked alike, and a bad value is a
+    ConfigError with the message a scenario file gets for the same value.
+    The checks that need the sampled fields are `init_scenario`'s.
     """
 
     n: int
@@ -463,6 +488,33 @@ class ScenarioConfig:
     output_stride: int = 10
     output_dir: Optional[str] = None
     mms: bool = False
+
+    def __post_init__(self):
+        geometry = self.geometry
+        if self.mms and geometry is not Geometry.DISK2D:
+            raise ConfigError("manufactured-solution runs are defined for disk2d only")
+        for name in self.profiles:
+            key = f"init.{name}"
+            if name not in _profile_names(geometry):
+                raise ConfigError(f"profile {key!r} is not a field of {geometry.value}")
+            if self.mms:
+                raise ConfigError("manufactured-solution runs define their own "
+                                  f"fields; drop {key!r}")
+        if self.mms and self.r0 is not None:
+            raise ConfigError("manufactured-solution runs have no vacuum region")
+        if self.r0 is not None and self.solver.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
+            raise ConfigError(
+                'time.scheme "ssprk3" cannot run a vacuum region (vacuum.r0 is '
+                "set): its explicit viscous step dr^2 rho* / (2(2mu+lam)) is "
+                "bound by the thin fluid at the vacuum edge, so the run would "
+                'take millions of steps; use time.scheme = "rk2-imp"')
+        if self.n < MIN_CELLS:
+            raise ConfigError(f"grid.n must be at least {MIN_CELLS}, got {self.n}")
+        _finite_fields(self, ("t_end",), "time.", positive=True)
+        if self.output_stride < 1:
+            raise ConfigError("output.stride must be at least 1")
+        if self.alpha is not None:
+            check_alpha(self.alpha, geometry)
 
     @property
     def geometry(self) -> Geometry:
@@ -489,13 +541,9 @@ def init_scenario(cfg: ScenarioConfig):
         from .mms import MMSForcing
         return MMSForcing(cfg.phys, cfg.r_outer).exact_state(grid, 0.0), None
 
-    def sample(name):
-        prof = cfg.profiles.get(name)
-        return np.zeros_like(r) if prof is None else prof(r).astype(float)
-
-    swirl = dict(v=sample("v"), w=sample("w")) if cfg.geometry.has_swirl else {}
-    state = FluidState(rho=sample("rho"), u=sample("u"), P=sample("p"), B=sample("b"),
-                       t=0.0, **swirl)
+    zero = Profile("zero")
+    rows = [cfg.profiles.get(name, zero)(r) for name in _profile_names(cfg.geometry)]
+    state = FluidState.of(np.array(rows), 0.0)
 
     # center regularity and Dirichlet ends are enforced exactly
     state.pin(wall=not cfg.geometry.is_free)

@@ -19,14 +19,14 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from . import _kernels as kern
-from .core import (FluidState, Geometry, PhysParams, RadialGrid,
-                   ScenarioConfig, Weight, integrate, integrate_to)
+from .core import (ALPHA_MIN_CYLINDER, FluidState, Geometry, PhysParams,
+                   RadialGrid, ScenarioConfig, Weight, check_alpha, integrate,
+                   integrate_to)
 from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .vacuum import VacuumFront
 
-ALPHA_MIN_CYLINDER = 7.0 / 6.0
 _EXP_OVERFLOW = 700.0
 
 
@@ -192,18 +192,6 @@ def cauchy_schwarz_gap(state: FluidState, front: VacuumFront, grid: RadialGrid,
 # ---------------------------------------------------------------------------
 # Lifespan bounds
 # ---------------------------------------------------------------------------
-
-def check_alpha(alpha: float, geometry: Geometry) -> None:
-    """ConfigError unless the moment exponent alpha is admissible for the
-    geometry: in (1, 2), and at least 7/6 on cylinder3d."""
-    if geometry.has_swirl:
-        ok, span = ALPHA_MIN_CYLINDER <= alpha < 2.0, "[7/6, 2)"
-    else:
-        ok, span = 1.0 < alpha < 2.0, "(1, 2)"
-    if not ok:
-        raise ConfigError(f"alpha={alpha} outside the admissible range {span} "
-                          f"for {geometry.value}")
-
 
 @dataclass(frozen=True)
 class BoundInputs:

@@ -93,7 +93,6 @@ def free_step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
 class GrowthReport:
     passed: bool
     worst_excess: float      # max over records of a(t) - envelope(t)
-    envelope_constant: float  # C = a0 + sqrt(E0/(2mu+lam))
 
 
 def growth_check(history: Sequence, a0: float, E0: float,
@@ -106,6 +105,4 @@ def growth_check(history: Sequence, a0: float, E0: float,
             continue
         envelope = a0 + math.sqrt(max(rec.t, 0.0) * E0 / p.two_mu_lam)
         worst = max(worst, rec.a_boundary - envelope)
-    c_env = a0 + math.sqrt(E0 / p.two_mu_lam)
-    return GrowthReport(passed=(worst <= GROWTH_SLACK), worst_excess=worst,
-                        envelope_constant=c_env)
+    return GrowthReport(passed=(worst <= GROWTH_SLACK), worst_excess=worst)

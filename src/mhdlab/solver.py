@@ -20,11 +20,11 @@ their quasi-stationary profiles there (v linear in r, w constant), which the
 discrete operators annihilate exactly.
 
 Rates are plain arrays in the state's shape and row order. The ufunc calls
-of a step take array operands only: the physical and spacing constants come
-as the read-only 0-d arrays of `PhysParams`, `SolverSettings` and
-`RadialGrid`, the stage weights and thresholds as this module's (see
-`_kernels.pure.operand`). A step's dt stays a Python float where it is used
-once.
+of a step take array operands only: the physical constants come as the
+read-only 0-d arrays of `PhysParams` and `SolverSettings`, which the
+tendency kernels take too, the spacing's as `_kernels.pure.spacing`'s, the
+stage weights and thresholds as this module's (see `_kernels.pure.operand`).
+A step's dt stays a Python float where it is used once.
 
 Time integration: three-stage SSP Runge-Kutta on the full tendency
 (`ssp_rk3`, whose stage sequence the linearized Picard sweeps share), or a
@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as kern
-from ._kernels.pure import operand
+from ._kernels.pure import operand, spacing
 from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
                    Weight, integrate)
 from .errors import DtCollapse, NumericalFailure
@@ -265,7 +265,8 @@ def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettin
     the module docstring for the scheme)."""
     stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     rates = kern.disk_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
-                               p.two_mu_lam, p.gamma, include_visc, lf_fc, up_fc)
+                               p.two_mu_lam_0d, p.gamma_0d, include_visc, lf_fc,
+                               up_fc)
     return _rhs_epilogue(np.asarray(rates), state, grid, stage, forcing)
 
 
@@ -276,8 +277,8 @@ def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
     flow) in the state's shape and row order."""
     stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
     rates = kern.cylinder_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
-                                   p.two_mu_lam, p.mu, p.gamma, include_visc,
-                                   lf_fc, up_fc)
+                                   p.two_mu_lam_0d, p.mu_0d, p.gamma_0d,
+                                   include_visc, lf_fc, up_fc)
     return _rhs_epilogue(np.asarray(rates), state, grid, stage, forcing)
 
 
@@ -329,10 +330,9 @@ def max_grad_u(state: FluidState, grid: RadialGrid) -> float:
 
 def detect_blowup(state: FluidState, grid: RadialGrid, p: PhysParams,
                   s: SolverSettings) -> Health:
-    try:
-        _stage_of(state, p, s).check_finite(state)
-    except NumericalFailure as exc:
-        return Health(True, exc.reason, np.inf)
+    """The gradient or step-size stop of a state, or its next dt; a
+    non-finite state raises NumericalFailure, as `cfl_dt` and `rhs` do."""
+    _stage_of(state, p, s).check_finite(state)
     g = max_grad_u(state, grid)
     if g > s.blowup_gradu_max:
         return Health(True, "gradu", g)
@@ -367,7 +367,7 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     # B (B_r + B/r) + P_r on the block's rows 1..edge-1 only, with the
     # interior central differences of kern.gradient
     B_in = B[1:edge]
-    two_dr = grid.two_dr_0d
+    two_dr = spacing(grid.dr).two_dr
     Br = (B[2:edge + 1] - B[:edge - 1]) / two_dr
     Pr = (P[2:edge + 1] - P[:edge - 1]) / two_dr
     rhs_vec = (B_in * (Br + B_in / r[1:edge]) + Pr) / p.two_mu_lam_0d
@@ -419,7 +419,7 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
     diag = (swirl_diag if swirl else axial_diag)[rows]
     sub, sup = sub[rows], sup[rows]
     nu_i = nu[rows]
-    fo = dt * nu_i / grid.dr_sq_0d
+    fo = dt * nu_i / spacing(grid.dr).dr_sq
     theta = _theta_rows(fo)
 
     # explicit part (1-theta) * dt * nu * L f_old; the axis row has no left

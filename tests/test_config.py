@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhdlab import (ConfigError, Geometry, PhysParams, ScenarioConfig, Scheme,
-                    SolverSettings)
+from mhdlab import (ConfigError, Geometry, PhysParams, Profile, ScenarioConfig,
+                    Scheme, SolverSettings)
 from mhdlab.config import (_KNOWN_KEYS, PRESET_NAMES, apply_overrides,
                            build_config, load_preset, load_preset_text,
                            parse_config, parse_pairs)
@@ -236,6 +236,76 @@ class TestSolverSettings:
         assert cfg.solver == SolverSettings(
             cfl=0.3, scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS, eps_vac=1e-4,
             blowup_gradu_max=50.0, dt_min=1e-9)
+
+
+def _fields(**kw):
+    return lambda cfg: dataclasses.replace(cfg, **kw)
+
+
+def _solver(**kw):
+    return lambda cfg: dataclasses.replace(
+        cfg, solver=dataclasses.replace(cfg.solver, **kw))
+
+
+def _phys(**kw):
+    return lambda cfg: dataclasses.replace(
+        cfg, phys=dataclasses.replace(cfg.phys, **kw))
+
+
+def _profile(name):
+    return lambda cfg: dataclasses.replace(
+        cfg, profiles={**cfg.profiles, name: Profile.parse("constant 1.0")})
+
+
+# (preset, the override in a file, the same value set in Python)
+_REFUSALS = [
+    ("smooth-novac", "output.stride=0", _fields(output_stride=0)),
+    ("smooth-novac", "time.t_end=0", _fields(t_end=0)),
+    ("smooth-novac", "time.t_end=-1", _fields(t_end=-1.0)),
+    ("smooth-novac", "time.t_end=nan", _fields(t_end=math.nan)),
+    ("smooth-novac", "time.t_end=inf", _fields(t_end=math.inf)),
+    ("smooth-novac", "grid.n=1", _fields(n=1)),
+    ("disk-blowup", "diag.alpha=2.5", _fields(alpha=2.5)),
+    ("cylinder-blowup", "diag.alpha=1.1", _fields(alpha=1.1)),
+    ("disk-blowup", "mms.enabled=true", _fields(mms=True)),
+    ("disk-blowup", 'time.scheme="ssprk3"', _solver(scheme="ssprk3")),
+    ("smooth-novac", 'init.v="constant 1.0"', _profile("v")),
+    ("smooth-novac", "physics.mu=inf", _phys(mu=math.inf)),
+    ("smooth-novac", "physics.lam=nan", _phys(lam=math.nan)),
+    ("smooth-novac", "physics.gamma=inf", _phys(gamma=math.inf)),
+    ("smooth-novac", "physics.mu=true", _phys(mu=True)),
+]
+
+
+class TestOnePath:
+    """A scenario built in Python is checked as a scenario file is: the same
+    value is refused when the config is constructed, with the same message.
+    Only constructed, never run (some would hang or crash a run)."""
+
+    @pytest.mark.parametrize("preset, override, build", _REFUSALS,
+                             ids=[f"{p}-{o}" for p, o, _ in _REFUSALS])
+    def test_same_refusal_as_the_file(self, preset, override, build):
+        pairs = apply_overrides(parse_pairs(load_preset_text(preset)), [override])
+        with pytest.raises(ConfigError) as from_file:
+            build_config(pairs)
+        with pytest.raises(ConfigError) as from_python:
+            build(load_preset(preset))
+        assert str(from_python.value) == str(from_file.value)
+
+    def test_profile_of_no_field(self):
+        # profiles are keyed by lower-case field name; "P" is none
+        with pytest.raises(ConfigError,
+                           match=r"^profile 'init\.P' is not a field of disk2d$"):
+            _profile("P")(load_preset("smooth-novac"))
+
+    def test_swirl_profile_on_a_cylinder(self):
+        cfg = _profile("v")(load_preset("cylinder-blowup"))
+        assert cfg.profiles["v"].kind == "constant"
+
+    def test_frozen(self):
+        cfg = load_preset("smooth-novac")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.output_stride = 0
 
 
 class TestGeometry:

@@ -132,8 +132,6 @@ class TestGrowthCheck:
         hist = [self.rec(t, 1.0) for t in (0.0, 0.5, 1.0)]
         rep = growth_check(hist, a0=1.0, E0=2.0, p=params(mu=1.0))
         assert rep.passed
-        # C = a0 + sqrt(E0/(2mu+lam)) = 1 + 1 = 2
-        assert rep.envelope_constant == pytest.approx(2.0, rel=1e-13)
 
     def test_envelope_boundary_value(self):
         # a(t) = 1 + sqrt(t) exactly rides the envelope for E0=2, 2mu+lam=2

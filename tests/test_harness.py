@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -126,7 +127,8 @@ class TestRun:
     def test_non_finite_initial_field_is_an_error(self, override, field):
         pairs = parse_pairs(load_preset_text("smooth-novac"))
         cfg = build_config(apply_overrides(pairs, ["grid.n=32", override]))
-        with np.errstate(over="ignore"):      # 1e308 + 1e308 r overflows
+        with warnings.catch_warnings():       # 1e308 + 1e308 r overflows quietly
+            warnings.simplefilter("error", RuntimeWarning)
             res = run(cfg)
         assert res.status is RunStatus.ERROR
         assert res.outcome.summary["error"] == (

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mhdlab import (Geometry, PhysParams, Scheme, SolverSettings, cfl_dt,
-                    make_grid, step)
+from mhdlab import (ConfigError, Geometry, PhysParams, Scheme, SolverSettings,
+                    cfl_dt, make_grid, step)
 from mhdlab.core import ScenarioConfig
 from mhdlab.harness import convergence_study
 from mhdlab.mms import MMS_AMPLITUDE, MMSForcing
@@ -221,11 +221,10 @@ class TestForcing:
 
 
 class TestConvergence:
-    def test_zero_time_zero_errors(self):
-        rows = convergence_study(mms_config(t_end=0.0), [32, 64])
-        for row in rows:
-            for err in row.errors.values():
-                assert err == 0.0
+    def test_zero_time_is_refused(self):
+        # a study needs a positive end time, as a scenario file does
+        with pytest.raises(ConfigError, match=r"^time\.t_end must be positive"):
+            mms_config(t_end=0.0)
 
     def test_single_n_no_orders(self):
         rows = convergence_study(mms_config(), [48])
