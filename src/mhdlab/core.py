@@ -17,7 +17,8 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -475,12 +476,14 @@ class ScenarioConfig:
     by `dataclasses.replace` is checked alike, and a bad value is a
     ConfigError with the message a scenario file gets for the same value.
     The checks that need the sampled fields are `init_scenario`'s.
+    profiles is held as a read-only mapping, so a config cannot gain a
+    profile after it is checked.
     """
 
     n: int
     r_outer: float
     phys: PhysParams
-    profiles: dict = field(default_factory=dict)   # field name -> Profile
+    profiles: Mapping = field(default_factory=dict)  # field name -> Profile
     r0: Optional[float] = None                     # initial vacuum radius
     t_end: float = 1.0
     solver: SolverSettings = field(default_factory=SolverSettings)
@@ -490,6 +493,12 @@ class ScenarioConfig:
     mms: bool = False
 
     def __post_init__(self):
+        for name, key in (("n", "grid.n"), ("output_stride", "output.stride")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "profiles", MappingProxyType(dict(self.profiles)))
         geometry = self.geometry
         if self.mms and geometry is not Geometry.DISK2D:
             raise ConfigError("manufactured-solution runs are defined for disk2d only")

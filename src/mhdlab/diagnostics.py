@@ -64,11 +64,11 @@ def dissipation_rate(state: FluidState, grid: RadialGrid, p: PhysParams) -> floa
     wr = kern.gradient(state.w, dr)
     u2_over_r = np.zeros_like(r)
     v2_over_r = np.zeros_like(r)
-    u2_over_r[1:] = state.u[1:] ** 2 / r[1:]
-    v2_over_r[1:] = state.v[1:] ** 2 / r[1:]
-    dens = (p.two_mu_lam * (r * ur * ur + u2_over_r)
-            + p.mu * (r * vr * vr + v2_over_r)
-            + p.mu * r * wr * wr)
+    u2_over_r[1:] = np.square(state.u[1:]) / r[1:]
+    v2_over_r[1:] = np.square(state.v[1:]) / r[1:]
+    dens = (p.two_mu_lam_0d * (r * ur * ur + u2_over_r)
+            + p.mu_0d * (r * vr * vr + v2_over_r)
+            + p.mu_0d * r * wr * wr)
     return integrate(dens, grid, Weight.PLAIN)
 
 

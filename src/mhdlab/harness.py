@@ -20,6 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import _kernels as kern
+from ._kernels.pure import operand
 from .core import FluidState, ScenarioConfig, Weight, init_scenario, integrate
 from .diagnostics import (DiagnosticsRecord, bound_template, div_lower_bound,
                           div_norm, dissipation_rate, energy_residual,
@@ -39,6 +40,7 @@ CSV_HEADER = ",".join(_CSV_COLUMNS)
 _FREE_ENERGY_TOL = 2e-3          # identity tolerance on the free boundary
 _INVALIDATION_FACTOR = 10.0      # sustained breach multiplier
 _INVALIDATION_STRIKES = 5
+_HALF = operand(0.5)             # the front midpoint's weight
 
 
 class RunStatus(Enum):
@@ -261,7 +263,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
                 rs.state = step(rs.state, dt, rs.p, rs.grid, rs.settings,
                                 stats=rs.stats, forcing=rs.forcing)
             if rs.front is not None:
-                rs.front = advance_front(rs.front, 0.5 * (u_before + rs.state.u),
+                rs.front = advance_front(rs.front, _HALF * (u_before + rs.state.u),
                                          rs.grid, dt)
             rs.accumulate_dissipation(dt)
             steps += 1

@@ -17,7 +17,10 @@ instead satisfy the quasi-stationary balance
 solved as a tridiagonal boundary-value problem on the block with u(0) = 0
 and continuity of u at the block's outer edge. Swirl and axial velocity take
 their quasi-stationary profiles there (v linear in r, w constant), which the
-discrete operators annihilate exactly.
+discrete operators annihilate exactly. A stage whose density is at least
+eps_vac everywhere skips the vacuum scans: `finalize_stage` already has the
+density minimum, and on such a stage rho* = rho, the mask is empty and the
+explicit CFL density floor is that minimum, all exactly (see `_Stage`).
 
 Rates are plain arrays in the state's shape and row order. The ufunc calls
 of a step take array operands only: the physical constants come as the
@@ -85,6 +88,20 @@ def vacuum_block(rho: np.ndarray, eps_vac: float) -> int:
     return _block_end(rho < eps_vac)
 
 
+_NO_VACUUM = {}
+
+
+def _no_vacuum(n_nodes: int) -> np.ndarray:
+    """The read-only all-False vacuum mask on n_nodes nodes, one per size for
+    the whole process (as `_kernels.pure.quiet_faces`)."""
+    mask = _NO_VACUUM.get(n_nodes)
+    if mask is None:
+        mask = np.zeros(n_nodes, dtype=bool)
+        mask.flags.writeable = False
+        mask = _NO_VACUUM.setdefault(n_nodes, mask)
+    return mask
+
+
 def _block_end(vac: np.ndarray) -> int:
     """Index of the last node of the prefix of vacuum mask vac, or -1."""
     # the first fluid node; argmin gives 0 also when every node is vacuum
@@ -110,33 +127,55 @@ class _Stage:
     block's last node m and whether any node is vacuum are built at once;
     the finiteness scan, the signal speeds and their maximum on first use.
     Each is one direct NumPy call (a ufunc, its reduce, argmin/argmax), not
-    a Python-level wrapper such as np.max or ndarray.any. A stage rides on
-    its state (`FluidState._stage`) only while no one else writes into its
-    array y: inside a step, where the solver owns every write, and on a
-    read-only y (a step's output, a run's initial state); assigning a field
-    gives the state a new y, which the stage does not serve. Every in-place
-    write to u, v, w while a stage rides on the state
+    a Python-level wrapper such as np.max or ndarray.any.
+
+    A stage whose density minimum rho_min (the caller's, or one reduce of
+    rho) is at least eps_vac has no vacuum and makes none of those scans.
+    Its values are the ones the scans would give, bit for bit: rho* is rho
+    itself, since max(rho, eps_vac) = rho there; the mask is the read-only
+    all-False one of its size (`_no_vacuum`); m = -1; and rho_floor, the
+    minimum of rho* that the explicit CFL bound needs, is rho_min. Any
+    other stage, one with a NaN minimum too, scans, and its rho_floor is
+    None. Sharing the rho row is safe: rho is never written while a stage
+    exists, and the kernels only read rho*.
+
+    A stage rides on its state (`FluidState._stage`) only while no one else
+    writes into its array y: inside a step, where the solver owns every
+    write, and on a read-only y (a step's output, a run's initial state);
+    assigning a field gives the state a new y, which the stage does not
+    serve. Every in-place write to u, v, w while a stage rides on the state
     (`apply_vacuum_balance`, `implicit_viscous`, the boundary conditions of
-    `_finish_velocities`) calls `forget_velocities`; rho and P are never written once the stage
-    exists. The methods take the state instead of the stage holding it, so
-    a state and its stage form no reference cycle and are freed as soon as
-    the state is dropped.
+    `_finish_velocities`) calls `forget_velocities`; rho and P are never
+    written once the stage exists. The methods take the state instead of the
+    stage holding it, so a state and its stage form no reference cycle and
+    are freed as soon as the state is dropped.
     """
 
-    __slots__ = ("p", "s", "y", "rho_star", "vac", "m", "any_vac",
+    __slots__ = ("p", "s", "y", "rho_star", "vac", "m", "any_vac", "rho_floor",
                  "_scanned", "_failure", "_speeds", "_max_speed")
 
-    def __init__(self, state: FluidState, p: PhysParams, s: SolverSettings):
+    def __init__(self, state: FluidState, p: PhysParams, s: SolverSettings,
+                 rho_min: Optional[float] = None):
         self.p = p
         self.s = s
         self.y = state.y
         rho = state.rho
-        eps_vac = s.eps_vac_0d
-        self.rho_star = np.maximum(rho, eps_vac)
-        self.vac = rho < eps_vac
-        self.m = _block_end(self.vac)
-        # argmax finds the first vacuum node (index 0 when there is none)
-        self.any_vac = self.m >= 0 or self.vac.item(self.vac.argmax())
+        if rho_min is None:
+            rho_min = float(np.minimum.reduce(rho))
+        if rho_min >= s.eps_vac:          # False for NaN
+            self.rho_star = rho
+            self.vac = _no_vacuum(len(rho))
+            self.m = -1
+            self.any_vac = False
+            self.rho_floor = rho_min
+        else:
+            eps_vac = s.eps_vac_0d
+            self.rho_star = np.maximum(rho, eps_vac)
+            self.vac = rho < eps_vac
+            self.m = _block_end(self.vac)
+            # argmax finds the first vacuum node (index 0 when there is none)
+            self.any_vac = self.m >= 0 or self.vac.item(self.vac.argmax())
+            self.rho_floor = None
         self.forget_velocities()
 
     def serves(self, state: FluidState, p: PhysParams, s: SolverSettings) -> bool:
@@ -302,9 +341,11 @@ def cfl_dt(state: FluidState, grid: RadialGrid, p: PhysParams,
     vmax = stage.max_speed(state)
     dt = grid.dr / vmax if vmax > _DT_EPS else np.inf
     if s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
-        m = stage.m
-        rho_floor = (float(np.minimum.reduce(stage.rho_star[m + 1:]))
-                     if m < grid.n_cells else np.inf)
+        rho_floor = stage.rho_floor
+        if rho_floor is None:
+            m = stage.m
+            rho_floor = (float(np.minimum.reduce(stage.rho_star[m + 1:]))
+                         if m < grid.n_cells else np.inf)
         dt = min(dt, grid.dr ** 2 * rho_floor / (2.0 * p.two_mu_lam))
     dt *= s.cfl
     if dt < s.dt_min:
@@ -529,22 +570,27 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
     follow; after this only the solver writes into the state's arrays.
     """
     y = state.y
-    # one scan of the rho and P rows (y[0] and y[-2]) finds a negative or NaN
-    if not np.minimum.reduce(y[::len(y) - 2], axis=None) >= 0.0:
-        rho, P = state.rho, state.P
+    # one reduce gives the minima of the rho and P rows (y[0] and y[-2]); a
+    # row whose minimum is negative or NaN is clipped
+    rho_min, P_min = np.minimum.reduce(y[::len(y) - 2], axis=1).tolist()
+    if not rho_min >= 0.0:
+        rho = state.rho
         neg = rho < _ZERO
         if np.logical_or.reduce(neg):
             if stats is not None:
                 stats.clipped_mass += -integrate(np.minimum(rho, _ZERO), grid,
                                                  Weight.RADIAL_R)
             rho[neg] = 0.0
+    if not P_min >= 0.0:
+        P = state.P
         neg = P < _ZERO
         if np.logical_or.reduce(neg):
             if stats is not None:
                 stats.clipped_pressure += -integrate(np.minimum(P, _ZERO), grid,
                                                      Weight.RADIAL_R)
             P[neg] = 0.0
-    stage = state._stage = _Stage(state, p, s)
+    # a clipped or NaN minimum fails the stage's test, so the stage scans rho
+    stage = state._stage = _Stage(state, p, s, rho_min)
     _finish_velocities(state, p, grid, s, stats, stage)
 
 

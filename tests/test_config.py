@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +266,10 @@ _REFUSALS = [
     ("smooth-novac", "time.t_end=nan", _fields(t_end=math.nan)),
     ("smooth-novac", "time.t_end=inf", _fields(t_end=math.inf)),
     ("smooth-novac", "grid.n=1", _fields(n=1)),
+    ("smooth-novac", "grid.n=32.5", _fields(n=32.5)),
+    ("smooth-novac", "grid.n=true", _fields(n=True)),
+    ("smooth-novac", "output.stride=2.5", _fields(output_stride=2.5)),
+    ("smooth-novac", "output.stride=true", _fields(output_stride=True)),
     ("disk-blowup", "diag.alpha=2.5", _fields(alpha=2.5)),
     ("cylinder-blowup", "diag.alpha=1.1", _fields(alpha=1.1)),
     ("disk-blowup", "mms.enabled=true", _fields(mms=True)),
@@ -306,6 +311,36 @@ class TestOnePath:
         cfg = load_preset("smooth-novac")
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.output_stride = 0
+
+    def test_profiles_read_only(self):
+        cfg = load_preset("smooth-novac")
+        with pytest.raises(TypeError):
+            cfg.profiles["P"] = Profile.parse("constant 1.0")
+        assert "P" not in cfg.profiles
+        # the caller's dict is copied, not wrapped: writing to it later
+        # changes nothing
+        mine = dict(cfg.profiles)
+        built = dataclasses.replace(cfg, profiles=mine)
+        mine["P"] = Profile.parse("constant 1.0")
+        assert "P" not in built.profiles
+
+    def test_profiles_replace_and_equality(self):
+        cfg = load_preset("smooth-novac")
+        rho = Profile.parse("constant 2.0")
+        again = dataclasses.replace(cfg, profiles={**cfg.profiles, "rho": rho})
+        assert again.profiles["rho"] is rho
+        assert dataclasses.replace(cfg) == cfg
+        assert ScenarioConfig(n=cfg.n, r_outer=cfg.r_outer, phys=cfg.phys,
+                              profiles=dict(cfg.profiles), t_end=cfg.t_end,
+                              solver=cfg.solver, alpha=cfg.alpha,
+                              output_stride=cfg.output_stride) == cfg
+
+    def test_integer_fields_from_numpy(self):
+        # convergence_study passes int(n); any integer type is taken as int
+        cfg = dataclasses.replace(load_preset("mms"), n=np.int64(32),
+                                  output_stride=np.int32(3))
+        assert (cfg.n, cfg.output_stride) == (32, 3)
+        assert type(cfg.n) is int and type(cfg.output_stride) is int
 
 
 class TestGeometry:

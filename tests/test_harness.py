@@ -395,6 +395,16 @@ class TestWorkPerStep:
         # keeps the density, so its stage keeps the block)
         assert deltas == {(4, 4)}
 
+    def test_smooth_novac_rk2_imp(self, monkeypatch):
+        cfg = small("smooth-novac", n=64, t_end=0.2)
+        assert cfg.solver.scheme.value == "rk2-imp" and cfg.r0 is None
+        res, deltas, _ = self.per_step(monkeypatch, cfg)
+        assert res.status is RunStatus.COMPLETED
+        # the scans of the disk-blowup case; no block search, as every
+        # stage's density minimum, taken when it is finalized, is above
+        # eps_vac
+        assert deltas == {(4, 0)}
+
     def test_free_blowup_builds_one_grid_per_step(self, monkeypatch):
         cfg = small("free-blowup", n=64)
         res, deltas, _ = self.per_step(monkeypatch, cfg, keys=("grid", "rows"))
@@ -408,8 +418,9 @@ class TestWorkPerStep:
         res, deltas, counts = self.per_step(monkeypatch, cfg,
                                             keys=("scan", "block", "eval"))
         assert res.status is RunStatus.COMPLETED
-        # the forcing at t + dt is kept from the step before
-        assert deltas == {(3, 3, 2)}
+        # no stage has vacuum, so none searches for a block; the forcing at
+        # t + dt is kept from the step before
+        assert deltas == {(3, 0, 2)}
         assert counts["table"] == 1      # one grid, one table
 
     @pytest.mark.parametrize("preset, scheme", [
@@ -452,9 +463,9 @@ class TestWorkPerStep:
         class CountedStage(mhdlab.solver._Stage):
             __slots__ = ()
 
-            def __init__(self, state, p, s):
+            def __init__(self, state, p, s, rho_min=None):
                 built.append(state)
-                super().__init__(state, p, s)
+                super().__init__(state, p, s, rho_min)
 
         init_scenario = mhdlab.harness.init_scenario
         monkeypatch.setattr(mhdlab.harness, "init_scenario", init)

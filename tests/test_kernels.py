@@ -97,6 +97,40 @@ class TestBackendAgreement:
                             np.array([0.0]), np.array([1.0, 1.0]))
 
 
+class TestRhoStarIsRho:
+    """A stage without vacuum hands the kernels its rho row as rho* (the
+    same array): the selected backend gives the rates of a separate copy,
+    on a writable state and on a frozen one."""
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_disk_and_cylinder(self, seed, read_only):
+        import mhdlab._kernels as kern
+        from mhdlab._kernels.pure import operand, quiet_faces
+        n = 129
+        r, rho, u, P, B, _, _, _ = random_fields(n, seed)
+        rng = np.random.default_rng(seed + 100)
+        v, w = 0.2 * rng.standard_normal((2, n + 1))
+        v[0] = v[-1] = w[-1] = 0.0
+        disk, cyl = np.array([rho, u, P, B]), np.array([rho, u, v, w, P, B])
+        if read_only:
+            disk.flags.writeable = cyl.flags.writeable = False
+        dr = 1.0 / n
+        coeffs = operand(0.7), operand(0.3), operand(1.4)
+        two_mu_lam, mu, gamma = coeffs
+        lf, up = quiet_faces(n)
+
+        def rates(tendency, y, rho_star, c):
+            out = tendency(r, dr, *y, rho_star, *c, True, lf, up)
+            return np.asarray(out).tobytes()
+
+        kept = disk.tobytes(), cyl.tobytes()
+        for y, tendency, c in ((disk, kern.disk_tendency, (two_mu_lam, gamma)),
+                               (cyl, kern.cylinder_tendency, coeffs)):
+            assert rates(tendency, y, y[0], c) == rates(tendency, y, y[0].copy(), c)
+        assert (disk.tobytes(), cyl.tobytes()) == kept
+
+
 def banded(sub, diag, sup, rhs):
     """The same system through scipy.linalg.solve_banded((1, 1), ...)."""
     ab = np.zeros((3, len(diag)))

@@ -946,3 +946,118 @@ class TestStageAgainstReference:
                               dataclasses.astuple(want_stats), equal_nan=True)
         assert math.isnan(got_stats.clipped_mass if field == "rho"
                           else got_stats.clipped_pressure)
+
+
+def _reference_stage(rho, eps_vac):
+    """rho*, the vacuum mask, the block's last node and whether any node is
+    vacuum, each scanned from rho."""
+    vac = rho < eps_vac
+    return (np.maximum(rho, eps_vac), vac, _reference_vacuum_block(rho, eps_vac),
+            bool(vac.any()))
+
+
+def _reference_cfl_dt(state, grid, p, s):
+    """The explicit scheme's `cfl_dt` with every operand scanned from rho."""
+    rho_star, vac, m, _ = _reference_stage(state.rho, s.eps_vac)
+    abs_u = np.abs(state.u)
+    speeds = np.where(vac, abs_u, abs_u + np.sqrt(p.gamma * state.P / rho_star)
+                      + np.sqrt(state.B * state.B / rho_star))
+    dt = grid.dr / float(np.max(speeds))
+    rho_floor = float(np.min(rho_star[m + 1:]))
+    dt = min(dt, grid.dr ** 2 * rho_floor / (2.0 * p.two_mu_lam))
+    return dt * s.cfl
+
+
+class TestVacuumFreeStage:
+    """A stage whose density minimum is at least eps_vac makes no vacuum scan
+    and holds the values the scans give; any other takes the general path."""
+
+    explicit = settings(scheme=Scheme.SSPRK3_EXPLICIT_VISCOUS)
+
+    def states(self, preset):
+        """A preset's initial state (n=64), and the state one explicit step
+        later, whose stage finalize_stage built from the minimum it took."""
+        import dataclasses
+
+        from mhdlab.config import load_preset
+        from mhdlab.core import init_scenario
+        cfg = dataclasses.replace(load_preset(preset), n=64)
+        g = cfg.grid()
+        start, _ = init_scenario(cfg)
+        start.freeze()
+        out = step(start, 1e-4, cfg.phys, g, self.explicit)
+        return g, cfg.phys, [start, out]
+
+    def assert_matches_scans(self, stage, state, s):
+        from mhdlab.solver import _no_vacuum
+        rho_star, vac, m, any_vac = _reference_stage(state.rho, s.eps_vac)
+        assert stage.rho_star.tobytes() == rho_star.tobytes()
+        assert np.shares_memory(stage.rho_star, state.rho)     # no copy
+        assert stage.vac is _no_vacuum(len(state.rho))
+        assert not stage.vac.flags.writeable
+        assert stage.vac.tobytes() == vac.tobytes()
+        assert (stage.m, stage.any_vac) == (m, any_vac) == (-1, False)
+        assert stage.rho_floor == float(np.min(rho_star))
+
+    @pytest.mark.parametrize("preset", ["mms", "smooth-novac"])
+    def test_preset_states(self, preset):
+        from mhdlab.solver import _Stage
+        g, p, states = self.states(preset)
+        s = self.explicit
+        for state in states:
+            self.assert_matches_scans(_Stage(state, p, s), state, s)
+            assert cfl_dt(state, g, p, s) == _reference_cfl_dt(state, g, p, s)
+        # the stepped state keeps the stage that finalize_stage built
+        self.assert_matches_scans(states[1]._stage, states[1], s)
+
+    def test_minimum_exactly_eps_vac(self):
+        from mhdlab.solver import _Stage, finalize_stage
+        g = make_grid(64, 1.0)
+        p, s = disk_params(), self.explicit
+        rho = np.linspace(1.0, 2.0, 65)
+        rho[5] = s.eps_vac
+        st = disk_state(g, rho=rho, u=0.1 * np.sin(np.pi * g.nodes),
+                        P=np.ones(65), B=0.2 * g.nodes)
+        self.assert_matches_scans(_Stage(st, p, s), st, s)
+        finalize_stage(st, p, g, s)
+        self.assert_matches_scans(st._stage, st, s)
+        assert cfl_dt(st, g, p, s) == _reference_cfl_dt(st, g, p, s)
+
+    @pytest.mark.parametrize("rho5", [-1e-3, 0.0, 1e-6 * (1 - 1e-12)])
+    @pytest.mark.parametrize("prefix", [False, True])
+    def test_below_eps_vac_scans(self, rho5, prefix):
+        from mhdlab.solver import _Stage, finalize_stage
+        g = make_grid(64, 1.0)
+        p, s = disk_params(), self.explicit
+        rho = np.linspace(1.0, 2.0, 65)
+        rho[5] = rho5
+        if prefix:
+            rho[:3] = 0.0
+        st = disk_state(g, rho=rho, P=np.ones(65), B=0.2 * g.nodes)
+        stages = [_Stage(st, p, s), _Stage(st, p, s, -math.inf)]
+        finalize_stage(st, p, g, s)      # clips a negative rho5 to zero
+        stages.append(st._stage)
+        rho_star, vac, m, any_vac = _reference_stage(st.rho, s.eps_vac)
+        assert (m, any_vac) == (2 if prefix else -1, True)
+        for stage in stages:
+            assert stage.rho_floor is None
+            assert stage.rho_star.tobytes() == rho_star.tobytes()
+            assert stage.vac.tobytes() == vac.tobytes()
+            assert (stage.m, stage.any_vac) == (m, any_vac)
+        assert cfl_dt(st, g, p, s) == _reference_cfl_dt(st, g, p, s)
+
+    def test_nan_takes_the_general_path(self):
+        from mhdlab.solver import _Stage, finalize_stage
+        g = make_grid(64, 1.0)
+        p, s = disk_params(), self.explicit
+        rho = np.ones(65)
+        rho[9] = np.nan
+        st = disk_state(g, rho=rho, P=np.ones(65))
+        assert _Stage(st, p, s).rho_floor is None
+        finalize_stage(st, p, g, s)
+        assert st._stage.rho_floor is None
+        assert not np.shares_memory(st._stage.rho_star, st.rho)
+        with pytest.raises(NumericalFailure, match=r"^non-finite rho \(node 9\)$"):
+            cfl_dt(st, g, p, s)
+        with pytest.raises(NumericalFailure, match=r"^non-finite rho \(node 9\)$"):
+            step(st, 1e-4, p, g, s)
