@@ -21,6 +21,17 @@ cdef inline double _onesided_hi(double fn, double fn1, double fn2, double dr) no
     return (3.0 * fn - 4.0 * fn1 + fn2) / (2.0 * dr)
 
 
+cdef inline double _viscous_row(double dr, double ri, double hoop, double fl,
+                                double fc, double fr) nogil:
+    # The row of pure.laplacian_rows at an interior node of radius ri,
+    # applied as pure.apply_rows applies it: diag f[i], then + sub f[i-1],
+    # then + sup f[i+1]. hoop is 1 / ri^2 for (f_r + f/r)_r and 0 for
+    # (r f_r)_r / r, whose diagonal is then -2 inv2 exactly.
+    cdef double inv2 = 1.0 / (dr * dr)
+    cdef double drift = 1.0 / (2.0 * dr * ri)
+    return (-2.0 * inv2 - hoop) * fc + (inv2 - drift) * fl + (inv2 + drift) * fr
+
+
 def gradient(cnp.ndarray[double, ndim=1] f, double dr):
     cdef Py_ssize_t n1 = f.shape[0]
     cdef cnp.ndarray[double, ndim=1] out = np.empty(n1)
@@ -113,9 +124,8 @@ def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
 
         # momentum
         if include_visc and 0 < i < n:
-            visc_i = ((u[i + 1] - 2.0 * u[i] + u[i - 1]) / (dr * dr)
-                      + (u[i + 1] - u[i - 1]) / (2.0 * dr * r[i])
-                      - u[i] / (r[i] * r[i]))
+            visc_i = _viscous_row(dr, r[i], 1.0 / (r[i] * r[i]), u[i - 1],
+                                  u[i], u[i + 1])
         else:
             visc_i = 0.0
         lorentz_i = B[i] * (Br_i + Bor_i)
@@ -191,21 +201,19 @@ def cylinder_tendency(cnp.ndarray[double, ndim=1] r, double dr,
             wr_i = (w[i + 1] - w[i - 1]) / (2.0 * dr)
 
         if include_visc and 0 < i < n:
-            visc_i = ((v[i + 1] - 2.0 * v[i] + v[i - 1]) / (dr * dr)
-                      + (v[i + 1] - v[i - 1]) / (2.0 * dr * r[i])
-                      - v[i] / (r[i] * r[i]))
+            visc_i = _viscous_row(dr, r[i], 1.0 / (r[i] * r[i]), v[i - 1],
+                                  v[i], v[i + 1])
         else:
             visc_i = 0.0
         dv[i] = (-rho[i] * (u[i] * vr_i + u[i] * vor_i) + mu * visc_i) / rho_star[i]
 
         if include_visc:
             if i == 0:
-                visc_i = 4.0 * (w[1] - w[0]) / (dr * dr)
+                visc_i = (-4.0 / (dr * dr)) * w[0] + (4.0 / (dr * dr)) * w[1]
             elif i == n:
                 visc_i = 0.0
             else:
-                visc_i = ((w[i + 1] - 2.0 * w[i] + w[i - 1]) / (dr * dr)
-                          + (w[i + 1] - w[i - 1]) / (2.0 * dr * r[i]))
+                visc_i = _viscous_row(dr, r[i], 0.0, w[i - 1], w[i], w[i + 1])
         else:
             visc_i = 0.0
         dw[i] = (-rho[i] * u[i] * wr_i + mu * visc_i) / rho_star[i]

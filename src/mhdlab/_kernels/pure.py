@@ -10,6 +10,10 @@ Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
 * central first derivatives in the interior, second-order one-sided at the
   ends; fields pinned to zero at r=0 use (4 f[1] - f[2]) / (2 dr) there
 * f/r at the axis is replaced by its limit f_r(0)
+* the viscous operators (f_r + f/r)_r and (r f_r)_r / r are the tridiagonal
+  rows of `laplacian_rows`, applied by `apply_rows` (diag f[i], then
+  + sub f[i-1], then + sup f[i+1]); the implicit viscous solve applies the
+  same rows through the same helper
 * mass and induction updates are finite-volume face-flux differences, so the
   discrete mass integral and the total of B are telescoping-exact when the
   boundary fluxes vanish
@@ -24,17 +28,20 @@ arrays for one node count with their interior and face views built once,
 one per thread and size (`_workspace`), built on the first call. The
 workspace holds the grid factors of the last node array it was bound to,
 through a weak reference, so the many grids of a free run share it and none
-is kept alive. The kernels know the quiet face controls (`quiet_faces`, one
-read-only pair per size) by identity, so a state without vacuum skips the
-band and the donor flux unscanned; another `lf_fc` is scanned for its band
-(the scan's face indices are the one other array a call makes).
+is kept alive; the viscous rows of those nodes are built on the first call
+with a viscous term (a run without one, such as `rk2-imp`'s inviscid
+halves, never builds them). The kernels know the quiet face controls
+(`quiet_faces`, one read-only pair per size) by identity, so a state without
+vacuum skips the band and the donor flux unscanned; another `lf_fc` is
+scanned for its band (the scan's face indices are the one other array a call
+makes).
 They run the Lax-Friedrichs products over the band's faces only, on scratch
 sliced to the band, and leave out a viscous term that is switched off.
 
 Every ufunc call of a run takes array operands only. NumPy converts and
 promotes a Python number operand on every call: at 129 nodes that takes a
 multiply from 0.48 to 0.90 us (NumPy 2.4). So the constants are prebuilt
-read-only 0-d arrays (`operand`): the module's (`_HALF`, `_TWO`, `_ZERO`,
+read-only 0-d arrays (`operand`): the module's (`_HALF`, `_ONE`, `_ZERO`,
 `_ZERO_U8`) and the spacing's (`spacing`, one `_Spacing` per thread for the
 last dr), which the solver's balance and implicit solves share. The physical
 coefficients (2mu+lam, gamma, mu) are used as the caller hands them: the
@@ -43,16 +50,19 @@ Python floats gets the same bits, converted on each call. A 0-d float64
 operand runs the same loop on the same value as the Python float it
 replaces, so the bits do not change. The kernels also share what they
 would compute twice: rho u serves the mass flux and, negated, the momentum
-term ((-rho) u and -(rho u) are the same bits), and the raw central
-difference of a velocity serves its gradient and its Laplacian's drift term.
+term ((-rho) u and -(rho u) are the same bits).
 
 Each radial operator has one implementation, a helper that writes into the
 output it is given; the public operators (`gradient`, `axis_gradient`,
-`radial_parts`) call the same helpers with fresh outputs.
-The Laplacians and the face-flux mass and induction rates run inside the
-kernels only. Their values are those of the full-length expressions
-(tests/test_kernels.py keeps those as the reference); only an exact zero
-the full forms would get by adding +0.0 may keep its negative sign.
+`radial_parts`) call the same helpers with fresh outputs. The gradients are
+built from `central_difference` and `wall_slope`, which the solver's vacuum
+balance and stress condition take too. The viscous terms are `apply_rows` on the rows of
+`laplacian_rows`, so the explicit kernels and the implicit solve's explicit
+part give the same bits on the same rows. The face-flux mass and induction
+rates run inside the kernels only. The kernels' values are those of the
+full-length expressions (tests/test_kernels.py keeps those as the
+reference; its Laplacians are the rows of `laplacian_rows`); only an exact
+zero the full forms would get by adding +0.0 may keep its negative sign.
 
 `disk_tendency` also takes `transport`, the frozen velocity V of the
 linearized system: V carries the fields in u's place (the mass and
@@ -143,7 +153,7 @@ def operand(value, dtype=np.float64):
 
 
 _HALF = operand(0.5)
-_TWO = operand(2.0)
+_ONE = operand(1.0)
 _ZERO = operand(0.0)
 _ZERO_U8 = operand(0, np.uint8)
 
@@ -171,18 +181,18 @@ def spacing(dr):
 
 class _Workspace:
     """The tendency kernels' scratch arrays for one node count, with their
-    interior and face views built once, and the stencil factors of the last
-    node array bound (see `bind`). Each thread has its own (`_workspace`)."""
+    interior and face views built once, and the stencil factors and viscous
+    rows of the last node array bound (see `bind`). Each thread has its own
+    (`_workspace`)."""
 
     def __init__(self, nodes):
         faces, inner = nodes - 1, nodes - 2
         self.quiet_lf, self.quiet_up = quiet_faces(faces)
         self._r, self._dr = _nothing, None
+        self._rows = None
         self.sp = None
         self.r_face = np.empty(faces)
         self.neg_r_dr = np.empty(inner)
-        self.two_dr_r = np.empty(inner)
-        self.r_sq = np.empty(inner)
 
         def node_array(view):
             a = np.empty(nodes)
@@ -197,11 +207,10 @@ class _Workspace:
         self.uor, self.uor_tail = node_array(tail)
         self.Bor, self.Bor_tail = node_array(tail)
         self.vor, self.vor_tail = node_array(tail)
-        self.lap, self.lap_in = node_array(interior)
-        self.lap_tmp = np.empty(inner)
-        # the raw central difference f[2:] - f[:-2] of the velocity last
-        # differentiated, for its Laplacian
-        self.diff = np.empty(inner)
+        # a viscous term on rows 0..N-1, or on the interior rows, and the
+        # scratch of its products
+        self.lap, self.lap_tmp = np.empty(faces), np.empty(faces)
+        self.lap_in, self.lap_tmp_in = self.lap[1:], self.lap_tmp[1:]
         self.neg_rho = np.empty(nodes)
         self.neg_rho_u = np.empty(nodes)
         self.gamma_P = np.empty(nodes)
@@ -229,22 +238,31 @@ class _Workspace:
         self.div = np.empty(nodes)
 
     def bind(self, r, dr):
-        """Make r_face, neg_r_dr (-r dr), two_dr_r and r_sq those of
-        (r, dr), and sp the `_Spacing` of dr. A read-only r is taken to keep
-        its values (a grid's nodes do), so its factors stay until another r
-        or dr comes; a writable r gets them afresh. Only a weak reference to
-        r is kept."""
+        """Make r_face and neg_r_dr (-r dr) those of (r, dr), sp the
+        `_Spacing` of dr, and drop the viscous rows of the nodes bound
+        before. A read-only r is taken to keep its values (a grid's nodes
+        do), so its factors and rows stay until another r or dr comes; a
+        writable r gets them afresh. Only a weak reference to r is kept."""
         if self._r() is r and self._dr == dr:
             return
         sp = self.sp = spacing(dr)
-        inner = r[1:-1]
         np.add(r[:-1], r[1:], self.r_face)
         np.multiply(_HALF, self.r_face, self.r_face)
-        np.negative(np.multiply(inner, sp.dr, self.neg_r_dr), self.neg_r_dr)
-        np.multiply(sp.two_dr, inner, self.two_dr_r)
-        np.multiply(inner, inner, self.r_sq)
+        np.negative(np.multiply(r[1:-1], sp.dr, self.neg_r_dr), self.neg_r_dr)
+        self._rows = None
         self._r = _nothing if r.flags.writeable else weakref.ref(r)
         self._dr = dr
+
+    def viscous_rows(self, r):
+        """(swirl, axial) rows (diag, sub, sup) of `laplacian_rows(r, dr)`
+        for the bound nodes r: the swirl operator's on the interior nodes,
+        the axial operator's on nodes 0..N-1. Built on the first viscous
+        call after a bind."""
+        if self._rows is None:
+            sub, sup, swirl, axial = laplacian_rows(r, self._dr)
+            self._rows = ((swirl[1:-1], sub[1:-1], sup[1:-1]),
+                          (axial[:-1], sub[:-1], sup[:-1]))
+        return self._rows
 
     def lf_faces(self, lf_fc):
         """The faces the Lax-Friedrichs products run over: None without a
@@ -285,69 +303,68 @@ def _bound_workspace(r, dr):
 # The stencil helpers write into `out` and its interior view `inner`
 # (out[1:-1]) or the view past the axis `tail` (out[1:]): workspace arrays
 # in the kernels, fresh arrays in the public operators below them. `sp` is
-# the `_Spacing` of dr, and `diff` takes the raw central difference
-# f[2:] - f[:-2] (it may be `inner` itself).
+# the `_Spacing` of dr.
 
-def _gradient_from_r0(f, dr, sp, out, inner, diff):
-    """f_r central in the interior and one-sided at r=R; the axis is the
-    caller's."""
-    np.subtract(f[2:], f[:-2], diff)
-    np.true_divide(diff, sp.two_dr, inner)
-    out[-1] = (3.0 * f.item(-1) - 4.0 * f.item(-2) + f.item(-3)) / (2.0 * dr)
+def central_difference(f, sp, out=None):
+    """f_r at the interior nodes of f, (f[i+1] - f[i-1]) / (2 dr), into out
+    (a fresh array when None)."""
+    out = np.subtract(f[2:], f[:-2], out)
+    return np.true_divide(out, sp.two_dr, out)
 
 
-def _gradient(f, dr, sp, out, inner, diff):
-    _gradient_from_r0(f, dr, sp, out, inner, diff)
+def wall_slope(f, dr):
+    """f_r at the last node, one-sided second order, as a Python float."""
+    return (3.0 * f.item(-1) - 4.0 * f.item(-2) + f.item(-3)) / (2.0 * dr)
+
+
+def _gradient(f, dr, sp, out, inner):
+    """f_r central in the interior and one-sided at both ends."""
+    central_difference(f, sp, inner)
     out[0] = (-3.0 * f.item(0) + 4.0 * f.item(1) - f.item(2)) / (2.0 * dr)
+    out[-1] = wall_slope(f, dr)
 
 
-def _axis_gradient(f, dr, sp, out, inner, diff):
-    _gradient_from_r0(f, dr, sp, out, inner, diff)
+def _axis_gradient(f, dr, sp, out, inner):
+    """As `_gradient`, with the axis stencil of a field pinned there."""
+    central_difference(f, sp, inner)
     out[0] = (4.0 * f.item(1) - f.item(2)) / (2.0 * dr)
+    out[-1] = wall_slope(f, dr)
 
 
-def _over_r(f, r, f_r0, out, tail):
-    np.true_divide(f[1:], r[1:], tail)
-    out[0] = f_r0
+def _radial_parts(f, r, dr, sp, f_r, f_r_in, f_over_r, f_over_r_tail):
+    _axis_gradient(f, dr, sp, f_r, f_r_in)
+    np.true_divide(f[1:], r[1:], f_over_r_tail)
+    f_over_r[0] = f_r[0]
 
 
-def _radial_parts(f, r, dr, sp, f_r, f_r_in, f_over_r, f_over_r_tail, diff):
-    _axis_gradient(f, dr, sp, f_r, f_r_in, diff)
-    _over_r(f, r, f_r[0], f_over_r, f_over_r_tail)
+def apply_rows(diag, sub, sup, f, lo, hi, out, tmp):
+    """out = L f on nodes lo..hi, for the tridiagonal rows (diag, sub, sup)
+    of those nodes: diag f[i], then + sub f[i-1] (left out on the axis row,
+    lo = 0), then + sup f[i+1], in that order. f[hi + 1] must exist; tmp is
+    scratch of out's length. Returns out.
+
+    The one evaluation of the viscous operators: the tendency kernels' terms
+    and the implicit solve's explicit part (`solver._implicit_component`).
+    """
+    np.multiply(diag, f[lo:hi + 1], out)
+    if lo > 0:
+        np.add(out, np.multiply(sub, f[lo - 1:hi], tmp), out)
+    else:
+        rest = out[1:]
+        np.add(rest, np.multiply(sub[1:], f[:hi], tmp[1:]), rest)
+    np.add(out, np.multiply(sup, f[lo + 1:hi + 2], tmp), out)
+    return out
 
 
-def _second_difference(f, ws, out, inner, diff):
-    """f_rr + f_r / r on interior nodes, zero at both ends, from the raw
-    central difference diff of f."""
-    out[0] = out[-1] = 0.0
-    np.multiply(f[1:-1], _TWO, inner)
-    np.subtract(f[2:], inner, inner)
-    np.add(inner, f[:-2], inner)
-    np.true_divide(inner, ws.sp.dr_sq, inner)
-    drift = np.true_divide(diff, ws.two_dr_r, ws.lap_tmp)
-    np.add(inner, drift, inner)
-
-
-def _vector_laplacian(f, dr, ws, out, inner, diff):
-    """(f_r + f/r)_r on interior nodes, zero at both ends."""
-    _second_difference(f, ws, out, inner, diff)
-    hoop = np.true_divide(f[1:-1], ws.r_sq, ws.lap_tmp)
-    np.subtract(inner, hoop, inner)
-
-
-def _axial_laplacian(f, dr, ws, out, inner, diff):
-    """(r f_r)_r / r on interior nodes and at the axis (2 f_rr(0)), zero at
-    r=R."""
-    _second_difference(f, ws, out, inner, diff)
-    out[0] = 4.0 * (f.item(1) - f.item(0)) / (dr * dr)
-
-
-def _add_viscous(rate, nu, laplacian, f, dr, ws, diff):
-    """rate += nu * laplacian(f), nu a 0-d operand."""
-    lap = ws.lap
-    laplacian(f, dr, ws, lap, ws.lap_in, diff)
-    np.multiply(nu, lap, lap)
-    np.add(rate, lap, rate)
+def _add_viscous(rate, nu, rows, f, lo, ws):
+    """rate += nu L f on nodes lo..N-1, with L the rows (diag, sub, sup) of
+    those nodes and nu a 0-d operand; row N, which the kernels pin, is left
+    alone."""
+    out, tmp = (ws.lap_in, ws.lap_tmp_in) if lo else (ws.lap, ws.lap_tmp)
+    apply_rows(*rows, f, lo, len(f) - 2, out, tmp)
+    np.multiply(nu, out, out)
+    rate_rows = rate[lo:-1]
+    np.add(rate_rows, out, rate_rows)
 
 
 def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
@@ -438,11 +455,11 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     sp = ws.sp
     faces = ws.lf_faces(lf_fc)
     ur, u_over_r, Br, B_over_r, Pr = ws.ur, ws.uor, ws.Br, ws.Bor, ws.Pr
-    _radial_parts(u, r, dr, sp, ur, ws.ur_in, u_over_r, ws.uor_tail,
-                  ws.diff)
-    _radial_parts(B, r, dr, sp, Br, ws.Br_in, B_over_r, ws.Bor_tail,
-                  ws.Br_in)
-    _gradient(P, dr, sp, Pr, ws.Pr_in, ws.Pr_in)
+    _radial_parts(u, r, dr, sp, ur, ws.ur_in, u_over_r, ws.uor_tail)
+    _radial_parts(B, r, dr, sp, Br, ws.Br_in, B_over_r, ws.Bor_tail)
+    _gradient(P, dr, sp, Pr, ws.Pr_in)
+    if include_visc:
+        swirl_rows, axial_rows = ws.viscous_rows(r)
 
     # rho vel: the mass flux's momentum, and negated the momentum term's
     vel = u if transport is None else transport
@@ -451,7 +468,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     np.multiply(neg_rho_u, ur, du)
     np.subtract(du, Pr, du)
     if include_visc:
-        _add_viscous(du, two_mu_lam, _vector_laplacian, u, dr, ws, ws.diff)
+        _add_viscous(du, two_mu_lam, swirl_rows, u, 1, ws)
     np.add(Br, B_over_r, Br)
     np.multiply(Br, B, Br)
     np.subtract(du, Br, du)
@@ -467,7 +484,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
         # into the cylinder's v scratch, which is free on the disk
         vel_r, vel_over_r = ws.vr, ws.vor
         _radial_parts(transport, r, dr, sp, vel_r, ws.vr_in, vel_over_r,
-                      ws.vor_tail, ws.vr_in)
+                      ws.vor_tail)
     div = np.add(vel_r, vel_over_r, vel_over_r)
     np.multiply(div, np.multiply(gamma, P, ws.gamma_P), div)
     np.subtract(dP, div, dP)
@@ -491,23 +508,22 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     np.add(du_in, centrif, du_in)
 
     vr, v_over_r = ws.vr, ws.vor
-    _radial_parts(v, r, dr, sp, vr, ws.vr_in, v_over_r, ws.vor_tail,
-                  ws.diff)
+    _radial_parts(v, r, dr, sp, vr, ws.vr_in, v_over_r, ws.vor_tail)
     dv = np.multiply(u, vr, out[2])
     np.multiply(v_over_r, u, v_over_r)
     np.add(dv, v_over_r, dv)
     np.multiply(dv, np.negative(rho, ws.neg_rho), dv)
     if include_visc:
-        _add_viscous(dv, mu, _vector_laplacian, v, dr, ws, ws.diff)
+        _add_viscous(dv, mu, swirl_rows, v, 1, ws)
     np.true_divide(dv, rho_star, dv)
     dv[0] = 0.0
     dv[-1] = 0.0
 
     dw = out[3]
-    _gradient(w, dr, sp, dw, dw[1:-1], ws.diff)
+    _gradient(w, dr, sp, dw, dw[1:-1])
     np.multiply(dw, neg_rho_u, dw)
     if include_visc:
-        _add_viscous(dw, mu, _axial_laplacian, w, dr, ws, ws.diff)
+        _add_viscous(dw, mu, axial_rows, w, 0, ws)
     np.true_divide(dw, rho_star, dw)
     dw[-1] = 0.0
     return out
@@ -547,24 +563,22 @@ def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
 def gradient(f, dr):
     """Second-order derivative: central interior, one-sided at both ends."""
     out = np.empty_like(f)
-    inner = out[1:-1]
-    _gradient(f, dr, spacing(dr), out, inner, inner)
+    _gradient(f, dr, spacing(dr), out, out[1:-1])
     return out
 
 
 def axis_gradient(f, dr):
     """f_r of a field pinned to zero at the axis: (4 f[1] - f[2]) / (2 dr) there."""
     out = np.empty_like(f)
-    inner = out[1:-1]
-    _axis_gradient(f, dr, spacing(dr), out, inner, inner)
+    _axis_gradient(f, dr, spacing(dr), out, out[1:-1])
     return out
 
 
 def radial_parts(f, r, dr):
     """(f_r, f/r) of a field pinned to zero at the axis, f/r(0) = f_r(0)."""
-    f_r = axis_gradient(f, dr)
-    f_over_r = np.empty_like(f)
-    _over_r(f, r, f_r[0], f_over_r, f_over_r[1:])
+    f_r, f_over_r = np.empty_like(f), np.empty_like(f)
+    _radial_parts(f, r, dr, spacing(dr), f_r, f_r[1:-1], f_over_r,
+                  f_over_r[1:])
     return f_r, f_over_r
 
 
@@ -576,15 +590,22 @@ def laplacian_rows(r, dr):
     sub and sup with diagonal axial[i]. At the axis the rows are the
     symmetric axial operator 4 (f[1] - f[0]) / dr^2; the fields the swirl
     rows act on are pinned there, so swirl[0] is nan.
+
+    These rows define the operators: `apply_rows` applies them in the
+    tendency kernels and in the implicit solve. Every ufunc call takes 0-d
+    operands, as a free run builds the rows of each step's new grid.
     """
     inv2 = 1.0 / (dr * dr)
     ri = r[1:]
     sub = np.empty_like(r)
     sup = np.empty_like(r)
     swirl = np.empty_like(r)
-    sub[1:] = inv2 - 1.0 / (2.0 * dr * ri)
-    sup[1:] = inv2 + 1.0 / (2.0 * dr * ri)
-    swirl[1:] = -2.0 * inv2 - 1.0 / (ri * ri)
+    # 1 / (2 dr r), shared by sub and sup
+    drift = np.true_divide(_ONE, np.multiply(spacing(dr).two_dr, ri))
+    np.subtract(operand(inv2), drift, sub[1:])
+    np.add(operand(inv2), drift, sup[1:])
+    hoop = np.true_divide(_ONE, np.multiply(ri, ri))
+    np.subtract(operand(-2.0 * inv2), hoop, swirl[1:])
     axial = np.full(len(r), -2.0 * inv2)
     sub[0] = 0.0
     sup[0] = 4.0 / (dr * dr)

@@ -52,7 +52,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as kern
-from ._kernels.pure import operand, spacing
+from ._kernels.pure import (apply_rows, central_difference, operand, spacing,
+                            wall_slope)
 from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
                    Weight, integrate)
 from .errors import DtCollapse, NumericalFailure
@@ -406,11 +407,11 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     # classified vacuum the Dirichlet end u(R)=0 closes the problem instead
     edge = min(m + 1, grid.n_cells)
     # B (B_r + B/r) + P_r on the block's rows 1..edge-1 only, with the
-    # interior central differences of kern.gradient
+    # kernels' interior central differences
     B_in = B[1:edge]
-    two_dr = spacing(grid.dr).two_dr
-    Br = (B[2:edge + 1] - B[:edge - 1]) / two_dr
-    Pr = (P[2:edge + 1] - P[:edge - 1]) / two_dr
+    sp = spacing(grid.dr)
+    Br = central_difference(B[:edge + 1], sp)
+    Pr = central_difference(P[:edge + 1], sp)
     rhs_vec = (B_in * (Br + B_in / r[1:edge]) + Pr) / p.two_mu_lam_0d
     # the last row's coupling to the Dirichlet value u[edge]
     sup = grid.lap_rows[1]
@@ -463,15 +464,10 @@ def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
     fo = dt * nu_i / spacing(grid.dr).dr_sq
     theta = _theta_rows(fo)
 
-    # explicit part (1-theta) * dt * nu * L f_old; the axis row has no left
-    # neighbour
+    # explicit part (1-theta) * dt * nu * L f_old
     fc = f[rows]
-    lf = diag * fc
-    if lo > 0:
-        lf += sub * f[lo - 1:hi]
-    else:
-        lf[1:] += sub[1:] * f[:hi]
-    lf += sup * f[lo + 1:hi + 2]
+    lf = apply_rows(diag, sub, sup, f, lo, hi, np.empty_like(fc),
+                    np.empty_like(fc))
     rhs_vec = fc + dt * (_ONE - theta) * nu_i * lf
 
     w = dt * theta * nu_i
@@ -518,10 +514,9 @@ def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
 # ---------------------------------------------------------------------------
 
 def _residual_and_scale(state: FluidState, grid: RadialGrid, p: PhysParams):
-    dr = grid.dr
     a = grid.r_outer
     u = state.u
-    ur = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
+    ur = wall_slope(u, grid.dr)
     stress_mag = 0.5 * state.B[-1] ** 2 + state.P[-1]
     residual = stress_mag - p.two_mu_lam * (ur + u[-1] / a)
     scale = max(stress_mag, p.two_mu_lam * (abs(ur) + abs(u[-1]) / a), 1e-30)

@@ -338,6 +338,124 @@ class TestRadialOperators:
         assert total == pytest.approx(-(G[-1] - G[0]), rel=1e-12, abs=1e-14)
 
 
+class TestViscousRows:
+    """The viscous operators are the grid's stencil rows applied by
+    `pure.apply_rows`: the kernels' viscous terms and the implicit solve's
+    explicit part are the same evaluation, bit for bit."""
+
+    N, M = 64, 20
+    eps = np.finfo(float).eps
+
+    def implicit_part(self, monkeypatch, f, g, lo, swirl):
+        """L f on rows lo..N-1 as `solver._implicit_component` evaluates it
+        for its explicit part."""
+        from mhdlab import solver
+        seen = []
+
+        def recording(*args):
+            seen.append(pure.apply_rows(*args).copy())
+            return seen[-1]
+
+        monkeypatch.setattr(solver, "apply_rows", recording)
+        solver._implicit_component(f.copy(), np.ones_like(f), g,
+                                   pure.operand(1e-4), lo, self.N - 1, swirl)
+        assert len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("lo", [1, M + 1])
+    def test_disk_u(self, monkeypatch, lo):
+        g = make_grid(self.N, 1.5)
+        u = np.random.default_rng(5).standard_normal(self.N + 1)
+        u[0] = u[-1] = 0.0
+        one, zero = np.ones_like(u), np.zeros_like(u)
+        quiet = g.quiet_faces
+
+        def du(include_visc):
+            return pure.disk_tendency(g.nodes, g.dr, one, u, zero, zero, one,
+                                      1.0, 1.4, include_visc, *quiet)[1]
+
+        # with rho = rho* = 1, P = B = 0 and 2mu+lam = 1 the viscous term
+        # is the last sum into du
+        want = du(False)
+        want[lo:-1] += self.implicit_part(monkeypatch, u, g, lo, True)
+        assert np.array_equal(du(True)[lo:-1], want[lo:-1])
+
+    @pytest.mark.parametrize("lo", [0, 1, M + 1])
+    def test_cylinder_v_and_w(self, monkeypatch, lo):
+        g = make_grid(self.N, 1.5)
+        v, w = swirl_fields(self.N, 9)
+        # with u = 0, rho = rho* = 1 and mu = 1 the v and w rows are the
+        # viscous terms alone; w's rows include the axis
+        vector = laplacians(v, g.nodes, g.dr)[0]
+        axial = laplacians(w, g.nodes, g.dr)[1]
+        if lo > 0:
+            assert np.array_equal(
+                vector[lo:-1], self.implicit_part(monkeypatch, v, g, lo, True))
+        assert np.array_equal(
+            axial[lo:-1], self.implicit_part(monkeypatch, w, g, lo, False))
+
+    def assert_round_off(self, rows, lo, f, exact):
+        """apply_rows(rows, f) on nodes lo..N-1 against exact, within a few
+        roundings of the terms it sums (the rows' own rounding included)."""
+        hi = self.N - 1
+        diag, sub, sup = (a[lo:hi + 1] for a in rows)
+        got = pure.apply_rows(diag, sub, sup, f, lo, hi, np.empty_like(diag),
+                              np.empty_like(diag))
+        # the axis row's sub is 0, so any left neighbour serves there
+        left = f[lo - 1:hi] if lo else np.concatenate(([0.0], f[:hi]))
+        scale = (np.abs(diag * f[lo:hi + 1]) + np.abs(sub * left)
+                 + np.abs(sup * f[lo + 1:hi + 2]))
+        assert np.all(np.abs(got - exact[lo:hi + 1]) <= 8.0 * self.eps * scale)
+
+    def test_swirl_operator_on_polynomials(self):
+        g = make_grid(self.N, 1.5)
+        r, dr = g.nodes, g.dr
+        sub, sup, swirl, _ = g.lap_rows
+        rows = (swirl, sub, sup)
+        self.assert_round_off(rows, 1, r.copy(), np.zeros_like(r))
+        self.assert_round_off(rows, 1, r ** 2, np.full_like(r, 3.0))
+        # (r^3)_r's central difference is 3 r^2 + dr^2, hence dr^2 / r
+        exact = 8.0 * r
+        exact[1:] += dr * dr / r[1:]
+        self.assert_round_off(rows, 1, r ** 3, exact)
+
+    def test_axial_operator_on_polynomials(self):
+        g = make_grid(self.N, 1.5)
+        r = g.nodes
+        sub, sup, _, axial = g.lap_rows
+        rows = (axial, sub, sup)
+        self.assert_round_off(rows, 0, np.full_like(r, 0.7), np.zeros_like(r))
+        # 2 f_rr(0) = 4 at the axis, f_rr + f_r / r = 4 elsewhere
+        self.assert_round_off(rows, 0, r ** 2, np.full_like(r, 4.0))
+
+    def test_kernel_rows_built_once_and_only_when_viscous(self, monkeypatch):
+        built = []
+
+        def counting(r, dr):
+            built.append(r)
+            return laplacian_rows(r, dr)
+
+        laplacian_rows = pure.laplacian_rows
+        monkeypatch.setattr(pure, "laplacian_rows", counting)
+        g = make_grid(self.N, 2.5)
+        _, rho, u, P, B, rho_star, _, _ = random_fields(self.N, 4)
+        v, w = swirl_fields(self.N, 4)
+
+        def cylinder(nodes, include_visc):
+            pure.cylinder_tendency(nodes, g.dr, rho, u, v, w, P, B, rho_star,
+                                   0.7, 0.3, 1.4, include_visc,
+                                   *g.quiet_faces)
+
+        for include_visc in (False, False, True, True, False, True):
+            cylinder(g.nodes, include_visc)
+        assert len(built) == 1 and built[0] is g.nodes
+        # writable nodes may change between calls: rows on each viscous one
+        writable = g.nodes.copy()
+        for include_visc in (True, False, True):
+            cylinder(writable, include_visc)
+        assert len(built) == 3
+
+
 # ---------------------------------------------------------------------------
 # Reference kernels: the straightforward full-length NumPy forms the lean
 # kernels in pure.py must reproduce value for value.
@@ -360,19 +478,24 @@ def ref_radial_parts(f, r, dr):
     return f_r, f_over_r
 
 
+# The viscous operators are defined by their stencil rows
+# (`pure.laplacian_rows`): row i is diag[i] f[i] + sub[i] f[i-1]
+# + sup[i] f[i+1], summed in that order, and the axis row has no sub term.
+
 def ref_vector_laplacian(f, r, dr):
+    sub, sup, swirl, _ = pure.laplacian_rows(r, dr)
     out = np.zeros_like(f)
-    out[1:-1] = ((f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dr * dr)
-                 + (f[2:] - f[:-2]) / (2.0 * dr * r[1:-1])
-                 - f[1:-1] / (r[1:-1] * r[1:-1]))
+    out[1:-1] = (swirl[1:-1] * f[1:-1] + sub[1:-1] * f[:-2]
+                 + sup[1:-1] * f[2:])
     return out
 
 
 def ref_axial_laplacian(f, r, dr):
+    sub, sup, _, axial = pure.laplacian_rows(r, dr)
     out = np.zeros_like(f)
-    out[1:-1] = ((f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dr * dr)
-                 + (f[2:] - f[:-2]) / (2.0 * dr * r[1:-1]))
-    out[0] = 4.0 * (f[1] - f[0]) / (dr * dr)
+    out[1:-1] = (axial[1:-1] * f[1:-1] + sub[1:-1] * f[:-2]
+                 + sup[1:-1] * f[2:])
+    out[0] = axial[0] * f[0] + sup[0] * f[1]
     return out
 
 
