@@ -62,7 +62,19 @@ part give the same bits on the same rows. The face-flux mass and induction
 rates run inside the kernels only. The kernels' values are those of the
 full-length expressions (tests/test_kernels.py keeps those as the
 reference; its Laplacians are the rows of `laplacian_rows`); only an exact
-zero the full forms would get by adding +0.0 may keep its negative sign.
+zero the full forms would get by adding +0.0 may keep its negative sign,
+and a pressureless call's dP is +0 where they give +0 or -0.
+
+A pressure row that is +0.0 at every node (`all_plus_zero`) makes a call
+pressureless. The blow-up presets start from P = 0 and stay there: P is
++0 + dt (+-0) = +0 after every update, and clipping and remap leave it so.
+Such a call skips P_r, its term in u's rate (x - (+0) is x, -0 included),
+the pressure work gamma P (V_r + V/r), the transport's radial parts and the
+band's pressure diffusion, and fills dP with +0. The full forms' dP there
+is a signed zero for finite velocities, and any zero added to a P of +0
+gives +0, so the states of a run keep their bits. A -0.0 pressure takes the
+full path: -0 + dt (-0) stays -0, where a rate of +0 would make it +0.
+The compiled twin keeps computing the zeros.
 
 `disk_tendency` also takes `transport`, the frozen velocity V of the
 linearized system: V carries the fields in u's place (the mass and
@@ -305,6 +317,16 @@ def _bound_workspace(r, dr):
 # in the kernels, fresh arrays in the public operators below them. `sp` is
 # the `_Spacing` of dr.
 
+def all_plus_zero(f):
+    """True when every entry of the float64 array f is +0.0.
+
+    f.item(0) is tested first, so a field that is nonzero at node 0 costs
+    one read; then the entries' bit patterns, which are all zero for +0.0
+    only, so -0.0, a subnormal or a NaN anywhere fails.
+    """
+    return f.item(0) == 0.0 and not np.count_nonzero(f.view(np.int64))
+
+
 def central_difference(f, sp, out=None):
     """f_r at the interior nodes of f, (f[i+1] - f[i-1]) / (2 dr), into out
     (a fresh array when None)."""
@@ -454,10 +476,13 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     ws = _bound_workspace(r, dr)
     sp = ws.sp
     faces = ws.lf_faces(lf_fc)
+    # P all +0 (every blow-up run): P_r and the pressure rate are +0 too
+    pressureless = all_plus_zero(P)
     ur, u_over_r, Br, B_over_r, Pr = ws.ur, ws.uor, ws.Br, ws.Bor, ws.Pr
     _radial_parts(u, r, dr, sp, ur, ws.ur_in, u_over_r, ws.uor_tail)
     _radial_parts(B, r, dr, sp, Br, ws.Br_in, B_over_r, ws.Bor_tail)
-    _gradient(P, dr, sp, Pr, ws.Pr_in)
+    if not pressureless:
+        _gradient(P, dr, sp, Pr, ws.Pr_in)
     if include_visc:
         swirl_rows, axial_rows = ws.viscous_rows(r)
 
@@ -466,7 +491,9 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     mom = np.multiply(rho, vel, ws.mom)
     neg_rho_u = np.negative(mom, ws.neg_rho_u)
     np.multiply(neg_rho_u, ur, du)
-    np.subtract(du, Pr, du)
+    if not pressureless:
+        # x - (+0) is x, -0 included, so a P_r of +0 is left out
+        np.subtract(du, Pr, du)
     if include_visc:
         _add_viscous(du, two_mu_lam, swirl_rows, u, 1, ws)
     np.add(Br, B_over_r, Br)
@@ -477,19 +504,22 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     du[-1] = 0.0
 
     # pressure (with band diffusion where lf_fc is active)
-    np.negative(vel, dP)
-    np.multiply(dP, Pr, dP)
-    vel_r, vel_over_r = ur, u_over_r
-    if transport is not None:
-        # into the cylinder's v scratch, which is free on the disk
-        vel_r, vel_over_r = ws.vr, ws.vor
-        _radial_parts(transport, r, dr, sp, vel_r, ws.vr_in, vel_over_r,
-                      ws.vor_tail)
-    div = np.add(vel_r, vel_over_r, vel_over_r)
-    np.multiply(div, np.multiply(gamma, P, ws.gamma_P), div)
-    np.subtract(dP, div, dP)
-    if faces is not None:
-        _pressure_diffusion(dP, P, dr, lf_fc, faces, ws)
+    if pressureless:
+        dP.fill(0.0)
+    else:
+        np.negative(vel, dP)
+        np.multiply(dP, Pr, dP)
+        vel_r, vel_over_r = ur, u_over_r
+        if transport is not None:
+            # into the cylinder's v scratch, which is free on the disk
+            vel_r, vel_over_r = ws.vr, ws.vor
+            _radial_parts(transport, r, dr, sp, vel_r, ws.vr_in, vel_over_r,
+                          ws.vor_tail)
+        div = np.add(vel_r, vel_over_r, vel_over_r)
+        np.multiply(div, np.multiply(gamma, P, ws.gamma_P), div)
+        np.subtract(dP, div, dP)
+        if faces is not None:
+            _pressure_diffusion(dP, P, dr, lf_fc, faces, ws)
 
     _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
                    drho[1:-1])

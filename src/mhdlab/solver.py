@@ -21,6 +21,12 @@ discrete operators annihilate exactly. A stage whose density is at least
 eps_vac everywhere skips the vacuum scans: `finalize_stage` already has the
 density minimum, and on such a stage rho* = rho, the mask is empty and the
 explicit CFL density floor is that minimum, all exactly (see `_Stage`).
+Likewise a pressure that is +0.0 at every node (`all_plus_zero`: the
+blow-up presets start from P = 0, and every update, clip and remap keeps it
++0) skips the pressure terms: the NumPy kernels leave out P_r, the pressure
+work and the band's pressure diffusion (see `_kernels.pure`), the signal
+speeds leave out c_s (+0 + |u| is |u|), and the vacuum balance adds a 0-d
++0 in place of a P_r of +0 on its block. The states keep their bits.
 
 Rates are plain arrays in the state's shape and row order. The ufunc calls
 of a step take array operands only: the physical constants come as the
@@ -52,8 +58,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as kern
-from ._kernels.pure import (apply_rows, central_difference, operand, spacing,
-                            wall_slope)
+from ._kernels.pure import (all_plus_zero, apply_rows, central_difference,
+                            operand, spacing, wall_slope)
 from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
                    Weight, integrate)
 from .errors import DtCollapse, NumericalFailure
@@ -203,20 +209,26 @@ class _Stage:
             raise NumericalFailure(self._failure.reason, node=self._failure.node)
 
     def speeds(self, state: FluidState) -> np.ndarray:
-        """Per-node |u| + c_s + c_A (see `signal_speeds`), built on first use."""
+        """Per-node |u| + c_s + c_A (see `signal_speeds`), built on first use
+        and read-only."""
         if self._speeds is None:
-            # (|u| + c_s) + c_A, built in the c_s array
-            out = np.multiply(self.p.gamma_0d, state.P)
-            out /= self.rho_star
-            np.sqrt(out, out=out)
             ca = state.B * state.B
             ca /= self.rho_star
             np.sqrt(ca, out=ca)
             abs_u = np.abs(state.u)
-            out += abs_u
-            out += ca
+            if all_plus_zero(state.P):
+                # c_s = sqrt(gamma (+0) / rho*) = +0 and +0 + |u| = |u|
+                out = np.add(abs_u, ca)
+            else:
+                # (|u| + c_s) + c_A, built in the c_s array
+                out = np.multiply(self.p.gamma_0d, state.P)
+                out /= self.rho_star
+                np.sqrt(out, out=out)
+                out += abs_u
+                out += ca
             if self.any_vac:
                 np.copyto(out, abs_u, where=self.vac)
+            out.flags.writeable = False
             self._speeds = out
         return self._speeds
 
@@ -245,6 +257,9 @@ def signal_speeds(state: FluidState, p: PhysParams, s: SolverSettings) -> np.nda
     Vacuum nodes are quasi-stationary: no acoustic or Alfven dynamics live
     there, so only |u| counts. The floor densities would otherwise make
     c_A = |B|/sqrt(eps_vac) dominate the step size for no physical reason.
+
+    The array is the state's stage's own, which `cfl_dt` takes its maximum
+    of, so it is read-only.
     """
     return _stage_of(state, p, s).speeds(state)
 
@@ -407,11 +422,13 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     # classified vacuum the Dirichlet end u(R)=0 closes the problem instead
     edge = min(m + 1, grid.n_cells)
     # B (B_r + B/r) + P_r on the block's rows 1..edge-1 only, with the
-    # kernels' interior central differences
+    # kernels' interior central differences; with P all +0 there, P_r is
+    # +0, and adding a 0-d +0 gives the same bits as adding those zeros
     B_in = B[1:edge]
     sp = spacing(grid.dr)
     Br = central_difference(B[:edge + 1], sp)
-    Pr = central_difference(P[:edge + 1], sp)
+    P_block = P[:edge + 1]
+    Pr = _ZERO if all_plus_zero(P_block) else central_difference(P_block, sp)
     rhs_vec = (B_in * (Br + B_in / r[1:edge]) + Pr) / p.two_mu_lam_0d
     # the last row's coupling to the Dirichlet value u[edge]
     sup = grid.lap_rows[1]

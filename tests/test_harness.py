@@ -301,8 +301,9 @@ def scalar_counting_numpy(modules, counts):
 class TestWorkPerStep:
     """Per-step calls of the finiteness scan, the vacuum-block search and the
     free grid's builds, the forcing's profile builds and evaluations, the
-    frames entered in NumPy's reduction wrappers, and the Python-number
-    operands of the NumPy kernels' and the solver's ufunc calls, counted
+    frames entered in NumPy's reduction wrappers, the Python-number
+    operands of the NumPy kernels' and the solver's ufunc calls, and the
+    pressure gradients of the NumPy kernels and the vacuum balance, counted
     between the starts of consecutive steps of run() (one step plus its
     health check)."""
 
@@ -316,7 +317,8 @@ class TestWorkPerStep:
         import mhdlab.mms
         import mhdlab.solver
         counts = {"scan": 0, "block": 0, "table": 0, "eval": 0, "grid": 0,
-                  "rows": 0, "wrapped": 0, "scalars": 0, "ufuncs": 0}
+                  "rows": 0, "wrapped": 0, "scalars": 0, "ufuncs": 0,
+                  "pressure": 0}
         marks = []
         wrapper_files = numpy_wrapper_files()
 
@@ -374,6 +376,8 @@ class TestWorkPerStep:
             stand_ins = scalar_counting_numpy((pure, mhdlab.solver), counts)
             for module, stand_in in stand_ins.items():
                 monkeypatch.setattr(module, "np", stand_in)
+        if "pressure" in keys:
+            self.count_pressure_gradients(monkeypatch, counts)
         monkeypatch.setattr(mhdlab.harness, "step", marking(mhdlab.harness.step))
         monkeypatch.setattr(mhdlab.harness, "free_step",
                             marking(mhdlab.harness.free_step))
@@ -383,6 +387,56 @@ class TestWorkPerStep:
         deltas = {tuple(b[k] - a[k] for k in keys)
                   for a, b in zip(marks[1:], marks[2:])}
         return res, deltas, counts
+
+    @staticmethod
+    def count_pressure_gradients(monkeypatch, counts):
+        """Count in counts["pressure"] each P_r the NumPy kernels (whatever
+        the backend) and the vacuum balance take: a `_gradient` or
+        `central_difference` of an array sharing memory with the P of the
+        kernel call or balance it runs in."""
+        import mhdlab._kernels
+        import mhdlab.solver
+        pure = mhdlab._kernels.get_backend("pure")
+        for name in ("disk_tendency", "cylinder_tendency"):
+            monkeypatch.setattr(mhdlab._kernels, name, getattr(pure, name))
+        current = {"P": None}
+
+        def holding_P(fn, P_of):
+            def wrapper(*args, **kwargs):
+                current["P"] = P_of(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def of_P(fn):
+            def wrapper(f, *args, **kwargs):
+                P = current["P"]
+                counts["pressure"] += P is not None and np.shares_memory(f, P)
+                return fn(f, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pure, "_tendency",
+                            holding_P(pure._tendency, lambda args: args[4]))
+        monkeypatch.setattr(mhdlab.solver, "apply_vacuum_balance",
+                            holding_P(mhdlab.solver.apply_vacuum_balance,
+                                      lambda args: args[0].P))
+        monkeypatch.setattr(pure, "_gradient", of_P(pure._gradient))
+        monkeypatch.setattr(mhdlab.solver, "central_difference",
+                            of_P(mhdlab.solver.central_difference))
+
+    @pytest.mark.parametrize("preset, per_step", [
+        ("disk-blowup", 0), ("cylinder-blowup", 0), ("free-blowup", 0),
+        ("smooth-novac", 4), ("mms", 3)])
+    def test_pressure_gradients(self, monkeypatch, preset, per_step):
+        # one per kernel call with pressure (rk2-imp's four inviscid stages,
+        # ssprk3's three); none on the blow-up presets, whose P stays +0
+        # (TestBlowupPresetsStayPressureless), in the kernels or in the
+        # five vacuum balances of a step
+        cfg = small(preset, n=64, t_end=0.05)
+        res, deltas, counts = self.per_step(monkeypatch, cfg, keys=("pressure",))
+        assert res.status is RunStatus.COMPLETED
+        assert deltas == {(per_step,)}
+        if not per_step:
+            assert counts["pressure"] == 0
 
     def test_disk_blowup_rk2_imp(self, monkeypatch):
         cfg = small("disk-blowup", n=64, t_end=0.2)
@@ -473,6 +527,38 @@ class TestWorkPerStep:
         res = run(small(preset, n=64, t_end=0.05))
         assert res.status is RunStatus.COMPLETED
         assert sum(state is initial[0] for state in built) == 1
+
+
+class TestBlowupPresetsStayPressureless:
+    """The blow-up presets start from P = 0, and every state they step to
+    keeps P +0.0 at every node: P + dt (+-0) is +0, and nothing is clipped.
+    The kernels' and the solver's pressureless path rests on this, so a
+    change that leaves a -0.0 or a stray 1e-300 in P fails here instead of
+    switching that path off unseen."""
+
+    @pytest.mark.parametrize("preset", ["disk-blowup", "cylinder-blowup",
+                                        "free-blowup"])
+    def test_every_stepped_state(self, monkeypatch, preset):
+        import mhdlab.harness
+        seen = {"states": 0, "with_pressure": 0}
+
+        def checking(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                P = (out[0] if isinstance(out, tuple) else out).P
+                seen["states"] += 1
+                seen["with_pressure"] += P.tobytes() != bytes(P.nbytes)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(mhdlab.harness, "step",
+                            checking(mhdlab.harness.step))
+        monkeypatch.setattr(mhdlab.harness, "free_step",
+                            checking(mhdlab.harness.free_step))
+        res = run(dataclasses.replace(load_preset(preset), n=64))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        assert seen["states"] > 20 and seen["with_pressure"] == 0
+        assert res.outcome.summary["clipped_pressure"] == 0.0
 
 
 class TestFreeEnergyBreaches:

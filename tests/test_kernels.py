@@ -70,6 +70,26 @@ class TestBackendAgreement:
         for x, y in zip(a, b):
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("include_visc", [True, False])
+    @pytest.mark.parametrize("vac", [False, True])
+    def test_pressureless(self, vac, include_visc):
+        # P = +0 at every node: the NumPy kernels skip the pressure terms,
+        # the twin computes them in full
+        n = 257
+        r, rho, u, _, B, rho_star, lf, up = random_fields(n, 5, vac)
+        P = np.zeros(n + 1)
+        v, w = swirl_fields(n, 5)
+        dr = 1.0 / n
+        pairs = ((pure.disk_tendency, compiled.disk_tendency,
+                  (r, dr, rho, u, P, B, rho_star, 0.7, 1.4, include_visc, lf,
+                   up)),
+                 (pure.cylinder_tendency, compiled.cylinder_tendency,
+                  (r, dr, rho, u, v, w, P, B, rho_star, 0.7, 0.3, 1.4,
+                   include_visc, lf, up)))
+        for numpy_kernel, twin, args in pairs:
+            for x, y in zip(numpy_kernel(*args), twin(*args)):
+                np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
+
     def test_gradient(self):
         n = 100
         rng = np.random.default_rng(11)
@@ -95,6 +115,24 @@ class TestBackendAgreement:
         with pytest.raises(ZeroDivisionError):
             compiled.thomas(np.array([0.0]), np.array([0.0, 1.0]),
                             np.array([0.0]), np.array([1.0, 1.0]))
+
+
+class TestAllPlusZero:
+    """The pressureless test of the NumPy kernels and the solver: +0.0 at
+    every entry, and nothing else."""
+
+    def test_plus_zeros(self):
+        y = np.zeros((4, 65))
+        y.flags.writeable = False
+        assert pure.all_plus_zero(y[-2])
+        assert pure.all_plus_zero(np.zeros(3))
+
+    @pytest.mark.parametrize("node", [0, 31, 64])
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, np.nan, 1.0, -1e-300])
+    def test_refuses(self, node, value):
+        f = np.zeros(65)
+        f[node] = value
+        assert not pure.all_plus_zero(f)
 
 
 class TestRhoStarIsRho:
@@ -529,15 +567,18 @@ def ref_induction_tendency(dr, vel, B, lf_fc):
 
 
 def ref_disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                      include_visc, lf_fc, up_fc):
+                      include_visc, lf_fc, up_fc, transport=None):
+    vel = u if transport is None else transport
     ur, u_over_r = ref_radial_parts(u, r, dr)
+    vel_r, vel_over_r = ref_radial_parts(vel, r, dr)
     Br, B_over_r = ref_radial_parts(B, r, dr)
     Pr = ref_gradient(P, dr)
     visc = ref_vector_laplacian(u, r, dr) if include_visc else np.zeros_like(u)
-    du = (-rho * u * ur - Pr + two_mu_lam * visc - B * (Br + B_over_r)) / rho_star
+    du = (-rho * vel * ur - Pr + two_mu_lam * visc
+          - B * (Br + B_over_r)) / rho_star
     du[0] = 0.0
     du[-1] = 0.0
-    dP = -u * Pr - gamma * P * (ur + u_over_r)
+    dP = -vel * Pr - gamma * P * (vel_r + vel_over_r)
     if np.any(lf_fc != 0.0):
         flux = -(lf_fc * (P[1:] - P[:-1]))
         widths = np.full(len(r), dr)
@@ -547,8 +588,8 @@ def ref_disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
         diff[1:-1] = -(flux[1:] - flux[:-1]) / widths[1:-1]
         diff[-1] = -(0.0 - flux[-1]) / widths[-1]
         dP += diff
-    return (ref_mass_tendency(r, dr, rho, u, lf_fc, up_fc), du, dP,
-            ref_induction_tendency(dr, u, B, lf_fc))
+    return (ref_mass_tendency(r, dr, rho, vel, lf_fc, up_fc), du, dP,
+            ref_induction_tendency(dr, vel, B, lf_fc))
 
 
 def ref_cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
@@ -687,6 +728,45 @@ class TestLeanKernelsMatchReference:
                         1.4, include_visc, lf_fc, up)
                 assert_all_equal(pure.cylinder_tendency(*args),
                                  ref_cylinder_tendency(*args))
+
+    @pytest.mark.parametrize("transport", [False, True])
+    @pytest.mark.parametrize("include_visc", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pressureless(self, monkeypatch, seed, include_visc, transport):
+        """P = +0 at every node, on the quiet faces and on bands with donor
+        flags: the disk (with a transport velocity too) and the cylinder
+        give the reference values, and every row but dP the bytes of the
+        full path; dP is +0 where the full path gives signed zeros."""
+        n = 129
+        dr = 1.0 / n
+        r, rho, u, _, B, rho_star, lf, up = random_fields(n, seed, vac=True)
+        P = np.zeros(n + 1)
+        v, w = swirl_fields(n, seed)
+        kw = {}
+        if transport:
+            V = 0.3 * np.random.default_rng(seed + 7).standard_normal(n + 1)
+            V[0] = 0.0
+            kw["transport"] = V
+        controls = [pure.quiet_faces(n)]
+        controls += [(lf_fc, up) for lf_fc in lf_variants(lf).values()]
+        for lf_fc, up_fc in controls:
+            cases = [(pure.disk_tendency, ref_disk_tendency,
+                      (r, dr, rho, u, P, B, rho_star, 0.7, 1.4, include_visc,
+                       lf_fc, up_fc), kw)]
+            if not transport:
+                cases.append((pure.cylinder_tendency, ref_cylinder_tendency,
+                              (r, dr, rho, u, v, w, P, B, rho_star, 0.7, 0.3,
+                               1.4, include_visc, lf_fc, up_fc), {}))
+            for kernel, reference, args, extra in cases:
+                rates = kernel(*args, **extra)
+                assert_all_equal(rates, reference(*args, **extra))
+                with monkeypatch.context() as m:
+                    m.setattr(pure, "all_plus_zero", lambda f: False)
+                    full = kernel(*args, **extra)
+                assert rates[-2].tobytes() == bytes(rates[-2].nbytes)
+                assert np.signbit(full[-2]).any()
+                others = [k for k in range(len(rates)) if k != len(rates) - 2]
+                assert rates[others].tobytes() == full[others].tobytes()
 
     def test_laplacians(self, disk_inputs):
         for args in disk_inputs:

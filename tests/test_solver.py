@@ -384,6 +384,27 @@ class TestStageContext:
         copy.u[3] = 1.0
         assert cfl_dt(copy, g, p, s) < cfl_dt(out, g, p, s)
 
+    @pytest.mark.parametrize("preset", ["smooth-novac", "disk-blowup"])
+    def test_signal_speeds_read_only(self, preset):
+        # the speeds are the stage's own, whose maximum cfl_dt takes: a
+        # caller's write would change the state's next step
+        import dataclasses
+
+        from mhdlab.config import load_preset
+        from mhdlab.core import init_scenario
+        from mhdlab.solver import signal_speeds
+        cfg = dataclasses.replace(load_preset(preset), n=64)
+        g, p, s = cfg.grid(), cfg.phys, cfg.solver
+        start, _ = init_scenario(cfg)
+        balance_initial_state(start, p, g, s)
+        out = step(start, cfl_dt(start, g, p, s), p, g, s)
+        speeds = signal_speeds(out, p, s)
+        with pytest.raises(ValueError):
+            speeds[:] = 0.0
+        fresh = FluidState.of(out.y.copy(), out.t)
+        assert cfl_dt(out, g, p, s) == cfl_dt(fresh, g, p, s) < np.inf
+        assert signal_speeds(out, p, s) is speeds
+
     def test_replaced_field_is_seen(self):
         g, p, s, _, out = self.stepped()
         dt = cfl_dt(out, g, p, s)
@@ -510,6 +531,34 @@ class TestVacuumBalance:
         lhs, rhs, floor = moment_pair(st, front, g, p, 1.5)
         assert lhs == pytest.approx(rhs, rel=2e-2)
         assert rhs >= floor >= 0.0
+
+    @pytest.mark.parametrize("fluid_P", [False, True])
+    def test_pressureless_block(self, monkeypatch, fluid_P):
+        # P = +0 on the block: P_r is a 0-d +0, with the bits of the
+        # central differences of those zeros, -0 forces included
+        import mhdlab.solver
+        g, st = self.make_vacuum_state(n=256)
+        st.B[40:60] *= -1.0
+        st.B[120:124] = -0.0
+        m = vacuum_block(st.rho, 1e-6)
+        if fluid_P:
+            st.P[m + 2:-1] = 0.5
+        p, s = disk_params(mu=0.25), settings()
+        differences = []
+        real = mhdlab.solver.central_difference
+
+        def counted(f, sp, out=None):
+            differences.append(len(f))
+            return real(f, sp, out)
+
+        monkeypatch.setattr(mhdlab.solver, "central_difference", counted)
+        got, want = st.copy(), st.copy()
+        assert apply_vacuum_balance(got, p, g, s) == m > 124
+        assert differences == [m + 2]         # B_r alone
+        monkeypatch.setattr(mhdlab.solver, "all_plus_zero", lambda f: False)
+        apply_vacuum_balance(want, p, g, s)
+        assert differences == [m + 2] * 3
+        assert got.y.tobytes() == want.y.tobytes()
 
     def test_cylinder_block_profiles(self):
         g = make_grid(256, 1.0)
@@ -911,6 +960,20 @@ class TestStageAgainstReference:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert np.array_equal(got_stats.lf_coeff, want_stats.lf_coeff,
                               equal_nan=True)
+
+    @pytest.mark.parametrize("case", VACUUM_CASES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_pressureless_speeds(self, case, seed, negative_zero):
+        # P = +0 leaves c_s out; a -0.0 takes the full path
+        from mhdlab.solver import _Stage
+        g, st, p, s = self.state(case, Geometry.DISK2D, seed)
+        st.P[:] = 0.0
+        if negative_zero:
+            st.P[7] = -0.0
+        stage = _Stage(st, p, s)
+        want = _reference_speeds(st, stage)
+        assert stage.speeds(st).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", VACUUM_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
