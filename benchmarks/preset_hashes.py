@@ -27,10 +27,6 @@ EXTRA_N = 256
 MMS_LADDER = ["mms", "--preset", "mms", "--n", "32,64,128"]
 
 
-def sha256(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 def captured(argv):
     """cli_main(argv) with its stdout captured: (exit code, stdout text)."""
     text = io.StringIO()
@@ -47,7 +43,8 @@ def preset_lines(name, n):
             raise SystemExit(f"{name} at n={n} exited {rc}")
         for artifact in ("run.csv", "run.json"):
             with open(os.path.join(out, artifact), "rb") as fh:
-                yield f"{name} n={n} {artifact} {sha256(fh.read())}"
+                digest = hashlib.sha256(fh.read()).hexdigest()
+                yield f"{name} n={n} {artifact} {digest}"
 
 
 def main():
@@ -59,7 +56,8 @@ def main():
     rc, table = captured(MMS_LADDER)
     if rc != 0:
         raise SystemExit(f"mhdlab {' '.join(MMS_LADDER)} exited {rc}")
-    print(f"mhdlab {' '.join(MMS_LADDER)} stdout {sha256(table.encode())}")
+    digest = hashlib.sha256(table.encode()).hexdigest()
+    print(f"mhdlab {' '.join(MMS_LADDER)} stdout {digest}")
 
 
 if __name__ == "__main__":
