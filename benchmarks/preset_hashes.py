@@ -6,7 +6,8 @@ Usage: python benchmarks/preset_hashes.py
 Runs each preset through the command line's `run` at its own grid size and
 at N=256, and prints the sha256 of the `run.csv` and `run.json` it writes,
 one line each; then the sha256 of the stdout of `mhdlab mms --preset mms
---n 32,64,128`. A change that claims to leave the outputs' bits alone is
+--n 32,64,128`, and of `mhdlab bounds` (the closed-form lifespan bounds) on
+each vacuum preset and on disk-blowup at alpha = 1.3. A change that claims to leave the outputs' bits alone is
 checked by diffing this script's output in a checkout of the parent and in
 one of the change. The runs use the kernel backend that is installed.
 """
@@ -25,6 +26,9 @@ from mhdlab.config import PRESET_NAMES, load_preset  # noqa: E402
 
 EXTRA_N = 256
 MMS_LADDER = ["mms", "--preset", "mms", "--n", "32,64,128"]
+BOUNDS = [["bounds", "--preset", name] for name in
+          ("disk-blowup", "cylinder-blowup", "free-blowup")]
+BOUNDS.append(BOUNDS[0] + ["--override", "diag.alpha=1.3"])
 
 
 def captured(argv):
@@ -53,11 +57,12 @@ def main():
         for n in sorted({shipped, EXTRA_N}):
             for line in preset_lines(name, n):
                 print(line, flush=True)
-    rc, table = captured(MMS_LADDER)
-    if rc != 0:
-        raise SystemExit(f"mhdlab {' '.join(MMS_LADDER)} exited {rc}")
-    digest = hashlib.sha256(table.encode()).hexdigest()
-    print(f"mhdlab {' '.join(MMS_LADDER)} stdout {digest}")
+    for argv in [MMS_LADDER, *BOUNDS]:
+        rc, text = captured(argv)
+        if rc != 0:
+            raise SystemExit(f"mhdlab {' '.join(argv)} exited {rc}")
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(f"mhdlab {' '.join(argv)} stdout {digest}", flush=True)
 
 
 if __name__ == "__main__":

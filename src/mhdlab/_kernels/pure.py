@@ -8,7 +8,9 @@ few ulps, and every physics test passes under either backend.
 Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
 
 * central first derivatives in the interior, second-order one-sided at the
-  ends; fields pinned to zero at r=0 use (4 f[1] - f[2]) / (2 dr) there
+  ends (`origin_slope` at node 0, `wall_slope` at node N, which the mass
+  and induction rates' end nodes take too); fields pinned to zero at r=0
+  use (4 f[1] - f[2]) / (2 dr) there
 * f/r at the axis is replaced by its limit f_r(0)
 * the viscous operators (f_r + f/r)_r and (r f_r)_r / r are the tridiagonal
   rows of `laplacian_rows`, applied by `apply_rows` (diag f[i], then
@@ -55,8 +57,8 @@ term ((-rho) u and -(rho u) are the same bits).
 Each radial operator has one implementation, a helper that writes into the
 output it is given; the public operators (`gradient`, `axis_gradient`,
 `radial_parts`) call the same helpers with fresh outputs. The gradients are
-built from `central_difference` and `wall_slope`, which the solver's vacuum
-balance and stress condition take too. The viscous terms are `apply_rows` on the rows of
+built from `central_difference`, `origin_slope` and `wall_slope`, which the
+solver's vacuum balance and stress condition take too. The viscous terms are `apply_rows` on the rows of
 `laplacian_rows`, so the explicit kernels and the implicit solve's explicit
 part give the same bits on the same rows. The face-flux mass and induction
 rates run inside the kernels only. The kernels' values are those of the
@@ -334,6 +336,11 @@ def central_difference(f, sp, out=None):
     return np.true_divide(out, sp.two_dr, out)
 
 
+def origin_slope(f, dr):
+    """f_r at node 0, one-sided second order, as a Python float."""
+    return (-3.0 * f.item(0) + 4.0 * f.item(1) - f.item(2)) / (2.0 * dr)
+
+
 def wall_slope(f, dr):
     """f_r at the last node, one-sided second order, as a Python float."""
     return (3.0 * f.item(-1) - 4.0 * f.item(-2) + f.item(-3)) / (2.0 * dr)
@@ -342,7 +349,7 @@ def wall_slope(f, dr):
 def _gradient(f, dr, sp, out, inner):
     """f_r central in the interior and one-sided at both ends."""
     central_difference(f, sp, inner)
-    out[0] = (-3.0 * f.item(0) + 4.0 * f.item(1) - f.item(2)) / (2.0 * dr)
+    out[0] = origin_slope(f, dr)
     out[-1] = wall_slope(f, dr)
 
 
@@ -420,11 +427,8 @@ def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
     # dividing by -(r dr) gives the bits of negating first
     np.subtract(ws.G_hi, ws.G_lo, inner)
     np.true_divide(inner, ws.neg_r_dr, inner)
-    mom_r0 = -3.0 * mom.item(0) + 4.0 * mom.item(1) - mom.item(2)
-    drho[0] = -2.0 * (mom_r0 / (2.0 * dr))
-    mom_n = mom.item(-1)
-    mom_rn = (3.0 * mom_n - 4.0 * mom.item(-2) + mom.item(-3)) / (2.0 * dr)
-    drho[-1] = -(mom_rn + mom_n / r.item(-1))
+    drho[0] = -2.0 * origin_slope(mom, dr)
+    drho[-1] = -(wall_slope(mom, dr) + mom.item(-1) / r.item(-1))
 
 
 def _induction_tendency(dr, sp, ws, vel, B, lf_fc, faces, dB, inner):
@@ -442,8 +446,8 @@ def _induction_tendency(dr, sp, ws, vel, B, lf_fc, faces, dB, inner):
     np.subtract(ws.H_hi, ws.H_lo, inner)
     np.true_divide(inner, sp.neg_dr, inner)      # -(H[i+1] - H[i]) / dr
     dB[0] = 0.0
-    vb_rn = 3.0 * vb.item(-1) - 4.0 * vb.item(-2) + vb.item(-3)
-    dB[-1] = -vb_rn / (2.0 * dr)
+    # -(x / y) and (-x) / y are the same bits
+    dB[-1] = -wall_slope(vb, dr)
 
 
 def _pressure_diffusion(dP, P, dr, lf_fc, faces, ws):

@@ -160,30 +160,33 @@ def integrate(samples: np.ndarray, grid: RadialGrid, weight: Weight = Weight.PLA
     return float(np.dot(grid.quad_weights, samples))
 
 
-def integrate_to(samples: np.ndarray, grid: RadialGrid, r_upper: float,
-                 weight: Weight = Weight.PLAIN) -> float:
+def interp_in_cell(f: np.ndarray, grid: RadialGrid, x: float):
+    """(k, value): the cell k = min(floor(x / dr), N - 1) holding x in
+    [0, R_outer], and the nodal samples f interpolated linearly at x."""
+    k = int(min(np.floor(x / grid.dr), grid.n_cells - 1))
+    frac = (x - grid.nodes[k]) / grid.dr
+    return k, f[k] + frac * (f[k + 1] - f[k])
+
+
+def integrate_to(samples: np.ndarray, grid: RadialGrid, r_upper: float) -> float:
     """Trapezoid quadrature over [0, r_upper] <= R_outer.
 
     The partial final cell uses the linearly interpolated sample at r_upper.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.nodes.shape:
+    f = np.asarray(samples, dtype=float)
+    if f.shape != grid.nodes.shape:
         raise ConfigError(
-            f"sample length {samples.shape} does not match grid {grid.nodes.shape}")
+            f"sample length {f.shape} does not match grid {grid.nodes.shape}")
     if r_upper < 0.0 or r_upper > grid.r_outer * (1.0 + 1e-12):
         raise ConfigError(f"integration endpoint {r_upper} outside [0, {grid.r_outer}]")
     r_upper = min(r_upper, grid.r_outer)
-    r = grid.nodes
     dr = grid.dr
-    k = int(min(np.floor(r_upper / dr), grid.n_cells - 1))  # cell containing r_upper
-    f = samples * r if weight is Weight.RADIAL_R else samples
+    k, f_up = interp_in_cell(f, grid, r_upper)
     # full cells [0, r_k], then the partial piece [r_k, r_upper]
     total = 0.0
     if k > 0:
         total += dr * (0.5 * f[0] + np.add.reduce(f[1:k]) + 0.5 * f[k])
-    frac = (r_upper - r[k]) / dr
-    f_up = f[k] + frac * (f[k + 1] - f[k])
-    total += 0.5 * (f[k] + f_up) * (r_upper - r[k])
+    total += 0.5 * (f[k] + f_up) * (r_upper - grid.nodes[k])
     return float(total)
 
 
@@ -573,7 +576,7 @@ def init_scenario(cfg: ScenarioConfig):
         inside = r <= r0 * (1.0 + 1e-12)
         if np.any(state.rho[inside] != 0.0) or np.any(state.P[inside] != 0.0):
             raise ConfigError("density and pressure must vanish identically on [0, r0]")
-        c0 = integrate_to(state.B, grid, r0, Weight.PLAIN)
+        c0 = integrate_to(state.B, grid, r0)
         if abs(c0) < _FLUX_FLOOR:
             raise ConfigError(
                 f"vacuum magnetic flux {c0:.3e} is degenerate (|C0| < {_FLUX_FLOOR})")

@@ -153,11 +153,11 @@ def moment_pair(state: FluidState, front: VacuumFront, grid: RadialGrid,
     ra1 = r ** (alpha - 1.0)
     ra = r ** alpha
     lhs = -p.two_mu_lam * integrate_to(
-        (alpha * R * ra1 - (alpha + 1.0) * ra) * s, grid, R, Weight.PLAIN)
+        (alpha * R * ra1 - (alpha + 1.0) * ra) * s, grid, R)
     b2 = state.B * state.B
     rhs = integrate_to((1.0 - 0.5 * alpha) * b2 * R * ra1
-                       + 0.5 * (alpha - 1.0) * b2 * ra, grid, R, Weight.PLAIN)
-    rhs_floor = 0.5 * (2.0 - alpha) * R * integrate_to(b2 * ra1, grid, R, Weight.PLAIN)
+                       + 0.5 * (alpha - 1.0) * b2 * ra, grid, R)
+    rhs_floor = 0.5 * (2.0 - alpha) * R * integrate_to(b2 * ra1, grid, R)
     return lhs, rhs, rhs_floor
 
 
@@ -174,7 +174,7 @@ def moment_pre_ibp(state: FluidState, front: VacuumFront, grid: RadialGrid,
     s = divergence(state, grid)
     s_r = kern.gradient(s, grid.dr)
     mult = R * r ** alpha - r ** (alpha + 1.0)
-    return p.two_mu_lam * integrate_to(mult * s_r, grid, R, Weight.PLAIN)
+    return p.two_mu_lam * integrate_to(mult * s_r, grid, R)
 
 
 def cauchy_schwarz_gap(state: FluidState, front: VacuumFront, grid: RadialGrid,
@@ -184,8 +184,8 @@ def cauchy_schwarz_gap(state: FluidState, front: VacuumFront, grid: RadialGrid,
     r = grid.nodes
     R = front.R
     b2ra = state.B * state.B * r ** (alpha - 1.0)
-    first = integrate_to(b2ra, grid, R, Weight.PLAIN)
-    flux = integrate_to(state.B, grid, R, Weight.PLAIN)
+    first = integrate_to(b2ra, grid, R)
+    flux = integrate_to(state.B, grid, R)
     return first * R ** (2.0 - alpha) / (2.0 - alpha) - flux * flux
 
 
@@ -253,12 +253,10 @@ def lifespan_bound(b: BoundInputs) -> float:
     if b.C0 == 0.0:
         return math.inf
     k = (2.0 - b.alpha) ** 2 * b.C0 * b.C0 / (2.0 * g)
-    if b.geometry is Geometry.DISK2D_FREE:
-        exponent = b.E0 * (math.sqrt(b.two_mu_lam) * b.R_ref / k) ** 2
-        if exponent > _EXP_OVERFLOW:
-            return math.inf
-        return math.expm1(exponent)
+    # the disk value, and the free boundary's exponent
     t_disk = b.E0 * (math.sqrt(b.two_mu_lam) * b.R_ref / k) ** 2
+    if b.geometry is Geometry.DISK2D_FREE:
+        return math.inf if t_disk > _EXP_OVERFLOW else math.expm1(t_disk)
     if b.geometry.has_swirl:
         return 2.0 * t_disk
     return t_disk

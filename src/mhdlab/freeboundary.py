@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FluidState, PhysParams, RadialGrid, SolverSettings, Weight,
+from .core import (FluidState, PhysParams, RadialGrid, SolverSettings,
                    integrate_to, make_grid, uniform_nodes)
 from .errors import GeometryCollapse
 from .solver import StepStats, enforce_boundary_stress, step as fixed_step
@@ -63,11 +63,11 @@ def remap_state(state: FluidState, grid_old: RadialGrid, grid_new: RadialGrid,
         # (the uncovered/truncated strip belongs to the boundary-flux budget)
         a_min = min(grid_old.r_outer, grid_new.r_outer)
         stats.remap_mass_defect += abs(
-            integrate_to(out.rho * r_new, grid_new, a_min, Weight.PLAIN)
-            - integrate_to(state.rho * r_old, grid_old, a_min, Weight.PLAIN))
+            integrate_to(out.rho * r_new, grid_new, a_min)
+            - integrate_to(state.rho * r_old, grid_old, a_min))
         stats.remap_flux_defect += abs(
-            integrate_to(out.B, grid_new, a_min, Weight.PLAIN)
-            - integrate_to(state.B, grid_old, a_min, Weight.PLAIN))
+            integrate_to(out.B, grid_new, a_min)
+            - integrate_to(state.B, grid_old, a_min))
     return out
 
 

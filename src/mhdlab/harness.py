@@ -109,6 +109,9 @@ class _RunState:
         if self.front is not None:
             self.alpha_star, self.T_bound = optimize_alpha(self.template)
         self.alpha_rec = cfg.alpha if cfg.alpha is not None else self.alpha_star
+        # the records' bound inputs: alpha is fixed for the run
+        self.bound_rec = (None if self.front is None else
+                          dataclasses.replace(self.template, alpha=self.alpha_rec))
 
         self.diss_cum = 0.0
         self._diss_prev = dissipation_rate(self.state, self.grid, self.p)
@@ -150,12 +153,10 @@ class _RunState:
         if self.front is not None:
             rec.R_front = self.front.R
             rec.flux_vacuum = vacuum_flux(self.state, self.front, self.grid)
-            alpha = self.alpha_rec
-            b = dataclasses.replace(self.template, alpha=alpha)
             r_now = self.grid.r_outer if self.free else self.front.R
-            rec.div_lower_bound = div_lower_bound(b, r_now)
+            rec.div_lower_bound = div_lower_bound(self.bound_rec, r_now)
             lhs, rhs, _ = moment_pair(self.state, self.front, self.grid,
-                                      self.p, alpha)
+                                      self.p, self.alpha_rec)
             rec.moment_lhs = lhs
             rec.moment_rhs = rhs
             self.div_total += 1

@@ -19,8 +19,9 @@ and continuity of u at the block's outer edge. Swirl and axial velocity take
 their quasi-stationary profiles there (v linear in r, w constant), which the
 discrete operators annihilate exactly. A stage whose density is at least
 eps_vac everywhere skips the vacuum scans: `finalize_stage` already has the
-density minimum, and on such a stage rho* = rho, the mask is empty and the
-explicit CFL density floor is that minimum, all exactly (see `_Stage`).
+density minimum, and on such a stage rho* = rho, no node is vacuum (the
+stage holds no mask) and the explicit CFL density floor is that minimum, all
+exactly (see `_Stage`).
 Likewise a pressure that is +0.0 at every node (`all_plus_zero`: the
 blow-up presets start from P = 0, and every update, clip and remap keeps it
 +0) skips the pressure terms: the NumPy kernels leave out P_r, the pressure
@@ -95,20 +96,6 @@ def vacuum_block(rho: np.ndarray, eps_vac: float) -> int:
     return _block_end(rho < eps_vac)
 
 
-_NO_VACUUM = {}
-
-
-def _no_vacuum(n_nodes: int) -> np.ndarray:
-    """The read-only all-False vacuum mask on n_nodes nodes, one per size for
-    the whole process (as `_kernels.pure.quiet_faces`)."""
-    mask = _NO_VACUUM.get(n_nodes)
-    if mask is None:
-        mask = np.zeros(n_nodes, dtype=bool)
-        mask.flags.writeable = False
-        mask = _NO_VACUUM.setdefault(n_nodes, mask)
-    return mask
-
-
 def _block_end(vac: np.ndarray) -> int:
     """Index of the last node of the prefix of vacuum mask vac, or -1."""
     # the first fluid node; argmin gives 0 also when every node is vacuum
@@ -134,17 +121,19 @@ class _Stage:
     block's last node m and whether any node is vacuum are built at once;
     the finiteness scan, the signal speeds and their maximum on first use.
     Each is one direct NumPy call (a ufunc, its reduce, argmin/argmax), not
-    a Python-level wrapper such as np.max or ndarray.any.
+    a Python-level wrapper such as np.max or ndarray.any. A scan that
+    passes is remembered; a state that fails it is scanned again on every
+    check and raises the same NumericalFailure, which ends a run.
 
     A stage whose density minimum rho_min (the caller's, or one reduce of
     rho) is at least eps_vac has no vacuum and makes none of those scans.
     Its values are the ones the scans would give, bit for bit: rho* is rho
-    itself, since max(rho, eps_vac) = rho there; the mask is the read-only
-    all-False one of its size (`_no_vacuum`); m = -1; and rho_floor, the
-    minimum of rho* that the explicit CFL bound needs, is rho_min. Any
-    other stage, one with a NaN minimum too, scans, and its rho_floor is
-    None. Sharing the rho row is safe: rho is never written while a stage
-    exists, and the kernels only read rho*.
+    itself, since max(rho, eps_vac) = rho there; m = -1; and rho_floor, the
+    minimum of rho* that the explicit CFL bound needs, is rho_min. Its mask
+    vac is None: nothing reads vac unless any_vac is true. Any other stage,
+    one with a NaN minimum too, scans, and its rho_floor is None. Sharing
+    the rho row is safe: rho is never written while a stage exists, and the
+    kernels only read rho*.
 
     A stage rides on its state (`FluidState._stage`) only while no one else
     writes into its array y: inside a step, where the solver owns every
@@ -159,7 +148,7 @@ class _Stage:
     """
 
     __slots__ = ("p", "s", "y", "rho_star", "vac", "m", "any_vac", "rho_floor",
-                 "_scanned", "_failure", "_speeds", "_max_speed")
+                 "_scanned", "_speeds", "_max_speed")
 
     def __init__(self, state: FluidState, p: PhysParams, s: SolverSettings,
                  rho_min: Optional[float] = None):
@@ -171,7 +160,7 @@ class _Stage:
             rho_min = float(np.minimum.reduce(rho))
         if rho_min >= s.eps_vac:          # False for NaN
             self.rho_star = rho
-            self.vac = _no_vacuum(len(rho))
+            self.vac = None
             self.m = -1
             self.any_vac = False
             self.rho_floor = rho_min
@@ -193,20 +182,14 @@ class _Stage:
     def forget_velocities(self) -> None:
         """Drop what an in-place write to u (v, w) makes stale."""
         self._scanned = False
-        self._failure = None
         self._speeds = None
         self._max_speed = None
 
     def check_finite(self, state: FluidState) -> None:
-        """`_check_finite(state)`, scanning the arrays at most once."""
+        """`_check_finite(state)`, skipped once a scan has passed."""
         if not self._scanned:
-            try:
-                _check_finite(state)
-            except NumericalFailure as exc:
-                self._failure = exc
+            _check_finite(state)
             self._scanned = True
-        if self._failure is not None:
-            raise NumericalFailure(self._failure.reason, node=self._failure.node)
 
     def speeds(self, state: FluidState) -> np.ndarray:
         """Per-node |u| + c_s + c_A (see `signal_speeds`), built on first use."""
@@ -289,17 +272,17 @@ def _face_controls(state: FluidState, grid: RadialGrid, stage: _Stage,
     return lf_fc, up.view(np.uint8)
 
 
-def _rhs_prologue(state: FluidState, p: PhysParams, grid: RadialGrid,
-                  s: SolverSettings, stats: Optional[StepStats]):
-    """The state's checked stage and its face controls, shared by both rhs."""
+def _rates(kernel, coeffs: tuple, state: FluidState, p: PhysParams,
+           grid: RadialGrid, s: SolverSettings, include_visc: bool, forcing,
+           stats: Optional[StepStats]) -> np.ndarray:
+    """The tendency `kernel` with its physical coefficients `coeffs` on the
+    state's checked stage and face controls; then the velocities frozen on
+    the vacuum block [0, m] and any forcing added. The body of both rhs."""
     stage = _stage_of(state, p, s)
     stage.check_finite(state)
-    return stage, _face_controls(state, grid, stage, stats)
-
-
-def _rhs_epilogue(rates: np.ndarray, state: FluidState, grid: RadialGrid,
-                  stage: _Stage, forcing) -> np.ndarray:
-    """Freeze the velocities on the vacuum block [0, m] and add any forcing."""
+    lf_fc, up_fc = _face_controls(state, grid, stage, stats)
+    rates = np.asarray(kernel(grid.nodes, grid.dr, *state.y, stage.rho_star,
+                              *coeffs, include_visc, lf_fc, up_fc))
     m = stage.m
     if m >= 0:
         # quasi-stationary: the velocities are set by the balance
@@ -320,11 +303,8 @@ def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettin
              stats: Optional[StepStats] = None) -> np.ndarray:
     """Rates of the 2D radial system in the state's shape and row order (see
     the module docstring for the scheme)."""
-    stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
-    rates = kern.disk_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
-                               p.two_mu_lam_0d, p.gamma_0d, include_visc, lf_fc,
-                               up_fc)
-    return _rhs_epilogue(np.asarray(rates), state, grid, stage, forcing)
+    return _rates(kern.disk_tendency, (p.two_mu_lam_0d, p.gamma_0d), state, p,
+                  grid, s, include_visc, forcing, stats)
 
 
 def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
@@ -332,11 +312,9 @@ def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
                  stats: Optional[StepStats] = None) -> np.ndarray:
     """Rates of the cylindrically symmetric system (adds swirl and axial
     flow) in the state's shape and row order."""
-    stage, (lf_fc, up_fc) = _rhs_prologue(state, p, grid, s, stats)
-    rates = kern.cylinder_tendency(grid.nodes, grid.dr, *state.y, stage.rho_star,
-                                   p.two_mu_lam_0d, p.mu_0d, p.gamma_0d,
-                                   include_visc, lf_fc, up_fc)
-    return _rhs_epilogue(np.asarray(rates), state, grid, stage, forcing)
+    return _rates(kern.cylinder_tendency,
+                  (p.two_mu_lam_0d, p.mu_0d, p.gamma_0d), state, p, grid, s,
+                  include_visc, forcing, stats)
 
 
 def rhs(state, p, grid, s, **kw) -> np.ndarray:
@@ -575,6 +553,17 @@ def blend(a: FluidState, wa, b: FluidState, wb, t: float) -> FluidState:
     return FluidState.of(wa * a.y + wb * b.y, t)
 
 
+def _clip_negative(f: np.ndarray, grid: RadialGrid) -> float:
+    """Zero the negative entries of f in place; returns the r-weighted
+    integral clipped (0.0 when no entry is negative)."""
+    neg = f < _ZERO
+    if not np.logical_or.reduce(neg):
+        return 0.0
+    clipped = -integrate(np.minimum(f, _ZERO), grid, Weight.RADIAL_R)
+    f[neg] = 0.0
+    return clipped
+
+
 def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
                    s: SolverSettings, stats: Optional[StepStats] = None) -> None:
     """Clip rho and P at zero, refresh the vacuum block, then apply the
@@ -588,21 +577,13 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
     # row whose minimum is negative or NaN is clipped
     rho_min, P_min = np.minimum.reduce(y[::len(y) - 2], axis=1).tolist()
     if not rho_min >= 0.0:
-        rho = state.rho
-        neg = rho < _ZERO
-        if np.logical_or.reduce(neg):
-            if stats is not None:
-                stats.clipped_mass += -integrate(np.minimum(rho, _ZERO), grid,
-                                                 Weight.RADIAL_R)
-            rho[neg] = 0.0
+        clipped = _clip_negative(state.rho, grid)
+        if stats is not None:
+            stats.clipped_mass += clipped
     if not P_min >= 0.0:
-        P = state.P
-        neg = P < _ZERO
-        if np.logical_or.reduce(neg):
-            if stats is not None:
-                stats.clipped_pressure += -integrate(np.minimum(P, _ZERO), grid,
-                                                     Weight.RADIAL_R)
-            P[neg] = 0.0
+        clipped = _clip_negative(state.P, grid)
+        if stats is not None:
+            stats.clipped_pressure += clipped
     # a clipped or NaN minimum fails the stage's test, so the stage scans rho
     stage = state._stage = _Stage(state, p, s, rho_min)
     _finish_velocities(state, p, grid, s, stats, stage)

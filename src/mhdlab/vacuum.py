@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FluidState, RadialGrid, Weight, integrate_to
+from .core import FluidState, RadialGrid, integrate_to, interp_in_cell
 from .errors import TrackingError
 
 
@@ -32,9 +32,7 @@ def interp_velocity(u: np.ndarray, grid: RadialGrid, radius: float) -> float:
         return float(u[0])
     if radius >= r[-1]:
         return float(u[-1])
-    k = int(min(np.floor(radius / grid.dr), grid.n_cells - 1))
-    frac = (radius - r[k]) / grid.dr
-    return float(u[k] + frac * (u[k + 1] - u[k]))
+    return float(interp_in_cell(u, grid, radius)[1])
 
 
 def advance_front(front: VacuumFront, u: np.ndarray, grid: RadialGrid,
@@ -59,7 +57,7 @@ def advance_radius(u_field: np.ndarray, grid: RadialGrid, radius: float,
 
 def vacuum_flux(state: FluidState, front: VacuumFront, grid: RadialGrid) -> float:
     """Live measurement of the vacuum flux integral of B over [0, R]."""
-    return integrate_to(state.B, grid, front.R, Weight.PLAIN)
+    return integrate_to(state.B, grid, front.R)
 
 
 @dataclass(frozen=True)

@@ -362,19 +362,29 @@ def test_golden_picard(picard_sweep):
 
 
 def test_bounds_subcommand_consistency(capsys):
-    # the CLI bounds path reproduces the library computation on live data
-    code = cli_main(["bounds", "--preset", "disk-blowup"])
-    out = capsys.readouterr().out
-    assert code == 0
+    # the CLI bounds path reproduces the library computation on live data,
+    # on every geometry: the free one's reference radius is the envelope
+    # constant C = R0 + sqrt(E0 / (2mu+lam))
     import json
-    doc = json.loads(out)
-    cfg = load_preset("disk-blowup")
     from mhdlab.diagnostics import total_energy
-    state, front = init_scenario(cfg)
-    e0 = total_energy(state, cfg.grid(), cfg.phys)
-    b = BoundInputs(mu=cfg.phys.mu, lam=cfg.phys.lam, R_ref=cfg.r_outer,
-                    C0=front.C0, E0=e0, alpha=1.5, geometry=cfg.geometry)
-    alpha_star, t_star = optimize_alpha(b)
-    assert doc["alpha_star"] == pytest.approx(alpha_star, abs=1e-12)
-    assert doc["T_bound"] == pytest.approx(t_star, rel=1e-12)
-    assert doc["C0"] == pytest.approx(front.C0, rel=1e-12)
+    for preset in ("disk-blowup", "cylinder-blowup", "free-blowup"):
+        code = cli_main(["bounds", "--preset", preset])
+        out = capsys.readouterr().out
+        assert code == 0, preset
+        doc = json.loads(out)
+        cfg = load_preset(preset)
+        state, front = init_scenario(cfg)
+        p = cfg.phys
+        e0 = total_energy(state, cfg.grid(), p)
+        r_ref = cfg.r_outer
+        if cfg.geometry.is_free:
+            r_ref += math.sqrt(e0 / (2.0 * p.mu + p.lam))
+            assert doc["C_envelope"] == pytest.approx(r_ref, rel=1e-12)
+        else:
+            assert "C_envelope" not in doc, preset
+        b = BoundInputs(mu=p.mu, lam=p.lam, R_ref=r_ref, C0=front.C0, E0=e0,
+                        alpha=1.5, geometry=cfg.geometry)
+        alpha_star, t_star = optimize_alpha(b)
+        assert doc["alpha_star"] == pytest.approx(alpha_star, abs=1e-12), preset
+        assert doc["T_bound"] == pytest.approx(t_star, rel=1e-12), preset
+        assert doc["C0"] == pytest.approx(front.C0, rel=1e-12), preset

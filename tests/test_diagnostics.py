@@ -345,7 +345,7 @@ class TestLhsChain:
         s = divergence(st_, g)
         s2 = s * s
         nrm = math.sqrt(max(0.0, __import__("mhdlab").integrate_to(
-            s2 * g.nodes, g, R, Weight.PLAIN)))
+            s2 * g.nodes, g, R)))
         chain = p.two_mu_lam * moment_coefficient(alpha) * R ** alpha * nrm
         scale = max(abs(lhs), chain, 1e-30)
         assert chain - abs(lhs) >= -1e-10 * scale

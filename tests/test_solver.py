@@ -841,12 +841,12 @@ def _reference_speeds(state, stage):
     cs = np.sqrt(stage.p.gamma * state.P / stage.rho_star)
     ca = np.sqrt(state.B * state.B / stage.rho_star)
     abs_u = np.abs(state.u)
-    return np.where(stage.vac, abs_u, abs_u + cs + ca)
+    return np.where(state.rho < stage.s.eps_vac, abs_u, abs_u + cs + ca)
 
 
 def _reference_face_controls(state, grid, stage, stats):
     from mhdlab.solver import _LF_BAND
-    vac = stage.vac
+    vac = state.rho < stage.s.eps_vac
     if not vac.any():
         return grid.quiet_faces
     n = grid.n_cells
@@ -1052,13 +1052,10 @@ class TestVacuumFreeStage:
         return g, cfg.phys, [start, out]
 
     def assert_matches_scans(self, stage, state, s):
-        from mhdlab.solver import _no_vacuum
-        rho_star, vac, m, any_vac = _reference_stage(state.rho, s.eps_vac)
+        rho_star, _, m, any_vac = _reference_stage(state.rho, s.eps_vac)
         assert stage.rho_star.tobytes() == rho_star.tobytes()
         assert np.shares_memory(stage.rho_star, state.rho)     # no copy
-        assert stage.vac is _no_vacuum(len(state.rho))
-        assert not stage.vac.flags.writeable
-        assert stage.vac.tobytes() == vac.tobytes()
+        assert stage.vac is None
         assert (stage.m, stage.any_vac) == (m, any_vac) == (-1, False)
         assert stage.rho_floor == float(np.min(rho_star))
 
@@ -1124,3 +1121,18 @@ class TestVacuumFreeStage:
             cfl_dt(st, g, p, s)
         with pytest.raises(NumericalFailure, match=r"^non-finite rho \(node 9\)$"):
             step(st, 1e-4, p, g, s)
+
+    def test_failing_scan_raises_again_on_a_cached_stage(self):
+        g = make_grid(64, 1.0)
+        p, s = disk_params(), self.explicit
+        u = 0.1 * np.sin(np.pi * g.nodes)
+        u[17] = np.inf
+        st = disk_state(g, rho=np.ones(65), u=u, P=np.ones(65))
+        st.freeze()
+        failures = []
+        for _ in range(2):
+            with pytest.raises(NumericalFailure) as info:
+                cfl_dt(st, g, p, s)
+            failures.append((info.value.reason, info.value.node, st._stage))
+        assert failures[0][:2] == failures[1][:2] == ("non-finite u", 17)
+        assert failures[0][2] is failures[1][2] is not None
