@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""sha256 of every shipped preset's outputs, and of the MMS ladder's table.
+"""sha256 of every shipped preset's outputs, of the MMS ladder's table and
+of the lifespan bounds.
 
 Usage: python benchmarks/preset_hashes.py
 
@@ -7,9 +8,10 @@ Runs each preset through the command line's `run` at its own grid size and
 at N=256, and prints the sha256 of the `run.csv` and `run.json` it writes,
 one line each; then the sha256 of the stdout of `mhdlab mms --preset mms
 --n 32,64,128`, and of `mhdlab bounds` (the closed-form lifespan bounds) on
-each vacuum preset and on disk-blowup at alpha = 1.3. A change that claims to leave the outputs' bits alone is
-checked by diffing this script's output in a checkout of the parent and in
-one of the change. The runs use the kernel backend that is installed.
+each vacuum preset and on disk-blowup at alpha = 1.3. A change that claims
+to leave the outputs' bits alone is checked by diffing this script's output
+in a checkout of the parent and in one of the change. The runs use the
+kernel backend that is installed.
 """
 
 import contextlib

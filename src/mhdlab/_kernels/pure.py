@@ -58,9 +58,9 @@ Each radial operator has one implementation, a helper that writes into the
 output it is given; the public operators (`gradient`, `axis_gradient`,
 `radial_parts`) call the same helpers with fresh outputs. The gradients are
 built from `central_difference`, `origin_slope` and `wall_slope`, which the
-solver's vacuum balance and stress condition take too. The viscous terms are `apply_rows` on the rows of
-`laplacian_rows`, so the explicit kernels and the implicit solve's explicit
-part give the same bits on the same rows. The face-flux mass and induction
+solver's vacuum balance and stress condition take too. The viscous terms
+are `apply_rows` on the rows of `laplacian_rows`, so the explicit kernels
+and the implicit solve's explicit part give the same bits on the same rows. The face-flux mass and induction
 rates run inside the kernels only. The kernels' values are those of the
 full-length expressions (tests/test_kernels.py keeps those as the
 reference; its Laplacians are the rows of `laplacian_rows`); only an exact

@@ -110,8 +110,10 @@ class _RunState:
             self.alpha_star, self.T_bound = optimize_alpha(self.template)
         self.alpha_rec = cfg.alpha if cfg.alpha is not None else self.alpha_star
         # the records' bound inputs: alpha is fixed for the run
-        self.bound_rec = (None if self.front is None else
-                          dataclasses.replace(self.template, alpha=self.alpha_rec))
+        self.bound_rec = None
+        if self.front is not None:
+            self.bound_rec = dataclasses.replace(self.template,
+                                                 alpha=self.alpha_rec)
 
         self.diss_cum = 0.0
         self._diss_prev = dissipation_rate(self.state, self.grid, self.p)

@@ -385,6 +385,6 @@ def test_bounds_subcommand_consistency(capsys):
         b = BoundInputs(mu=p.mu, lam=p.lam, R_ref=r_ref, C0=front.C0, E0=e0,
                         alpha=1.5, geometry=cfg.geometry)
         alpha_star, t_star = optimize_alpha(b)
-        assert doc["alpha_star"] == pytest.approx(alpha_star, abs=1e-12), preset
+        assert doc["alpha_star"] == pytest.approx(alpha_star, abs=1e-12)
         assert doc["T_bound"] == pytest.approx(t_star, rel=1e-12), preset
         assert doc["C0"] == pytest.approx(front.C0, rel=1e-12), preset
