@@ -14,8 +14,8 @@ Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
 * f/r at the axis is replaced by its limit f_r(0)
 * the viscous operators (f_r + f/r)_r and (r f_r)_r / r are the tridiagonal
   rows of `laplacian_rows`, applied by `apply_rows` (diag f[i], then
-  + sub f[i-1], then + sup f[i+1]); the implicit viscous solve applies the
-  same rows through the same helper
+  + sub f[i-1], then + sup f[i+1]); the implicit viscous solve builds its
+  matrix from the same rows
 * mass and induction updates are finite-volume face-flux differences, so the
   discrete mass integral and the total of B are telescoping-exact when the
   boundary fluxes vanish
@@ -31,8 +31,8 @@ one per thread and size (`_workspace`), built on the first call. The
 workspace holds the grid factors of the last node array it was bound to,
 through a weak reference, so the many grids of a free run share it and none
 is kept alive; the viscous rows of those nodes are built on the first call
-with a viscous term (a run without one, such as `rk2-imp`'s inviscid
-halves, never builds them). The kernels know the quiet face controls
+with a viscous term (a run without one, such as `rk2-imp`'s explicit
+stages, never builds them). The kernels know the quiet face controls
 (`quiet_faces`, one read-only pair per size) by identity, so a state without
 vacuum skips the band and the donor flux unscanned; another `lf_fc` is
 scanned for its band (the scan's face indices are the one other array a call
@@ -45,7 +45,7 @@ promotes a Python number operand on every call: at 129 nodes that takes a
 multiply from 0.48 to 0.90 us (NumPy 2.4). So the constants are prebuilt
 read-only 0-d arrays (`operand`): the module's (`_HALF`, `_ONE`, `_ZERO`,
 `_ZERO_U8`) and the spacing's (`spacing`, one `_Spacing` per thread for the
-last dr), which the solver's balance and implicit solves share. The physical
+last dr), which the solver's vacuum-balance right-hand side shares. The physical
 coefficients (2mu+lam, gamma, mu) are used as the caller hands them: the
 solver and Picard pass `PhysParams`' 0-d operands, and a caller that passes
 Python floats gets the same bits, converted on each call. A 0-d float64
@@ -59,9 +59,9 @@ output it is given; the public operators (`gradient`, `axis_gradient`,
 `radial_parts`) call the same helpers with fresh outputs. The gradients are
 built from `central_difference`, `origin_slope` and `wall_slope`, which the
 solver's vacuum balance and stress condition take too. The viscous terms
-are `apply_rows` on the rows of `laplacian_rows`, so the explicit kernels
-and the implicit solve's explicit part give the same bits on the same rows. The face-flux mass and induction
-rates run inside the kernels only. The kernels' values are those of the
+are `apply_rows` on the rows of `laplacian_rows`, the rows the implicit
+solve's matrix is built from. The face-flux mass and induction rates run
+inside the kernels only. The kernels' values are those of the
 full-length expressions (tests/test_kernels.py keeps those as the
 reference; its Laplacians are the rows of `laplacian_rows`); only an exact
 zero the full forms would get by adding +0.0 may keep its negative sign,
@@ -372,8 +372,8 @@ def apply_rows(diag, sub, sup, f, lo, hi, out, tmp):
     lo = 0), then + sup f[i+1], in that order. f[hi + 1] must exist; tmp is
     scratch of out's length. Returns out.
 
-    The one evaluation of the viscous operators: the tendency kernels' terms
-    and the implicit solve's explicit part (`solver._implicit_component`).
+    The one evaluation of the viscous operators, the tendency kernels'
+    viscous terms.
     """
     np.multiply(diag, f[lo:hi + 1], out)
     if lo > 0:
@@ -626,7 +626,8 @@ def laplacian_rows(r, dr):
     rows act on are pinned there, so swirl[0] is nan.
 
     These rows define the operators: `apply_rows` applies them in the
-    tendency kernels and in the implicit solve. Every ufunc call takes 0-d
+    tendency kernels, and the implicit solve builds its matrix from them
+    (`solver.implicit_viscous`). Every ufunc call takes 0-d
     operands, as a free run builds the rows of each step's new grid.
     """
     inv2 = 1.0 / (dr * dr)

@@ -430,6 +430,7 @@ class Profile:
 
 class Scheme(Enum):
     SSPRK3_EXPLICIT_VISCOUS = "ssprk3"
+    # the ARS(2,3,3) IMEX step, viscous terms implicit (`solver.imex_step`)
     RK2_IMPLICIT_VISCOUS = "rk2-imp"
 
 

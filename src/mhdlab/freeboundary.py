@@ -27,7 +27,7 @@ from .core import (FluidState, PhysParams, RadialGrid, SolverSettings,
                    integrate_to, make_grid, uniform_nodes)
 from .errors import GeometryCollapse
 from .solver import StepStats, enforce_boundary_stress, step as fixed_step
-from .vacuum import advance_radius
+from .vacuum import VacuumFront, advance_front, advance_radius
 
 # how far the free boundary may pass its growth envelope in `growth_check`
 GROWTH_SLACK = 1e-8
@@ -72,21 +72,26 @@ def remap_state(state: FluidState, grid_old: RadialGrid, grid_new: RadialGrid,
 
 
 def free_step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
-              s: SolverSettings, stats: Optional[StepStats] = None):
+              s: SolverSettings, stats: Optional[StepStats] = None,
+              front: Optional[VacuumFront] = None):
     """One step of the moving-domain solver on the grid of [0, a]; returns
-    (state, grid of [0, a_new]).
+    (state, grid of [0, a_new], front).
 
     The PDE step runs on the frozen current grid, where the solver enforces
-    the stress condition after every stage; the boundary then moves with the
-    midpoint rule on the time-centered velocity field, and the fields are
+    the stress condition after every stage; the boundary and the vacuum
+    front (when given; None stays None) then move with the midpoint rule on
+    the time-centered velocity field, on that same grid, and the fields are
     remapped onto the rescaled radii.
     """
     new_state = fixed_step(state, dt, p, grid, s, stats=stats)
-    grid_new = advance_domain(grid, 0.5 * (state.u + new_state.u), dt)
+    u_mid = 0.5 * (state.u + new_state.u)
+    grid_new = advance_domain(grid, u_mid, dt)
+    if front is not None:
+        front = advance_front(front, u_mid, grid, dt)
     new_state = remap_state(new_state, grid, grid_new, stats)
     enforce_boundary_stress(new_state, grid_new, p)
     new_state.freeze()       # read-only like a fixed step's output
-    return new_state, grid_new
+    return new_state, grid_new, front
 
 
 @dataclass(frozen=True)

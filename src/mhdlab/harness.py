@@ -258,16 +258,17 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
                 dt_cfl = cfl_dt(rs.state, rs.grid, rs.p, rs.settings)
             dt = min(dt_cfl, t_end - rs.state.t)
             last_dt = dt
-            u_before = rs.state.u       # a step never writes its input
             if rs.free:
-                rs.state, rs.grid = free_step(rs.state, dt, rs.p, rs.grid,
-                                              rs.settings, rs.stats)
+                # the front moves with the boundary, before the remap
+                rs.state, rs.grid, rs.front = free_step(
+                    rs.state, dt, rs.p, rs.grid, rs.settings, rs.stats, rs.front)
             else:
+                u_before = rs.state.u       # a step never writes its input
                 rs.state = step(rs.state, dt, rs.p, rs.grid, rs.settings,
                                 stats=rs.stats, forcing=rs.forcing)
-            if rs.front is not None:
-                rs.front = advance_front(rs.front, _HALF * (u_before + rs.state.u),
-                                         rs.grid, dt)
+                if rs.front is not None:
+                    rs.front = advance_front(
+                        rs.front, _HALF * (u_before + rs.state.u), rs.grid, dt)
             rs.accumulate_dissipation(dt)
             steps += 1
             if steps % cfg.output_stride == 0:

@@ -14,10 +14,14 @@ In the vacuum (the block of nodes with rho < eps_vac next to the axis) the
 momentum equation degenerates: the velocities drop their time derivative and
 instead satisfy the quasi-stationary balance
     (2mu+lam)(u_r + u/r)_r = B (B_r + B/r) + P_r
-solved as a tridiagonal boundary-value problem on the block with u(0) = 0
-and continuity of u at the block's outer edge. Swirl and axial velocity take
-their quasi-stationary profiles there (v linear in r, w constant), which the
-discrete operators annihilate exactly. A stage whose density is at least
+a tridiagonal boundary-value problem on the block with u(0) = 0. Swirl and
+axial velocity take their quasi-stationary profiles there (v linear in r, w
+constant), which the discrete operators annihilate exactly. Inside an
+`rk2-imp` step the block's rows join the implicit viscous solve of the fluid
+(`implicit_viscous`), so block and fluid get their velocities from one
+solve; a state's last stage, and a run's initial state, re-balance the
+block alone (`apply_vacuum_balance`), continuous with the fluid at the
+block's outer edge. A stage whose density is at least
 eps_vac everywhere skips the vacuum scans: `finalize_stage` already has the
 density minimum, and on such a stage rho* = rho, no node is vacuum (the
 stage holds no mask) and the explicit CFL density floor is that minimum, all
@@ -37,12 +41,14 @@ stage weights and thresholds as this module's (see `_kernels.pure.operand`).
 A step's dt stays a Python float where it is used once.
 
 Time integration: three-stage SSP Runge-Kutta on the full tendency
-(`ssp_rk3`, whose stage sequence the linearized Picard sweeps share), or a
-Strang split with midpoint half-steps for the inviscid terms around an
-implicit tridiagonal solve of the viscous operators. The implicit solve uses
-the trapezoidal rule, falling back to backward Euler row-wise wherever the
-cell Fourier number dt*nu/dr^2 is extreme (vacuum-adjacent cells), which
-keeps the stiff modes damped without losing second order in smooth regions.
+(`ssp_rk3`, whose stage sequence the linearized Picard sweeps share), or the
+ARS(2,3,3) IMEX Runge-Kutta step (`imex_step`, the `rk2-imp` scheme): three
+explicit stages of the inviscid tendency and two backward-Euler stages of
+the viscous operators, each one tridiagonal solve per velocity row whose
+rows on the vacuum block are the balance above. It is of third order in
+time, and its explicit part, like every three-stage third-order one, is
+stable on the imaginary axis up to sqrt(3), where the central stencils'
+eigenvalues lie.
 
 Boundary conditions are the solver's own, applied at the end of every stage:
 u and B (and v) vanish at the axis; at a fixed wall u (and v, w) vanish at
@@ -53,26 +59,32 @@ B^2/2 + P - (2mu+lam)(u_r + u/r) = 0 at r = a (`enforce_boundary_stress`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels as kern
-from ._kernels.pure import (all_plus_zero, apply_rows, central_difference,
-                            operand, spacing, wall_slope)
+from ._kernels.pure import (all_plus_zero, central_difference, operand,
+                            spacing, wall_slope)
 from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
                    Weight, integrate)
 from .errors import DtCollapse, NumericalFailure
 
-_FOURIER_SWITCH = operand(1e3)   # trapezoidal -> backward Euler switch per row
 _DT_EPS = 1e-300
 _LF_BAND = 16              # faces outside the vacuum edge that get LF dissipation
 
-_ZERO, _HALF, _ONE = operand(0.0), operand(0.5), operand(1.0)
+_ZERO, _ONE = operand(0.0), operand(1.0)
 # the SSP-RK3 stage weights
 _THREE_QUARTERS, _QUARTER = operand(0.75), operand(0.25)
 _THIRD, _TWO_THIRDS = operand(1.0 / 3.0), operand(2.0 / 3.0)
+# ARS(2,3,3): gamma, and the weights of its stage increments (`imex_step`)
+_GAMMA = (3.0 + math.sqrt(3.0)) / 6.0
+_A31 = operand((_GAMMA - 1.0) / _GAMMA)
+_A32 = operand(2.0 * (1.0 - _GAMMA) / _GAMMA)
+_A33 = operand((1.0 - 2.0 * _GAMMA) / _GAMMA)
+_B = operand(0.5 / _GAMMA)
 
 
 @dataclass
@@ -140,8 +152,9 @@ class _Stage:
     write, and on a read-only y (a step's output, a run's initial state);
     assigning a field gives the state a new y, which the stage does not
     serve. Every in-place write to u, v, w while a stage rides on the state
-    (`apply_vacuum_balance`, `implicit_viscous`, the boundary conditions of
-    `_finish_velocities`) calls `forget_velocities`; rho and P are never
+    (`apply_vacuum_balance`, `implicit_viscous`) calls `forget_velocities`;
+    `finalize_stage` pins and sets u(a) before anything is derived from the
+    velocities, on the stage it has just built; rho and P are never
     written once the stage exists. The methods take the state instead of the
     stage holding it, so a state and its stage form no reference cycle and
     are freed as soon as the state is dropped.
@@ -257,8 +270,7 @@ def _face_controls(state: FluidState, grid: RadialGrid, stage: _Stage,
         return grid.quiet_faces
     n = grid.n_cells
     vac = stage.vac
-    up = np.empty(n, dtype=bool)
-    np.logical_or(vac[:-1], vac[1:], out=up)
+    up = np.logical_or(vac[:-1], vac[1:])
     lf_fc = np.zeros(n)
     m = stage.m
     if 0 <= m < n - 1:
@@ -283,10 +295,9 @@ def _rates(kernel, coeffs: tuple, state: FluidState, p: PhysParams,
     lf_fc, up_fc = _face_controls(state, grid, stage, stats)
     rates = np.asarray(kernel(grid.nodes, grid.dr, *state.y, stage.rho_star,
                               *coeffs, include_visc, lf_fc, up_fc))
-    m = stage.m
-    if m >= 0:
+    if stage.m >= 0:
         # quasi-stationary: the velocities are set by the balance
-        rates[1:-2, :m + 1] = 0.0
+        rates[1:-2, :stage.m + 1] = 0.0
     if forcing is not None:
         f = forcing(grid.nodes, state.t)     # (F, N+1), read only
         # row 1 takes f_u / rho* (a momentum residual), the others f itself;
@@ -384,6 +395,22 @@ def detect_blowup(state: FluidState, grid: RadialGrid, p: PhysParams,
 # Vacuum elliptic balance and implicit viscous solves
 # ---------------------------------------------------------------------------
 
+def _balance_source(y: np.ndarray, p: PhysParams, grid: RadialGrid,
+                    edge: int) -> np.ndarray:
+    """(B (B_r + B/r) + P_r) / (2mu+lam) on rows 1..edge-1 of the stacked
+    state y, with the kernels' interior central differences: the right-hand
+    side of the vacuum balance on a block closed at node edge. With P all +0
+    there, P_r is +0, and adding a 0-d +0 gives the same bits as adding
+    those zeros."""
+    P, B = y[-2], y[-1]
+    B_in = B[1:edge]
+    sp = spacing(grid.dr)
+    Br = central_difference(B[:edge + 1], sp)
+    P_block = P[:edge + 1]
+    Pr = _ZERO if all_plus_zero(P_block) else central_difference(P_block, sp)
+    return (B_in * (Br + B_in / grid.nodes[1:edge]) + Pr) / p.two_mu_lam_0d
+
+
 def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
                          s: SolverSettings, stats: Optional[StepStats] = None) -> int:
     """Impose the quasi-stationary vacuum velocity on the block rho < eps_vac.
@@ -395,39 +422,22 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     m = stage.m
     if m < 1:
         return m
-    r = grid.nodes
     y = state.y
-    u, P, B = y[1], y[-2], y[-1]
+    u = y[1]
     # edge node supplying the outer continuity value; with the whole domain
     # classified vacuum the Dirichlet end u(R)=0 closes the problem instead
     edge = min(m + 1, grid.n_cells)
-    # B (B_r + B/r) + P_r on the block's rows 1..edge-1 only, with the
-    # kernels' interior central differences; with P all +0 there, P_r is
-    # +0, and adding a 0-d +0 gives the same bits as adding those zeros
-    B_in = B[1:edge]
-    sp = spacing(grid.dr)
-    Br = central_difference(B[:edge + 1], sp)
-    P_block = P[:edge + 1]
-    Pr = _ZERO if all_plus_zero(P_block) else central_difference(P_block, sp)
-    rhs_vec = (B_in * (Br + B_in / r[1:edge]) + Pr) / p.two_mu_lam_0d
+    rhs_vec = _balance_source(y, p, grid, edge)
     # the last row's coupling to the Dirichlet value u[edge]
-    sup = grid.lap_rows[1]
-    rhs_vec[-1] -= sup[edge - 1] * float(u[edge])
-    try:
-        # the matrix depends on the grid and edge only: factored once per block
-        sol = kern.tridiag_solve(grid.balance_factors(edge), rhs_vec)
-    except ZeroDivisionError as exc:
-        raise NumericalFailure(f"singular vacuum balance solve: {exc}") from None
-    except ValueError as exc:
-        raise NumericalFailure(f"non-finite vacuum balance system: {exc}") from None
-    if not np.logical_and.reduce(np.isfinite(sol)):
-        raise NumericalFailure("non-finite vacuum balance solution")
-    u[1:edge] = sol
+    rhs_vec[-1] -= grid.lap_rows[1][edge - 1] * float(u[edge])
+    # the matrix depends on the grid and edge only: factored once per block
+    u[1:edge] = _solved("vacuum balance", kern.tridiag_solve,
+                        grid.balance_factors(edge), rhs_vec)
     u[0] = 0.0
     if len(y) == 6:
         # mu (v_r + v/r)_r = 0 with v(0)=0  ->  v linear in r (discretely exact);
         # mu (r w_r)_r / r = 0 with w_r(0)=0  ->  w constant
-        v, w = y[2], y[3]
+        v, w, r = y[2], y[3], grid.nodes
         v[:edge] = v[edge] * r[:edge] / r[edge]
         v[0] = 0.0
         w[:edge] = w[edge]
@@ -437,73 +447,77 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     return m
 
 
-def _theta_rows(fo: np.ndarray) -> np.ndarray:
-    return np.where(fo <= _FOURIER_SWITCH, _HALF, _ONE)
-
-
-def _implicit_component(f: np.ndarray, nu: np.ndarray, grid: RadialGrid,
-                        dt: np.ndarray, lo: int, hi: int, swirl: bool) -> None:
-    """Theta-scheme solve of f_t = nu * L f on nodes [lo, hi], Dirichlet outside.
-
-    swirl=True is the vector operator (f_r + f/r)_r, swirl=False the axial
-    one (r f_r)_r / r. lo=0 includes the r=0 node with the symmetric axial
-    operator (used for w, which has no center pin): L w(0) = 4 (w1 - w0)/dr^2.
-    The node hi+1 must exist; it holds the outer Dirichlet value. dt may be
-    a 0-d array.
-    """
-    if hi < lo:
-        return
-    rows = slice(lo, hi + 1)
-    sub, sup, swirl_diag, axial_diag = grid.lap_rows
-    diag = (swirl_diag if swirl else axial_diag)[rows]
-    sub, sup = sub[rows], sup[rows]
-    nu_i = nu[rows]
-    fo = dt * nu_i / spacing(grid.dr).dr_sq
-    theta = _theta_rows(fo)
-
-    # explicit part (1-theta) * dt * nu * L f_old
-    fc = f[rows]
-    lf = apply_rows(diag, sub, sup, f, lo, hi, np.empty_like(fc),
-                    np.empty_like(fc))
-    rhs_vec = fc + dt * (_ONE - theta) * nu_i * lf
-
-    w = dt * theta * nu_i
-    a = -(w * sub)
-    b = _ONE - w * diag
-    c = -(w * sup)
-    # Dirichlet neighbours folded into the right-hand side
-    if lo > 0:
-        rhs_vec[0] -= a[0] * f[lo - 1]
-    rhs_vec[-1] -= c[-1] * f[hi + 1]
+def _solved(what: str, solve, *args) -> np.ndarray:
+    """solve(*args), a singular or non-finite system and a non-finite
+    solution raised as NumericalFailure naming what."""
     try:
-        sol = kern.thomas(a[1:], b, c[:-1], rhs_vec)
+        sol = solve(*args)
     except ZeroDivisionError as exc:
-        raise NumericalFailure(f"singular viscous solve: {exc}") from None
+        raise NumericalFailure(f"singular {what} solve: {exc}") from None
     except ValueError as exc:
-        raise NumericalFailure(f"non-finite viscous system: {exc}") from None
+        raise NumericalFailure(f"non-finite {what} system: {exc}") from None
     if not np.logical_and.reduce(np.isfinite(sol)):
-        raise NumericalFailure("non-finite viscous solution")
-    f[rows] = sol
+        raise NumericalFailure(f"non-finite {what} solution")
+    return sol
+
+
+def _coupled_solve(f: np.ndarray, diag: np.ndarray, coeff: np.ndarray,
+                   rho_star: np.ndarray, grid: RadialGrid, lo: int, m: int,
+                   source: Optional[np.ndarray]) -> None:
+    """Solve rows lo..N-1 of one velocity row f in place, f[N] held.
+
+    Rows lo..m (the vacuum block) are L f = source (0 when source is None),
+    the others f - dt nu L f = f, with coeff = -dt times the viscosity and
+    nu = viscosity / rho*; L is the grid's operator of diagonal diag. A
+    first row lo = 1 couples to the axis value f[0] = 0, so that term is
+    left out. Every row is diagonally dominant: a swirl-operator block row
+    by 1/r^2, an axial one weakly (its elimination multipliers are -1, a
+    constant being its null vector), a backward-Euler row by 1 + dt nu /
+    r^2 (or by 1); so a pivot-free elimination, such as the compiled twin's
+    `thomas`, is safe on it.
+    """
+    k = max(m - lo + 1, 0)                  # the block's rows
+    sub, sup = grid.lap_rows[:2]
+    rows = slice(lo, grid.n_cells)
+    # 1 on the block's rows and -dt nu on the others scale the rows of L
+    scale = np.true_divide(coeff, rho_star[rows])
+    scale[:k] = 1.0
+    a, b, c = (np.multiply(scale, x[rows]) for x in (sub, diag, sup))
+    b[k:] += _ONE
+    rhs_vec = f[rows].copy()
+    rhs_vec[:k] = 0.0 if source is None else source
+    rhs_vec[-1] -= c[-1] * f[-1]
+    f[rows] = _solved("viscous", kern.thomas, a[1:], b, c[:-1], rhs_vec)
 
 
 def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,
-                     s: SolverSettings, dt: float) -> None:
-    """In-place implicit update of the viscous operators over the fluid nodes."""
-    n = grid.n_cells
+                     s: SolverSettings, dt: float) -> np.ndarray:
+    """One backward-Euler stage Y = Z + dt nu L Y of the viscous operators,
+    solved in place together with the vacuum balance on the block [0, m];
+    returns Y - Z on the velocity rows (y[1:-2]).
+
+    One tridiagonal solve per velocity row, the value at node N held (the
+    wall's zero or the stress condition's u(a)): u on nodes 1..N-1, with
+    the balance rows L u = (B (B_r + B/r) + P_r) / (2mu+lam) on the block;
+    on the cylinder v on the same nodes with L v = 0 on the block (v linear
+    in r there), and w on nodes 0..N-1 with L w = 0 on the block (w
+    constant there). So the block and the fluid next to it take their
+    velocities from one solve, with no edge value carried over from before.
+    """
     stage = _stage_of(state, p, s)
-    rho_star = stage.rho_star
-    m = stage.m
-    lo = max(m + 1, 1)
-    hi = n - 1
-    # one 0-d dt for the three to nine products of the solves
-    dt = operand(dt)
-    nu_u = p.two_mu_lam_0d / rho_star
-    _implicit_component(state.u, nu_u, grid, dt, lo, hi, swirl=True)
-    if state.v is not None:
-        nu_v = p.mu_0d / rho_star
-        _implicit_component(state.v, nu_v, grid, dt, lo, hi, swirl=True)
-        _implicit_component(state.w, nu_v, grid, dt, m + 1, hi, swirl=False)
+    m = min(stage.m, grid.n_cells - 1)
+    y = state.y
+    z = y[1:-2].copy()
+    swirl, axial = grid.lap_rows[2:]
+    source = _balance_source(y, p, grid, m + 1) if m >= 1 else None
+    _coupled_solve(y[1], swirl, operand(-dt * p.two_mu_lam), stage.rho_star,
+                   grid, 1, m, source)
+    if len(y) == 6:
+        coeff = operand(-dt * p.mu)
+        _coupled_solve(y[2], swirl, coeff, stage.rho_star, grid, 1, m, None)
+        _coupled_solve(y[3], axial, coeff, stage.rho_star, grid, 0, m, None)
     stage.forget_velocities()
+    return np.subtract(y[1:-2], z, z)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +567,12 @@ def blend(a: FluidState, wa, b: FluidState, wb, t: float) -> FluidState:
     return FluidState.of(wa * a.y + wb * b.y, t)
 
 
-def _clip_negative(f: np.ndarray, grid: RadialGrid) -> float:
-    """Zero the negative entries of f in place; returns the r-weighted
-    integral clipped (0.0 when no entry is negative)."""
+def _clip_negative(f: np.ndarray, f_min: float, grid: RadialGrid) -> float:
+    """Zero the negative entries of f, whose minimum is f_min, in place;
+    returns the r-weighted integral clipped (0.0 when no entry is
+    negative). A minimum that is negative or NaN makes the scan."""
+    if f_min >= 0.0:
+        return 0.0
     neg = f < _ZERO
     if not np.logical_or.reduce(neg):
         return 0.0
@@ -565,9 +582,12 @@ def _clip_negative(f: np.ndarray, grid: RadialGrid) -> float:
 
 
 def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
-                   s: SolverSettings, stats: Optional[StepStats] = None) -> None:
-    """Clip rho and P at zero, refresh the vacuum block, then apply the
-    boundary conditions and the vacuum balance (`_finish_velocities`).
+                   s: SolverSettings, stats: Optional[StepStats] = None,
+                   balance: bool = True) -> None:
+    """Clip rho and P at zero and refresh the vacuum block; then pin the axis
+    (and the wall's) velocities, solve the stress condition for u(a) on a
+    free geometry and, unless balance is False (a stage whose implicit solve
+    sets the block's velocities), re-balance the vacuum block.
 
     Leaves the stage context of the result on the state for the stages that
     follow; after this only the solver writes into the state's arrays.
@@ -576,25 +596,13 @@ def finalize_stage(state: FluidState, p: PhysParams, grid: RadialGrid,
     # one reduce gives the minima of the rho and P rows (y[0] and y[-2]); a
     # row whose minimum is negative or NaN is clipped
     rho_min, P_min = np.minimum.reduce(y[::len(y) - 2], axis=1).tolist()
-    if not rho_min >= 0.0:
-        clipped = _clip_negative(state.rho, grid)
-        if stats is not None:
-            stats.clipped_mass += clipped
-    if not P_min >= 0.0:
-        clipped = _clip_negative(state.P, grid)
-        if stats is not None:
-            stats.clipped_pressure += clipped
+    clipped_rho = _clip_negative(state.rho, rho_min, grid)
+    clipped_P = _clip_negative(state.P, P_min, grid)
+    if stats is not None:
+        stats.clipped_mass += clipped_rho
+        stats.clipped_pressure += clipped_P
     # a clipped or NaN minimum fails the stage's test, so the stage scans rho
     stage = state._stage = _Stage(state, p, s, rho_min)
-    _finish_velocities(state, p, grid, s, stats, stage)
-
-
-def _finish_velocities(state: FluidState, p: PhysParams, grid: RadialGrid,
-                       s: SolverSettings, stats: Optional[StepStats],
-                       stage: _Stage) -> None:
-    """The tail of every stage, once rho and P are final: pin the axis (and
-    the wall's) velocities, solve the stress condition for u(a) on a free
-    geometry, and re-balance the vacuum block."""
     free = p.geometry.is_free
     state.pin(wall=not free)
     if free:
@@ -603,10 +611,9 @@ def _finish_velocities(state: FluidState, p: PhysParams, grid: RadialGrid,
             residual, scale = _residual_and_scale(state, grid, p)
             stats.max_stress_residual_rel = max(stats.max_stress_residual_rel,
                                                 abs(residual) / scale)
-    stage.forget_velocities()
     # the balance reads the block and writes only velocities; it does
     # nothing without a block of two or more nodes, so it is not called
-    if stage.m >= 1:
+    if balance and stage.m >= 1:
         apply_vacuum_balance(state, p, grid, s, stats)
 
 
@@ -643,26 +650,55 @@ def ssp_rk3(y0: FluidState, dt: float, rates, finish) -> FluidState:
     return y3
 
 
-def _inviscid_half(state, h, p, grid, s, stats, forcing):
-    def L(y):
-        return rhs(y, p, grid, s, include_visc=False, forcing=forcing, stats=stats)
+def imex_step(y0: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
+              s: SolverSettings, stats: Optional[StepStats], forcing) -> FluidState:
+    """One ARS(2,3,3) IMEX Runge-Kutta step from y0 (the `rk2-imp` scheme).
 
-    k1 = L(state)
-    ym = apply_tendency(state, k1, 0.5 * h)
-    finalize_stage(ym, p, grid, s, stats)
-    k2 = L(ym)
-    out = apply_tendency(state, k2, h)
-    finalize_stage(out, p, grid, s, stats)
-    return out
+    The inviscid rates (`rhs` without the viscous terms) are explicit, at
+    y0 and at the two implicit stages Y2, Y3 (times t + gamma dt and
+    t + (1 - gamma) dt); the viscous operators are implicit, one
+    backward-Euler solve `implicit_viscous` of step gamma dt per stage, with
+    gamma = (3 + sqrt 3)/6 (Ascher, Ruuth & Spiteri 1997). In the
+    increments D = gamma dt K of the explicit rates K and the solves' Y - Z:
 
+        Z2 = y0 + D1                     Y2 = Z2 + gamma dt nu L Y2
+        Z3 = y0 + a31 D1 + a32 D2 + a33 (Y2 - Z2)
+        y1 = y0 + b (D2 + D3 + (Y2 - Z2) + (Y3 - Z3))
 
-def _rk2_strang(state, dt, p, grid, s, stats, forcing):
-    y = _inviscid_half(state, 0.5 * dt, p, grid, s, stats, forcing)
-    implicit_viscous(y, p, grid, s, dt)
-    # rho and P are as the last finalize left them, its stage still current
-    _finish_velocities(y, p, grid, s, stats, _stage_of(y, p, s))
-    y = _inviscid_half(y, 0.5 * dt, p, grid, s, stats, forcing)
-    return y
+    Each Z is clipped, pinned and given the stress condition
+    (`finalize_stage` without the balance); its solve sets the vacuum
+    block's velocities. Only y1 is re-balanced. The stage sums are written in
+    place, with 0-d weights.
+    """
+    gdt = _GAMMA * dt
+    gdt_0d = operand(gdt)
+
+    def increment(y):
+        k = rhs(y, p, grid, s, include_visc=False, forcing=forcing, stats=stats)
+        return np.multiply(k, gdt_0d, k)
+
+    def implicit_stage(z, t):
+        y = FluidState.of(z, t)
+        finalize_stage(y, p, grid, s, stats, balance=False)
+        return y, implicit_viscous(y, p, grid, s, gdt)
+
+    d1 = increment(y0)
+    y2, e2 = implicit_stage(np.add(y0.y, d1), y0.t + gdt)
+    d2 = increment(y2)
+    z3 = np.multiply(d1, _A31, d1)
+    z3 += y0.y
+    z3 += np.multiply(d2, _A32)
+    z3[1:-2] += np.multiply(e2, _A33)
+    y3, e3 = implicit_stage(z3, y0.t + (dt - gdt))
+    out = increment(y3)
+    out += d2
+    e2 += e3
+    out[1:-2] += e2
+    out *= _B
+    out += y0.y
+    y1 = FluidState.of(out, y0.t + dt)
+    finalize_stage(y1, p, grid, s, stats)
+    return y1
 
 
 def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
@@ -681,7 +717,7 @@ def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
             lambda y, _: rhs(y, p, grid, s, forcing=forcing, stats=stats),
             lambda y: finalize_stage(y, p, grid, s, stats))
     else:
-        out = _rk2_strang(state, dt, p, grid, s, stats, forcing)
+        out = imex_step(state, dt, p, grid, s, stats, forcing)
     out.t = state.t + dt
     out.freeze()
     _stage_of(out, p, s).check_finite(out)

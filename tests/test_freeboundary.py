@@ -150,7 +150,7 @@ class TestFreeStep:
         g = make_grid(64, 1.0)
         st = free_state(g, rho=np.ones(65))
         p = params()
-        out, g2 = free_step(st, 1e-3, p, g, SolverSettings())
+        out, g2, _ = free_step(st, 1e-3, p, g, SolverSettings())
         assert g2.r_outer == 1.0
         assert np.allclose(out.rho, 1.0)
 
@@ -160,7 +160,7 @@ class TestFreeStep:
         st.u[0] = 0.0
         s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
         for _ in range(3):
-            st, g = free_step(st, 1e-3, params(mu=0.3), g, s)
+            st, g, _ = free_step(st, 1e-3, params(mu=0.3), g, s)
         ref = make_grid(128, g.r_outer)
         assert g.r_outer > 1.0 and g.dr == ref.dr
         np.testing.assert_array_equal(g.nodes, ref.nodes)
@@ -175,7 +175,7 @@ class TestFreeStep:
         stats = StepStats()
         s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
         for _ in range(10):
-            st, g = free_step(st, 5e-4, p, g, s, stats)
+            st, g, _ = free_step(st, 5e-4, p, g, s, stats)
         assert stats.max_stress_residual_rel <= 1e-10
 
     def test_outflow_expands_domain(self):
@@ -190,7 +190,7 @@ class TestFreeStep:
         stats = StepStats()
         m0 = integrate(st.rho, g, Weight.RADIAL_R)
         for _ in range(40):
-            st, g = free_step(st, 1e-3, p, g, s, stats)
+            st, g, _ = free_step(st, 1e-3, p, g, s, stats)
         assert g.r_outer > 1.0
         m1 = integrate(st.rho, g, Weight.RADIAL_R)
         assert abs(m1 - m0) / m0 < 1e-3
@@ -217,7 +217,7 @@ class TestFreeStep:
         d_prev = dissipation_rate(st, g, p)
         while st.t < 0.5:
             dt = min(cfl_dt(st, g, p, s), 0.5 - st.t)
-            st, g = free_step(st, dt, p, g, s, stats)
+            st, g, _ = free_step(st, dt, p, g, s, stats)
             d = dissipation_rate(st, g, p)
             diss += 0.5 * (d_prev + d) * dt
             d_prev = d
