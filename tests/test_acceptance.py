@@ -286,24 +286,24 @@ def test_criterion_9_picard_cross_validation(mms_rows, picard_sweep):
 # round-off-sized residuals (the vacuum residual is about 1e-10) are left out.
 GOLDEN_RUNS = {
     "disk-blowup": dict(
-        status="BlowupDetected", records=24, t_final=0.4153439710386842,
-        T_detected=0.4153439710386842, E0=0.07149999999543627,
+        status="BlowupDetected", records=24, t_final=0.41534070876141105,
+        T_detected=0.41534070876141105, E0=0.07149999999543627,
         C0=0.3500000043736863, alpha_star=1.1107999999999878,
-        T_bound=86.92644188620457, energy=0.021312817650065194),
+        T_bound=86.92644188620457, energy=0.02131289328087755),
     "cylinder-blowup": dict(
-        status="BlowupDetected", records=24, t_final=0.4160458289126938,
-        T_detected=0.4160458289126938, E0=0.07663858700867708,
+        status="BlowupDetected", records=24, t_final=0.4157966527167278,
+        T_detected=0.4157966527167278, E0=0.07663858700867708,
         C0=0.3500000043736863, alpha_star=1.1666666666666667,
-        T_bound=200.41052715521099, energy=0.02143666462940029),
+        T_bound=200.41052715521099, energy=0.021401681778020435),
     "free-blowup": dict(
-        status="BlowupDetected", records=24, t_final=0.4153439058603491,
-        T_detected=0.4153439058603491, E0=0.07149999999543627,
+        status="BlowupDetected", records=24, t_final=0.4153405456663849,
+        T_detected=0.4153405456663849, E0=0.07149999999543627,
         C0=0.3500000043736863, alpha_star=1.1107999999999878,
-        T_bound=2.467934787117422e+96, energy=0.02131281981389896),
+        T_bound=2.467934787117422e+96, energy=0.02131289787267534),
     "smooth-novac": dict(
         status="Completed", records=140, t_final=0.5, T_detected=None,
         E0=0.6287142857143837, C0=None, alpha_star=None, T_bound=None,
-        energy=0.6270250537174039),
+        energy=0.627025053663236),
 }
 
 GOLDEN_MMS = {

@@ -92,9 +92,10 @@ class TestRun:
 
     def test_front_past_the_free_boundary_is_an_error(self, monkeypatch):
         # a front pushed past a(t) leaves the domain of the grid it is
-        # advanced on, so the run ends on the tracker's TrackingError
-        import mhdlab.harness
-        advance = mhdlab.harness.advance_front
+        # advanced on, so the run ends on the tracker's TrackingError; on a
+        # free geometry the front moves inside the free step
+        import mhdlab.freeboundary
+        advance = mhdlab.freeboundary.advance_front
         calls = []
 
         def kicked(front, u, grid, dt):
@@ -103,7 +104,7 @@ class TestRun:
                 u = u + 2.0 / dt
             return advance(front, u, grid, dt)
 
-        monkeypatch.setattr(mhdlab.harness, "advance_front", kicked)
+        monkeypatch.setattr(mhdlab.freeboundary, "advance_front", kicked)
         res = run(small("free-blowup", n=64))
         assert len(calls) == 5
         assert res.status is RunStatus.ERROR
@@ -237,12 +238,12 @@ class TestRunReport:
             solves.append(len(rhs))
             return sol
 
-        def dented(state, p, grid, s, stats=None):
+        def dented(state, p, grid, s, stats=None, balance=True):
             k = grid.n_cells // 2
             dent = np.zeros_like(state.P)
             dent[k] = state.P[k] = -1e-3 * (1 + len(clipped))
             clipped.append(-integrate(dent, grid, Weight.RADIAL_R))
-            finalize_stage(state, p, grid, s, stats)
+            finalize_stage(state, p, grid, s, stats, balance)
 
         monkeypatch.setattr(mhdlab._kernels, "tridiag_solve", counted)
         monkeypatch.setattr(mhdlab.solver, "finalize_stage", dented)
@@ -391,9 +392,10 @@ class TestWorkPerStep:
     @staticmethod
     def count_pressure_gradients(monkeypatch, counts):
         """Count in counts["pressure"] each P_r the NumPy kernels (whatever
-        the backend) and the vacuum balance take: a `_gradient` or
-        `central_difference` of an array sharing memory with the P of the
-        kernel call or balance it runs in."""
+        the backend) and the vacuum balance's right-hand side (of the
+        balance and of the implicit solve's block rows) take: a `_gradient`
+        or `central_difference` of an array sharing memory with the P of the
+        kernel call or right-hand side it runs in."""
         import mhdlab._kernels
         import mhdlab.solver
         pure = mhdlab._kernels.get_backend("pure")
@@ -416,21 +418,22 @@ class TestWorkPerStep:
 
         monkeypatch.setattr(pure, "_tendency",
                             holding_P(pure._tendency, lambda args: args[4]))
-        monkeypatch.setattr(mhdlab.solver, "apply_vacuum_balance",
-                            holding_P(mhdlab.solver.apply_vacuum_balance,
-                                      lambda args: args[0].P))
+        monkeypatch.setattr(mhdlab.solver, "_balance_source",
+                            holding_P(mhdlab.solver._balance_source,
+                                      lambda args: args[0][-2]))
         monkeypatch.setattr(pure, "_gradient", of_P(pure._gradient))
         monkeypatch.setattr(mhdlab.solver, "central_difference",
                             of_P(mhdlab.solver.central_difference))
 
     @pytest.mark.parametrize("preset, per_step", [
         ("disk-blowup", 0), ("cylinder-blowup", 0), ("free-blowup", 0),
-        ("smooth-novac", 4), ("mms", 3)])
+        ("smooth-novac", 3), ("mms", 3)])
     def test_pressure_gradients(self, monkeypatch, preset, per_step):
-        # one per kernel call with pressure (rk2-imp's four inviscid stages,
-        # ssprk3's three); none on the blow-up presets, whose P stays +0
-        # (TestBlowupPresetsStayPressureless), in the kernels or in the
-        # five vacuum balances of a step
+        # one per kernel call with pressure (rk2-imp's three explicit
+        # stages, ssprk3's three); none on the blow-up presets, whose P
+        # stays +0 (TestBlowupPresetsStayPressureless), in the kernels, in
+        # the two implicit solves' block rows or in the vacuum balance of a
+        # step
         cfg = small(preset, n=64, t_end=0.05)
         res, deltas, counts = self.per_step(monkeypatch, cfg, keys=("pressure",))
         assert res.status is RunStatus.COMPLETED
@@ -443,11 +446,10 @@ class TestWorkPerStep:
         assert cfg.solver.scheme.value == "rk2-imp" and cfg.r0 is not None
         res, deltas, _ = self.per_step(monkeypatch, cfg)
         assert res.status is RunStatus.COMPLETED
-        # scans: the stages after the first inviscid half-step, the implicit
-        # solve and the second half-step, and the end state; blocks: the
-        # four stages finalized after an inviscid update (the implicit solve
-        # keeps the density, so its stage keeps the block)
-        assert deltas == {(4, 4)}
+        # scans: the two implicit stages, each after its solve, and the end
+        # state; blocks: the three stages finalized after an explicit update
+        # (the implicit solves keep the density, so a stage keeps its block)
+        assert deltas == {(3, 3)}
 
     def test_smooth_novac_rk2_imp(self, monkeypatch):
         cfg = small("smooth-novac", n=64, t_end=0.2)
@@ -457,7 +459,7 @@ class TestWorkPerStep:
         # the scans of the disk-blowup case; no block search, as every
         # stage's density minimum, taken when it is finalized, is above
         # eps_vac
-        assert deltas == {(4, 0)}
+        assert deltas == {(3, 0)}
 
     def test_free_blowup_builds_one_grid_per_step(self, monkeypatch):
         cfg = small("free-blowup", n=64)

@@ -378,30 +378,23 @@ class TestRadialOperators:
 
 class TestViscousRows:
     """The viscous operators are the grid's stencil rows applied by
-    `pure.apply_rows`: the kernels' viscous terms and the implicit solve's
-    explicit part are the same evaluation, bit for bit."""
+    `pure.apply_rows`: the kernels' viscous terms are that evaluation of the
+    rows the implicit solve builds its matrix from, bit for bit."""
 
     N, M = 64, 20
     eps = np.finfo(float).eps
 
-    def implicit_part(self, monkeypatch, f, g, lo, swirl):
-        """L f on rows lo..N-1 as `solver._implicit_component` evaluates it
-        for its explicit part."""
-        from mhdlab import solver
-        seen = []
-
-        def recording(*args):
-            seen.append(pure.apply_rows(*args).copy())
-            return seen[-1]
-
-        monkeypatch.setattr(solver, "apply_rows", recording)
-        solver._implicit_component(f.copy(), np.ones_like(f), g,
-                                   pure.operand(1e-4), lo, self.N - 1, swirl)
-        assert len(seen) == 1
-        return seen[0]
+    def rows_part(self, f, g, lo, swirl):
+        """L f on rows lo..N-1: `apply_rows` on the grid's `lap_rows`."""
+        sub, sup, swirl_diag, axial_diag = g.lap_rows
+        diag = swirl_diag if swirl else axial_diag
+        rows = slice(lo, self.N)
+        out = np.empty(self.N - lo)
+        return pure.apply_rows(diag[rows], sub[rows], sup[rows], f, lo,
+                               self.N - 1, out, np.empty_like(out))
 
     @pytest.mark.parametrize("lo", [1, M + 1])
-    def test_disk_u(self, monkeypatch, lo):
+    def test_disk_u(self, lo):
         g = make_grid(self.N, 1.5)
         u = np.random.default_rng(5).standard_normal(self.N + 1)
         u[0] = u[-1] = 0.0
@@ -415,11 +408,11 @@ class TestViscousRows:
         # with rho = rho* = 1, P = B = 0 and 2mu+lam = 1 the viscous term
         # is the last sum into du
         want = du(False)
-        want[lo:-1] += self.implicit_part(monkeypatch, u, g, lo, True)
+        want[lo:-1] += self.rows_part(u, g, lo, True)
         assert np.array_equal(du(True)[lo:-1], want[lo:-1])
 
     @pytest.mark.parametrize("lo", [0, 1, M + 1])
-    def test_cylinder_v_and_w(self, monkeypatch, lo):
+    def test_cylinder_v_and_w(self, lo):
         g = make_grid(self.N, 1.5)
         v, w = swirl_fields(self.N, 9)
         # with u = 0, rho = rho* = 1 and mu = 1 the v and w rows are the
@@ -428,9 +421,9 @@ class TestViscousRows:
         axial = laplacians(w, g.nodes, g.dr)[1]
         if lo > 0:
             assert np.array_equal(
-                vector[lo:-1], self.implicit_part(monkeypatch, v, g, lo, True))
+                vector[lo:-1], self.rows_part(v, g, lo, True))
         assert np.array_equal(
-            axial[lo:-1], self.implicit_part(monkeypatch, w, g, lo, False))
+            axial[lo:-1], self.rows_part(w, g, lo, False))
 
     def assert_round_off(self, rows, lo, f, exact):
         """apply_rows(rows, f) on nodes lo..N-1 against exact, within a few

@@ -427,15 +427,16 @@ class TestStageContext:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_nan_injected_into_a_stage(self, scheme, monkeypatch):
+        # every stage of either scheme is finalized before its rates are
+        # taken; a NaN put into the first such stage raises at its scan
         import mhdlab.solver
 
-        def poisoned(state, tend, dt):
-            out = apply(state, tend, dt)
-            out.P[7] = np.nan
-            return out
+        def poisoned(state, *args, **kwargs):
+            state.P[7] = np.nan
+            return finalize(state, *args, **kwargs)
 
-        apply = mhdlab.solver.apply_tendency
-        monkeypatch.setattr(mhdlab.solver, "apply_tendency", poisoned)
+        finalize = mhdlab.solver.finalize_stage
+        monkeypatch.setattr(mhdlab.solver, "finalize_stage", poisoned)
         g = make_grid(64, 1.0)
         st = disk_state(g, rho=np.ones(65), P=np.ones(65))
         with pytest.raises(NumericalFailure, match=r"^non-finite P \(node 7\)$"):
@@ -594,6 +595,7 @@ class TestBalanceFactors:
         import dataclasses
 
         import mhdlab.core
+        import mhdlab.harness
         import mhdlab.solver
         from mhdlab.config import load_preset
         from mhdlab.harness import RunStatus, run
@@ -610,14 +612,21 @@ class TestBalanceFactors:
                 keys.add((id(grid), min(m + 1, grid.n_cells)))
             return m
 
+        def counting_step(*args, **kwargs):
+            steps.append(args[1])
+            return step(*args, **kwargs)
+
         factor = mhdlab.core.tridiag_factor
         balance = mhdlab.solver.apply_vacuum_balance
+        step, steps = mhdlab.harness.step, []
         monkeypatch.setattr(mhdlab.core, "tridiag_factor", counting_factor)
         monkeypatch.setattr(mhdlab.solver, "apply_vacuum_balance",
                             counting_balance)
+        monkeypatch.setattr(mhdlab.harness, "step", counting_step)
         res = run(dataclasses.replace(load_preset("disk-blowup"), n=64))
         assert res.status is RunStatus.BLOWUP_DETECTED
-        assert len(balances) > 100
+        # the initial state's balance, then one per step: its last stage's
+        assert len(balances) == len(steps) + 1 > 25
         assert len(factored) == len(keys) >= 1
 
 
@@ -666,61 +675,84 @@ class TestNonFiniteSolves:
             implicit_viscous(st, p, g, s, 1e-4)
 
 
-def _reference_implicit_component(f, nu, grid, dt, lo, hi, swirl):
-    """The index-array form of `solver._implicit_component`, kept as the
-    reference its sliced form must match bit for bit."""
-    from mhdlab import _kernels as kern
-    from mhdlab.solver import _theta_rows
-    dr = grid.dr
-    idx = np.arange(lo, hi + 1)
-    sub, sup, swirl_diag, axial_diag = grid.lap_rows
-    diag = (swirl_diag if swirl else axial_diag)[lo:hi + 1]
-    sub, sup = sub[lo:hi + 1], sup[lo:hi + 1]
-    nu_i = nu[idx]
-    fo = dt * nu_i / (dr * dr)
-    theta = _theta_rows(fo)
-    fl = f[np.maximum(idx - 1, 0)]
-    fc = f[idx]
-    fr = f[np.minimum(idx + 1, len(f) - 1)]
-    lf = sub * fl + diag * fc + sup * fr
-    if lo == 0:
-        lf[0] = diag[0] * f[0] + sup[0] * f[1]
-    rhs_vec = fc + dt * (1.0 - theta) * nu_i * lf
-    a = -dt * theta * nu_i * sub
-    b = 1.0 - dt * theta * nu_i * diag
-    c = -dt * theta * nu_i * sup
-    if lo > 0:
-        rhs_vec[0] -= a[0] * f[lo - 1]
-    rhs_vec[-1] -= c[-1] * f[hi + 1] if hi + 1 < len(f) else 0.0
-    f[idx] = kern.thomas(a[1:], b, c[:-1], rhs_vec)
+class TestCoupledSolve:
+    """One `implicit_viscous` solves the vacuum block's balance rows and the
+    fluid's backward-Euler rows together: on a state with a block both row
+    sets hold, checked against the operators written out here, and on the
+    block v is proportional to r and w is constant."""
 
+    N, M = 128, 40
+    dt = 2e-3
 
-class TestImplicitComponent:
-    """The sliced viscous solve gives the index-array form's bits."""
-
-    N, M = 64, 20
-
-    @pytest.mark.parametrize("lo, swirl", [
-        (1, True),        # the swirl operator pinned at the axis
-        (0, False),       # the axial operator through the axis row
-        (M + 1, True),    # the fluid nodes past a vacuum block
-        (M + 1, False),
-    ])
-    def test_matches_index_form(self, lo, swirl):
-        from mhdlab.solver import _FOURIER_SWITCH, _implicit_component
+    def state(self, swirl):
         g = make_grid(self.N, 1.0)
         r = g.nodes
-        f0 = np.sin(3.0 * r) * np.exp(-r) + 0.1 * np.cos(17.0 * r)
-        f0[0] = 0.0 if lo else 0.3
-        nu = np.logspace(-1.0, 3.5, self.N + 1)
-        dt = 1e-3
-        fo = dt * nu[lo:self.N] / (g.dr * g.dr)
-        assert fo.min() <= _FOURIER_SWITCH < fo.max()   # both theta rows
-        got, want = f0.copy(), f0.copy()
-        _implicit_component(got, nu, g, dt, lo, self.N - 1, swirl)
-        _reference_implicit_component(want, nu, g, dt, lo, self.N - 1, swirl)
-        assert got.tobytes() == want.tobytes()
-        assert got.tobytes() != f0.tobytes()
+        rho = np.where(np.arange(self.N + 1) <= self.M, 0.0, 1.0 + r)
+        fields = dict(rho=rho, u=np.sin(3.0 * r) * r * (1.0 - r),
+                      P=0.2 + 0.3 * r * r, B=r * np.exp(-r))
+        if swirl:
+            fields.update(v=np.sin(2.0 * r) * (1.0 - r), w=np.cos(r) - np.cos(1.0))
+            return g, cyl_state(g, **fields), cyl_params(mu=0.7, lam=0.2)
+        return g, disk_state(g, **fields), disk_params(mu=0.7, lam=0.2)
+
+    @staticmethod
+    def operator(f, r, dr, swirl):
+        """L f at nodes 1..N-1, and the sum of its products' sizes there."""
+        fl, fc, fr, ri = f[:-2], f[1:-1], f[2:], r[1:-1]
+        lf = (fr - 2.0 * fc + fl) / (dr * dr) + (fr - fl) / (2.0 * dr * ri)
+        size = ((np.abs(fr) + 2.0 * np.abs(fc) + np.abs(fl)) / (dr * dr)
+                + (np.abs(fr) + np.abs(fl)) / (2.0 * dr * ri))
+        if swirl:
+            lf = lf - fc / (ri * ri)
+            size = size + np.abs(fc) / (ri * ri)
+        return lf, size
+
+    def assert_rows(self, f, z, nu, source, g, swirl):
+        """Balance rows L f = source on nodes 1..M, backward-Euler rows
+        f - dt nu L f = z on M+1..N-1, each to a relative residual of 1e-12."""
+        r, dr, m = g.nodes, g.dr, self.M
+        lf, size = self.operator(f, r, dr, swirl)
+        block = lf[:m] - source
+        assert np.max(np.abs(block)) <= 1e-12 * np.max(size[:m] + np.abs(source))
+        rows = slice(m + 1, self.N)
+        visc = self.dt * nu[rows] * lf[m:]
+        fluid = f[rows] - visc - z[rows]
+        scale = np.abs(f[rows]) + self.dt * nu[rows] * size[m:] + np.abs(z[rows])
+        assert np.max(np.abs(fluid)) <= 1e-12 * np.max(scale)
+
+    @pytest.mark.parametrize("swirl", [False, True])
+    def test_block_and_fluid_rows_hold(self, swirl):
+        from mhdlab.solver import _stage_of, implicit_viscous
+        g, st, p = self.state(swirl)
+        s = settings()
+        assert _stage_of(st, p, s).m == self.M
+        z = st.y.copy()
+        got = implicit_viscous(st, p, g, s, self.dt)
+        assert np.array_equal(got, st.y[1:-2] - z[1:-2])
+        assert np.array_equal(st.y[[0, -2, -1]], z[[0, -2, -1]])
+        r, dr = g.nodes, g.dr
+        rho_star = np.maximum(st.rho, s.eps_vac)
+        # the balance's right-hand side, with central B_r and P_r
+        B, P = st.B, st.P
+        Br = (B[2:] - B[:-2]) / (2.0 * dr)
+        Pr = (P[2:] - P[:-2]) / (2.0 * dr)
+        ri = r[1:-1]
+        source = ((B[1:-1] * (Br + B[1:-1] / ri) + Pr) / p.two_mu_lam)[:self.M]
+        self.assert_rows(st.u, z[1], p.two_mu_lam / rho_star, source, g, True)
+        assert st.u[0] == z[1, 0] and st.u[-1] == z[1, -1]
+        if not swirl:
+            return
+        zero = np.zeros(self.M)
+        nu = p.mu / rho_star
+        self.assert_rows(st.v, z[2], nu, zero, g, True)
+        self.assert_rows(st.w, z[3], nu, zero, g, False)
+        # the axis row of w: 4 (w1 - w0) / dr^2 = 0 on the block
+        assert abs(st.w[1] - st.w[0]) <= 1e-12 * np.max(np.abs(st.w))
+        # on the block v is v(r_M) r / r_M and w is w(r_M)
+        m = self.M
+        v_lin = st.v[m] * r[:m + 1] / r[m]
+        assert np.max(np.abs(st.v[:m + 1] - v_lin)) <= 1e-12 * abs(st.v[m])
+        assert np.max(np.abs(st.w[:m + 1] - st.w[m])) <= 1e-12 * abs(st.w[m])
 
 
 class TestConservation:
