@@ -166,6 +166,24 @@ class TestFreeStep:
         np.testing.assert_array_equal(g.nodes, ref.nodes)
         np.testing.assert_array_equal(g.quad_weights, ref.quad_weights)
 
+    def test_front_moves_with_the_boundary_field(self):
+        # the front and the boundary take the same time-centred velocity,
+        # the step's input and output averaged on the grid of [0, a] before
+        # the remap, and the midpoint rule on that grid
+        from mhdlab.vacuum import VacuumFront, advance_front, advance_radius
+        g = make_grid(128, 1.0)
+        st = free_state(g, rho=np.ones(129), u=0.3 * g.nodes ** 2)
+        st.u[0] = 0.0
+        p, dt = params(mu=0.3), 1e-3
+        s = SolverSettings(scheme=Scheme.RK2_IMPLICIT_VISCOUS)
+        front = VacuumFront(R=0.4, r0=0.4, C0=1.0)
+        out, g2, moved = free_step(st, dt, p, g, s, front=front)
+        u_mid = 0.5 * (st.u + step(st, dt, p, g, s).u)
+        assert g2.r_outer == advance_radius(u_mid, g, 1.0, dt) > 1.0
+        assert moved == advance_front(front, u_mid, g, dt)
+        assert moved.R > front.R
+        assert free_step(st, dt, p, g, s)[2] is None
+
     def test_stress_residual_tracked_small(self):
         g = make_grid(128, 1.0)
         prof = Profile.parse("bump 0.2 0.7 0.5")

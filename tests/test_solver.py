@@ -755,6 +755,31 @@ class TestCoupledSolve:
         assert np.max(np.abs(st.w[:m + 1] - st.w[m])) <= 1e-12 * abs(st.w[m])
 
 
+class TestVacuumInterface:
+    """The block's and the fluid's velocities come from one solve, so the
+    velocities at the vacuum edge carry no error of the step size: a
+    balance closed on a lagged edge value left one of about 1e-2 in v and
+    w on cylinder-blowup, at every grid size."""
+
+    def test_cylinder_velocities_do_not_depend_on_dt(self):
+        import dataclasses
+
+        from mhdlab.config import load_preset
+        from mhdlab.harness import RunStatus, run
+        cfg = dataclasses.replace(load_preset("cylinder-blowup"), n=128,
+                                  t_end=0.3)
+        ends = []
+        for cfl in (0.4, 0.1):
+            res = run(dataclasses.replace(
+                cfg, solver=dataclasses.replace(cfg.solver, cfl=cfl)))
+            assert res.status is RunStatus.COMPLETED
+            assert res.state.t == pytest.approx(0.3, rel=1e-12)
+            ends.append(res.state)
+        coarse, fine = ends
+        assert np.max(np.abs(coarse.v - fine.v)) <= 1e-5
+        assert np.max(np.abs(coarse.w - fine.w)) <= 1e-5
+
+
 class TestConservation:
     def test_mass_conserved_smooth_run(self):
         # interior flux differences telescope; only the two boundary point
