@@ -7,8 +7,9 @@ Usage: python benchmarks/preset_hashes.py
 Runs each preset through the command line's `run` at its own grid size and
 at N=256, and prints the sha256 of the `run.csv` and `run.json` it writes,
 one line each; then the sha256 of the stdout of `mhdlab mms --preset mms
---n 32,64,128`, and of `mhdlab bounds` (the closed-form lifespan bounds) on
-each vacuum preset and on disk-blowup at alpha = 1.3. A change that claims
+--n 32,64,128`, of the same ladder under the IMEX scheme (`--override
+'time.scheme="rk2-imp"'`), and of `mhdlab bounds` (the closed-form lifespan
+bounds) on each vacuum preset and on disk-blowup at alpha = 1.3. A change that claims
 to leave the outputs' bits alone is checked by diffing this script's output
 in a checkout of the parent and in one of the change. The runs use the
 kernel backend that is installed.
@@ -28,6 +29,8 @@ from mhdlab.config import PRESET_NAMES, load_preset  # noqa: E402
 
 EXTRA_N = 256
 MMS_LADDER = ["mms", "--preset", "mms", "--n", "32,64,128"]
+MMS_IMEX_LADDER = MMS_LADDER[:3] + ["--override", 'time.scheme="rk2-imp"',
+                                    *MMS_LADDER[3:]]
 BOUNDS = [["bounds", "--preset", name] for name in
           ("disk-blowup", "cylinder-blowup", "free-blowup")]
 BOUNDS.append(BOUNDS[0] + ["--override", "diag.alpha=1.3"])
@@ -59,7 +62,7 @@ def main():
         for n in sorted({shipped, EXTRA_N}):
             for line in preset_lines(name, n):
                 print(line, flush=True)
-    for argv in [MMS_LADDER, *BOUNDS]:
+    for argv in [MMS_LADDER, MMS_IMEX_LADDER, *BOUNDS]:
         rc, text = captured(argv)
         if rc != 0:
             raise SystemExit(f"mhdlab {' '.join(argv)} exited {rc}")
