@@ -229,13 +229,19 @@ def test_criterion_5_blowup_ordering(disk_run, cylinder_run, free_run):
             "; ".join(details) + f" wall={total:.1f}s")
 
 
-def test_criterion_6_convergence(mms_rows):
-    rows, elapsed = mms_rows
+def _orders(rows):
+    """(the lowest L2_r order of a ladder, its orders as text)."""
     worst = min(min(row.orders.values()) for row in rows[1:])
-    ok = worst >= 1.8 and elapsed < 120.0
-    orders_txt = "; ".join(
+    text = "; ".join(
         f"N={row.n}: " + ",".join(f"{f}={o:.2f}" for f, o in row.orders.items())
         for row in rows[1:])
+    return worst, text
+
+
+def test_criterion_6_convergence(mms_rows):
+    rows, elapsed = mms_rows
+    worst, orders_txt = _orders(rows)
+    ok = worst >= 1.8 and elapsed < 120.0
     _report(6, "manufactured-solution L2 orders >= 1.8 for rho,u,P,B", ok,
             orders_txt + f" wall={elapsed:.1f}s")
 
@@ -258,17 +264,15 @@ def test_rk2_imp_convergence(monkeypatch):
         return out
 
     monkeypatch.setattr(mhdlab.harness, "step", keeping)
-    rows, elapsed = _timed(lambda: convergence_study(cfg, [256, 512, 1024, 2048]))
+    rows, elapsed = _timed(
+        lambda: convergence_study(cfg, [256, 512, 1024, 2048]))
     forcing = MMSForcing(cfg.phys, cfg.r_outer)
     axis = []
     for row in rows:
         out, grid = last[row.n]
         axis.append(abs(out.rho[0] - forcing.exact_state(grid, out.t).rho[0]))
-    worst = min(min(row.orders.values()) for row in rows[1:])
+    worst, orders_txt = _orders(rows)
     falling = all(b < a for a, b in zip(axis, axis[1:]))
-    orders_txt = "; ".join(
-        f"N={row.n}: " + ",".join(f"{f}={o:.2f}" for f, o in row.orders.items())
-        for row in rows[1:])
     _report("6-imex", "rk2-imp manufactured-solution L2 orders >= 1.8, rho[0] "
             "error falling", worst >= 1.8 and falling,
             orders_txt + " rho[0] errors " + ", ".join(f"{e:.1e}" for e in axis)
