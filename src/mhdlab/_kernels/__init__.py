@@ -6,11 +6,12 @@ is built but fails to load raises its own ImportError: only a missing
 `_core` selects the fallback, so a run computes with the kernels that
 `BACKEND` reports. The radial operators every module builds its derivatives
 from (`axis_gradient` and the axis-pinned (f_r, f/r) pair `radial_parts`)
-and the factored tridiagonal solve over LAPACK have one home, `pure.py`,
-under either backend: the NumPy tendency kernels' own stencil helpers, run
-on fresh outputs (the kernels run them on a per-thread workspace of scratch
-arrays). The LAPACK routines come from SciPy's Fortran extension
-`scipy.linalg._flapack`, loaded alone on the first tridiagonal solve
+have one home, `pure.py`, under either backend: the NumPy tendency kernels'
+own stencil helpers, run on fresh outputs (the kernels run them on a
+per-thread workspace of scratch arrays). Every tridiagonal system of a run
+is solved by the one routine `thomas`: the compiled twin's pivot-free
+elimination, or under the NumPy kernels LAPACK `gtsv` from SciPy's Fortran
+extension `scipy.linalg._flapack`, loaded alone on the first solve
 (`pure._lapack`), so no run imports `scipy.linalg`.
 """
 
@@ -34,7 +35,6 @@ thomas = _impl.thomas
 
 axis_gradient = _pure.axis_gradient
 radial_parts = _pure.radial_parts
-tridiag_solve = _pure.tridiag_solve
 
 
 def get_backend(name):

@@ -21,8 +21,8 @@ Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
   boundary fluxes vanish
 * `lf_fc` carries per-face Lax-Friedrichs coefficients (zero where disabled);
   `up_fc` marks faces that switch the mass flux to donor-cell form
-* tridiagonal systems are solved by LAPACK gtsv, or gttrf once and gttrs per
-  right-hand side, from SciPy's LAPACK extension (see `_lapack`)
+* every tridiagonal system is solved by `thomas`, LAPACK gtsv from SciPy's
+  LAPACK extension (see `_lapack`)
 
 The tendency kernels allocate only the rates array they return. Every
 intermediate is a positional-`out` ufunc call into a `_Workspace`: scratch
@@ -103,20 +103,17 @@ _FLAPACK = "scipy.linalg._flapack"
 
 @functools.cache
 def _lapack():
-    """(dgtsv, dgttrf, dgttrs): the LAPACK routine scipy.linalg.solve_banded(
-    (1, 1), ...) calls for a tridiagonal system, without its per-call
-    validation, and its factor/solve split (gttrf followed by gttrs runs
-    gtsv's elimination, pivot test and back substitution, so the results are
-    the same bits).
+    """dgtsv: the LAPACK routine scipy.linalg.solve_banded((1, 1), ...) calls
+    for a tridiagonal system, without its per-call validation.
 
     Loaded on the first tridiagonal solve, so a run that never solves one
     (the MMS ladder, `mhdlab bounds`, an explicit run without vacuum) never
     loads SciPy. Only top-level `scipy` (for its platform set-up) and its
     Fortran LAPACK extension are loaded: `import scipy.linalg` would add
-    about 28 MB resident and 0.25 s of a cold start for three functions. An
+    about 28 MB resident and 0.25 s of a cold start for one function. An
     extension already imported is reused, and one loaded here is registered
     under its own name, so a later `scipy.linalg` import and
-    `get_lapack_funcs` hand out these same objects.
+    `get_lapack_funcs` hand out this same object.
     """
     import scipy
 
@@ -133,7 +130,7 @@ def _lapack():
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         sys.modules[_FLAPACK] = mod
-    return mod.dgtsv, mod.dgttrf, mod.dgttrs
+    return mod.dgtsv
 
 
 _quiet = {}
@@ -655,14 +652,6 @@ def _require_finite(*arrays):
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _raise_pivot(info, routine):
-    if info > 0:
-        raise ZeroDivisionError(
-            f"singular tridiagonal system: zero pivot at row {info}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine}")
-
-
 def thomas(sub, diag, sup, rhs):
     """Solve the tridiagonal system; sub/sup have length n-1.
 
@@ -675,40 +664,11 @@ def thomas(sub, diag, sup, rhs):
     _require_finite(sub, diag, sup, rhs)
     if len(diag) <= 1:
         return rhs / diag
-    gtsv, _, _ = _lapack()
-    _, _, _, x, info = gtsv(sub, diag, sup, rhs)
-    _raise_pivot(info, "gtsv")
+    _, _, _, x, info = _lapack()(sub, diag, sup, rhs)
+    if info > 0:
+        raise ZeroDivisionError(
+            f"singular tridiagonal system: zero pivot at row {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
     return x
 
-
-def tridiag_factor(sub, diag, sup):
-    """Factors of a tridiagonal matrix for `tridiag_solve`; sub/sup have
-    length n-1.
-
-    Checks the rows once: ValueError on a non-finite entry and
-    ZeroDivisionError on a zero pivot, as `thomas` raises them. LAPACK
-    gttrf takes n >= 3; a smaller system keeps its checked rows, which
-    `tridiag_solve` hands to `thomas` (so its pivot is tested there).
-    """
-    _require_finite(sub, diag, sup)
-    if len(diag) < 3:
-        return sub, diag, sup
-    _, gttrf, _ = _lapack()
-    *factors, info = gttrf(sub, diag, sup)
-    _raise_pivot(info, "gttrf")
-    for a in factors:
-        a.flags.writeable = False
-    return tuple(factors)
-
-
-def tridiag_solve(factors, rhs):
-    """Solve the system `tridiag_factor` factored for one right-hand side,
-    with the bits `thomas` gives; only rhs is checked (ValueError when it is
-    not finite)."""
-    if len(factors) == 3:
-        return thomas(*factors, rhs)
-    _require_finite(rhs)
-    _, _, gttrs = _lapack()
-    x, info = gttrs(*factors, rhs)
-    _raise_pivot(info, "gttrs")
-    return x

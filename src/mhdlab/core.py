@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ._kernels.pure import laplacian_rows, operand, quiet_faces, tridiag_factor
+from ._kernels.pure import laplacian_rows, operand, quiet_faces
 from .errors import ConfigError
 
 
@@ -74,8 +74,8 @@ class RadialGrid:
     """Uniform nodes 0 = r_0 < ... < r_N = R_outer with trapezoid weights.
 
     The arrays are read-only, so what is derived from them and cached on the
-    grid (the viscous stencil rows, the vacuum-balance factors, the face
-    controls of a state without vacuum) stays valid for the grid's lifetime.
+    grid (the viscous stencil rows, the face controls of a state without
+    vacuum) stays valid for the grid's lifetime.
     The 0-d operands of the spacing are `_kernels.pure.spacing(dr)`'s.
     """
 
@@ -95,21 +95,6 @@ class RadialGrid:
         See `_kernels.pure.laplacian_rows`; built on first use, once per grid.
         """
         return tuple(_read_only(a) for a in laplacian_rows(self.nodes, self.dr))
-
-    def balance_factors(self, edge: int):
-        """`tridiag_factor` of the vacuum balance closed at node edge: rows
-        1..edge-1 of the swirl operator in `lap_rows`, with the Dirichlet
-        value at edge left to the right-hand side. Built once per edge."""
-        hit = self._balance_factors.get(edge)
-        if hit is None:
-            sub, sup, swirl, _ = self.lap_rows
-            hit = tridiag_factor(sub[2:edge], swirl[1:edge], sup[1:edge - 1])
-            self._balance_factors[edge] = hit
-        return hit
-
-    @cached_property
-    def _balance_factors(self) -> dict:
-        return {}
 
     @property
     def quiet_faces(self):

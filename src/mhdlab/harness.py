@@ -249,13 +249,11 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
     try:
         rs.record(dt=0.0)
         t_end = cfg.t_end
-        dt_cfl = None
+        # a DtCollapse here ends the run as an ERROR (a configuration
+        # problem, not a blow-up signal). After each step detect_blowup
+        # flags a collapse and supplies the next dt.
+        dt_cfl = cfl_dt(rs.state, rs.grid, rs.p, rs.settings)
         while rs.state.t < t_end * (1.0 - 1e-12):
-            if dt_cfl is None:
-                # first step only: a DtCollapse here ends the run as an ERROR
-                # (a configuration problem, not a blow-up signal). After each
-                # step detect_blowup flags a collapse and supplies the next dt.
-                dt_cfl = cfl_dt(rs.state, rs.grid, rs.p, rs.settings)
             dt = min(dt_cfl, t_end - rs.state.t)
             last_dt = dt
             if rs.free:

@@ -428,11 +428,12 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     # classified vacuum the Dirichlet end u(R)=0 closes the problem instead
     edge = min(m + 1, grid.n_cells)
     rhs_vec = _balance_source(y, p, grid, edge)
-    # the last row's coupling to the Dirichlet value u[edge]
-    rhs_vec[-1] -= grid.lap_rows[1][edge - 1] * float(u[edge])
-    # the matrix depends on the grid and edge only: factored once per block
-    u[1:edge] = _solved("vacuum balance", kern.tridiag_solve,
-                        grid.balance_factors(edge), rhs_vec)
+    # rows 1..edge-1 of the swirl operator; the last row's coupling to the
+    # Dirichlet value u[edge] goes to the right-hand side
+    sub, sup, swirl, _ = grid.lap_rows
+    rhs_vec[-1] -= sup[edge - 1] * float(u[edge])
+    u[1:edge] = _solved("vacuum balance", kern.thomas, sub[2:edge],
+                        swirl[1:edge], sup[1:edge - 1], rhs_vec)
     u[0] = 0.0
     if len(y) == 6:
         # mu (v_r + v/r)_r = 0 with v(0)=0  ->  v linear in r (discretely exact);
@@ -718,7 +719,6 @@ def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
             lambda y: finalize_stage(y, p, grid, s, stats))
     else:
         out = imex_step(state, dt, p, grid, s, stats, forcing)
-    out.t = state.t + dt
     out.freeze()
     _stage_of(out, p, s).check_finite(out)
     return out

@@ -1,7 +1,7 @@
 """What a cold start loads: `import mhdlab` loads no submodule and no NumPy,
 the set-up path and `mhdlab bounds` leave the run loop unloaded, SciPy's
-LAPACK extension is loaded by the first tridiagonal solve, and no run
-imports `scipy.linalg`. The kernel backend is the compiled extension when
+LAPACK extension is loaded by the NumPy kernels' first tridiagonal solve,
+and no run imports `scipy.linalg`. The kernel backend is the compiled extension when
 it is built and the NumPy kernels when it is not; a built extension that
 fails to load is an ImportError. The package's public names resolve,
 lazily, to the objects of their home modules.
@@ -84,8 +84,8 @@ if LINALG_FIRST:
     import scipy.linalg
 {run}
 from scipy.linalg import get_lapack_funcs
-ref = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (np.empty(0),))
-assert all(a is b for a, b in zip(pure._lapack(), ref, strict=True)), ref
+ref, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+assert pure._lapack() is ref, ref
 """
 
 
@@ -145,10 +145,9 @@ def test_no_tridiagonal_solve_leaves_scipy_unloaded(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(SOLVE))
 def test_tridiagonal_solve_loads_only_the_lapack_extension(case, tmp_path):
     loaded, backend, _ = _fresh(SOLVE[case], tmp_path)
-    # the compiled kernels solve the implicit viscous rows themselves, so
-    # without vacuum only the NumPy backend reaches LAPACK
-    solves = case != "rk2-imp-novac" or backend == "pure"
-    assert loaded == ([FLAPACK] if solves else [])
+    # the compiled kernels solve every tridiagonal system themselves, so
+    # only the NumPy backend reaches LAPACK
+    assert loaded == ([FLAPACK] if backend == "pure" else [])
 
 
 @pytest.mark.parametrize("linalg_first", [False, True])

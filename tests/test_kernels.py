@@ -237,83 +237,6 @@ class TestPureThomas:
                         np.array([np.nan]))
 
 
-def tridiagonal(n, seed, weak):
-    """A random system; a weak diagonal makes LAPACK swap rows."""
-    rng = np.random.default_rng(1000 * n + seed)
-    sub = rng.standard_normal(n - 1)
-    sup = rng.standard_normal(n - 1)
-    scale = (0.05, 0.5) if weak else (4.0, 6.0)
-    diag = rng.uniform(*scale, n) * rng.choice([-1.0, 1.0], n)
-    return sub, diag, sup, rng.standard_normal(n)
-
-
-class TestFactoredSolve:
-    """`tridiag_factor` + `tridiag_solve` give `thomas`'s bytes."""
-
-    @pytest.mark.parametrize("weak", [False, True])
-    @pytest.mark.parametrize("n", [3, 17, 400])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bitwise_equal_to_thomas(self, n, seed, weak):
-        sub, diag, sup, rhs = tridiagonal(n, seed, weak)
-        factors = pure.tridiag_factor(sub, diag, sup)
-        ipiv = factors[-1]
-        # the weak systems do take the row-swapping branch
-        assert bool(np.any(ipiv != np.arange(1, n + 1))) == weak
-        x = pure.tridiag_solve(factors, rhs)
-        assert x.tobytes() == pure.thomas(sub, diag, sup, rhs).tobytes()
-        # the factors survive a solve: a second right-hand side reuses them
-        rhs2 = rhs[::-1].copy()
-        assert (pure.tridiag_solve(factors, rhs2).tobytes()
-                == pure.thomas(sub, diag, sup, rhs2).tobytes())
-
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("weak", [False, True])
-    def test_small_systems_take_thomas(self, n, weak):
-        sub, diag, sup, rhs = tridiagonal(n, 3, weak)
-        x = pure.tridiag_solve(pure.tridiag_factor(sub, diag, sup), rhs)
-        assert x.tobytes() == pure.thomas(sub, diag, sup, rhs).tobytes()
-
-    def test_balance_rows_bitwise(self):
-        # the vacuum-balance matrix as the grid factors it
-        g = make_grid(1024, 1.0)
-        sub, sup, swirl, _ = g.lap_rows
-        edge = 513
-        rhs = np.random.default_rng(7).standard_normal(edge - 1)
-        x = pure.tridiag_solve(g.balance_factors(edge), rhs)
-        args = (sub[2:edge], swirl[1:edge], sup[1:edge - 1], rhs)
-        assert x.tobytes() == pure.thomas(*args).tobytes()
-        assert g.balance_factors(edge) is g.balance_factors(edge)
-
-    @pytest.mark.parametrize("n", [2, 5])
-    @pytest.mark.parametrize("which", range(3))
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_row_raises_when_factored(self, n, which, bad):
-        rows = [np.full(n - 1, 0.5), np.full(n, 4.0), np.full(n - 1, 0.5)]
-        rows[which][-1] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            pure.tridiag_factor(*rows)
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_rhs_raises_when_solved(self, n, bad):
-        factors = pure.tridiag_factor(np.full(n - 1, 0.5), np.full(n, 4.0),
-                                      np.full(n - 1, 0.5))
-        rhs = np.ones(n)
-        rhs[-1] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            pure.tridiag_solve(factors, rhs)
-
-    def test_zero_pivot_raises(self):
-        with pytest.raises(ZeroDivisionError, match="zero pivot at row 1"):
-            pure.tridiag_factor(np.zeros(3), np.array([0.0, 1.0, 1.0, 1.0]),
-                                np.ones(3))
-        # a 2-row system is solved by thomas, which tests its pivot
-        factors = pure.tridiag_factor(np.array([0.0]), np.array([0.0, 1.0]),
-                                      np.array([0.0]))
-        with pytest.raises(ZeroDivisionError):
-            pure.tridiag_solve(factors, np.ones(2))
-
-
 def laplacians(f, r, dr):
     """(vector, axial) Laplacians of f as the NumPy kernel computes them: the
     v and w rows of the cylinder tendency with rho = rho* = 1, u = P = B = 0

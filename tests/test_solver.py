@@ -561,6 +561,30 @@ class TestVacuumBalance:
         assert differences == [m + 2] * 3
         assert got.y.tobytes() == want.y.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 32])
+    def test_small_and_whole_domain_blocks(self, m):
+        # blocks of 1, 2 and 3 unknowns and, at m = N, the whole domain closed
+        # by the wall node: the balance rows hold on nodes 1..edge-1 and the
+        # Dirichlet value u[edge] is kept
+        n = 32
+        g = make_grid(n, 1.0)
+        r, dr = g.nodes, g.dr
+        rho = np.where(np.arange(n + 1) <= m, 0.0, 1.0 + r)
+        st = disk_state(g, rho=rho, u=np.sin(3.0 * r) + 0.5 * r,
+                        P=0.2 + 0.3 * r * r, B=r * np.exp(-r))
+        p = disk_params(mu=0.7, lam=0.2)
+        edge = min(m + 1, n)
+        u_edge = st.u[edge]
+        assert u_edge != 0.0
+        assert apply_vacuum_balance(st, p, g, settings()) == m
+        assert st.u[edge] == u_edge and st.u[0] == 0.0
+        lu, size = TestCoupledSolve.operator(st.u, r, dr, True)
+        source = TestCoupledSolve.source(st, g, p)
+        rows = slice(0, edge - 1)
+        resid = lu[rows] - source[rows]
+        scale = np.max(size[rows] + np.abs(source[rows]))
+        assert np.max(np.abs(resid)) <= 1e-12 * scale
+
     def test_cylinder_block_profiles(self):
         g = make_grid(256, 1.0)
         r = g.nodes
@@ -588,46 +612,46 @@ def blowup_initial_state(n=64):
     return st, cfg.grid(), cfg.phys, cfg.solver
 
 
-class TestBalanceFactors:
-    """The balance matrix depends on the grid and the block edge only."""
+class TestTridiagonalTraffic:
+    """Every tridiagonal solve of a run goes through `_kernels.thomas`: per
+    `rk2-imp` step one per velocity row in each of the two implicit stages
+    and one for the end-of-step balance, plus one for the initial state's
+    balance. Under the NumPy kernels no LAPACK call bypasses it."""
 
-    def test_one_factorization_per_grid_and_edge(self, monkeypatch):
+    @pytest.mark.parametrize("preset, per_step", [("disk-blowup", 3),
+                                                  ("cylinder-blowup", 7)])
+    def test_solves_per_step(self, monkeypatch, preset, per_step):
         import dataclasses
 
-        import mhdlab.core
         import mhdlab.harness
-        import mhdlab.solver
+        from mhdlab._kernels import pure
         from mhdlab.config import load_preset
         from mhdlab.harness import RunStatus, run
-        factored, keys, balances = [], set(), []
+        solves, gtsv_rows, steps = [], [], []
 
-        def counting_factor(*rows):
-            factored.append(len(rows[1]))
-            return factor(*rows)
+        def counting_thomas(*system):
+            solves.append(len(system[1]))
+            return thomas(*system)
 
-        def counting_balance(state, p, grid, s, stats=None):
-            m = balance(state, p, grid, s, stats)
-            if m >= 1:
-                balances.append(m)
-                keys.add((id(grid), min(m + 1, grid.n_cells)))
-            return m
+        def counting_gtsv(*system):
+            gtsv_rows.append(len(system[1]))
+            return gtsv(*system)
 
         def counting_step(*args, **kwargs):
             steps.append(args[1])
             return step(*args, **kwargs)
 
-        factor = mhdlab.core.tridiag_factor
-        balance = mhdlab.solver.apply_vacuum_balance
-        step, steps = mhdlab.harness.step, []
-        monkeypatch.setattr(mhdlab.core, "tridiag_factor", counting_factor)
-        monkeypatch.setattr(mhdlab.solver, "apply_vacuum_balance",
-                            counting_balance)
+        thomas, gtsv, step = kern.thomas, pure._lapack(), mhdlab.harness.step
+        monkeypatch.setattr(kern, "thomas", counting_thomas)
+        monkeypatch.setattr(pure, "_lapack", lambda: counting_gtsv)
         monkeypatch.setattr(mhdlab.harness, "step", counting_step)
-        res = run(dataclasses.replace(load_preset("disk-blowup"), n=64))
+        res = run(dataclasses.replace(load_preset(preset), n=64))
         assert res.status is RunStatus.BLOWUP_DETECTED
-        # the initial state's balance, then one per step: its last stage's
-        assert len(balances) == len(steps) + 1 > 25
-        assert len(factored) == len(keys) >= 1
+        assert len(solves) == per_step * len(steps) + 1
+        assert len(steps) > 25
+        if kern.BACKEND == "pure":
+            # a one-row system is divided out, every other one is a gtsv
+            assert gtsv_rows == [n for n in solves if n > 1]
 
 
 class TestFaceControls:
@@ -707,6 +731,15 @@ class TestCoupledSolve:
             size = size + np.abs(fc) / (ri * ri)
         return lf, size
 
+    @staticmethod
+    def source(st, g, p):
+        """The balance's right-hand side (B (B_r + B/r) + P_r) / (2mu+lam)
+        at nodes 1..N-1, with central B_r and P_r."""
+        B, P, ri, dr = st.B, st.P, g.nodes[1:-1], g.dr
+        Br = (B[2:] - B[:-2]) / (2.0 * dr)
+        Pr = (P[2:] - P[:-2]) / (2.0 * dr)
+        return (B[1:-1] * (Br + B[1:-1] / ri) + Pr) / p.two_mu_lam
+
     def assert_rows(self, f, z, nu, source, g, swirl):
         """Balance rows L f = source on nodes 1..M, backward-Euler rows
         f - dt nu L f = z on M+1..N-1, each to a relative residual of 1e-12."""
@@ -730,14 +763,9 @@ class TestCoupledSolve:
         got = implicit_viscous(st, p, g, s, self.dt)
         assert np.array_equal(got, st.y[1:-2] - z[1:-2])
         assert np.array_equal(st.y[[0, -2, -1]], z[[0, -2, -1]])
-        r, dr = g.nodes, g.dr
+        r = g.nodes
         rho_star = np.maximum(st.rho, s.eps_vac)
-        # the balance's right-hand side, with central B_r and P_r
-        B, P = st.B, st.P
-        Br = (B[2:] - B[:-2]) / (2.0 * dr)
-        Pr = (P[2:] - P[:-2]) / (2.0 * dr)
-        ri = r[1:-1]
-        source = ((B[1:-1] * (Br + B[1:-1] / ri) + Pr) / p.two_mu_lam)[:self.M]
+        source = self.source(st, g, p)[:self.M]
         self.assert_rows(st.u, z[1], p.two_mu_lam / rho_star, source, g, True)
         assert st.u[0] == z[1, 0] and st.u[-1] == z[1, -1]
         if not swirl:
