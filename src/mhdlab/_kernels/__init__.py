@@ -4,7 +4,12 @@ The per-step kernels come from the compiled extension `_core` when it is
 built, and from the NumPy fallback `pure` when it is not. An extension that
 is built but fails to load raises its own ImportError: only a missing
 `_core` selects the fallback, so a run computes with the kernels that
-`BACKEND` reports. The radial operators every module builds its derivatives
+`BACKEND` reports. Code that needs one backend in particular takes the NumPy
+kernels as `pure` and the compiled ones from
+`importlib.import_module("mhdlab._kernels._core")` under the same rule; the
+backends are compared by running perfbench in a tree with the extension
+built in place and in one without (each record's stamp names its backend).
+The radial operators every module builds its derivatives
 from (`axis_gradient` and the axis-pinned (f_r, f/r) pair `radial_parts`)
 have one home, `pure.py`, under either backend: the NumPy tendency kernels'
 own stencil helpers, run on fresh outputs (the kernels run them on a
@@ -36,10 +41,3 @@ thomas = _impl.thomas
 axis_gradient = _pure.axis_gradient
 radial_parts = _pure.radial_parts
 
-
-def get_backend(name):
-    """Return a specific backend module ("pure" or "cython") for benchmarks."""
-    if name == "pure":
-        return _pure
-    from . import _core
-    return _core

@@ -141,13 +141,15 @@ class _RunState:
         scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
         return float(np.min((lhs - rhs) / scale))
 
-    def record(self, dt: float) -> None:
+    def record(self, dt: float, max_gradu: float) -> None:
+        """Append the state's diagnostics row; max_gradu is the state's
+        `max_grad_u`, which a stepped state's health check has computed."""
         rec = DiagnosticsRecord(
             t=self.state.t,
             energy=total_energy(self.state, self.grid, self.p),
             dissipation_cum=self.diss_cum,
             div_l2=div_norm(self.state, self.grid),
-            max_gradu=max_grad_u(self.state, self.grid),
+            max_gradu=max_gradu,
             dt=dt,
         )
         if self.free:
@@ -247,7 +249,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
     last_dt = 0.0
     steps = 0
     try:
-        rs.record(dt=0.0)
+        rs.record(0.0, max_grad_u(rs.state, rs.grid))
         t_end = cfg.t_end
         # a DtCollapse here ends the run as an ERROR (a configuration
         # problem, not a blow-up signal). After each step detect_blowup
@@ -269,13 +271,13 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
                         rs.front, _HALF * (u_before + rs.state.u), rs.grid, dt)
             rs.accumulate_dissipation(dt)
             steps += 1
+            health = detect_blowup(rs.state, rs.grid, rs.p, rs.settings)
             if steps % cfg.output_stride == 0:
-                rs.record(dt)
+                rs.record(dt, health.max_gradu)
                 if rs.energy_breaches >= _INVALIDATION_STRIKES:
                     rs.invalid_reason = "sustained energy-identity failure"
                     status = RunStatus.INVALIDATED
                     break
-            health = detect_blowup(rs.state, rs.grid, rs.p, rs.settings)
             if health.suspected:
                 status = RunStatus.BLOWUP_DETECTED
                 rs.stop_reason = health.reason
@@ -283,7 +285,7 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
                 break
             dt_cfl = health.dt
         if not rs.records or rs.records[-1].t != rs.state.t:
-            rs.record(last_dt)
+            rs.record(last_dt, health.max_gradu)
     except MHDLabError as exc:
         status = RunStatus.ERROR
         rs.invalid_reason = str(exc)
@@ -363,6 +365,8 @@ def convergence_study(cfg: ScenarioConfig, n_list) -> List[ConvergenceRow]:
         grid = sub.grid()
         forcing = MMSForcing(sub.phys, sub.r_outer)
         state = forcing.exact_state(grid, 0.0)
+        # read-only, so its first cfl_dt and first rhs share one stage
+        state.freeze()
         while state.t < sub.t_end * (1.0 - 1e-12):
             dt = cfl_dt(state, grid, sub.phys, sub.solver)
             dt = min(dt, sub.t_end - state.t)

@@ -14,7 +14,8 @@ from mhdlab.config import (apply_overrides, build_config, load_preset,
                            load_preset_text, parse_pairs)
 from mhdlab.core import ScenarioConfig, Weight, integrate
 from mhdlab.errors import DtCollapse
-from mhdlab.harness import CSV_HEADER, outcome_to_json, records_to_csv, run
+from mhdlab.harness import (CSV_HEADER, convergence_study, outcome_to_json,
+                            records_to_csv, run)
 
 
 def small(preset, **kw):
@@ -169,12 +170,13 @@ class TestDetectedAtTheAxis:
 
 
 class TestOneCflPerStep:
-    """run() takes each step's dt from the previous step's health check."""
+    """run() takes each step's dt from the previous step's health check, and
+    each record's max_gradu from its state's health check."""
 
     def count_calls(self, monkeypatch, cfg):
         import mhdlab.harness
         import mhdlab.solver
-        counts = {"cfl_dt": 0, "step": 0}
+        counts = {"cfl_dt": 0, "step": 0, "max_grad_u": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -185,6 +187,9 @@ class TestOneCflPerStep:
         cfl = counting("cfl_dt", mhdlab.solver.cfl_dt)
         monkeypatch.setattr(mhdlab.solver, "cfl_dt", cfl)
         monkeypatch.setattr(mhdlab.harness, "cfl_dt", cfl)
+        grad = counting("max_grad_u", mhdlab.solver.max_grad_u)
+        monkeypatch.setattr(mhdlab.solver, "max_grad_u", grad)
+        monkeypatch.setattr(mhdlab.harness, "max_grad_u", grad)
         monkeypatch.setattr(mhdlab.harness, "step",
                             counting("step", mhdlab.harness.step))
         return run(cfg), counts
@@ -204,6 +209,16 @@ class TestOneCflPerStep:
         assert res.status is RunStatus.BLOWUP_DETECTED
         assert counts["step"] > 5
         assert counts["cfl_dt"] == counts["step"]
+
+    def test_one_gradient_per_recorded_state(self, monkeypatch):
+        # the initial record's, then one per step from the health check,
+        # which every record reuses
+        res, counts = self.count_calls(
+            monkeypatch, small("disk-blowup", n=64, output_stride=1))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        assert counts["step"] > 5
+        assert len(res.records) == counts["step"] + 1
+        assert counts["max_grad_u"] == counts["step"] + 1
 
 
 class TestRunReport:
@@ -370,7 +385,7 @@ class TestWorkPerStep:
                                     profiled(getattr(mhdlab.harness, name)))
         if "scalars" in keys:
             # the NumPy kernels whatever the backend
-            pure = mhdlab._kernels.get_backend("pure")
+            pure = mhdlab._kernels.pure
             for name in ("gradient", "disk_tendency", "cylinder_tendency",
                          "thomas"):
                 monkeypatch.setattr(mhdlab._kernels, name, getattr(pure, name))
@@ -398,7 +413,7 @@ class TestWorkPerStep:
         kernel call or right-hand side it runs in."""
         import mhdlab._kernels
         import mhdlab.solver
-        pure = mhdlab._kernels.get_backend("pure")
+        pure = mhdlab._kernels.pure
         for name in ("disk_tendency", "cylinder_tendency"):
             monkeypatch.setattr(mhdlab._kernels, name, getattr(pure, name))
         current = {"P": None}
@@ -504,10 +519,12 @@ class TestWorkPerStep:
         assert min(ufuncs for _, ufuncs in deltas) > 20
 
     @pytest.mark.parametrize("preset", ["disk-blowup", "free-blowup",
-                                        "smooth-novac"])
+                                        "smooth-novac", "mms"])
     def test_one_stage_for_the_initial_state(self, monkeypatch, preset):
-        # the initial balance, the first cfl_dt and the first rhs share it
+        # the initial balance, the first cfl_dt and the first rhs share it;
+        # on mms, the first cfl_dt and rhs of a convergence ladder rung
         import mhdlab.harness
+        import mhdlab.mms
         import mhdlab.solver
         initial, built = [], []
 
@@ -515,6 +532,11 @@ class TestWorkPerStep:
             state, front = init_scenario(cfg)
             initial.append(state)
             return state, front
+
+        def exact(forcing, grid, t):
+            state = exact_state(forcing, grid, t)
+            initial.append(state)
+            return state
 
         class CountedStage(mhdlab.solver._Stage):
             __slots__ = ()
@@ -524,10 +546,16 @@ class TestWorkPerStep:
                 super().__init__(state, p, s, rho_min)
 
         init_scenario = mhdlab.harness.init_scenario
+        exact_state = mhdlab.mms.MMSForcing.exact_state
         monkeypatch.setattr(mhdlab.harness, "init_scenario", init)
+        monkeypatch.setattr(mhdlab.mms.MMSForcing, "exact_state", exact)
         monkeypatch.setattr(mhdlab.solver, "_Stage", CountedStage)
-        res = run(small(preset, n=64, t_end=0.05))
-        assert res.status is RunStatus.COMPLETED
+        if preset == "mms":
+            rows = convergence_study(small(preset, t_end=0.05), [64])
+            assert len(rows) == 1 and initial[0].t == 0.0
+        else:
+            res = run(small(preset, n=64, t_end=0.05))
+            assert res.status is RunStatus.COMPLETED
         assert sum(state is initial[0] for state in built) == 1
 
 
@@ -578,8 +606,8 @@ class TestFreeEnergyBreaches:
             return ledger(history)
 
         class Watched(harness._RunState):
-            def record(self, dt):
-                super().record(dt)
+            def record(self, dt, max_gradu):
+                super().record(dt, max_gradu)
                 strikes.append(self.energy_breaches)
 
         monkeypatch.setattr(harness, "energy_residual", counted)
