@@ -10,14 +10,15 @@ kernels as `pure` and the compiled ones from
 backends are compared by running perfbench in a tree with the extension
 built in place and in one without (each record's stamp names its backend).
 The radial operators every module builds its derivatives
-from (`axis_gradient` and the axis-pinned (f_r, f/r) pair `radial_parts`)
-have one home, `pure.py`, under either backend: the NumPy tendency kernels'
-own stencil helpers, run on fresh outputs (the kernels run them on a
-per-thread workspace of scratch arrays). Every tridiagonal system of a run
-is solved by the one routine `thomas`: the compiled twin's pivot-free
-elimination, or under the NumPy kernels LAPACK `gtsv` from SciPy's Fortran
-extension `scipy.linalg._flapack`, loaded alone on the first solve
-(`pure._lapack`), so no run imports `scipy.linalg`.
+from (`gradient`, `axis_gradient` and the axis-pinned (f_r, f/r) pair
+`radial_parts`) have one home, `pure.py`, under either backend: the NumPy
+tendency kernels' own stencil helpers, run on fresh outputs (the kernels
+run them on a per-thread workspace of scratch arrays). Every tridiagonal
+system of a run is solved by the one routine `thomas`, which raises
+ZeroDivisionError on a zero pivot and scans nothing (the solver checks the
+systems it builds): the compiled twin's pivot-free elimination, or LAPACK
+`gtsv` from SciPy's Fortran extension `scipy.linalg._flapack`, loaded
+alone on the first solve (`pure._lapack`), so no run imports `scipy.linalg`.
 """
 
 import importlib
@@ -33,11 +34,11 @@ except ModuleNotFoundError as exc:
 
 BACKEND = _impl.BACKEND_NAME
 
-gradient = _impl.gradient
 disk_tendency = _impl.disk_tendency
 cylinder_tendency = _impl.cylinder_tendency
 thomas = _impl.thomas
 
+gradient = _pure.gradient
 axis_gradient = _pure.axis_gradient
 radial_parts = _pure.radial_parts
 

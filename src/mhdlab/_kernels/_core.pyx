@@ -32,17 +32,6 @@ cdef inline double _viscous_row(double dr, double ri, double hoop, double fl,
     return (-2.0 * inv2 - hoop) * fc + (inv2 - drift) * fl + (inv2 + drift) * fr
 
 
-def gradient(cnp.ndarray[double, ndim=1] f, double dr):
-    cdef Py_ssize_t n1 = f.shape[0]
-    cdef cnp.ndarray[double, ndim=1] out = np.empty(n1)
-    cdef Py_ssize_t i
-    for i in range(1, n1 - 1):
-        out[i] = (f[i + 1] - f[i - 1]) / (2.0 * dr)
-    out[0] = _onesided_lo(f[0], f[1], f[2], dr)
-    out[n1 - 1] = _onesided_hi(f[n1 - 1], f[n1 - 2], f[n1 - 3], dr)
-    return out
-
-
 def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
                   cnp.ndarray[double, ndim=1] rho,
                   cnp.ndarray[double, ndim=1] u,
@@ -226,7 +215,8 @@ def cylinder_tendency(cnp.ndarray[double, ndim=1] r, double dr,
 
 def thomas(cnp.ndarray[double, ndim=1] sub, cnp.ndarray[double, ndim=1] diag,
            cnp.ndarray[double, ndim=1] sup, cnp.ndarray[double, ndim=1] rhs):
-    """Thomas elimination for a tridiagonal system; sub/sup have length n-1."""
+    """Pivot-free Thomas elimination; sub/sup have length n-1. The contract
+    of pure.thomas: ZeroDivisionError on a zero pivot, no input scan."""
     cdef Py_ssize_t n = diag.shape[0]
     cdef cnp.ndarray[double, ndim=1] cp = np.empty(n)
     cdef cnp.ndarray[double, ndim=1] x = np.empty(n)

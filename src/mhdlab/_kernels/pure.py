@@ -646,23 +646,19 @@ def laplacian_rows(r, dr):
     return sub, sup, swirl, axial
 
 
-def _require_finite(*arrays):
-    for a in arrays:
-        if not np.logical_and.reduce(np.isfinite(a), axis=None):
-            raise ValueError("array must not contain infs or NaNs")
-
-
 def thomas(sub, diag, sup, rhs):
     """Solve the tridiagonal system; sub/sup have length n-1.
 
     Calls LAPACK gtsv directly, the routine (and so the result) of
     scipy.linalg.solve_banded((1, 1), ...); SciPy's LAPACK extension is
-    loaded on the first call that reaches it. Raises ValueError on
-    non-finite input, as solve_banded does, and ZeroDivisionError on
-    singular systems (same contract as the compiled twin's elimination loop).
+    loaded on the first call that reaches it. A one-row system, which gtsv
+    refuses, is divided out. Raises ZeroDivisionError on a zero pivot and
+    scans nothing, as the compiled twin: the solver checks its systems.
     """
-    _require_finite(sub, diag, sup, rhs)
     if len(diag) <= 1:
+        if not diag.all():
+            raise ZeroDivisionError(
+                "singular tridiagonal system: zero pivot at row 1")
         return rhs / diag
     _, _, _, x, info = _lapack()(sub, diag, sup, rhs)
     if info > 0:
@@ -671,4 +667,3 @@ def thomas(sub, diag, sup, rhs):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gtsv")
     return x
-

@@ -429,10 +429,11 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     edge = min(m + 1, grid.n_cells)
     rhs_vec = _balance_source(y, p, grid, edge)
     # rows 1..edge-1 of the swirl operator; the last row's coupling to the
-    # Dirichlet value u[edge] goes to the right-hand side
+    # Dirichlet value u[edge] goes to the right-hand side, the one array
+    # of the system that can carry a non-finite value
     sub, sup, swirl, _ = grid.lap_rows
     rhs_vec[-1] -= sup[edge - 1] * float(u[edge])
-    u[1:edge] = _solved("vacuum balance", kern.thomas, sub[2:edge],
+    u[1:edge] = _solved("vacuum balance", (rhs_vec,), sub[2:edge],
                         swirl[1:edge], sup[1:edge - 1], rhs_vec)
     u[0] = 0.0
     if len(y) == 6:
@@ -448,15 +449,18 @@ def apply_vacuum_balance(state: FluidState, p: PhysParams, grid: RadialGrid,
     return m
 
 
-def _solved(what: str, solve, *args) -> np.ndarray:
-    """solve(*args), a singular or non-finite system and a non-finite
-    solution raised as NumericalFailure naming what."""
+def _solved(what: str, suspects: tuple, *system) -> np.ndarray:
+    """kern.thomas(*system), raised as NumericalFailure naming what when one
+    of suspects, the system's arrays that can carry a non-finite value,
+    does (an infinite diagonal entry can give a finite solution), when the
+    system is singular and when the solution is non-finite."""
+    for a in suspects:
+        if not np.logical_and.reduce(np.isfinite(a)):
+            raise NumericalFailure(f"non-finite {what} system")
     try:
-        sol = solve(*args)
+        sol = kern.thomas(*system)
     except ZeroDivisionError as exc:
         raise NumericalFailure(f"singular {what} solve: {exc}") from None
-    except ValueError as exc:
-        raise NumericalFailure(f"non-finite {what} system: {exc}") from None
     if not np.logical_and.reduce(np.isfinite(sol)):
         raise NumericalFailure(f"non-finite {what} solution")
     return sol
@@ -476,6 +480,12 @@ def _coupled_solve(f: np.ndarray, diag: np.ndarray, coeff: np.ndarray,
     constant being its null vector), a backward-Euler row by 1 + dt nu /
     r^2 (or by 1); so a pivot-free elimination, such as the compiled twin's
     `thomas`, is safe on it.
+
+    Only the diagonal and the right-hand side are scanned: the rows are
+    the grid's finite rows times one scale row, and no stencil diagonal
+    entry is zero or smaller than its row's others, so a non-finite or
+    overflowing scale shows in the diagonal; f, the source and f[N] (as
+    c f[N], non-finite even where c is 0) enter the right-hand side.
     """
     k = max(m - lo + 1, 0)                  # the block's rows
     sub, sup = grid.lap_rows[:2]
@@ -488,7 +498,7 @@ def _coupled_solve(f: np.ndarray, diag: np.ndarray, coeff: np.ndarray,
     rhs_vec = f[rows].copy()
     rhs_vec[:k] = 0.0 if source is None else source
     rhs_vec[-1] -= c[-1] * f[-1]
-    f[rows] = _solved("viscous", kern.thomas, a[1:], b, c[:-1], rhs_vec)
+    f[rows] = _solved("viscous", (b, rhs_vec), a[1:], b, c[:-1], rhs_vec)
 
 
 def implicit_viscous(state: FluidState, p: PhysParams, grid: RadialGrid,

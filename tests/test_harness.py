@@ -315,13 +315,13 @@ def scalar_counting_numpy(modules, counts):
 
 
 class TestWorkPerStep:
-    """Per-step calls of the finiteness scan, the vacuum-block search and the
-    free grid's builds, the forcing's profile builds and evaluations, the
-    frames entered in NumPy's reduction wrappers, the Python-number
-    operands of the NumPy kernels' and the solver's ufunc calls, and the
-    pressure gradients of the NumPy kernels and the vacuum balance, counted
-    between the starts of consecutive steps of run() (one step plus its
-    health check)."""
+    """Per-step calls of the finiteness scan and of np.isfinite, the
+    vacuum-block search and the free grid's builds, the forcing's profile
+    builds and evaluations, the frames entered in NumPy's reduction
+    wrappers, the Python-number operands of the NumPy kernels' and the
+    solver's ufunc calls, and the pressure gradients of the NumPy kernels
+    and the vacuum balance, counted between the starts of consecutive steps
+    of run() (one step plus its health check)."""
 
     def per_step(self, monkeypatch, cfg, keys=("scan", "block")):
         import sys
@@ -334,7 +334,7 @@ class TestWorkPerStep:
         import mhdlab.solver
         counts = {"scan": 0, "block": 0, "table": 0, "eval": 0, "grid": 0,
                   "rows": 0, "wrapped": 0, "scalars": 0, "ufuncs": 0,
-                  "pressure": 0}
+                  "pressure": 0, "isfinite": 0}
         marks = []
         wrapper_files = numpy_wrapper_files()
 
@@ -386,14 +386,15 @@ class TestWorkPerStep:
         if "scalars" in keys:
             # the NumPy kernels whatever the backend
             pure = mhdlab._kernels.pure
-            for name in ("gradient", "disk_tendency", "cylinder_tendency",
-                         "thomas"):
+            for name in ("disk_tendency", "cylinder_tendency", "thomas"):
                 monkeypatch.setattr(mhdlab._kernels, name, getattr(pure, name))
             stand_ins = scalar_counting_numpy((pure, mhdlab.solver), counts)
             for module, stand_in in stand_ins.items():
                 monkeypatch.setattr(module, "np", stand_in)
         if "pressure" in keys:
             self.count_pressure_gradients(monkeypatch, counts)
+        if "isfinite" in keys:
+            monkeypatch.setattr(np, "isfinite", counting("isfinite", np.isfinite))
         monkeypatch.setattr(mhdlab.harness, "step", marking(mhdlab.harness.step))
         monkeypatch.setattr(mhdlab.harness, "free_step",
                             marking(mhdlab.harness.free_step))
@@ -475,6 +476,21 @@ class TestWorkPerStep:
         # stage's density minimum, taken when it is finalized, is above
         # eps_vac
         assert deltas == {(3, 0)}
+
+    @pytest.mark.parametrize("preset, per_step", [
+        ("disk-blowup", 11), ("cylinder-blowup", 23), ("smooth-novac", 9)])
+    def test_finiteness_scans(self, monkeypatch, preset, per_step):
+        # np.isfinite calls, under either backend: one per state scan (three,
+        # see test_disk_blowup_rk2_imp), and per tridiagonal solve the
+        # solver's scans of the system it built and of the solution: three
+        # for each velocity row of the two implicit stages (diagonal,
+        # right-hand side, solution), two for the end-of-step vacuum
+        # balance (right-hand side, solution); `thomas` scans nothing
+        cfg = small(preset, n=64, t_end=0.05)
+        assert cfg.solver.scheme.value == "rk2-imp"
+        res, deltas, _ = self.per_step(monkeypatch, cfg, keys=("isfinite",))
+        assert res.status is RunStatus.COMPLETED
+        assert deltas == {(per_step,)}
 
     def test_free_blowup_builds_one_grid_per_step(self, monkeypatch):
         cfg = small("free-blowup", n=64)

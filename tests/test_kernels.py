@@ -95,13 +95,6 @@ class TestBackendAgreement:
             for x, y in zip(numpy_kernel(*args), twin(*args)):
                 np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
 
-    def test_gradient(self):
-        n = 100
-        rng = np.random.default_rng(11)
-        f = rng.standard_normal(n + 1)
-        np.testing.assert_allclose(pure.gradient(f, 0.02),
-                                   compiled.gradient(f, 0.02), rtol=1e-13)
-
     @pytest.mark.parametrize("n", [2, 3, 17, 400])
     def test_thomas_matches_banded_solver(self, n):
         rng = np.random.default_rng(n)
@@ -117,9 +110,13 @@ class TestBackendAgreement:
         np.testing.assert_allclose(A @ x_cy, rhs, rtol=1e-9, atol=1e-10)
 
     def test_thomas_singular_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            compiled.thomas(np.array([0.0]), np.array([0.0, 1.0]),
-                            np.array([0.0]), np.array([1.0, 1.0]))
+        for thomas in (pure.thomas, compiled.thomas):
+            with pytest.raises(ZeroDivisionError):
+                thomas(np.array([0.0]), np.array([0.0, 1.0]),
+                       np.array([0.0]), np.array([1.0, 1.0]))
+            with pytest.raises(ZeroDivisionError):
+                thomas(np.empty(0), np.array([0.0]), np.empty(0),
+                       np.array([1.0]))
 
 
 class TestAllPlusZero:
@@ -190,6 +187,12 @@ class TestPureThomas:
         with pytest.raises(ZeroDivisionError):
             pure.thomas(np.array([0.0]), np.array([0.0, 1.0]),
                         np.array([0.0]), np.array([1.0, 1.0]))
+        # a one-row system, divided out, as gtsv refuses it; with a zero
+        # right-hand side too, where the division would give nan
+        for rhs in (1.0, 0.0):
+            with pytest.raises(ZeroDivisionError, match="zero pivot at row 1"):
+                pure.thomas(np.empty(0), np.array([0.0]), np.empty(0),
+                            np.array([rhs]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 400])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -230,16 +233,17 @@ class TestPureThomas:
 
     @pytest.mark.parametrize("which", range(4))
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_raises(self, which, bad):
+    def test_non_finite_input_is_solved(self, which, bad):
+        # no scan: the solver checks the systems it builds (`_solved`); an
+        # infinite entry may well give a finite solution
         args = [np.full(4, 0.5), np.full(5, 4.0), np.full(4, 0.5), np.ones(5)]
         args[which][2] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            pure.thomas(*args)
+        assert pure.thomas(*args).shape == (5,)
 
-    def test_non_finite_one_by_one_raises(self):
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            pure.thomas(np.empty(0), np.array([2.0]), np.empty(0),
+    def test_non_finite_one_by_one_is_solved(self):
+        x = pure.thomas(np.empty(0), np.array([2.0]), np.empty(0),
                         np.array([np.nan]))
+        assert x.shape == (1,) and np.isnan(x[0])
 
 
 def laplacians(f, r, dr):

@@ -602,12 +602,13 @@ class TestVacuumBalance:
         assert np.allclose(st.w[:edge], st.w[edge])
 
 
-def blowup_initial_state(n=64):
-    """disk-blowup's initial state, grid, physics and settings at n cells."""
+def blowup_initial_state(n=64, preset="disk-blowup"):
+    """A blow-up preset's initial state, grid, physics and settings at n
+    cells."""
     import dataclasses
     from mhdlab.config import load_preset
     from mhdlab.core import init_scenario
-    cfg = dataclasses.replace(load_preset("disk-blowup"), n=n)
+    cfg = dataclasses.replace(load_preset(preset), n=n)
     st, _ = init_scenario(cfg)
     return st, cfg.grid(), cfg.phys, cfg.solver
 
@@ -682,7 +683,14 @@ class TestFaceControls:
 
 
 class TestNonFiniteSolves:
-    """A NaN reaching a tridiagonal solve ends as a NumericalFailure."""
+    """A non-finite value reaching a tridiagonal solve ends as a
+    NumericalFailure naming the system, under either kernel backend: the
+    solver scans the arrays of each system it builds that can carry one
+    (`solver._solved`), as `thomas` scans nothing. On the cylinder-blowup
+    states below the block is nodes 0..32 of 64."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+    FLUID, BLOCK = 40, 10
 
     def test_vacuum_balance(self):
         st, g, p, s = blowup_initial_state()
@@ -697,6 +705,74 @@ class TestNonFiniteSolves:
         st.rho[40] = np.nan
         with pytest.raises(NumericalFailure, match="non-finite viscous"):
             implicit_viscous(st, p, g, s, 1e-4)
+
+    def cylinder(self):
+        st, g, p, s = blowup_initial_state(preset="cylinder-blowup")
+        assert vacuum_block(st.rho, s.eps_vac) == 32
+        return st, g, p, s
+
+    def assert_viscous_fails(self, st, g, p, s, dt=1e-4):
+        from mhdlab.solver import implicit_viscous
+        with pytest.raises(NumericalFailure, match="non-finite viscous system"):
+            implicit_viscous(st, p, g, s, dt)
+
+    def assert_balance_fails(self, st, g, p, s):
+        with pytest.raises(NumericalFailure,
+                           match="non-finite vacuum balance system"):
+            apply_vacuum_balance(st, p, g, s)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("node", [FLUID, -1])
+    @pytest.mark.parametrize("field", ["u", "v", "w"])
+    def test_velocity(self, field, node, bad):
+        # a fluid node's value, or the value held at node N
+        st, g, p, s = self.cylinder()
+        getattr(st, field)[node] = bad
+        self.assert_viscous_fails(st, g, p, s)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["B", "P"])
+    def test_block_source(self, field, bad):
+        # the balance's source, in the implicit stage's block rows and in
+        # the standalone balance
+        for assert_fails in (self.assert_viscous_fails,
+                             self.assert_balance_fails):
+            st, g, p, s = self.cylinder()
+            getattr(st, field)[self.BLOCK] = bad
+            assert_fails(st, g, p, s)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_balance_edge_value(self, bad):
+        st, g, p, s = self.cylinder()
+        st.u[33] = bad
+        self.assert_balance_fails(st, g, p, s)
+
+    def test_density(self):
+        # a NaN rho* makes its row's scale, and so its diagonal entry, NaN
+        st, g, p, s = self.cylinder()
+        st.rho[self.FLUID] = np.nan
+        self.assert_viscous_fails(st, g, p, s)
+
+    @pytest.mark.parametrize("dt", BAD)
+    def test_step_size(self, dt):
+        # an infinite dt scales the wall's coupling to inf, whose product
+        # with the held u = 0 is an invalid operation on the way
+        with np.errstate(invalid="ignore"):
+            self.assert_viscous_fails(*self.cylinder(), dt=dt)
+
+    def test_infinite_density_is_left_to_the_state_scan(self):
+        # rho = +inf scales its row by -dt nu / rho* = -0: the system is
+        # finite and the solve leaves the row's velocity as it was, so no
+        # solve fails; the next stage's state scan reports the density
+        from mhdlab.solver import implicit_viscous
+        st, g, p, s = self.cylinder()
+        st.rho[self.FLUID] = np.inf
+        z = st.y[1:-2].copy()
+        change = implicit_viscous(st, p, g, s, 1e-4)
+        assert np.isfinite(change).all()
+        assert np.array_equal(st.y[1:-2, self.FLUID], z[:, self.FLUID])
+        with pytest.raises(NumericalFailure, match="non-finite rho"):
+            detect_blowup(st, g, p, s)
 
 
 class TestCoupledSolve:
