@@ -2,7 +2,9 @@
 """Compiled twin of the NumPy kernel backend (see pure.py for conventions).
 
 The loops evaluate the same expressions as the vectorized fallback so the two
-backends agree to a few ulps; tests assert the equivalence directly.
+backends agree to a few ulps; tests assert the equivalence directly. Face
+controls that are None, as on a state without vacuum, become zeros before
+`disk_tendency`'s face loop, which computes the zero terms.
 """
 
 import numpy as np
@@ -40,8 +42,8 @@ def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
                   cnp.ndarray[double, ndim=1] rho_star,
                   double two_mu_lam, double gamma,
                   bint include_visc,
-                  cnp.ndarray[double, ndim=1] lf_fc,
-                  cnp.ndarray[unsigned char, ndim=1] up_fc):
+                  cnp.ndarray[double, ndim=1] lf_fc=None,
+                  cnp.ndarray[unsigned char, ndim=1] up_fc=None):
     cdef Py_ssize_t n1 = r.shape[0]
     cdef Py_ssize_t n = n1 - 1
     cdef cnp.ndarray[double, ndim=1] drho = np.empty(n1)
@@ -58,6 +60,11 @@ def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
     cdef double ur_i, uor_i, Br_i, Bor_i, Pr_i, visc_i, r_face, fv, ubar
     cdef double vol_i, div_i, lorentz_i, wd_i, mom_r
     cdef bint any_lf = False
+    # None: no Lax-Friedrichs coefficient or donor-cell flag on any face
+    if lf_fc is None:
+        lf_fc = np.zeros(n)
+    if up_fc is None:
+        up_fc = np.zeros(n, dtype=np.uint8)
     for j in range(n):
         if lf_fc[j] != 0.0:
             any_lf = True
@@ -157,8 +164,8 @@ def cylinder_tendency(cnp.ndarray[double, ndim=1] r, double dr,
                       cnp.ndarray[double, ndim=1] rho_star,
                       double two_mu_lam, double mu, double gamma,
                       bint include_visc,
-                      cnp.ndarray[double, ndim=1] lf_fc,
-                      cnp.ndarray[unsigned char, ndim=1] up_fc):
+                      cnp.ndarray[double, ndim=1] lf_fc=None,
+                      cnp.ndarray[unsigned char, ndim=1] up_fc=None):
     drho, du, dP, dB = disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam,
                                      gamma, include_visc, lf_fc, up_fc)
     cdef cnp.ndarray[double, ndim=1] du_ = du

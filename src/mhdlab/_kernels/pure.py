@@ -20,7 +20,8 @@ Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
   discrete mass integral and the total of B are telescoping-exact when the
   boundary fluxes vanish
 * `lf_fc` carries per-face Lax-Friedrichs coefficients (zero where disabled);
-  `up_fc` marks faces that switch the mass flux to donor-cell form
+  `up_fc` marks faces that switch the mass flux to donor-cell form; either
+  is None (the default) when no face has one
 * every tridiagonal system is solved by `thomas`, LAPACK gtsv from SciPy's
   LAPACK extension (see `_lapack`)
 
@@ -32,9 +33,8 @@ workspace holds the grid factors of the last node array it was bound to,
 through a weak reference, so the many grids of a free run share it and none
 is kept alive; the viscous rows of those nodes are built on the first call
 with a viscous term (a run without one, such as `rk2-imp`'s explicit
-stages, never builds them). The kernels know the quiet face controls
-(`quiet_faces`, one read-only pair per size) by identity, so a state without
-vacuum skips the band and the donor flux unscanned; another `lf_fc` is
+stages, never builds them). Face controls that are None (a state without
+vacuum) skip the band and the donor flux unscanned; an `lf_fc` array is
 scanned for its band (the scan's face indices are the one other array a call
 makes).
 They run the Lax-Friedrichs products over the band's faces only, on scratch
@@ -133,24 +133,6 @@ def _lapack():
     return mod.dgtsv
 
 
-_quiet = {}
-
-
-def quiet_faces(n_faces):
-    """The face controls of a state without vacuum nodes on n_faces faces:
-    no Lax-Friedrichs coefficient and no donor-cell flag, read-only.
-
-    One pair per size for the whole process, so the tendency kernels know
-    it by identity and skip the band and the donor flux without scanning it.
-    """
-    hit = _quiet.get(n_faces)
-    if hit is None:
-        lf, up = np.zeros(n_faces), np.zeros(n_faces, dtype=np.uint8)
-        lf.flags.writeable = up.flags.writeable = False
-        hit = _quiet.setdefault(n_faces, (lf, up))
-    return hit
-
-
 def _nothing():
     return None
 
@@ -198,7 +180,6 @@ class _Workspace:
 
     def __init__(self, nodes):
         faces, inner = nodes - 1, nodes - 2
-        self.quiet_lf, self.quiet_up = quiet_faces(faces)
         self._r, self._dr = _nothing, None
         self._rows = None
         self.sp = None
@@ -277,9 +258,9 @@ class _Workspace:
 
     def lf_faces(self, lf_fc):
         """The faces the Lax-Friedrichs products run over: None without a
-        coefficient (the quiet zeros are not scanned), else the band's first
-        to last nonzero face."""
-        if lf_fc is self.quiet_lf:
+        coefficient (lf_fc None is not scanned), else the band's first to
+        last nonzero face."""
+        if lf_fc is None:
             return None
         nz = np.not_equal(lf_fc, _ZERO, self.lf_mask).nonzero()[0]
         if nz.size == 0:
@@ -403,7 +384,7 @@ def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
     """
     fv = np.add(ws.mom_lo, ws.mom_hi, ws.fv)
     np.multiply(fv, _HALF, fv)
-    if up_fc is not ws.quiet_up and np.count_nonzero(up_fc):
+    if up_fc is not None and np.count_nonzero(up_fc):
         vbar = np.add(vel[:-1], vel[1:], ws.vbar)
         np.multiply(vbar, _HALF, vbar)
         donor = ws.donor
@@ -561,7 +542,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
 
 
 def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                  include_visc, lf_fc, up_fc, transport=None):
+                  include_visc, lf_fc=None, up_fc=None, transport=None):
     """Tendency rows (drho, du, dP, dB) of the 2D radial system, one array.
 
         rho_t = -(rho V)_r - rho V / r                     (face-flux form)
@@ -578,7 +559,7 @@ def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
 
 
 def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
-                      gamma, include_visc, lf_fc, up_fc):
+                      gamma, include_visc, lf_fc=None, up_fc=None):
     """Disk tendency plus swirl/axial components of the cylindrical system.
 
         u_t gains + rho v^2 / r inside the rho-weighted bracket

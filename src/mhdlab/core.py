@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ._kernels.pure import laplacian_rows, operand, quiet_faces
+from ._kernels.pure import laplacian_rows, operand
 from .errors import ConfigError
 
 
@@ -74,8 +74,7 @@ class RadialGrid:
     """Uniform nodes 0 = r_0 < ... < r_N = R_outer with trapezoid weights.
 
     The arrays are read-only, so what is derived from them and cached on the
-    grid (the viscous stencil rows, the face controls of a state without
-    vacuum) stays valid for the grid's lifetime.
+    grid (the viscous stencil rows) stays valid for the grid's lifetime.
     The 0-d operands of the spacing are `_kernels.pure.spacing(dr)`'s.
     """
 
@@ -95,15 +94,6 @@ class RadialGrid:
         See `_kernels.pure.laplacian_rows`; built on first use, once per grid.
         """
         return tuple(_read_only(a) for a in laplacian_rows(self.nodes, self.dr))
-
-    @property
-    def quiet_faces(self):
-        """Face controls of a state without vacuum nodes, read-only: no
-        Lax-Friedrichs coefficient and no donor-cell flag on any face.
-
-        The pair of `_kernels.pure.quiet_faces`, shared by every grid of this
-        size, which the NumPy kernels recognise without scanning it."""
-        return quiet_faces(self.n_cells)
 
 
 MIN_CELLS = 2     # width of the one-sided end stencils

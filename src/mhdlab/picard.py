@@ -61,7 +61,7 @@ def _linear_tendency(y: FluidState, V: np.ndarray, p: PhysParams,
     """The disk rates with transport by the frozen V and no LF band."""
     return pure.disk_tendency(grid.nodes, grid.dr, *y.y,
                               np.maximum(y.rho, eps_vac), p.two_mu_lam_0d,
-                              p.gamma_0d, True, *grid.quiet_faces, transport=V)
+                              p.gamma_0d, True, transport=V)
 
 
 def _sweep(state0: FluidState, v_traj, dt: float, n_steps: int, p: PhysParams,

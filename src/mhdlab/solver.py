@@ -103,12 +103,7 @@ class StepStats:
     max_stress_residual_rel: float = 0.0
 
 
-def vacuum_block(rho: np.ndarray, eps_vac: float) -> int:
-    """Index of the last node of the vacuum prefix (rho < eps_vac), or -1."""
-    return _block_end(rho < eps_vac)
-
-
-def _block_end(vac: np.ndarray) -> int:
+def vacuum_block(vac: np.ndarray) -> int:
     """Index of the last node of the prefix of vacuum mask vac, or -1."""
     # the first fluid node; argmin gives 0 also when every node is vacuum
     k = int(vac.argmin())
@@ -181,7 +176,7 @@ class _Stage:
             eps_vac = s.eps_vac_0d
             self.rho_star = np.maximum(rho, eps_vac)
             self.vac = rho < eps_vac
-            self.m = _block_end(self.vac)
+            self.m = vacuum_block(self.vac)
             # argmax finds the first vacuum node (index 0 when there is none)
             self.any_vac = self.m >= 0 or self.vac.item(self.vac.argmax())
             self.rho_floor = None
@@ -265,9 +260,9 @@ def signal_speeds(state: FluidState, p: PhysParams, s: SolverSettings) -> np.nda
 def _face_controls(state: FluidState, grid: RadialGrid, stage: _Stage,
                    stats: Optional[StepStats]):
     """Per-face LF coefficients and donor-cell flags around the vacuum edge;
-    the grid's read-only zeros when no node is vacuum."""
+    None, None (no controls, see `_kernels.pure`) when no node is vacuum."""
     if not stage.any_vac:
-        return grid.quiet_faces
+        return None, None
     n = grid.n_cells
     vac = stage.vac
     up = np.logical_or(vac[:-1], vac[1:])
@@ -720,8 +715,8 @@ def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
     The new state's arrays are read-only, so the stage context built for it
     serves `detect_blowup`, `cfl_dt` and the next step's first rhs.
     """
-    if dt <= 0.0:
-        raise ValueError(f"step needs dt > 0, got {dt}")
+    if not 0.0 < dt < math.inf:          # False for NaN
+        raise ValueError(f"step needs a finite dt > 0, got dt={dt}")
     if s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
         out = ssp_rk3(
             state, dt,

@@ -368,8 +368,8 @@ class TestWorkPerStep:
 
         monkeypatch.setattr(mhdlab.solver, "_check_finite",
                             counting("scan", mhdlab.solver._check_finite))
-        monkeypatch.setattr(mhdlab.solver, "_block_end",
-                            counting("block", mhdlab.solver._block_end))
+        monkeypatch.setattr(mhdlab.solver, "vacuum_block",
+                            counting("block", mhdlab.solver.vacuum_block))
         monkeypatch.setattr(mhdlab.mms.MMSForcing, "_tabulate",
                             counting("table", mhdlab.mms.MMSForcing._tabulate))
         monkeypatch.setattr(mhdlab.mms.MMSForcing, "_evaluate",

@@ -95,6 +95,25 @@ class TestBackendAgreement:
             for x, y in zip(numpy_kernel(*args), twin(*args)):
                 np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("include_visc", [True, False])
+    def test_no_face_controls(self, include_visc):
+        # None, given or left to the default: the twin fills in zeros, the
+        # NumPy kernels skip the band and the donor flux
+        n = 257
+        r, rho, u, P, B, rho_star, _, _ = random_fields(n, 6)
+        v, w = swirl_fields(n, 6)
+        dr = 1.0 / n
+        for name, args in (
+                ("disk_tendency", (r, dr, rho, u, P, B, rho_star, 0.7, 1.4,
+                                   include_visc)),
+                ("cylinder_tendency", (r, dr, rho, u, v, w, P, B, rho_star,
+                                       0.7, 0.3, 1.4, include_visc))):
+            want = getattr(pure, name)(*args)
+            for controls in ((), (None, None)):
+                got = getattr(compiled, name)(*args, *controls)
+                for x, y in zip(want, got):
+                    np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
+
     @pytest.mark.parametrize("n", [2, 3, 17, 400])
     def test_thomas_matches_banded_solver(self, n):
         rng = np.random.default_rng(n)
@@ -146,7 +165,7 @@ class TestRhoStarIsRho:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_disk_and_cylinder(self, seed, read_only):
         import mhdlab._kernels as kern
-        from mhdlab._kernels.pure import operand, quiet_faces
+        from mhdlab._kernels.pure import operand
         n = 129
         r, rho, u, P, B, _, _, _ = random_fields(n, seed)
         rng = np.random.default_rng(seed + 100)
@@ -158,10 +177,9 @@ class TestRhoStarIsRho:
         dr = 1.0 / n
         coeffs = operand(0.7), operand(0.3), operand(1.4)
         two_mu_lam, mu, gamma = coeffs
-        lf, up = quiet_faces(n)
 
         def rates(tendency, y, rho_star, c):
-            out = tendency(r, dr, *y, rho_star, *c, True, lf, up)
+            out = tendency(r, dr, *y, rho_star, *c, True)
             return np.asarray(out).tobytes()
 
         kept = disk.tobytes(), cyl.tobytes()
@@ -252,8 +270,7 @@ def laplacians(f, r, dr):
     and mu = 1, where each row is the Laplacian alone."""
     one, zero = np.ones_like(f), np.zeros_like(f)
     rates = pure.cylinder_tendency(r, dr, one, zero, f, f, zero, zero, one,
-                                   1.0, 1.0, 1.4, True,
-                                   *pure.quiet_faces(len(f) - 1))
+                                   1.0, 1.0, 1.4, True)
     return rates[2], rates[3]
 
 
@@ -331,11 +348,10 @@ class TestViscousRows:
         u = np.random.default_rng(5).standard_normal(self.N + 1)
         u[0] = u[-1] = 0.0
         one, zero = np.ones_like(u), np.zeros_like(u)
-        quiet = g.quiet_faces
 
         def du(include_visc):
             return pure.disk_tendency(g.nodes, g.dr, one, u, zero, zero, one,
-                                      1.0, 1.4, include_visc, *quiet)[1]
+                                      1.0, 1.4, include_visc)[1]
 
         # with rho = rho* = 1, P = B = 0 and 2mu+lam = 1 the viscous term
         # is the last sum into du
@@ -406,8 +422,7 @@ class TestViscousRows:
 
         def cylinder(nodes, include_visc):
             pure.cylinder_tendency(nodes, g.dr, rho, u, v, w, P, B, rho_star,
-                                   0.7, 0.3, 1.4, include_visc,
-                                   *g.quiet_faces)
+                                   0.7, 0.3, 1.4, include_visc)
 
         for include_visc in (False, False, True, True, False, True):
             cylinder(g.nodes, include_visc)
@@ -492,7 +507,12 @@ def ref_induction_tendency(dr, vel, B, lf_fc):
 
 
 def ref_disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                      include_visc, lf_fc, up_fc, transport=None):
+                      include_visc, lf_fc=None, up_fc=None, transport=None):
+    # None is the zeros of no face control
+    if lf_fc is None:
+        lf_fc = np.zeros(len(r) - 1)
+    if up_fc is None:
+        up_fc = np.zeros(len(r) - 1, dtype=np.uint8)
     vel = u if transport is None else transport
     ur, u_over_r = ref_radial_parts(u, r, dr)
     vel_r, vel_over_r = ref_radial_parts(vel, r, dr)
@@ -518,7 +538,7 @@ def ref_disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
 
 
 def ref_cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
-                          gamma, include_visc, lf_fc, up_fc):
+                          gamma, include_visc, lf_fc=None, up_fc=None):
     drho, du, dP, dB = ref_disk_tendency(r, dr, rho, u, P, B, rho_star,
                                          two_mu_lam, gamma, include_visc,
                                          lf_fc, up_fc)
@@ -658,7 +678,7 @@ class TestLeanKernelsMatchReference:
     @pytest.mark.parametrize("include_visc", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pressureless(self, monkeypatch, seed, include_visc, transport):
-        """P = +0 at every node, on the quiet faces and on bands with donor
+        """P = +0 at every node, without face controls and on bands with donor
         flags: the disk (with a transport velocity too) and the cylinder
         give the reference values, and every row but dP the bytes of the
         full path; dP is +0 where the full path gives signed zeros."""
@@ -672,7 +692,7 @@ class TestLeanKernelsMatchReference:
             V = 0.3 * np.random.default_rng(seed + 7).standard_normal(n + 1)
             V[0] = 0.0
             kw["transport"] = V
-        controls = [pure.quiet_faces(n)]
+        controls = [(None, None)]
         controls += [(lf_fc, up) for lf_fc in lf_variants(lf).values()]
         for lf_fc, up_fc in controls:
             cases = [(pure.disk_tendency, ref_disk_tendency,
@@ -709,19 +729,44 @@ def swirl_fields(n, seed):
     return v, rng.standard_normal(n + 1) * 0.2
 
 
+class TestNoFaceControls:
+    """Face controls of None mean none on any face: the NumPy kernels give
+    the bits of writable zero arrays, which they scan (the arrays perfbench's
+    kernel_micro passes)."""
+
+    @pytest.mark.parametrize("include_visc", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_none_is_zeros(self, seed, include_visc):
+        n = 129
+        dr = 1.0 / n
+        r, rho, u, P, B, rho_star, _, _ = random_fields(n, seed)
+        v, w = swirl_fields(n, seed)
+        V = 0.3 * np.random.default_rng(seed + 7).standard_normal(n + 1)
+        V[0] = 0.0
+        disk = (r, dr, rho, u, P, B, rho_star, 0.7, 1.4, include_visc)
+        cases = ((pure.disk_tendency, disk, {}),
+                 (pure.disk_tendency, disk, {"transport": V}),
+                 (pure.cylinder_tendency, (r, dr, rho, u, v, w, P, B, rho_star,
+                                           0.7, 0.3, 1.4, include_visc), {}))
+        for kernel, args, kw in cases:
+            zeros = np.zeros(n), np.zeros(n, dtype=np.uint8)
+            want = kernel(*args, *zeros, **kw).tobytes()
+            assert kernel(*args, None, None, **kw).tobytes() == want
+            assert kernel(*args, **kw).tobytes() == want
+
+
 def kernel_cases(n, seed):
     """(kernel, reference, args) for both kernels on random fields at n
-    cells: the grid's read-only nodes with the quiet faces, writable nodes
+    cells: the grid's read-only nodes without face controls, writable nodes
     with a band and donor faces, and read-only nodes with the grid's
     spacing but other values."""
     g = make_grid(n, 1.0)
     r, rho, u, P, B, rho_star, lf, up = random_fields(n, seed, vac=True)
     v, w = swirl_fields(n, seed)
-    quiet_lf, quiet_up = g.quiet_faces
     shifted = g.nodes + 0.5
     shifted.flags.writeable = False
     cases = []
-    for nodes, lf_fc, up_fc in ((g.nodes, quiet_lf, quiet_up), (r, lf, up),
+    for nodes, lf_fc, up_fc in ((g.nodes, None, None), (r, lf, up),
                                 (shifted, lf, up)):
         cases.append((pure.disk_tendency, ref_disk_tendency,
                       (nodes, g.dr, rho, u, P, B, rho_star, 0.7, 1.4, True,
@@ -736,14 +781,6 @@ class TestWorkspace:
     """The NumPy kernels compute in a per-thread workspace of scratch arrays
     keyed by node count: what they return is theirs alone, and no call
     sees another's scratch."""
-
-    def test_quiet_faces_are_shared_and_read_only(self):
-        lf, up = make_grid(64, 1.0).quiet_faces
-        other_lf, other_up = make_grid(64, 3.0).quiet_faces
-        assert lf is other_lf is pure.quiet_faces(64)[0]
-        assert up is other_up is pure.quiet_faces(64)[1]
-        assert not lf.any() and not up.any() and up.dtype == np.uint8
-        assert not lf.flags.writeable and not up.flags.writeable
 
     def test_returned_rates_stay_unchanged(self, disk_inputs, cylinder_inputs):
         first = pure.disk_tendency(*disk_inputs[0])

@@ -147,7 +147,7 @@ class TestLinearizationAtTheSolution:
     @staticmethod
     def assert_identity(state, p, grid, eps_vac):
         args = (grid.nodes, grid.dr, *state.y, np.maximum(state.rho, eps_vac),
-                p.two_mu_lam, p.gamma, True, *grid.quiet_faces)
+                p.two_mu_lam, p.gamma, True)
         nonlinear = pure.disk_tendency(*args).tobytes()
         assert pure.disk_tendency(*args, transport=state.u).tobytes() == nonlinear
         assert _linear_tendency(state, state.u, p, grid,
