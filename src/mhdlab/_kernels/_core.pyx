@@ -2,9 +2,10 @@
 """Compiled twin of the NumPy kernel backend (see pure.py for conventions).
 
 The loops evaluate the same expressions as the vectorized fallback so the two
-backends agree to a few ulps; tests assert the equivalence directly. Face
-controls that are None, as on a state without vacuum, become zeros before
-`disk_tendency`'s face loop, which computes the zero terms.
+backends agree to a few ulps; tests assert the equivalence directly.
+Donor-cell flags that are None, as on a state without vacuum, become zeros
+before `disk_tendency`'s face loop. The retired Lax-Friedrichs slot takes
+None or all zeros, as in pure.py.
 """
 
 import numpy as np
@@ -42,7 +43,7 @@ def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
                   cnp.ndarray[double, ndim=1] rho_star,
                   double two_mu_lam, double gamma,
                   bint include_visc,
-                  cnp.ndarray[double, ndim=1] lf_fc=None,
+                  retired_band=None,
                   cnp.ndarray[unsigned char, ndim=1] up_fc=None):
     cdef Py_ssize_t n1 = r.shape[0]
     cdef Py_ssize_t n = n1 - 1
@@ -52,23 +53,17 @@ def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
     cdef cnp.ndarray[double, ndim=1] dB = np.empty(n1)
     cdef cnp.ndarray[double, ndim=1] G = np.empty(n)
     cdef cnp.ndarray[double, ndim=1] H = np.empty(n)
-    cdef cnp.ndarray[double, ndim=1] Dp = np.empty(n)
 
     cdef Py_ssize_t i, j
     cdef double ur0 = (4.0 * u[1] - u[2]) / (2.0 * dr)
     cdef double Br0 = (4.0 * B[1] - B[2]) / (2.0 * dr)
     cdef double ur_i, uor_i, Br_i, Bor_i, Pr_i, visc_i, r_face, fv, ubar
-    cdef double vol_i, div_i, lorentz_i, wd_i, mom_r
-    cdef bint any_lf = False
-    # None: no Lax-Friedrichs coefficient or donor-cell flag on any face
-    if lf_fc is None:
-        lf_fc = np.zeros(n)
+    cdef double vol_i, div_i, lorentz_i, mom_r
+    if retired_band is not None and np.count_nonzero(retired_band):
+        raise ValueError("the Lax-Friedrichs band is retired")
+    # None: no donor-cell flag on any face
     if up_fc is None:
         up_fc = np.zeros(n, dtype=np.uint8)
-    for j in range(n):
-        if lf_fc[j] != 0.0:
-            any_lf = True
-            break
 
     # faces
     for j in range(n):
@@ -78,9 +73,8 @@ def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
             fv = (rho[j] if ubar >= 0.0 else rho[j + 1]) * ubar
         else:
             fv = 0.5 * (rho[j] * u[j] + rho[j + 1] * u[j + 1])
-        G[j] = r_face * fv - lf_fc[j] * r_face * (rho[j + 1] - rho[j])
-        H[j] = 0.5 * (u[j] * B[j] + u[j + 1] * B[j + 1]) - lf_fc[j] * (B[j + 1] - B[j])
-        Dp[j] = lf_fc[j] * (P[j + 1] - P[j])
+        G[j] = r_face * fv
+        H[j] = 0.5 * (u[j] * B[j] + u[j + 1] * B[j + 1])
 
     for i in range(n1):
         # derivatives at node i
@@ -130,14 +124,6 @@ def disk_tendency(cnp.ndarray[double, ndim=1] r, double dr,
 
         # pressure
         dP[i] = -u[i] * Pr_i - gamma * P[i] * div_i
-        if any_lf:
-            wd_i = 0.5 * dr if (i == 0 or i == n) else dr
-            if i == 0:
-                dP[i] += (Dp[0] - 0.0) / wd_i
-            elif i == n:
-                dP[i] += (0.0 - Dp[n - 1]) / wd_i
-            else:
-                dP[i] += (Dp[i] - Dp[i - 1]) / wd_i
 
         # induction: interior flux form, one-sided point form at the far end
         if i == 0:
@@ -164,10 +150,10 @@ def cylinder_tendency(cnp.ndarray[double, ndim=1] r, double dr,
                       cnp.ndarray[double, ndim=1] rho_star,
                       double two_mu_lam, double mu, double gamma,
                       bint include_visc,
-                      cnp.ndarray[double, ndim=1] lf_fc=None,
+                      retired_band=None,
                       cnp.ndarray[unsigned char, ndim=1] up_fc=None):
     drho, du, dP, dB = disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam,
-                                     gamma, include_visc, lf_fc, up_fc)
+                                     gamma, include_visc, retired_band, up_fc)
     cdef cnp.ndarray[double, ndim=1] du_ = du
     cdef Py_ssize_t n1 = r.shape[0]
     cdef Py_ssize_t n = n1 - 1

@@ -19,9 +19,10 @@ Shared conventions (uniform node grid r[0..N], dr = the grid's spacing):
 * mass and induction updates are finite-volume face-flux differences, so the
   discrete mass integral and the total of B are telescoping-exact when the
   boundary fluxes vanish
-* `lf_fc` carries per-face Lax-Friedrichs coefficients (zero where disabled);
-  `up_fc` marks faces that switch the mass flux to donor-cell form; either
-  is None (the default) when no face has one
+* every face takes the central flux, except where `up_fc` (one uint8 per
+  face, None when no face has one) flags it: there the mass flux takes the
+  donor-cell form, the upwind density times the face velocity. No
+  dissipation is added on any face
 * every tridiagonal system is solved by `thomas`, LAPACK gtsv from SciPy's
   LAPACK extension (see `_lapack`)
 
@@ -33,12 +34,9 @@ workspace holds the grid factors of the last node array it was bound to,
 through a weak reference, so the many grids of a free run share it and none
 is kept alive; the viscous rows of those nodes are built on the first call
 with a viscous term (a run without one, such as `rk2-imp`'s explicit
-stages, never builds them). Face controls that are None (a state without
-vacuum) skip the band and the donor flux unscanned; an `lf_fc` array is
-scanned for its band (the scan's face indices are the one other array a call
-makes).
-They run the Lax-Friedrichs products over the band's faces only, on scratch
-sliced to the band, and leave out a viscous term that is switched off.
+stages, never builds them). Donor-cell flags that are None (a state
+without vacuum) skip the donor flux unscanned, and a viscous term that is
+switched off is left out.
 
 Every ufunc call of a run takes array operands only. NumPy converts and
 promotes a Python number operand on every call: at 129 nodes that takes a
@@ -71,10 +69,10 @@ A pressure row that is +0.0 at every node (`all_plus_zero`) makes a call
 pressureless. The blow-up presets start from P = 0 and stay there: P is
 +0 + dt (+-0) = +0 after every update, and clipping and remap leave it so.
 Such a call skips P_r, its term in u's rate (x - (+0) is x, -0 included),
-the pressure work gamma P (V_r + V/r), the transport's radial parts and the
-band's pressure diffusion, and fills dP with +0. The full forms' dP there
-is a signed zero for finite velocities, and any zero added to a P of +0
-gives +0, so the states of a run keep their bits. A -0.0 pressure takes the
+the pressure work gamma P (V_r + V/r) and the transport's radial parts, and
+fills dP with +0. The full forms' dP there is a signed zero for finite
+velocities, and any zero added to a P of +0 gives +0, so the states of a
+run keep their bits. A -0.0 pressure takes the
 full path: -0 + dt (-0) stays -0, where a rate of +0 would make it +0.
 The compiled twin keeps computing the zeros.
 
@@ -83,6 +81,11 @@ linearized system: V carries the fields in u's place (the mass and
 induction fluxes, the momentum transport -rho V u_r, the pressure's
 -V P_r and divergence V_r + V/r), so the Picard sweep (`picard.py`) runs
 this kernel. Without it the arithmetic is the nonlinear system's.
+
+Both kernels keep an 11th (cylinder: 14th) positional slot, `retired_band`,
+where a Lax-Friedrichs coefficient per face used to go: perfbench's
+`kernel_micro` still passes an all-zero array there. It takes None or all
+zeros, and refuses anything else (`_refuse_band`).
 """
 
 import functools
@@ -222,12 +225,6 @@ class _Workspace:
         self.donor = np.empty(faces)
         self.ahead = np.empty(faces, dtype=bool)
         self.flagged = np.empty(faces, dtype=bool)
-        self.lf_mask = np.empty(faces, dtype=bool)
-        # band scratch: sliced to the band's faces on each call
-        self.band = np.empty(faces)
-        self.jump = np.empty(faces)
-        self.D = np.empty(nodes + 1)
-        self.div = np.empty(nodes)
 
     def bind(self, r, dr):
         """Make r_face and neg_r_dr (-r dr) those of (r, dr), sp the
@@ -255,17 +252,6 @@ class _Workspace:
             self._rows = ((swirl[1:-1], sub[1:-1], sup[1:-1]),
                           (axial[:-1], sub[:-1], sup[:-1]))
         return self._rows
-
-    def lf_faces(self, lf_fc):
-        """The faces the Lax-Friedrichs products run over: None without a
-        coefficient (lf_fc None is not scanned), else the band's first to
-        last nonzero face."""
-        if lf_fc is None:
-            return None
-        nz = np.not_equal(lf_fc, _ZERO, self.lf_mask).nonzero()[0]
-        if nz.size == 0:
-            return None
-        return slice(int(nz[0]), int(nz[-1]) + 1)
 
 
 class _Workspaces(threading.local):
@@ -374,8 +360,7 @@ def _add_viscous(rate, nu, rows, f, lo, ws):
     np.add(rate_rows, out, rate_rows)
 
 
-def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
-                   inner):
+def _mass_tendency(r, dr, ws, rho, vel, mom, up_fc, drho, inner):
     """The mass rates from the momentum mom = rho vel (in ws.mom).
 
     The ends use point-value one-sided forms: node 0 has zero quadrature
@@ -393,14 +378,7 @@ def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
                   where=np.greater_equal(vbar, _ZERO, ws.ahead))
         np.multiply(donor, vbar, donor)
         np.copyto(fv, donor, where=np.not_equal(up_fc, _ZERO_U8, ws.flagged))
-    G = np.multiply(ws.r_face, fv, ws.G)
-    if faces is not None:
-        lo, hi = faces.start, faces.stop
-        band = np.multiply(lf_fc[faces], ws.r_face[faces], ws.band[faces])
-        jump = np.subtract(rho[lo + 1:hi + 1], rho[lo:hi], ws.jump[faces])
-        np.multiply(band, jump, band)
-        G_band = G[faces]
-        np.subtract(G_band, band, G_band)
+    np.multiply(ws.r_face, fv, ws.G)
     # -(G[i+1] - G[i]) / (r dr): IEEE division is symmetric in sign, so
     # dividing by -(r dr) gives the bits of negating first
     np.subtract(ws.G_hi, ws.G_lo, inner)
@@ -409,18 +387,12 @@ def _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
     drho[-1] = -(wall_slope(mom, dr) + mom.item(-1) / r.item(-1))
 
 
-def _induction_tendency(dr, sp, ws, vel, B, lf_fc, faces, dB, inner):
+def _induction_tendency(dr, sp, ws, vel, B, dB, inner):
     """-(vel B)_r as face-flux differences, one-sided at r=R; B(0) = 0 is
     exact."""
     vb = np.multiply(vel, B, ws.vb)
     H = np.add(ws.vb_lo, ws.vb_hi, ws.H)
     np.multiply(H, _HALF, H)
-    if faces is not None:
-        lo, hi = faces.start, faces.stop
-        jump = np.subtract(B[lo + 1:hi + 1], B[lo:hi], ws.jump[faces])
-        np.multiply(lf_fc[faces], jump, jump)
-        H_band = H[faces]
-        np.subtract(H_band, jump, H_band)
     np.subtract(ws.H_hi, ws.H_lo, inner)
     np.true_divide(inner, sp.neg_dr, inner)      # -(H[i+1] - H[i]) / dr
     dB[0] = 0.0
@@ -428,28 +400,14 @@ def _induction_tendency(dr, sp, ws, vel, B, lf_fc, faces, dB, inner):
     dB[-1] = -wall_slope(vb, dr)
 
 
-def _pressure_diffusion(dP, P, dr, lf_fc, faces, ws):
-    """dP += the band diffusion of P: face fluxes -lf (P[i+1] - P[i]), none
-    on either side of the band (so none through r=0 or r=R), over half-width
-    cells at r=0 and r=R."""
-    lo, hi = faces.start, faces.stop
-    D = ws.D[:hi - lo + 2]
-    D[0] = D[-1] = 0.0
-    flux = np.subtract(P[lo + 1:hi + 1], P[lo:hi], D[1:-1])
-    np.multiply(lf_fc[faces], flux, flux)
-    # flux differences over the cell widths: dr, half of it at an end
-    div = np.subtract(D[1:], D[:-1], ws.div[:hi - lo + 1])
-    np.true_divide(div, ws.sp.dr, div)
-    if lo == 0:
-        div[0] = (D[1] - D[0]) / (0.5 * dr)
-    if hi == len(lf_fc):
-        div[-1] = (D[-1] - D[-2]) / (0.5 * dr)
-    band = dP[lo:hi + 1]
-    np.add(band, div, band)
+def _refuse_band(retired_band):
+    """The retired Lax-Friedrichs slot takes None or an all-zero array."""
+    if retired_band is not None and np.count_nonzero(retired_band):
+        raise ValueError("the Lax-Friedrichs band is retired")
 
 
 def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
-              lf_fc, up_fc, swirl=None, transport=None):
+              up_fc, swirl=None, transport=None):
     """The disk tendency as rows (drho, du, dP, dB) of one array; with
     swirl = (v, w, mu) the cylinder's (drho, du, dv, dw, dP, dB). A
     transport velocity (disk only) carries the fields in u's place."""
@@ -457,7 +415,6 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     drho, du, dP, dB = out[0], out[1], out[-2], out[-1]
     ws = _bound_workspace(r, dr)
     sp = ws.sp
-    faces = ws.lf_faces(lf_fc)
     # P all +0 (every blow-up run): P_r and the pressure rate are +0 too
     pressureless = all_plus_zero(P)
     ur, u_over_r, Br, B_over_r, Pr = ws.ur, ws.uor, ws.Br, ws.Bor, ws.Pr
@@ -485,7 +442,7 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
     du[0] = 0.0
     du[-1] = 0.0
 
-    # pressure (with band diffusion where lf_fc is active)
+    # pressure
     if pressureless:
         dP.fill(0.0)
     else:
@@ -500,12 +457,9 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
         div = np.add(vel_r, vel_over_r, vel_over_r)
         np.multiply(div, np.multiply(gamma, P, ws.gamma_P), div)
         np.subtract(dP, div, dP)
-        if faces is not None:
-            _pressure_diffusion(dP, P, dr, lf_fc, faces, ws)
 
-    _mass_tendency(r, dr, ws, rho, vel, mom, lf_fc, up_fc, faces, drho,
-                   drho[1:-1])
-    _induction_tendency(dr, sp, ws, vel, B, lf_fc, faces, dB, dB[1:-1])
+    _mass_tendency(r, dr, ws, rho, vel, mom, up_fc, drho, drho[1:-1])
+    _induction_tendency(dr, sp, ws, vel, B, dB, dB[1:-1])
     if swirl is None:
         return out
 
@@ -542,7 +496,8 @@ def _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma, include_visc,
 
 
 def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                  include_visc, lf_fc=None, up_fc=None, transport=None):
+                  include_visc, retired_band=None, up_fc=None,
+                  transport=None):
     """Tendency rows (drho, du, dP, dB) of the 2D radial system, one array.
 
         rho_t = -(rho V)_r - rho V / r                     (face-flux form)
@@ -552,22 +507,26 @@ def disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
         B_t   = -(V B)_r                                   (face-flux form)
 
     V is u itself, or the frozen velocity `transport` of the linearized
-    system (a transport of u gives the same bits as none).
+    system (a transport of u gives the same bits as none). up_fc flags the
+    donor-cell faces; retired_band is None or all zeros (see the module
+    docstring).
     """
+    _refuse_band(retired_band)
     return _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                     include_visc, lf_fc, up_fc, transport=transport)
+                     include_visc, up_fc, transport=transport)
 
 
 def cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
-                      gamma, include_visc, lf_fc=None, up_fc=None):
+                      gamma, include_visc, retired_band=None, up_fc=None):
     """Disk tendency plus swirl/axial components of the cylindrical system.
 
         u_t gains + rho v^2 / r inside the rho-weighted bracket
         v_t = [-rho (u v_r + u v / r) + mu (v_r + v/r)_r] / rho*
         w_t = [-rho u w_r + mu (r w_r)_r / r] / rho*
     """
+    _refuse_band(retired_band)
     return _tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                     include_visc, lf_fc, up_fc, swirl=(v, w, mu))
+                     include_visc, up_fc, swirl=(v, w, mu))
 
 
 # The shared radial operators: the kernels' helpers on fresh outputs.

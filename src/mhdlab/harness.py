@@ -198,7 +198,6 @@ class _RunState:
                                  if self.mass0 > 0 else 0.0),
             "mass_residual": (abs(mass_now - self.mass0) / self.mass0
                               if self.mass0 > 0 else 0.0),
-            "lf_coeff": self.stats.lf_coeff,
             "balance_solves": self.stats.balance_solves,
             # absolute: the vacuum presets start from P = 0, so no base
             "clipped_pressure": self.stats.clipped_pressure,

@@ -58,7 +58,8 @@ class PicardReport:
 
 def _linear_tendency(y: FluidState, V: np.ndarray, p: PhysParams,
                      grid: RadialGrid, eps_vac: float) -> np.ndarray:
-    """The disk rates with transport by the frozen V and no LF band."""
+    """The disk rates with transport by the frozen V and the central flux
+    on every face (no donor-cell faces)."""
     return pure.disk_tendency(grid.nodes, grid.dr, *y.y,
                               np.maximum(y.rho, eps_vac), p.two_mu_lam_0d,
                               p.gamma_0d, True, transport=V)

@@ -3,12 +3,13 @@
 Spatial discretization: second-order central differences on the uniform grid,
 with every f/r term replaced by its limit f_r(0) at the axis (valid because
 u, v and B vanish there). Mass and induction updates use finite-volume face
-fluxes so their discrete integrals telescope. A fixed Lax-Friedrichs
-dissipation (coefficient 0.5 * max wavespeed * dr) is applied to the
-conservative fluxes on a narrow band of faces outside the vacuum interface,
-where central transport would otherwise ring; faces touching vacuum nodes
-are excluded so nothing diffuses into the clean region, and the mass flux
-switches to donor-cell form on those faces.
+fluxes so their discrete integrals telescope. Every face takes the central
+flux, except that the mass flux switches to donor-cell form on the faces
+touching a vacuum node (`_face_controls`), so no mass is carried into the
+vacuum from the wrong side. No dissipation is added: a Lax-Friedrichs band
+on the faces past the vacuum edge changed nothing measurable without
+pressure, and with pressure at the edge its vacuum and energy residuals
+converged worse.
 
 In the vacuum (the block of nodes with rho < eps_vac next to the axis) the
 momentum equation degenerates: the velocities drop their time derivative and
@@ -28,10 +29,10 @@ stage holds no mask) and the explicit CFL density floor is that minimum, all
 exactly (see `_Stage`).
 Likewise a pressure that is +0.0 at every node (`all_plus_zero`: the
 blow-up presets start from P = 0, and every update, clip and remap keeps it
-+0) skips the pressure terms: the NumPy kernels leave out P_r, the pressure
-work and the band's pressure diffusion (see `_kernels.pure`), the signal
-speeds leave out c_s (+0 + |u| is |u|), and the vacuum balance adds a 0-d
-+0 in place of a P_r of +0 on its block. The states keep their bits.
++0) skips the pressure terms: the NumPy kernels leave out P_r and the
+pressure work (see `_kernels.pure`), the signal speeds leave out c_s
+(+0 + |u| is |u|), and the vacuum balance adds a 0-d +0 in place of a P_r
+of +0 on its block. The states keep their bits.
 
 Rates are plain arrays in the state's shape and row order. The ufunc calls
 of a step take array operands only: the physical constants come as the
@@ -73,7 +74,6 @@ from .core import (FluidState, PhysParams, RadialGrid, Scheme, SolverSettings,
 from .errors import DtCollapse, NumericalFailure
 
 _DT_EPS = 1e-300
-_LF_BAND = 16              # faces outside the vacuum edge that get LF dissipation
 
 _ZERO, _ONE = operand(0.0), operand(1.0)
 # the SSP-RK3 stage weights
@@ -94,7 +94,6 @@ class StepStats:
 
     clipped_mass: float = 0.0        # cumulative r-weighted density clipped at 0
     clipped_pressure: float = 0.0
-    lf_coeff: float = 0.0            # last Lax-Friedrichs coefficient in use
     balance_solves: int = 0
     # free boundary: the remap defects (`freeboundary.remap_state`) and the
     # largest relative stress residual left by a stage
@@ -257,39 +256,27 @@ def signal_speeds(state: FluidState, p: PhysParams, s: SolverSettings) -> np.nda
     return speeds
 
 
-def _face_controls(state: FluidState, grid: RadialGrid, stage: _Stage,
-                   stats: Optional[StepStats]):
-    """Per-face LF coefficients and donor-cell flags around the vacuum edge;
-    None, None (no controls, see `_kernels.pure`) when no node is vacuum."""
+def _face_controls(stage: _Stage) -> Optional[np.ndarray]:
+    """The donor-cell flags, one uint8 per face: 1 on the faces touching a
+    vacuum node, whose mass flux takes the upwind density. None (no flag,
+    see `_kernels.pure`) when no node is vacuum."""
     if not stage.any_vac:
-        return None, None
-    n = grid.n_cells
+        return None
     vac = stage.vac
-    up = np.logical_or(vac[:-1], vac[1:])
-    lf_fc = np.zeros(n)
-    m = stage.m
-    if 0 <= m < n - 1:
-        coeff = 0.5 * stage.max_speed(state) * grid.dr
-        if stats is not None:
-            stats.lf_coeff = coeff
-        # faces m+1 .. m+_LF_BAND short of the last, but none touching vacuum
-        band = slice(m + 1, min(m + _LF_BAND, n - 1) + 1)
-        lf_fc[band] = coeff
-        np.copyto(lf_fc[band], _ZERO, where=up[band])
-    return lf_fc, up.view(np.uint8)
+    return np.logical_or(vac[:-1], vac[1:]).view(np.uint8)
 
 
 def _rates(kernel, coeffs: tuple, state: FluidState, p: PhysParams,
-           grid: RadialGrid, s: SolverSettings, include_visc: bool, forcing,
-           stats: Optional[StepStats]) -> np.ndarray:
+           grid: RadialGrid, s: SolverSettings, include_visc: bool,
+           forcing) -> np.ndarray:
     """The tendency `kernel` with its physical coefficients `coeffs` on the
-    state's checked stage and face controls; then the velocities frozen on
-    the vacuum block [0, m] and any forcing added. The body of both rhs."""
+    state's checked stage and donor-cell flags; then the velocities frozen
+    on the vacuum block [0, m] and any forcing added. The body of both rhs."""
     stage = _stage_of(state, p, s)
     stage.check_finite(state)
-    lf_fc, up_fc = _face_controls(state, grid, stage, stats)
     rates = np.asarray(kernel(grid.nodes, grid.dr, *state.y, stage.rho_star,
-                              *coeffs, include_visc, lf_fc, up_fc))
+                              *coeffs, include_visc,
+                              up_fc=_face_controls(stage)))
     if stage.m >= 0:
         # quasi-stationary: the velocities are set by the balance
         rates[1:-2, :stage.m + 1] = 0.0
@@ -305,22 +292,21 @@ def _rates(kernel, coeffs: tuple, state: FluidState, p: PhysParams,
 
 
 def rhs_disk(state: FluidState, p: PhysParams, grid: RadialGrid, s: SolverSettings,
-             include_visc: bool = True, forcing=None,
-             stats: Optional[StepStats] = None) -> np.ndarray:
+             include_visc: bool = True, forcing=None) -> np.ndarray:
     """Rates of the 2D radial system in the state's shape and row order (see
     the module docstring for the scheme)."""
     return _rates(kern.disk_tendency, (p.two_mu_lam_0d, p.gamma_0d), state, p,
-                  grid, s, include_visc, forcing, stats)
+                  grid, s, include_visc, forcing)
 
 
 def rhs_cylinder(state: FluidState, p: PhysParams, grid: RadialGrid,
-                 s: SolverSettings, include_visc: bool = True, forcing=None,
-                 stats: Optional[StepStats] = None) -> np.ndarray:
+                 s: SolverSettings, include_visc: bool = True,
+                 forcing=None) -> np.ndarray:
     """Rates of the cylindrically symmetric system (adds swirl and axial
     flow) in the state's shape and row order."""
     return _rates(kern.cylinder_tendency,
                   (p.two_mu_lam_0d, p.mu_0d, p.gamma_0d), state, p, grid, s,
-                  include_visc, forcing, stats)
+                  include_visc, forcing)
 
 
 def rhs(state, p, grid, s, **kw) -> np.ndarray:
@@ -680,7 +666,7 @@ def imex_step(y0: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
     gdt_0d = operand(gdt)
 
     def increment(y):
-        k = rhs(y, p, grid, s, include_visc=False, forcing=forcing, stats=stats)
+        k = rhs(y, p, grid, s, include_visc=False, forcing=forcing)
         return np.multiply(k, gdt_0d, k)
 
     def implicit_stage(z, t):
@@ -720,7 +706,7 @@ def step(state: FluidState, dt: float, p: PhysParams, grid: RadialGrid,
     if s.scheme is Scheme.SSPRK3_EXPLICIT_VISCOUS:
         out = ssp_rk3(
             state, dt,
-            lambda y, _: rhs(y, p, grid, s, forcing=forcing, stats=stats),
+            lambda y, _: rhs(y, p, grid, s, forcing=forcing),
             lambda y: finalize_stage(y, p, grid, s, stats))
     else:
         out = imex_step(state, dt, p, grid, s, stats, forcing)

@@ -36,11 +36,9 @@ def random_fields(n, seed, vac=False):
     B = rng.standard_normal(n + 1) * 0.5
     B[0] = 0.0
     rho_star = np.maximum(rho, 1e-6)
-    lf = np.zeros(n)
-    lf[n // 2: n // 2 + 8] = 1e-3
     up = np.zeros(n, dtype=np.uint8)
     up[: n // 3 + 1] = 1
-    return r, rho, u, P, B, rho_star, lf, up
+    return r, rho, u, P, B, rho_star, up
 
 
 @needs_ext
@@ -49,19 +47,19 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("vac", [False, True])
     def test_disk_tendency(self, seed, vac):
         n = 257
-        r, rho, u, P, B, rho_star, lf, up = random_fields(n, seed, vac)
+        r, rho, u, P, B, rho_star, up = random_fields(n, seed, vac)
         dr = 1.0 / n
         a = pure.disk_tendency(r, dr, rho, u, P, B, rho_star, 0.7, 1.4, True,
-                               lf, up)
+                               up_fc=up)
         b = compiled.disk_tendency(r, dr, rho, u, P, B, rho_star, 0.7, 1.4,
-                                   True, lf, up)
+                                   True, up_fc=up)
         for x, y in zip(a, b):
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_cylinder_tendency(self, seed):
         n = 193
-        r, rho, u, P, B, rho_star, lf, up = random_fields(n, seed)
+        r, rho, u, P, B, rho_star, up = random_fields(n, seed)
         rng = np.random.default_rng(seed + 100)
         v = rng.standard_normal(n + 1) * 0.2
         v[0] = v[-1] = 0.0
@@ -69,9 +67,9 @@ class TestBackendAgreement:
         w[-1] = 0.0
         dr = 1.0 / n
         a = pure.cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star,
-                                   0.7, 0.3, 1.4, True, lf, up)
+                                   0.7, 0.3, 1.4, True, up_fc=up)
         b = compiled.cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star,
-                                       0.7, 0.3, 1.4, True, lf, up)
+                                       0.7, 0.3, 1.4, True, up_fc=up)
         for x, y in zip(a, b):
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
 
@@ -81,26 +79,26 @@ class TestBackendAgreement:
         # P = +0 at every node: the NumPy kernels skip the pressure terms,
         # the twin computes them in full
         n = 257
-        r, rho, u, _, B, rho_star, lf, up = random_fields(n, 5, vac)
+        r, rho, u, _, B, rho_star, up = random_fields(n, 5, vac)
         P = np.zeros(n + 1)
         v, w = swirl_fields(n, 5)
         dr = 1.0 / n
         pairs = ((pure.disk_tendency, compiled.disk_tendency,
-                  (r, dr, rho, u, P, B, rho_star, 0.7, 1.4, include_visc, lf,
-                   up)),
+                  (r, dr, rho, u, P, B, rho_star, 0.7, 1.4, include_visc)),
                  (pure.cylinder_tendency, compiled.cylinder_tendency,
                   (r, dr, rho, u, v, w, P, B, rho_star, 0.7, 0.3, 1.4,
-                   include_visc, lf, up)))
+                   include_visc)))
         for numpy_kernel, twin, args in pairs:
-            for x, y in zip(numpy_kernel(*args), twin(*args)):
+            for x, y in zip(numpy_kernel(*args, up_fc=up),
+                            twin(*args, up_fc=up)):
                 np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("include_visc", [True, False])
     def test_no_face_controls(self, include_visc):
         # None, given or left to the default: the twin fills in zeros, the
-        # NumPy kernels skip the band and the donor flux
+        # NumPy kernels skip the donor flux
         n = 257
-        r, rho, u, P, B, rho_star, _, _ = random_fields(n, 6)
+        r, rho, u, P, B, rho_star, _ = random_fields(n, 6)
         v, w = swirl_fields(n, 6)
         dr = 1.0 / n
         for name, args in (
@@ -167,7 +165,7 @@ class TestRhoStarIsRho:
         import mhdlab._kernels as kern
         from mhdlab._kernels.pure import operand
         n = 129
-        r, rho, u, P, B, _, _, _ = random_fields(n, seed)
+        r, rho, u, P, B, _, _ = random_fields(n, seed)
         rng = np.random.default_rng(seed + 100)
         v, w = 0.2 * rng.standard_normal((2, n + 1))
         v[0] = v[-1] = w[-1] = 0.0
@@ -274,11 +272,11 @@ def laplacians(f, r, dr):
     return rates[2], rates[3]
 
 
-def mass_rates(r, dr, rho, vel, lf_fc, up_fc):
+def mass_rates(r, dr, rho, vel):
     """The mass row of the NumPy disk kernel with vel as the velocity."""
     zero = np.zeros_like(rho)
     return pure.disk_tendency(r, dr, rho, vel, zero, zero, rho, 1.0, 1.4,
-                              False, lf_fc, up_fc)[0]
+                              False)[0]
 
 
 class TestRadialOperators:
@@ -315,8 +313,7 @@ class TestRadialOperators:
         rng = np.random.default_rng(7)
         rho = rng.uniform(0.5, 2.0, self.n + 1)
         vel = rng.standard_normal(self.n + 1)
-        no_band = np.zeros(self.n)
-        drho = mass_rates(self.r, self.dr, rho, vel, no_band, no_band)
+        drho = mass_rates(self.r, self.dr, rho, vel)
         mom = rho * vel
         r_face = 0.5 * (self.r[:-1] + self.r[1:])
         G = r_face * 0.5 * (mom[:-1] + mom[1:])
@@ -417,7 +414,7 @@ class TestViscousRows:
         laplacian_rows = pure.laplacian_rows
         monkeypatch.setattr(pure, "laplacian_rows", counting)
         g = make_grid(self.N, 2.5)
-        _, rho, u, P, B, rho_star, _, _ = random_fields(self.N, 4)
+        _, rho, u, P, B, rho_star, _ = random_fields(self.N, 4)
         v, w = swirl_fields(self.N, 4)
 
         def cylinder(nodes, include_visc):
@@ -477,16 +474,16 @@ def ref_axial_laplacian(f, r, dr):
     return out
 
 
-def ref_mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
+def ref_mass_tendency(r, dr, rho, vel, up_fc):
     mom = rho * vel
     fv = 0.5 * (mom[:-1] + mom[1:])
-    up = up_fc != 0
-    if np.any(up):
+    # None is no donor-cell flag
+    if up_fc is not None and np.any(up_fc):
         vbar = 0.5 * (vel[:-1] + vel[1:])
         donor = np.where(vbar >= 0.0, rho[:-1], rho[1:]) * vbar
-        fv = np.where(up, donor, fv)
+        fv = np.where(up_fc != 0, donor, fv)
     r_face = 0.5 * (r[:-1] + r[1:])
-    G = r_face * fv - lf_fc * r_face * (rho[1:] - rho[:-1])
+    G = r_face * fv
     drho = np.empty_like(rho)
     drho[1:-1] = -(G[1:] - G[:-1]) / (r[1:-1] * dr)
     mom_r0 = (-3.0 * mom[0] + 4.0 * mom[1] - mom[2]) / (2.0 * dr)
@@ -496,9 +493,9 @@ def ref_mass_tendency(r, dr, rho, vel, lf_fc, up_fc):
     return drho
 
 
-def ref_induction_tendency(dr, vel, B, lf_fc):
+def ref_induction_tendency(dr, vel, B):
     vb = vel * B
-    H = 0.5 * (vb[:-1] + vb[1:]) - lf_fc * (B[1:] - B[:-1])
+    H = 0.5 * (vb[:-1] + vb[1:])
     dB = np.empty_like(B)
     dB[1:-1] = -(H[1:] - H[:-1]) / dr
     dB[0] = 0.0
@@ -507,12 +504,10 @@ def ref_induction_tendency(dr, vel, B, lf_fc):
 
 
 def ref_disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
-                      include_visc, lf_fc=None, up_fc=None, transport=None):
-    # None is the zeros of no face control
-    if lf_fc is None:
-        lf_fc = np.zeros(len(r) - 1)
-    if up_fc is None:
-        up_fc = np.zeros(len(r) - 1, dtype=np.uint8)
+                      include_visc, retired_band=None, up_fc=None,
+                      transport=None):
+    # the kernels take None or zeros in the retired band slot
+    assert retired_band is None or not np.any(retired_band)
     vel = u if transport is None else transport
     ur, u_over_r = ref_radial_parts(u, r, dr)
     vel_r, vel_over_r = ref_radial_parts(vel, r, dr)
@@ -524,24 +519,15 @@ def ref_disk_tendency(r, dr, rho, u, P, B, rho_star, two_mu_lam, gamma,
     du[0] = 0.0
     du[-1] = 0.0
     dP = -vel * Pr - gamma * P * (vel_r + vel_over_r)
-    if np.any(lf_fc != 0.0):
-        flux = -(lf_fc * (P[1:] - P[:-1]))
-        widths = np.full(len(r), dr)
-        widths[0] = widths[-1] = 0.5 * dr
-        diff = np.empty(len(r))
-        diff[0] = -(flux[0] - 0.0) / widths[0]
-        diff[1:-1] = -(flux[1:] - flux[:-1]) / widths[1:-1]
-        diff[-1] = -(0.0 - flux[-1]) / widths[-1]
-        dP += diff
-    return (ref_mass_tendency(r, dr, rho, vel, lf_fc, up_fc), du, dP,
-            ref_induction_tendency(dr, vel, B, lf_fc))
+    return (ref_mass_tendency(r, dr, rho, vel, up_fc), du, dP,
+            ref_induction_tendency(dr, vel, B))
 
 
 def ref_cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
-                          gamma, include_visc, lf_fc=None, up_fc=None):
+                          gamma, include_visc, retired_band=None, up_fc=None):
     drho, du, dP, dB = ref_disk_tendency(r, dr, rho, u, P, B, rho_star,
                                          two_mu_lam, gamma, include_visc,
-                                         lf_fc, up_fc)
+                                         retired_band, up_fc)
     centrif = np.zeros_like(u)
     centrif[1:] = rho[1:] * v[1:] * v[1:] / r[1:]
     du += centrif / rho_star
@@ -560,7 +546,8 @@ def ref_cylinder_tendency(r, dr, rho, u, v, w, P, B, rho_star, two_mu_lam, mu,
 
 def run_kernel_inputs(preset, kernel, every=4):
     """The arguments of every `every`-th tendency call of a preset run at
-    N=64 (the r passed is the grid's read-only nodes)."""
+    N=64, positional, with None in the retired band slot and the donor-cell
+    flags last (the r passed is the grid's read-only nodes)."""
     import dataclasses
 
     import mhdlab._kernels as kern
@@ -570,7 +557,8 @@ def run_kernel_inputs(preset, kernel, every=4):
     calls = []
     real = getattr(kern, kernel)
 
-    def recording(*args):
+    def recording(*args, up_fc=None):
+        args += (None, up_fc)
         calls.append(tuple(a.copy() if isinstance(a, np.ndarray) and i else a
                            for i, a in enumerate(args)))
         return real(*args)
@@ -596,15 +584,16 @@ def cylinder_inputs():
     return run_kernel_inputs("cylinder-blowup", "cylinder_tendency")
 
 
-def lf_variants(lf_fc):
-    """The run's own band, a band on face 0, one on the last face, none."""
-    n = len(lf_fc)
-    ramp = 1e-3 * (1.0 + np.arange(6))
-    first = np.zeros(n)
-    first[:6] = ramp
-    last = np.zeros(n)
-    last[-6:] = ramp
-    return {"run": lf_fc, "face0": first, "last": last, "none": np.zeros(n)}
+def up_variants(up_fc):
+    """The run's own donor-cell flags, flags on the first six faces, on the
+    last six, on none, and None."""
+    n = len(up_fc)
+    first = np.zeros(n, dtype=np.uint8)
+    first[:6] = 1
+    last = np.zeros(n, dtype=np.uint8)
+    last[-6:] = 1
+    return {"run": up_fc, "face0": first, "last": last,
+            "none": np.zeros(n, dtype=np.uint8), "None": None}
 
 
 def assert_all_equal(got, want):
@@ -616,41 +605,41 @@ def assert_all_equal(got, want):
 class TestLeanKernelsMatchReference:
     """The NumPy kernels against the full-length reference forms, on states
     of blow-up runs at N=64: every combination of viscous term, vacuum,
-    Lax-Friedrichs band placement and node-array writability."""
+    donor-cell flag placement and node-array writability."""
 
     @pytest.mark.parametrize("vacuum", [True, False])
     @pytest.mark.parametrize("writable_r", [False, True])
     @pytest.mark.parametrize("include_visc", [True, False])
     def test_disk_tendency(self, disk_inputs, include_visc, writable_r, vacuum):
-        interior = 0
-        for (r, dr, rho, u, P, B, rho_star, tml, gamma, _, lf,
+        for (r, dr, rho, u, P, B, rho_star, tml, gamma, _, band,
              up) in disk_inputs:
             if writable_r:
                 r = r.copy()
             if not vacuum:
-                rho, up = rho_star, np.zeros_like(up)
-            interior += bool(lf.any() and lf[0] == 0.0 and lf[-1] == 0.0)
-            for lf_fc in lf_variants(lf).values():
+                rho = rho_star
+            # the run's vacuum block: its flags are a prefix of the faces
+            k = int(up.argmin())
+            assert band is None and 0 < k and not up[k:].any()
+            for up_fc in up_variants(up).values():
                 args = (r, dr, rho, u, P, B, rho_star, tml, gamma,
-                        include_visc, lf_fc, up)
+                        include_visc, None, up_fc)
                 rates = pure.disk_tendency(*args)
                 assert_all_equal(rates, ref_disk_tendency(*args))
                 assert np.array_equal(
-                    rates[0], ref_mass_tendency(r, dr, rho, u, lf_fc, up))
+                    rates[0], ref_mass_tendency(r, dr, rho, u, up_fc))
                 assert np.array_equal(rates[-1],
-                                      ref_induction_tendency(dr, u, B, lf_fc))
-        assert interior == len(disk_inputs)     # the run's band is interior
+                                      ref_induction_tendency(dr, u, B))
 
     @pytest.mark.parametrize("writable_r", [False, True])
     @pytest.mark.parametrize("include_visc", [True, False])
     def test_cylinder_tendency(self, cylinder_inputs, include_visc, writable_r):
-        for (r, dr, rho, u, v, w, P, B, rho_star, tml, mu, gamma, _, lf,
+        for (r, dr, rho, u, v, w, P, B, rho_star, tml, mu, gamma, _, _,
              up) in cylinder_inputs:
             if writable_r:
                 r = r.copy()
-            for lf_fc in lf_variants(lf).values():
+            for up_fc in up_variants(up).values():
                 args = (r, dr, rho, u, v, w, P, B, rho_star, tml, mu, gamma,
-                        include_visc, lf_fc, up)
+                        include_visc, None, up_fc)
                 assert_all_equal(pure.cylinder_tendency(*args),
                                  ref_cylinder_tendency(*args))
 
@@ -658,19 +647,19 @@ class TestLeanKernelsMatchReference:
     @pytest.mark.parametrize("vac", [False, True])
     def test_random_fields(self, seed, vac):
         n = 257
-        r, rho, u, P, B, rho_star, lf, up = random_fields(n, seed, vac)
+        r, rho, u, P, B, rho_star, up = random_fields(n, seed, vac)
         rng = np.random.default_rng(seed + 50)
         v = rng.standard_normal(n + 1) * 0.2
         v[0] = v[-1] = 0.0
         w = rng.standard_normal(n + 1) * 0.2
         for include_visc in (True, False):
-            for lf_fc in lf_variants(lf).values():
+            for up_fc in up_variants(up).values():
                 args = (r, 1.0 / n, rho, u, P, B, rho_star, 0.7, 1.4,
-                        include_visc, lf_fc, up)
+                        include_visc, None, up_fc)
                 assert_all_equal(pure.disk_tendency(*args),
                                  ref_disk_tendency(*args))
                 args = (r, 1.0 / n, rho, u, v, w, P, B, rho_star, 0.7, 0.3,
-                        1.4, include_visc, lf_fc, up)
+                        1.4, include_visc, None, up_fc)
                 assert_all_equal(pure.cylinder_tendency(*args),
                                  ref_cylinder_tendency(*args))
 
@@ -678,13 +667,13 @@ class TestLeanKernelsMatchReference:
     @pytest.mark.parametrize("include_visc", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pressureless(self, monkeypatch, seed, include_visc, transport):
-        """P = +0 at every node, without face controls and on bands with donor
-        flags: the disk (with a transport velocity too) and the cylinder
+        """P = +0 at every node, with every placement of donor-cell flags and
+        without any: the disk (with a transport velocity too) and the cylinder
         give the reference values, and every row but dP the bytes of the
         full path; dP is +0 where the full path gives signed zeros."""
         n = 129
         dr = 1.0 / n
-        r, rho, u, _, B, rho_star, lf, up = random_fields(n, seed, vac=True)
+        r, rho, u, _, B, rho_star, up = random_fields(n, seed, vac=True)
         P = np.zeros(n + 1)
         v, w = swirl_fields(n, seed)
         kw = {}
@@ -692,16 +681,14 @@ class TestLeanKernelsMatchReference:
             V = 0.3 * np.random.default_rng(seed + 7).standard_normal(n + 1)
             V[0] = 0.0
             kw["transport"] = V
-        controls = [(None, None)]
-        controls += [(lf_fc, up) for lf_fc in lf_variants(lf).values()]
-        for lf_fc, up_fc in controls:
+        for up_fc in up_variants(up).values():
             cases = [(pure.disk_tendency, ref_disk_tendency,
                       (r, dr, rho, u, P, B, rho_star, 0.7, 1.4, include_visc,
-                       lf_fc, up_fc), kw)]
+                       None, up_fc), kw)]
             if not transport:
                 cases.append((pure.cylinder_tendency, ref_cylinder_tendency,
                               (r, dr, rho, u, v, w, P, B, rho_star, 0.7, 0.3,
-                               1.4, include_visc, lf_fc, up_fc), {}))
+                               1.4, include_visc, None, up_fc), {}))
             for kernel, reference, args, extra in cases:
                 rates = kernel(*args, **extra)
                 assert_all_equal(rates, reference(*args, **extra))
@@ -730,16 +717,16 @@ def swirl_fields(n, seed):
 
 
 class TestNoFaceControls:
-    """Face controls of None mean none on any face: the NumPy kernels give
-    the bits of writable zero arrays, which they scan (the arrays perfbench's
-    kernel_micro passes)."""
+    """None in the retired band slot and as donor-cell flags means no band
+    and no flag: the NumPy kernels give the bits of writable zero arrays,
+    which they scan (the arrays perfbench's kernel_micro passes)."""
 
     @pytest.mark.parametrize("include_visc", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_none_is_zeros(self, seed, include_visc):
         n = 129
         dr = 1.0 / n
-        r, rho, u, P, B, rho_star, _, _ = random_fields(n, seed)
+        r, rho, u, P, B, rho_star, _ = random_fields(n, seed)
         v, w = swirl_fields(n, seed)
         V = 0.3 * np.random.default_rng(seed + 7).standard_normal(n + 1)
         V[0] = 0.0
@@ -755,25 +742,66 @@ class TestNoFaceControls:
             assert kernel(*args, **kw).tobytes() == want
 
 
+class TestRetiredBand:
+    """Both backends keep the positional slot that once took per-face
+    Lax-Friedrichs coefficients (the 11th; the cylinder's 14th), which
+    perfbench's kernel_micro fills with zeros: None and an all-zero array
+    give the same bits, with donor-cell flags and without, and a nonzero
+    entry is refused. The compiled twin is checked wherever it is built."""
+
+    N = 65
+
+    def cases(self):
+        r, rho, u, P, B, rho_star, up = random_fields(self.N, 3, vac=True)
+        v, w = swirl_fields(self.N, 3)
+        dr = 1.0 / self.N
+        backends = [pure] if compiled is None else [pure, compiled]
+        for backend in backends:
+            yield (backend.disk_tendency,
+                   (r, dr, rho, u, P, B, rho_star, 0.7, 1.4, True), up)
+            yield (backend.cylinder_tendency,
+                   (r, dr, rho, u, v, w, P, B, rho_star, 0.7, 0.3, 1.4, True),
+                   up)
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_none_and_zeros_agree(self, flagged):
+        for kernel, args, up in self.cases():
+            up_fc = up if flagged else None
+            want = np.asarray(kernel(*args, None, up_fc)).tobytes()
+            for band in (np.zeros(self.N), np.full(self.N, -0.0)):
+                got = kernel(*args, band, up_fc)
+                assert np.asarray(got).tobytes() == want
+            assert np.asarray(kernel(*args, up_fc=up_fc)).tobytes() == want
+
+    @pytest.mark.parametrize("bad", [1e-3, -0.5, 5e-324, np.nan, np.inf])
+    @pytest.mark.parametrize("face", [0, 40, N - 1])
+    def test_nonzero_refused(self, face, bad):
+        band = np.zeros(self.N)
+        band[face] = bad
+        for kernel, args, up in self.cases():
+            with pytest.raises(ValueError,
+                               match="the Lax-Friedrichs band is retired"):
+                kernel(*args, band, up)
+
+
 def kernel_cases(n, seed):
     """(kernel, reference, args) for both kernels on random fields at n
-    cells: the grid's read-only nodes without face controls, writable nodes
-    with a band and donor faces, and read-only nodes with the grid's
-    spacing but other values."""
+    cells: the grid's read-only nodes without donor-cell flags, writable
+    nodes with donor faces, and read-only nodes with the grid's spacing but
+    other values."""
     g = make_grid(n, 1.0)
-    r, rho, u, P, B, rho_star, lf, up = random_fields(n, seed, vac=True)
+    r, rho, u, P, B, rho_star, up = random_fields(n, seed, vac=True)
     v, w = swirl_fields(n, seed)
     shifted = g.nodes + 0.5
     shifted.flags.writeable = False
     cases = []
-    for nodes, lf_fc, up_fc in ((g.nodes, None, None), (r, lf, up),
-                                (shifted, lf, up)):
+    for nodes, up_fc in ((g.nodes, None), (r, up), (shifted, up)):
         cases.append((pure.disk_tendency, ref_disk_tendency,
                       (nodes, g.dr, rho, u, P, B, rho_star, 0.7, 1.4, True,
-                       lf_fc, up_fc)))
+                       None, up_fc)))
         cases.append((pure.cylinder_tendency, ref_cylinder_tendency,
                       (nodes, g.dr, rho, u, v, w, P, B, rho_star, 0.7, 0.3,
-                       1.4, False, lf_fc, up_fc)))
+                       1.4, False, None, up_fc)))
     return cases
 
 
@@ -809,15 +837,15 @@ class TestWorkspace:
 
         seen = {"calls": 0, "grids": 0, "last": lambda: None}
 
-        def checked(*args):
+        def checked(*args, **kw):
             # only a weak reference, so each grid dies when the run drops it
             if seen["last"]() is not args[0]:
                 seen["grids"] += 1
                 seen["last"] = weakref.ref(args[0])
             # the NumPy kernel whatever the backend: only it is held to the
             # reference bit for bit
-            rates = pure.disk_tendency(*args)
-            assert_all_equal(rates, ref_disk_tendency(*args))
+            rates = pure.disk_tendency(*args, **kw)
+            assert_all_equal(rates, ref_disk_tendency(*args, **kw))
             seen["calls"] += 1
             return rates
 

@@ -670,29 +670,27 @@ class TestTridiagonalTraffic:
 
 
 class TestFaceControls:
+    """The donor-cell flags a stage hands the kernels: one uint8 per face,
+    1 on the faces touching a vacuum node; None without vacuum."""
+
     def controls(self, rho):
         from mhdlab.solver import _face_controls, _stage_of
         g = make_grid(32, 1.0)
         st = disk_state(g, rho=rho, P=np.ones(33))
-        stats = StepStats(lf_coeff=7.0)
-        p, s = disk_params(), settings()
-        return g, stats, _face_controls(st, g, _stage_of(st, p, s), stats)
+        return _face_controls(_stage_of(st, disk_params(), settings()))
 
     def test_vacuum_free_stage_gets_none(self):
-        _, stats, controls = self.controls(np.ones(33))
-        assert controls == (None, None)
-        assert stats.lf_coeff == 7.0
+        assert self.controls(np.ones(33)) is None
 
     def test_vacuum_stage_gets_new_arrays(self):
         rho = np.ones(33)
         rho[:6] = 0.0
-        g, stats, (lf_fc, up_fc) = self.controls(rho)
-        _, _, (again_lf, again_up) = self.controls(rho)
-        for arr, again in ((lf_fc, again_lf), (up_fc, again_up)):
-            assert arr.flags.writeable and not np.shares_memory(arr, again)
-        assert lf_fc.shape == up_fc.shape == (32,) and up_fc.dtype == np.uint8
-        assert up_fc[:6].all() and not up_fc[6:].any()
-        assert stats.lf_coeff > 0.0 and lf_fc[6] == stats.lf_coeff
+        rho[20] = 0.0
+        up_fc, again = self.controls(rho), self.controls(rho)
+        assert up_fc.flags.writeable and not np.shares_memory(up_fc, again)
+        assert up_fc.shape == (32,) and up_fc.dtype == np.uint8
+        # faces 0..5 touch the block, faces 19 and 20 the isolated node
+        assert up_fc.tolist() == [1] * 6 + [0] * 13 + [1, 1] + [0] * 11
 
 
 class TestNonFiniteSolves:
@@ -1017,27 +1015,13 @@ def _reference_speeds(state, stage):
     return np.where(state.rho < stage.s.eps_vac, abs_u, abs_u + cs + ca)
 
 
-def _reference_face_controls(state, grid, stage, stats):
-    from mhdlab.solver import _LF_BAND
+def _reference_face_controls(state, grid, stage):
     vac = state.rho < stage.s.eps_vac
     if not vac.any():
-        return None, None
-    n = grid.n_cells
-    lf_fc = np.zeros(n)
-    up_fc = np.zeros(n, dtype=np.uint8)
+        return None
+    up_fc = np.zeros(grid.n_cells, dtype=np.uint8)
     up_fc[:] = vac[:-1] | vac[1:]
-    m = stage.m
-    if 0 <= m < n - 1:
-        a_max = float(np.max(_reference_speeds(state, stage)))
-        coeff = 0.5 * a_max * grid.dr
-        if stats is not None:
-            stats.lf_coeff = coeff
-        lo = m + 1
-        hi = min(m + _LF_BAND, n - 1)
-        band = np.arange(lo, hi + 1)
-        band = band[up_fc[band] == 0]
-        lf_fc[band] = coeff
-    return lf_fc, up_fc
+    return up_fc
 
 
 def _reference_finalize_stage(state, p, grid, s, stats):
@@ -1071,7 +1055,7 @@ def _vacuum_case(name, rng):
     vacuum = {
         "none": [],
         "prefix": list(range(9)),
-        # isolated nodes inside the band, beyond it, and without a prefix
+        # isolated nodes near the block, far from it, and without a prefix
         "prefix-and-isolated": list(range(5)) + [8, 12, 30],
         "isolated-only": [6, 7, 19, 33],
         "axis-only": [0, 10],
@@ -1119,21 +1103,18 @@ class TestStageAgainstReference:
     @pytest.mark.parametrize("geometry", [Geometry.DISK2D, Geometry.CYLINDER3D])
     def test_speeds_and_face_controls(self, case, seed, geometry):
         from mhdlab.solver import _face_controls, _Stage
-        # a negative P gives NaN speeds and a NaN coefficient
+        # a negative P gives NaN speeds
         g, st, p, s = self.state(case, geometry, seed, negative_P=seed == 2)
         with np.errstate(invalid="ignore"):
             stage = _Stage(st, p, s)
             want = _reference_speeds(st, stage)
             assert stage.speeds(st).tobytes() == want.tobytes()
-            got_stats, want_stats = StepStats(lf_coeff=7.0), StepStats(lf_coeff=7.0)
-            got = _face_controls(st, g, _Stage(st, p, s), got_stats)
-            ref = _reference_face_controls(st, g, stage, want_stats)
+        got = _face_controls(_Stage(st, p, s))
+        ref = _reference_face_controls(st, g, stage)
         assert (stage.m >= 0) == (case not in ("none", "isolated-only"))
-        for a, b in zip(got, ref):
-            assert a is b is None or (a.dtype == b.dtype
-                                      and a.tobytes() == b.tobytes())
-        assert np.array_equal(got_stats.lf_coeff, want_stats.lf_coeff,
-                              equal_nan=True)
+        assert (got is None) == (case == "none")
+        assert got is ref is None or (got.dtype == ref.dtype
+                                      and got.tobytes() == ref.tobytes())
 
     @pytest.mark.parametrize("case", VACUUM_CASES)
     @pytest.mark.parametrize("seed", [0, 1])
