@@ -52,9 +52,7 @@ def _cmd_run(args) -> int:
           + (f" T_detected={result.outcome.T_detected:.6g}"
              if result.outcome.T_detected is not None else ""))
     if result.status is RunStatus.ERROR:
-        summary = result.outcome.summary
-        reason = summary.get("error") or summary.get("invalid_reason")
-        print(f"error: {reason}", file=sys.stderr)
+        print(f"error: {result.outcome.summary['error']}", file=sys.stderr)
     return EXIT_CODES[result.status]
 
 

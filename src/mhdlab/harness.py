@@ -1,10 +1,18 @@
-"""Run orchestration: the step/track/diagnose loop and deterministic outputs.
+"""Run orchestration: the one step/track/diagnose loop and deterministic
+outputs.
 
-A run advances the configured scenario until t_end, a detected blow-up, or an
-invalidating event, recording a diagnostics row every ``output.stride`` steps
-(plus the final state). Outputs are a CSV of the records and a JSON summary;
-both are bitwise reproducible for a fixed configuration and build (fixed
-reduction orders, no wall-clock anywhere).
+`steps(rs)` is the run loop. It advances a `RunState` (the solver state,
+grid, front and ledgers of one run) step by step until t_end or a suspected
+blow-up, and yields each step's ``(dt, Health)`` after its health check; the
+live state, grid and front are read from the `RunState`. `run` iterates the
+same loop and adds, on top of it, the first record and one every
+``output.stride`` steps (plus the final state), the invalidation of a free
+run whose energy identity keeps failing, the stop and its reason, the
+summary, and the outputs: a CSV of the records and a JSON summary, both
+bitwise reproducible for a fixed configuration and build (fixed reduction
+orders, no wall-clock anywhere). A probe or test watches a run by iterating
+`steps` itself. `convergence_study` keeps a loop of its own, without the
+health check.
 """
 
 from __future__ import annotations
@@ -73,8 +81,10 @@ class RunResult:
         return self.outcome.status
 
 
-class _RunState:
-    """Everything one run owns: solver state, trackers, ledgers, aggregates."""
+class RunState:
+    """Everything one run owns: solver state, trackers, ledgers, aggregates.
+
+    `steps` advances it; `run` adds the records and the stop."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -123,7 +133,9 @@ class _RunState:
         self.div_total = 0
         self.pointwise_slack_min = math.inf
         self.energy_breaches = 0
-        self.invalid_reason = None
+        # why the run failed, under its run.json key: an Invalidated run's
+        # "invalid_reason" or an Error run's "error"
+        self.failure = {}
         self.stop_reason = None     # the failed health check's Health.reason
 
     # -- per-step bookkeeping ------------------------------------------------
@@ -226,16 +238,45 @@ class _RunState:
             report = growth_check(self.records, self.cfg.r_outer, self.E0, self.p)
             out["growth_ok"] = report.passed
             out["growth_worst_excess"] = report.worst_excess
-        if self.invalid_reason is not None:
-            out["invalid_reason"] = self.invalid_reason
+        out.update(self.failure)
         out["residuals"] = residuals
         return out
 
 
+def steps(rs: RunState):
+    """The run loop: step rs to t_end, yielding each step's (dt, Health)
+    after its health check, and return after a suspected one. A DtCollapse
+    from the first cfl_dt raises (a configuration problem, not a blow-up
+    signal); after each step detect_blowup flags a collapse and supplies
+    the next dt."""
+    t_end = rs.cfg.t_end
+    dt_cfl = cfl_dt(rs.state, rs.grid, rs.p, rs.settings)
+    while rs.state.t < t_end * (1.0 - 1e-12):
+        dt = min(dt_cfl, t_end - rs.state.t)
+        if rs.free:
+            # the front moves with the boundary, before the remap
+            rs.state, rs.grid, rs.front = free_step(
+                rs.state, dt, rs.p, rs.grid, rs.settings, rs.stats, rs.front)
+        else:
+            u_before = rs.state.u       # a step never writes its input
+            rs.state = step(rs.state, dt, rs.p, rs.grid, rs.settings,
+                            stats=rs.stats, forcing=rs.forcing)
+            if rs.front is not None:
+                rs.front = advance_front(
+                    rs.front, _HALF * (u_before + rs.state.u), rs.grid, dt)
+        rs.accumulate_dissipation(dt)
+        health = detect_blowup(rs.state, rs.grid, rs.p, rs.settings)
+        yield dt, health
+        if health.suspected:
+            return
+        dt_cfl = health.dt
+
+
 def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
-    """Advance the scenario to completion/detection and emit outputs."""
+    """Advance the scenario through `steps` and emit outputs; on top of the
+    loop, the first and stride records, invalidation and the stop."""
     try:
-        rs = _RunState(cfg)
+        rs = RunState(cfg)
     except MHDLabError as exc:
         outcome = RunOutcome(status=RunStatus.ERROR, t_final=0.0,
                              summary={"error": str(exc), "residuals": {}})
@@ -245,56 +286,31 @@ def run(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunResult:
 
     status = RunStatus.COMPLETED
     detected = None
-    last_dt = 0.0
-    steps = 0
     try:
         rs.record(0.0, max_grad_u(rs.state, rs.grid))
-        t_end = cfg.t_end
-        # a DtCollapse here ends the run as an ERROR (a configuration
-        # problem, not a blow-up signal). After each step detect_blowup
-        # flags a collapse and supplies the next dt.
-        dt_cfl = cfl_dt(rs.state, rs.grid, rs.p, rs.settings)
-        while rs.state.t < t_end * (1.0 - 1e-12):
-            dt = min(dt_cfl, t_end - rs.state.t)
-            last_dt = dt
-            if rs.free:
-                # the front moves with the boundary, before the remap
-                rs.state, rs.grid, rs.front = free_step(
-                    rs.state, dt, rs.p, rs.grid, rs.settings, rs.stats, rs.front)
-            else:
-                u_before = rs.state.u       # a step never writes its input
-                rs.state = step(rs.state, dt, rs.p, rs.grid, rs.settings,
-                                stats=rs.stats, forcing=rs.forcing)
-                if rs.front is not None:
-                    rs.front = advance_front(
-                        rs.front, _HALF * (u_before + rs.state.u), rs.grid, dt)
-            rs.accumulate_dissipation(dt)
-            steps += 1
-            health = detect_blowup(rs.state, rs.grid, rs.p, rs.settings)
-            if steps % cfg.output_stride == 0:
+        for n, (dt, health) in enumerate(steps(rs), 1):
+            if n % cfg.output_stride == 0:
                 rs.record(dt, health.max_gradu)
                 if rs.energy_breaches >= _INVALIDATION_STRIKES:
-                    rs.invalid_reason = "sustained energy-identity failure"
+                    rs.failure["invalid_reason"] = (
+                        "sustained energy-identity failure")
                     status = RunStatus.INVALIDATED
                     break
             if health.suspected:
                 status = RunStatus.BLOWUP_DETECTED
                 rs.stop_reason = health.reason
                 detected = rs.state.t
-                break
-            dt_cfl = health.dt
-        if not rs.records or rs.records[-1].t != rs.state.t:
-            rs.record(last_dt, health.max_gradu)
+        if rs.records[-1].t != rs.state.t:
+            rs.record(dt, health.max_gradu)
     except MHDLabError as exc:
         status = RunStatus.ERROR
-        rs.invalid_reason = str(exc)
+        rs.failure["error"] = str(exc)
 
     outcome = RunOutcome(status=status, t_final=rs.state.t, T_detected=detected,
                          summary=rs.summary())
-    result = RunResult(outcome=outcome, records=rs.records, state=rs.state)
     if out_dir is not None:
         _emit(out_dir, rs.records, outcome)
-    return result
+    return RunResult(outcome=outcome, records=rs.records, state=rs.state)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from mhdlab.config import (apply_overrides, build_config, load_preset,
                            load_preset_text, parse_pairs)
 from mhdlab.core import ScenarioConfig, Weight, integrate
 from mhdlab.errors import DtCollapse
-from mhdlab.harness import (CSV_HEADER, convergence_study, outcome_to_json,
-                            records_to_csv, run)
+from mhdlab.harness import (CSV_HEADER, RunState, convergence_study,
+                            outcome_to_json, records_to_csv, run, steps)
+from mhdlab.solver import detect_blowup, max_grad_u
 
 
 def small(preset, **kw):
@@ -109,7 +110,8 @@ class TestRun:
         res = run(small("free-blowup", n=64))
         assert len(calls) == 5
         assert res.status is RunStatus.ERROR
-        assert "front left the domain" in res.outcome.summary["invalid_reason"]
+        assert "front left the domain" in res.outcome.summary["error"]
+        assert "invalid_reason" not in res.outcome.summary
 
     def test_eps_vac_guard(self):
         cfg = small("disk-blowup", n=128, eps_vac=0.5)
@@ -120,7 +122,8 @@ class TestRun:
         cfg = small("smooth-novac", t_end=0.05, dt_min=1.0)
         res = run(cfg)
         assert res.status is RunStatus.ERROR
-        assert "dt" in res.outcome.summary.get("invalid_reason", "")
+        assert "dt" in res.outcome.summary["error"]
+        assert "invalid_reason" not in res.outcome.summary
 
     @pytest.mark.parametrize("override, field", [
         ('init.p="constant inf"', "P"),
@@ -138,37 +141,57 @@ class TestRun:
 
 
 class TestDetectedAtTheAxis:
-    """A blow-up preset at N=48 or N=64 runs many steps and stops on the
-    gradient threshold at the axis, where the event forms. At N=32 the
-    presets stop instead on a gradient at the vacuum edge, at node 15 past
-    a block ending at node 13 (disk-blowup after 19 steps, at t = 0.482),
-    an artefact of a grid too coarse for them."""
+    """A blow-up preset at N=48 or N=64 runs many steps, and its run loop
+    stops on the gradient threshold at the axis, where the event forms;
+    iterating `steps` shows each health check and the stopped state. At
+    N=32 the presets stop instead on a gradient at the vacuum edge, at node
+    15 past a block ending at node 13 (disk-blowup after 19 steps, at
+    t = 0.482), an artefact of a grid too coarse for them."""
 
     @pytest.mark.parametrize("preset, n", [
         pytest.param(preset, n, id=preset if n == 64 else f"{preset}-n{n}")
         for n in (64, 48)
         for preset in ("disk-blowup", "cylinder-blowup", "free-blowup")])
-    def test_stops_at_node_0_on_the_gradient(self, monkeypatch, preset, n):
-        import mhdlab.harness
+    def test_stops_at_node_0_on_the_gradient(self, preset, n):
         from mhdlab._kernels import radial_parts
-        detect = mhdlab.harness.detect_blowup
-        checks = []
-
-        def watched(state, grid, p, s):
-            health = detect(state, grid, p, s)
-            checks.append((state, grid, health))
-            return health
-
-        monkeypatch.setattr(mhdlab.harness, "detect_blowup", watched)
-        res = run(dataclasses.replace(load_preset(preset), n=n))
-        assert res.status is RunStatus.BLOWUP_DETECTED
-        assert res.outcome.summary["stop_reason"] == "gradu"
+        rs = RunState(dataclasses.replace(load_preset(preset), n=n))
+        checks = [health for _, health in steps(rs)]
         assert len(checks) >= 20            # one health check per step
-        state, grid, health = checks[-1]
-        ur, uor = radial_parts(state.u, grid.nodes, grid.dr)
+        health = checks[-1]
+        assert health.suspected and health.reason == "gradu"
+        assert not any(h.suspected for h in checks[:-1])
+        ur, uor = radial_parts(rs.state.u, rs.grid.nodes, rs.grid.dr)
         gradu = np.maximum(np.abs(ur), np.abs(uor))
         assert gradu.max() == health.max_gradu
         assert int(np.argmax(gradu)) == 0
+
+
+class TestSteps:
+    """`steps` is run()'s loop: a caller iterating it sees each step's
+    health check on the live state, and recording what run() records gives
+    run()'s outputs byte for byte."""
+
+    def test_disk_blowup_history(self, tmp_path):
+        cfg = dataclasses.replace(load_preset("disk-blowup"), n=64,
+                                  output_stride=1)
+        rs = RunState(cfg)
+        rs.record(0.0, max_grad_u(rs.state, rs.grid))
+        yields = 0
+        for dt, health in steps(rs):
+            yields += 1
+            fresh = detect_blowup(rs.state, rs.grid, rs.p, rs.settings)
+            assert health.max_gradu == fresh.max_gradu
+            assert health.dt == fresh.dt
+            rs.record(dt, health.max_gradu)
+        assert health.suspected and health.dt is None
+        assert yields > 20
+
+        res = run(cfg, out_dir=str(tmp_path))
+        assert res.status is RunStatus.BLOWUP_DETECTED
+        assert len(res.records) == yields + 1      # one record per step
+        assert res.outcome.T_detected == rs.state.t
+        with open(tmp_path / "run.csv", encoding="utf-8", newline="") as fh:
+            assert fh.read() == records_to_csv(rs.records)
 
 
 class TestOneCflPerStep:
@@ -646,13 +669,13 @@ class TestFreeEnergyBreaches:
             calls.append(len(history))
             return ledger(history)
 
-        class Watched(harness._RunState):
+        class Watched(harness.RunState):
             def record(self, dt, max_gradu):
                 super().record(dt, max_gradu)
                 strikes.append(self.energy_breaches)
 
         monkeypatch.setattr(harness, "energy_residual", counted)
-        monkeypatch.setattr(harness, "_RunState", Watched)
+        monkeypatch.setattr(harness, "RunState", Watched)
         if factor is not None:      # every record breaches
             monkeypatch.setattr(harness, "_INVALIDATION_FACTOR", factor)
         res = run(small("free-blowup", n=64, output_stride=1))
